@@ -63,14 +63,10 @@ for p in (str(_REPO_ROOT), str(_REPO_ROOT / "src")):
 import numpy as np  # noqa: E402
 
 from repro.analysis.verify import verify_result  # noqa: E402
-from repro.core.candidates import (hash_join_all, hash_join_block,  # noqa: E402
+from repro.core.candidates import (hash_join_all,  # noqa: E402
                                    hash_join_plan, join_all)
-from repro.core.dedup import drop_repeats  # noqa: E402
-from repro.core.directmine import DirectMiner, lattice_step  # noqa: E402
-from repro.core.fptree import fptree_join_plan  # noqa: E402
 from repro.core.histogram import fine_histogram_local  # noqa: E402
 from repro.core.mafia import mafia  # noqa: E402
-from repro.core.pmafia import resolved_join_strategy  # noqa: E402
 from repro.core.population import (IndexedPopulator,  # noqa: E402
                                    populate_local)
 from repro.core.units import UnitTable  # noqa: E402
@@ -184,9 +180,9 @@ def build_suite(smoke: bool, only: str | None = None):
     (callable, runs).  ``only`` is an fnmatch glob over kernel names:
     kernels it doesn't match are dropped *and* the expensive workload
     staging behind them (bitmap index, serving model, streaming
-    session, deep lattice) is skipped entirely, so
-    ``--only 'deep_lattice_*'`` builds just that workload.  Loads whose
-    block was skipped come back ``None``.
+    session) is skipped entirely, so ``--only 'score_batch_*'`` builds
+    just that workload.  Loads whose block was skipped come back
+    ``None``.
     """
     if smoke:
         n_records, n_dims, nbins = 20_000, 8, 8
@@ -246,42 +242,13 @@ def build_suite(smoke: bool, only: str | None = None):
     # magnitude.
     bulk = bulk_plan = bulk_raw = None
     if wanted("cdu_join_pairwise_bulk", "cdu_join_hash_bulk",
-              "cdu_join_fptree_bulk", "hash_join_plan_bulk",
-              "fptree_join_plan_bulk", "cdu_dedup_bulk"):
+              "hash_join_plan_bulk", "cdu_dedup_bulk"):
         if smoke:
             bulk = clustered_units(3, 8, 3, 20, nbins, seed=12)
         else:
             bulk = clustered_units(8, 12, 3, 30, nbins, seed=12)
         bulk_plan = hash_join_plan(bulk)
         bulk_raw = hash_join_all(bulk).cdus
-
-    # high-dimensionality join load: cluster cores over a d >= 50 noise
-    # floor (the Fig. 7 cluster-dim scaling regime).  Drop-one
-    # signatures are prefix-sparse there — most noise units share no
-    # (m-1)-token subsequence — which is exactly where the fptree
-    # engine's support prune skips the hash join's O(Ndu*m^2) key
-    # factory.  Tokens are pre-packed for both engines, matching the
-    # driver's overlapped pack.
-    hd_dims, hd_level = (50, 4) if smoke else (60, 6)
-    highdim = hd_tokens = hd_auto = None
-    if wanted(f"join_level{hd_level}_hash", f"join_level{hd_level}_fptree"):
-        if smoke:
-            hd_core = clustered_units(2, 8, hd_level, hd_dims, nbins,
-                                      seed=21)
-            hd_noise = random_units(8_000, hd_level, hd_dims, nbins,
-                                    seed=22)
-        else:
-            hd_core = clustered_units(4, 12, hd_level, hd_dims, nbins,
-                                      seed=21)
-            hd_noise = random_units(60_000, hd_level, hd_dims, nbins,
-                                    seed=22)
-        highdim = UnitTable(
-            dims=np.concatenate([hd_core.dims, hd_noise.dims]),
-            bins=np.concatenate([hd_core.bins, hd_noise.bins])).unique()
-        hd_tokens = highdim.tokens()
-        hd_auto, _ = resolved_join_strategy(
-            bench_params(join_strategy="auto"), comm, highdim.n_units,
-            hd_level, tokens=hd_tokens)
 
     # level-N population loads: one *nested* clustered lattice — every
     # level's units extend the previous level's, the shape real level
@@ -404,123 +371,6 @@ def build_suite(smoke: bool, only: str | None = None):
             "identical": stream_identical,
         }
 
-    # deep-lattice direct-mining load: the d >= 50 regime the one-pass
-    # miner was built for.  Disjoint planted clusters seed a genuinely
-    # dense level-4 lattice whose walk to exhaustion is combinatorial
-    # in cluster_dim.  The classic leg runs the production per-level
-    # cycle — fptree plan -> hash join -> repeat elimination -> warm
-    # IndexedPopulator AND/popcount — while the direct leg projects
-    # transactions once and answers every deeper level from the merged
-    # count table.  Both legs must agree on every level's CDUs, counts
-    # and dense survivors: the in-suite identical-results gate.
-    direct_load = None
-    deep_walk_classic = deep_walk_direct = None
-    if wanted("deep_lattice_classic", "deep_lattice_direct"):
-        from itertools import combinations
-        if smoke:
-            deep_n, deep_cdim, deep_nclusters = 30_000, 8, 6
-        else:
-            deep_n, deep_cdim, deep_nclusters = 400_000, 12, 12
-        deep_dims, deep_nbins = 50, 50
-        rng41 = np.random.default_rng(41)
-        # background mass lives in the upper half of every domain;
-        # cluster bins come from the lower half, so off-cluster records
-        # never touch a dense token and the lattice signal is pure —
-        # the walk depth, not accidental bin collisions, is what the
-        # two engines race over
-        deep_records = 50.0 + rng41.random((deep_n, deep_dims)) * 50.0
-        member_frac = 20 if smoke else 16     # 1/frac of records each
-        membership = rng41.permutation(deep_n)
-        width = 100.0 / deep_nbins
-        seed_pairs = []
-        for c in range(deep_nclusters):
-            dims_c = sorted(rng41.choice(deep_dims, size=deep_cdim,
-                                         replace=False).tolist())
-            bins_c = {d: int(rng41.integers(0, deep_nbins // 2))
-                      for d in dims_c}
-            members = membership[c * (deep_n // member_frac):
-                                 (c + 1) * (deep_n // member_frac)]
-            for d in dims_c:
-                deep_records[members, d] = (
-                    bins_c[d] * width
-                    + width * rng41.random(members.size))
-            for subset in combinations(dims_c, 4):
-                seed_pairs.append([(d, bins_c[d]) for d in subset])
-        deep_source = ArraySource(deep_records)
-        deep_grid = uniform_grid(deep_dims, deep_nbins)
-        deep_store = stage_binned(deep_source, comm, deep_grid, chunk)
-        core4 = UnitTable.from_pairs(seed_pairs)
-        noise4 = random_units(3_000, 4, deep_dims, deep_nbins, seed=42)
-        seed4 = UnitTable(
-            dims=np.concatenate([core4.dims, noise4.dims]),
-            bins=np.concatenate([core4.bins, noise4.bins])).unique()
-        seed_counts = populate_local(deep_source, comm, deep_grid, seed4,
-                                     chunk, binned=deep_store)
-        deep_support = deep_n // (2 * member_frac)
-        deep_dense = seed4.select(seed_counts >= deep_support)
-        deep_index = stage_bitmap_index(deep_source, comm, deep_grid,
-                                        chunk, policy="resident")
-        deep_pop = IndexedPopulator(deep_index)
-
-        def deep_walk_classic():
-            dense = deep_dense
-            traj = []
-            while dense.n_units >= 2:
-                plan = fptree_join_plan(dense, dense.tokens())
-                raw = hash_join_block(dense, 0, dense.n_units,
-                                      plan=plan).cdus
-                if raw.n_units == 0:
-                    break
-                cdus = drop_repeats(raw, raw.repeat_mask())
-                counts = populate_local(deep_source, comm, deep_grid,
-                                        cdus, chunk, indexed=deep_pop)
-                dense = cdus.select(counts >= deep_support)
-                traj.append((int(cdus.level), int(cdus.n_units), counts,
-                             int(dense.n_units)))
-            return traj
-
-        def deep_walk_direct():
-            miner = DirectMiner(deep_store, comm, chunk_records=chunk,
-                                max_level=deep_cdim + 2,
-                                max_subsets=50_000_000,
-                                max_transactions=1 << 20)
-            dense = deep_dense
-            if not miner.try_engage(dense.tokens(), dense.level):
-                raise RuntimeError(
-                    "direct miner declined the deep benchmark lattice")
-            traj = []
-            while dense.n_units >= 2:
-                step = lattice_step(dense)
-                if step.n_raw == 0:
-                    break
-                cdus = step.cdus
-                counts = miner.counts_for(cdus)
-                dense = cdus.select(counts >= deep_support)
-                traj.append((int(cdus.level), int(cdus.n_units), counts,
-                             int(dense.n_units)))
-            return traj
-
-        classic_traj = deep_walk_classic()    # also warms the index memo
-        direct_traj = deep_walk_direct()
-        deep_identical = (
-            len(classic_traj) == len(direct_traj) > 0
-            and all(a[0] == b[0] and a[1] == b[1]
-                    and np.array_equal(a[2], b[2]) and a[3] == b[3]
-                    for a, b in zip(classic_traj, direct_traj)))
-        direct_load = {
-            "n_records": int(deep_n),
-            "n_dims": int(deep_dims),
-            "nbins": int(deep_nbins),
-            "n_clusters": int(deep_nclusters),
-            "cluster_dim": int(deep_cdim),
-            "start_level": int(deep_dense.level),
-            "start_units": int(deep_dense.n_units),
-            "levels_walked": len(classic_traj),
-            "cdus_walked": int(sum(t[1] for t in classic_traj)),
-            "min_support": int(deep_support),
-            "identical": bool(deep_identical),
-        }
-
     dense = random_units(join_units, 3, min(n_dims, 12), 6, seed=9)
     rng10 = np.random.default_rng(10)
     dup = []
@@ -551,15 +401,7 @@ def build_suite(smoke: bool, only: str | None = None):
         "repeat_mask": (lambda: dup_table.repeat_mask(), runs),
         "cdu_join_pairwise_bulk": (lambda: join_all(bulk), runs),
         "cdu_join_hash_bulk": (lambda: hash_join_all(bulk), runs),
-        "cdu_join_fptree_bulk": (
-            lambda: hash_join_block(bulk, 0, bulk.n_units,
-                                    plan=fptree_join_plan(bulk)), runs),
         "hash_join_plan_bulk": (lambda: hash_join_plan(bulk), runs),
-        "fptree_join_plan_bulk": (lambda: fptree_join_plan(bulk), runs),
-        f"join_level{hd_level}_hash": (
-            lambda: hash_join_plan(highdim, hd_tokens), runs),
-        f"join_level{hd_level}_fptree": (
-            lambda: fptree_join_plan(highdim, hd_tokens), runs),
         "cdu_dedup_bulk": (lambda: bulk_raw.repeat_mask(), runs),
         "bitmap_index_build": (
             lambda: stage_bitmap_index(source, comm, grid, chunk,
@@ -584,9 +426,6 @@ def build_suite(smoke: bool, only: str | None = None):
         kernels[f"populate_level{lv}_indexed"] = (
             lambda u=lvu: populate_local(source, comm, grid, u, chunk,
                                          indexed=indexed_pop), runs)
-    if direct_load is not None:
-        kernels["deep_lattice_classic"] = (deep_walk_classic, runs)
-        kernels["deep_lattice_direct"] = (deep_walk_direct, runs)
 
     kernels = {name: kv for name, kv in kernels.items() if wanted(name)}
 
@@ -606,14 +445,6 @@ def build_suite(smoke: bool, only: str | None = None):
     if bulk is not None:
         join_load.update(n_units=int(bulk.n_units),
                          raw_cdus=int(bulk_plan.n_pairs))
-    if highdim is not None:
-        join_load["highdim"] = {"n_units": int(highdim.n_units),
-                                "n_dims": int(hd_dims),
-                                "level": int(hd_level),
-                                "raw_pairs":
-                                int(fptree_join_plan(highdim,
-                                                     hd_tokens).n_pairs),
-                                "auto_strategy": hd_auto}
 
     if smoke:
         e2e = dict(n_records=20_000, n_dims=8, n_clusters=2, cluster_dim=4,
@@ -621,8 +452,7 @@ def build_suite(smoke: bool, only: str | None = None):
     else:
         e2e = dict(n_records=200_000, n_dims=15, n_clusters=10,
                    cluster_dim=5, chunk=50_000)
-    return (kernels, e2e, join_load, index_load, serve_load, stream_load,
-            direct_load)
+    return kernels, e2e, join_load, index_load, serve_load, stream_load
 
 
 def cluster_signature(result):
@@ -831,7 +661,7 @@ def main(argv=None) -> int:
                     help="scaled-down suite for CI")
     ap.add_argument("--only", metavar="KERNEL_GLOB", default=None,
                     help="run only kernels matching this fnmatch glob "
-                         "(e.g. 'deep_lattice_*' or 'populate_*'); "
+                         "(e.g. 'score_batch_*' or 'populate_*'); "
                          "workload staging behind unmatched kernels is "
                          "skipped and their summary sections are "
                          "omitted")
@@ -849,11 +679,6 @@ def main(argv=None) -> int:
                     help="fail unless the level>=2 population kernels' "
                          "median indexed-vs-binned speedup reaches this "
                          "factor")
-    ap.add_argument("--min-direct-speedup", type=float, default=0.0,
-                    help="fail unless the one-pass direct miner beats "
-                         "the classic fptree+indexed deep-lattice walk "
-                         "by this factor (or the two walks disagree on "
-                         "any level)")
     ap.add_argument("--min-serve-speedup", type=float, default=0.0,
                     help="fail unless the compiled serving evaluator "
                          "beats the naive per-term scorer by this "
@@ -874,8 +699,8 @@ def main(argv=None) -> int:
 
     suite = "smoke" if args.smoke else "full"
     print(f"suite: {suite}")
-    (kernels, e2e_cfg, join_load, index_load, serve_load, stream_load,
-     direct_load) = build_suite(args.smoke, only=args.only)
+    (kernels, e2e_cfg, join_load, index_load, serve_load,
+     stream_load) = build_suite(args.smoke, only=args.only)
     if not kernels:
         print(f"no kernel matches --only {args.only!r}", file=sys.stderr)
         return 2
@@ -899,25 +724,9 @@ def main(argv=None) -> int:
         doc["join"] = dict(join_load,
                            speedup=round(pair_s / hash_s, 2)
                            if hash_s else None)
-        doc["join"].pop("highdim", None)
         print(f"  bulk join: {join_load['n_units']} units -> "
               f"{join_load['raw_cdus']} raw CDUs, hash is "
               f"{doc['join']['speedup']}x faster than pairwise")
-
-    hd = join_load.get("highdim")
-    if hd is not None and have(f"join_level{hd['level']}_hash",
-                               f"join_level{hd['level']}_fptree"):
-        hd_hash_s = \
-            doc["kernels"][f"join_level{hd['level']}_hash"]["median_s"]
-        hd_fp_s = \
-            doc["kernels"][f"join_level{hd['level']}_fptree"]["median_s"]
-        doc.setdefault("join", {})["highdim"] = dict(
-            hd, fptree_speedup=round(hd_hash_s / hd_fp_s, 2) if hd_fp_s
-            else None)
-        print(f"  highdim join (d={hd['n_dims']}, level {hd['level']}, "
-              f"{hd['n_units']} units): fptree is "
-              f"{doc['join']['highdim']['fptree_speedup']}x faster than "
-              f"hash, auto resolves to {hd['auto_strategy']!r}")
 
     if index_load is not None:
         per_level = {}
@@ -983,22 +792,6 @@ def main(argv=None) -> int:
               f"run ({doc['stream']['ingest_records_per_s']:,} rec/s "
               f"ingest), identical: {stream_load['identical']}")
 
-    if direct_load is not None and have("deep_lattice_classic",
-                                        "deep_lattice_direct"):
-        classic_s = doc["kernels"]["deep_lattice_classic"]["median_s"]
-        direct_s = doc["kernels"]["deep_lattice_direct"]["median_s"]
-        doc["direct"] = dict(
-            direct_load, classic_s=classic_s, direct_s=direct_s,
-            speedup=round(classic_s / direct_s, 2) if direct_s else None)
-        print(f"  deep lattice (d={direct_load['n_dims']}, "
-              f"{direct_load['start_units']} level-"
-              f"{direct_load['start_level']} units, "
-              f"{direct_load['cdus_walked']} CDUs over "
-              f"{direct_load['levels_walked']} deeper levels): direct "
-              f"mining is {doc['direct']['speedup']}x over the classic "
-              f"fptree+indexed walk, identical: "
-              f"{direct_load['identical']}")
-
     if not args.skip_e2e:
         print("running end-to-end bin_cache off vs memory ...")
         doc["e2e"] = run_e2e(e2e_cfg)
@@ -1051,17 +844,6 @@ def main(argv=None) -> int:
         print(f"FAIL: compiled serving speedup "
               f"{doc.get('serve', {}).get('compiled_speedup')}x below "
               f"required {args.min_serve_speedup}x")
-        rc = 1
-    if "direct" in doc and not doc["direct"]["identical"]:
-        print("FAIL: direct-mining deep-lattice walk disagrees with the "
-              "classic fptree+indexed walk")
-        rc = 1
-    if args.min_direct_speedup and \
-            (doc.get("direct", {}).get("speedup")
-             or 0) < args.min_direct_speedup:
-        print(f"FAIL: direct mining speedup "
-              f"{doc.get('direct', {}).get('speedup')}x below required "
-              f"{args.min_direct_speedup}x")
         rc = 1
     if not args.skip_e2e:
         e = doc["e2e"]

@@ -88,7 +88,7 @@ class TestJoinCostModelGuard:
     model: whatever implementation runs, ``pairs_examined`` reported to
     the virtual clock is the paper's pairwise comparison count."""
 
-    STRATEGIES = ("pairwise", "hash", "fptree", "auto")
+    STRATEGIES = ("pairwise", "hash", "auto")
     PARAMS = {
         strategy: bench_params(chunk_records=15_000, join_strategy=strategy)
         for strategy in STRATEGIES}
@@ -107,7 +107,6 @@ class TestJoinCostModelGuard:
                               for c in self.run(dataset, strategy, p).counters)
                 for strategy in self.STRATEGIES}
             assert totals["hash"] == totals["pairwise"]
-            assert totals["fptree"] == totals["pairwise"]
             assert totals["auto"] == totals["pairwise"]
 
     def test_single_rank_virtual_time_identical(self, dataset):
@@ -115,9 +114,8 @@ class TestJoinCostModelGuard:
         hash path's virtual makespan must equal the pairwise path's
         exactly."""
         times = {strategy: self.run(dataset, strategy, 1).makespan
-                 for strategy in ("pairwise", "hash", "fptree")}
+                 for strategy in ("pairwise", "hash")}
         assert times["hash"] == times["pairwise"]
-        assert times["fptree"] == times["pairwise"]
 
     def test_default_policy_keeps_sim_times_bit_identical(self, dataset):
         """``auto`` resolves to pairwise on the sim backend: per-rank

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro import MachineSpec, MafiaParams, mafia, pmafia
 from repro.analysis import format_table, speedup_series
-from repro.core.timing import phase_timer
 from repro.datagen import ClusterSpec, generate
 
 
@@ -34,17 +33,18 @@ def main() -> None:
     domains = np.array([[0.0, 100.0]] * 15)
     params = MafiaParams(fine_bins=200, window_size=2, chunk_records=15_000)
 
-    with phase_timer() as phases:
-        serial = mafia(dataset.records, params, domains=domains)
+    serial = mafia(dataset.records, params.with_(trace=True),
+                   domains=domains)
     print(f"serial found {len(serial.clusters)} clusters:",
           [c.subspace.dims for c in serial.clusters])
 
     # Where inside a run does the wall time go?  The driver brackets its
     # hot phases (grid build, CDU join, repeat elimination, population,
-    # cluster assembly); phase_timer() collects them per thread.
-    rows = [[name, f"{phases.seconds[name]:.3f}",
-             f"{100 * phases.seconds[name] / phases.total:.1f}%"]
-            for name in phases.seconds]
+    # cluster assembly) in phase spans; a traced run's .obs sums them.
+    phases = serial.obs.phase_seconds()
+    total = sum(phases.values())
+    rows = [[name, f"{secs:.3f}", f"{100 * secs / total:.1f}%"]
+            for name, secs in phases.items()]
     print()
     print(format_table(["phase", "seconds", "share"], rows,
                        title="serial run, per-phase wall time"))

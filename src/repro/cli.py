@@ -340,11 +340,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                              report=args.report,
                              bin_cache=args.bin_cache,
                              join_strategy=args.join_strategy,
-                             direct_mining=args.direct_mining,
-                             direct_min_level=args.direct_min_level,
-                             direct_max_subsets=args.direct_max_subsets,
-                             direct_max_transactions=(
-                                 args.direct_max_transactions),
                              prefetch=args.prefetch,
                              bitmap_index=args.bitmap_index,
                              bitmap_budget=args.bitmap_budget,
@@ -577,33 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--join-strategy", choices=JOIN_STRATEGIES,
                      default="auto", dest="join_strategy",
                      help="CDU join implementation: the paper's pairwise "
-                          "sweep, the sub-signature hash join, the "
-                          "prefix-trie fptree engine, the one-pass "
-                          "direct transaction miner, or auto (picked "
-                          "per level from realised lattice stats; always "
-                          "pairwise on the sim backend); clusters are "
-                          "identical under every choice")
-    run.add_argument("--direct-mining", action="store_true", default=True,
-                     dest="direct_mining",
-                     help="allow the direct transaction-mining engine "
-                          "(default; results identical either way)")
-    run.add_argument("--no-direct-mining", action="store_false",
-                     dest="direct_mining",
-                     help="never engage the direct transaction-mining "
-                          "engine, even under --join-strategy direct")
-    run.add_argument("--direct-min-level", type=int, default=4,
-                     dest="direct_min_level", metavar="L",
-                     help="earliest level the auto policy may hand to "
-                          "the direct miner")
-    run.add_argument("--direct-max-subsets", type=int, default=4_000_000,
-                     dest="direct_max_subsets", metavar="N",
-                     help="global itemset-table budget above which the "
-                          "direct miner declines to engage")
-    run.add_argument("--direct-max-transactions", type=int,
-                     default=262_144, dest="direct_max_transactions",
-                     metavar="N",
-                     help="per-rank distinct-transaction budget above "
-                          "which the direct miner declines to engage")
+                          "sweep, the sub-signature hash join, or auto "
+                          "(hash above a dense-unit threshold, pairwise "
+                          "below it and always on the sim backend); "
+                          "clusters are identical under every choice")
     run.add_argument("--prefetch", action="store_true",
                      help="double-buffer chunk reads on a background "
                           "thread during level passes")

@@ -13,7 +13,6 @@ from .checkpoint import (CHECKPOINT_VERSION, SHARD_MANIFEST_VERSION,
                          save_checkpoint, save_shard_manifest,
                          shard_manifest_path)
 from .dedup import drop_repeats, repeat_flags_block
-from .fptree import FPTree, fptree_join_plan, prune_entries, suffix_ids
 from .dnf import (dnf_terms, greedy_cover, grow_box, maximal_mask,
                   merged_mask, projections)
 from .histogram import (fine_histogram_global, fine_histogram_local,
@@ -31,7 +30,6 @@ from .pmafia import assemble_clusters, pmafia_rank
 from .rebalance import REBALANCE_THRESHOLD, StragglerMonitor
 from .population import populate_global, populate_local
 from .result import ClusteringResult, LevelTrace
-from .timing import PhaseTimes, phase, phase_timer
 from .units import (MAX_BINS, MAX_DIMS, UnitTable, first_occurrence,
                     pack_tokens)
 
@@ -40,11 +38,9 @@ __all__ = [
     "REBALANCE_THRESHOLD",
     "SHARD_MANIFEST_VERSION",
     "ClusteringResult",
-    "FPTree",
     "StragglerMonitor",
     "HashJoinPlan",
     "JoinResult",
-    "PhaseTimes",
     "LevelTrace",
     "MAX_BINS",
     "MAX_DIMS",
@@ -66,7 +62,6 @@ __all__ = [
     "fine_histogram_global",
     "fine_histogram_local",
     "first_occurrence",
-    "fptree_join_plan",
     "global_domains",
     "greedy_cover",
     "grow_box",
@@ -89,8 +84,6 @@ __all__ = [
     "result_to_json",
     "merge_windows",
     "pack_tokens",
-    "phase",
-    "phase_timer",
     "pmafia",
     "pmafia_rank",
     "pmafia_resumable",
@@ -104,11 +97,9 @@ __all__ = [
     "populate_local",
     "prefix_work",
     "projections",
-    "prune_entries",
     "repeat_flags_block",
     "row_work",
     "split_range",
-    "suffix_ids",
     "triangular_splits",
     "unit_thresholds",
     "weighted_splits",

@@ -258,9 +258,9 @@ def assemble_unions(dense: UnitTable, left: np.ndarray,
     pair's leftover ``dim << 8 | bin`` token to its pivot row and
     dim-sort the union.
 
-    This is the one kernel every join engine shares — pairwise, hash,
-    fptree and direct mining all emit CDU rows through it, which is what
-    makes their outputs comparable array-for-array.
+    The hash join emits its CDU rows through this kernel; the pairwise
+    sweep builds the same union/argsort inline, which is what makes
+    their outputs comparable array-for-array.
     """
     extra_dim = (right_token >> np.uint16(8)).astype(np.uint8)
     extra_bin = (right_token & np.uint16(0xFF)).astype(np.uint8)

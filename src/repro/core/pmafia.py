@@ -54,9 +54,6 @@ from .checkpoint import (check_compatible, checkpoint_path,
                          load_latest_checkpoint, load_shard_manifest,
                          save_checkpoint, save_shard_manifest)
 from .candidates import hash_join_block, hash_join_plan, join_block
-from .directmine import (DirectMiner, lattice_step, replay_dedup_charges,
-                         replay_join_charges)
-from .fptree import fptree_join_plan, prune_entries
 from .dedup import drop_repeats, repeat_flags_block
 from .dnf import dnf_terms, maximal_mask, merged_mask
 from .histogram import fine_histogram_global, global_domains
@@ -67,25 +64,12 @@ from .partition import (even_splits, prefix_work, proportional_splits,
 from .rebalance import StragglerMonitor
 from .population import IndexedPopulator, OverlapRunner, populate_global
 from .result import ClusteringResult, LevelTrace
-from .timing import phase
 from .units import MAX_DIMS, UnitTable, group_sort, pack_tokens
 
 #: below this many dense units the ``auto`` join policy stays pairwise —
 #: the hash join's grouping overhead only pays off once the triangular
 #: sweep has real quadratic work to skip
 HASH_JOIN_MIN_UNITS = 256
-
-#: below this level the ``auto`` policy never probes the fptree engine —
-#: drop-one keys are short enough that the hash join's one-word lexsort
-#: beats any trie walk (measured crossover: fptree first wins at level 4)
-FPTREE_MIN_LEVEL = 4
-
-#: largest fraction of drop-one entries surviving the fptree support
-#: prune for which ``auto`` stays with the trie engine.  Prefix-sparse
-#: lattices (high-d noise floors) keep well under 10% and the trie wins
-#: 2–4x; saturated combinatorial cores keep ~100% and the trie walk
-#: degenerates to the hash join's O(Ndu·m²) with extra overhead.
-FPTREE_MAX_KEPT = 0.35
 
 
 def _ospan(obs: RankObs | None, name: str, cat: str = "task", **attrs):
@@ -96,68 +80,26 @@ def _ospan(obs: RankObs | None, name: str, cat: str = "task", **attrs):
 
 
 def resolved_join_strategy(params: MafiaParams, comm: Comm,
-                           n_dense: int, level: int = 2,
-                           tokens: np.ndarray | None = None,
-                           miner: "DirectMiner | None" = None
-                           ) -> tuple[str, "np.ndarray | None"]:
+                           n_dense: int) -> str:
     """The concrete join implementation ``params.join_strategy`` selects
-    for a ``level``-dimensional join over ``n_dense`` dense units,
-    plus the fptree support-prune mask when one was probed (reusable by
-    :func:`~repro.core.fptree.fptree_join_plan` so the prune pass is
-    paid once).
+    for a join over ``n_dense`` dense units.
 
     ``auto`` resolves to pairwise on the simulated-time backend
     (``comm.models_paper_costs``): the virtual SP2 ran the paper's
     pairwise sweep, and keeping the default run on the same code path
     keeps per-rank fences — hence message sizes and virtual times —
     bit-identical to the paper's cost model.  On wall-clock backends
-    ``auto`` picks between hash and fptree from realised lattice stats
-    once ``n_dense`` exceeds :data:`HASH_JOIN_MIN_UNITS`: from
-    :data:`FPTREE_MIN_LEVEL` on, the fptree support prune is probed
-    (one linear fingerprint pass over the drop-one entries, reading
-    ``tokens``) and the trie engine is chosen iff at most
-    :data:`FPTREE_MAX_KEPT` of the entries survive — the direct
-    signature of a prefix-sparse lattice, where trie walks die early
-    and the hash join's O(Ndu·m²) key factory is wasted.  All
-    implementations produce bit-identical CDU tables either way.
-
-    ``miner`` is the run's :class:`~repro.core.directmine.DirectMiner`
-    (or ``None`` — the sim backend, ``direct_mining=False``, and
-    engines without a staged bin store never build one).  An explicit
-    ``"direct"`` tries to engage it at any level and falls back to the
-    ``auto`` tiers while it declines; under ``"auto"`` the miner is
-    only offered levels the fptree probe already called sparse and
-    that reach ``params.direct_min_level`` — a sparse deep lattice is
-    exactly where one-shot mining beats the per-level trie.  Every
-    engage decision is collective (symmetric budget allreduces inside
-    ``try_engage``), so all ranks route identically.
+    ``auto`` stays pairwise up to :data:`HASH_JOIN_MIN_UNITS` dense
+    units and picks the hash join above.  Both implementations produce
+    bit-identical CDU tables.
     """
     strategy = params.join_strategy
-    if strategy == "direct":
-        if miner is not None and tokens is not None and (
-                miner.engaged or miner.try_engage(tokens, level)):
-            return "direct", None
-        strategy = "auto"
     if strategy != "auto":
-        return strategy, None
-    if miner is not None and miner.engaged:
-        # sticky: the merged count table already answers every deeper
-        # level for free — never hand an engaged lattice back to the
-        # per-level engines, however small Ndu shrinks
-        return "direct", None
-    if getattr(comm, "models_paper_costs", False):
-        return "pairwise", None
-    if n_dense <= HASH_JOIN_MIN_UNITS:
-        return "pairwise", None
-    if level >= FPTREE_MIN_LEVEL and n_dense >= 2 and tokens is not None:
-        keep = prune_entries(tokens, n_dense, level)
-        if keep.mean() <= FPTREE_MAX_KEPT:
-            if miner is not None and level >= params.direct_min_level \
-                    and (miner.engaged
-                         or miner.try_engage(tokens, level)):
-                return "direct", keep
-            return "fptree", keep
-    return "hash", None
+        return strategy
+    if getattr(comm, "models_paper_costs", False) \
+            or n_dense <= HASH_JOIN_MIN_UNITS:
+        return "pairwise"
+    return "hash"
 
 
 def _local_view(comm: Comm, data: Any) -> tuple[DataSource, int, int]:
@@ -217,8 +159,7 @@ def _find_candidate_dense_units(comm: Comm, dense: UnitTable, tau: int,
                                 block_join=join_block, *,
                                 strategy: str = "pairwise",
                                 tokens: np.ndarray | None = None,
-                                shares: np.ndarray | None = None,
-                                keep: np.ndarray | None = None
+                                shares: np.ndarray | None = None
                                 ) -> tuple[UnitTable, np.ndarray]:
     """Algorithm 3: build level-(k+1) CDUs from the level-k dense units.
 
@@ -234,11 +175,7 @@ def _find_candidate_dense_units(comm: Comm, dense: UnitTable, tau: int,
     (:func:`~repro.core.partition.weighted_splits`) instead of the
     triangular estimate.  The fences stay contiguous pivot-row ranges,
     so the rank-order concatenation below is bit-identical to the
-    pairwise path's.  ``strategy="fptree"`` builds the identical plan
-    from the prefix-trie engine instead
-    (:func:`~repro.core.fptree.fptree_join_plan`; ``keep`` forwards the
-    ``auto`` policy's already-probed support-prune mask so that pass is
-    not repeated).  ``tokens`` may pass the dense table's
+    pairwise path's.  ``tokens`` may pass the dense table's
     pre-packed token matrix (computed overlapping the previous level's
     population reduce).
 
@@ -249,13 +186,8 @@ def _find_candidate_dense_units(comm: Comm, dense: UnitTable, tau: int,
     fences stay contiguous pivot ranges, so the output is bit-identical.
     """
     ndu = dense.n_units
-    if strategy in ("hash", "fptree"):
-        # both engines emit the same HashJoinPlan, so fencing, block
-        # assembly, collectives and pair charging below are shared code
-        if strategy == "fptree":
-            plan = fptree_join_plan(dense, tokens, obs=comm.obs, keep=keep)
-        else:
-            plan = hash_join_plan(dense, tokens)
+    if strategy == "hash":
+        plan = hash_join_plan(dense, tokens)
 
         def block_join(d: UnitTable, lo: int, hi: int, _plan=plan):
             return hash_join_block(d, lo, hi, plan=_plan)
@@ -578,7 +510,7 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
         trace = list(state["trace"])
         registered = list(state["registered"])
     else:
-        with phase("grid"):
+        with _ospan(obs, "grid", cat="phase"):
             if domains is None:
                 fault_site(comm, "domains", 0)
                 domains = global_domains(source, comm, params.chunk_records,
@@ -620,19 +552,6 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
         compute_threads=params.compute_threads)
     runner = OverlapRunner()
 
-    # the direct-mining engine needs a staged bin store to project
-    # transactions from and is never built on the virtual clock (the
-    # sim backend models the paper's per-level sweep; see ISSUE 10)
-    miner = None
-    if (params.direct_mining and binned is not None
-            and params.join_strategy in ("auto", "direct")
-            and not getattr(comm, "models_paper_costs", False)):
-        miner = DirectMiner(binned, comm,
-                            chunk_records=params.chunk_records,
-                            max_level=params.max_dimensionality,
-                            max_subsets=params.direct_max_subsets,
-                            max_transactions=params.direct_max_transactions)
-
     # each rank records what its shard is made of next to the level
     # checkpoints; a future replacement verifies the witness against the
     # checkpointed grid before trusting the staged on-disk artifacts
@@ -660,15 +579,15 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
 
     monitor = StragglerMonitor.create(params, comm)
 
-    # token packing for the *next* level's hash/fptree join can overlap
-    # the population reduce — it only reads the CDU table, which is
-    # fixed before the pass starts
-    may_pack = params.join_strategy in ("hash", "fptree", "direct") or (
+    # token packing for the *next* level's hash join can overlap the
+    # population reduce — it only reads the CDU table, which is fixed
+    # before the pass starts
+    may_pack = params.join_strategy == "hash" or (
         params.join_strategy == "auto"
         and not getattr(comm, "models_paper_costs", False))
 
     def level_pass(cdus: UnitTable, raw_count: int, level: int,
-                   counts_fn=None, order: np.ndarray | None = None
+                   order: np.ndarray | None = None
                    ) -> tuple[LevelTrace, np.ndarray | None]:
         announce("populate", level)
         with _ospan(obs, "level", cat="level", level=level) as sp:
@@ -678,23 +597,14 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                 def overlap() -> None:
                     packed["tokens"] = cdus.tokens()
             pop_start = time.perf_counter()
-            with phase("population"):
-                if counts_fn is not None:
-                    # direct-mining levels: counts come straight off
-                    # the merged table — no data pass, no reduce (the
-                    # token pack the classic path overlaps with the
-                    # reduce runs inline; it is the lookup key anyway)
-                    if overlap is not None:
-                        overlap()
-                    counts = counts_fn(cdus)
-                else:
-                    counts = populate_global(source, comm, grid, cdus,
-                                             params.chunk_records, start,
-                                             stop, retry, binned=binned,
-                                             indexed=indexed,
-                                             prefetch=params.prefetch,
-                                             overlap=overlap,
-                                             runner=runner, order=order)
+            with _ospan(obs, "population", cat="phase"):
+                counts = populate_global(source, comm, grid, cdus,
+                                         params.chunk_records, start, stop,
+                                         retry, binned=binned,
+                                         indexed=indexed,
+                                         prefetch=params.prefetch,
+                                         overlap=overlap, runner=runner,
+                                         order=order)
             pop_seconds = time.perf_counter() - pop_start
             mask, ndu = _identify_dense(comm, cdus, counts, grid,
                                         params.tau, params.min_bin_points)
@@ -749,59 +659,31 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                     shares = monitor.shares() if monitor is not None else None
                     if shares is not None and obs is not None:
                         obs.rebalance_event(current.level, monitor.last_ratio)
-                    with phase("join"):
-                        if dense_tokens is None and may_pack \
-                                and dense.n_units:
-                            # resumed runs arrive without the overlapped
-                            # token pack; repack before resolving so the
-                            # auto probe sees the same stats
-                            dense_tokens = dense.tokens()
-                        strategy, keep = resolved_join_strategy(
-                            params, comm, dense.n_units, current.level,
-                            tokens=dense_tokens, miner=miner)
+                    with _ospan(obs, "join", cat="phase"):
+                        strategy = resolved_join_strategy(
+                            params, comm, dense.n_units)
                         if obs is not None:
                             obs.join_strategy(current.level, strategy)
-                        if strategy == "direct":
-                            # join + dedup entirely local (all ranks
-                            # hold the full dense table); charge the
-                            # fences the classic join would have
-                            step = lattice_step(dense, dense_tokens,
-                                                keep=keep, obs=obs)
-                            replay_join_charges(comm, dense.n_units,
-                                                step.row_pair_counts,
-                                                params.tau, shares=shares)
-                            raw_count, combined = step.n_raw, step.combined
-                        else:
-                            step = None
-                            raw, combined = _find_candidate_dense_units(
-                                comm, dense, params.tau, strategy=strategy,
-                                tokens=dense_tokens, shares=shares,
-                                keep=keep)
-                            raw_count = raw.n_units
+                        raw, combined = _find_candidate_dense_units(
+                            comm, dense, params.tau, strategy=strategy,
+                            tokens=dense_tokens, shares=shares)
                     # non-combinable dense units are registered as
                     # potential clusters
                     if (~combined).any():
                         registered.append((dense.select(~combined),
                                            dense_counts[~combined]))
-                    if raw_count == 0:
+                    if raw.n_units == 0:
                         if combined.any():
                             registered.append((dense.select(combined),
                                                dense_counts[combined]))
                         break
                     announce("dedup", current.level)
-                    with phase("dedup"):
-                        if step is not None:
-                            replay_dedup_charges(comm, step.n_raw,
-                                                 params.tau, shares=shares)
-                            cdus, pop_order = step.cdus, None
-                        else:
-                            cdus, pop_order = _eliminate_repeat_cdus(
-                                comm, raw, params.tau, shares=shares,
-                                want_order=indexed is not None)
+                    with _ospan(obs, "dedup", cat="phase"):
+                        cdus, pop_order = _eliminate_repeat_cdus(
+                            comm, raw, params.tau, shares=shares,
+                            want_order=indexed is not None)
                     nxt, dense_tokens = level_pass(
-                        cdus, raw_count, current.level + 1,
-                        counts_fn=miner.counts_for
-                        if step is not None else None,
+                        cdus, raw.n_units, current.level + 1,
                         order=pop_order)
                     trace.append(nxt)
                     if nxt.n_dense == 0 and combined.any():
@@ -814,7 +696,7 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                                domains)
                 reg = registrations_for_report(tuple(trace), registered,
                                                params.report)
-                with phase("assembly"):
+                with _ospan(obs, "assembly", cat="phase"):
                     if comm.rank == 0:
                         clusters = assemble_clusters(grid, reg)
                     else:
@@ -830,12 +712,6 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                 trace = list(trace_t)
                 registered = list(reg_t)
                 dense_tokens = None
-                if miner is not None:
-                    # replay re-decides engagement level by level; a
-                    # replacement has no miner history, so survivors
-                    # must forget theirs to keep the collective engage
-                    # sequence symmetric
-                    miner.reset()
                 if monitor is not None:
                     # the replacement has no timing history; fences must
                     # be derived from data every rank agrees on

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import struct
-import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,14 +74,6 @@ class RecordFileInfo:
     @property
     def record_nbytes(self) -> int:
         return self.n_dims * self.dtype.itemsize
-
-    @property
-    def record_nbyteses(self) -> int:
-        """Deprecated alias of :attr:`record_nbytes` (typo'd name kept
-        for one release)."""
-        warnings.warn("RecordFileInfo.record_nbyteses is deprecated; "
-                      "use record_nbytes", DeprecationWarning, stacklevel=2)
-        return self.record_nbytes
 
     @property
     def data_nbytes(self) -> int:

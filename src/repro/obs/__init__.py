@@ -90,19 +90,15 @@ class RankObs:
     @contextmanager
     def activate(self, comm: Any) -> Iterator["RankObs"]:
         """Attach this observer for the duration of a run: the
-        communicator's collectives, the rank's fault state and the
-        ambient tracer (``timing.phase`` spans) all report here."""
+        communicator's collectives and the rank's fault state report
+        here."""
         comm.obs = self
         fault_state = getattr(comm, "fault_state", None)
         if fault_state is not None:
             fault_state.observer = self
-        token = (_trace._active.set(self.tracer)
-                 if self.tracer is not None else None)
         try:
             yield self
         finally:
-            if token is not None:
-                _trace._active.reset(token)
             if fault_state is not None:
                 fault_state.observer = None
             comm.obs = None
@@ -218,9 +214,9 @@ class RankObs:
 
     def join_strategy(self, level: int, strategy: str) -> None:
         """The join implementation this level *actually ran* — the
-        resolved strategy, so ``auto`` decisions (including the fptree
-        support-prune demotion) are visible in the Chrome trace, the
-        metrics and the run manifest, not just the param value."""
+        resolved strategy, so ``auto`` decisions are visible in the
+        Chrome trace, the metrics and the run manifest, not just the
+        param value."""
         self._join_strategies[level] = strategy
         self.instant("join.strategy", cat="join", level=level,
                      strategy=strategy)

@@ -19,7 +19,7 @@ Schema (``pmafia-run-manifest/1``)::
       "n_clusters": int,
       "phases": {"grid": seconds, ...}, # from the writing rank's spans
       "virtual_seconds": float,         # 0.0 off the sim backend
-      "join_strategies": {"2": "hash", "4": "fptree", ...},  # resolved
+      "join_strategies": {"2": "pairwise", "4": "hash", ...},  # resolved
       "serve": {...}                    # optional: serve_summary() of a
     }                                   # scoring session over the result
 

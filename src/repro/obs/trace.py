@@ -19,12 +19,6 @@ the rank's driver thread — so no lock is taken on the hot path.
 Prefetch and overlap helper threads never touch the tracer (mirroring
 how ``charge_io`` stays on the consumer thread).
 
-The active tracer travels in a :class:`contextvars.ContextVar`, exactly
-like :mod:`repro.core.timing`'s collector: per-rank driver threads each
-see their own tracer (or none) without locking, and instrumented
-library code far from the driver (``timing.phase``) picks it up for
-free via :func:`current_tracer` / :func:`span`.
-
 Export: :func:`write_chrome_trace` emits the Chrome ``trace_event``
 JSON format (load in ``chrome://tracing`` or https://ui.perfetto.dev);
 ranks appear as threads of one process, virtual timestamps ride along
@@ -37,7 +31,6 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -131,38 +124,6 @@ class RankTracer:
 
 def _zero_clock() -> float:
     return 0.0
-
-
-# -- ambient tracer ----------------------------------------------------
-
-_active: ContextVar[RankTracer | None] = ContextVar(
-    "repro_active_tracer", default=None)
-
-
-def current_tracer() -> RankTracer | None:
-    """The tracer activated on this thread/context, if any."""
-    return _active.get()
-
-
-@contextmanager
-def activated(tracer: RankTracer) -> Iterator[RankTracer]:
-    """Make ``tracer`` the ambient tracer for the block."""
-    token = _active.set(tracer)
-    try:
-        yield tracer
-    finally:
-        _active.reset(token)
-
-
-@contextmanager
-def span(name: str, cat: str = "task", **attrs: Any) -> Iterator[None]:
-    """Record a span on the ambient tracer; free no-op without one."""
-    tracer = _active.get()
-    if tracer is None:
-        yield
-        return
-    with tracer.span(name, cat, **attrs):
-        yield
 
 
 # -- crash-surviving session registry ----------------------------------

@@ -23,7 +23,7 @@ def _check_positive(name: str, value: float) -> None:
 #: the full CDU join strategy set — the single source for
 #: ``MafiaParams.join_strategy`` validation and the CLI
 #: ``--join-strategy`` choices
-JOIN_STRATEGIES = ("auto", "pairwise", "hash", "fptree", "direct")
+JOIN_STRATEGIES = ("auto", "pairwise", "hash")
 
 
 @dataclass(frozen=True)
@@ -93,41 +93,11 @@ class MafiaParams:
         How CDUs are generated from the dense units of the level below.
         ``"pairwise"`` runs the paper's O(Ndu²) triangular sweep
         (Algorithm 3 verbatim); ``"hash"`` runs the sub-signature hash
-        join (near-linear grouping, bit-identical output);
-        ``"fptree"`` mines the pairs from a prefix trie (FP-tree)
-        with support pruning — fastest on prefix-sparse lattices, the
-        high-dimensionality regime; ``"direct"`` engages the direct
-        transaction-mining engine (:mod:`repro.core.directmine`) as
-        soon as its budgets allow: one pass over the staged bin-index
-        columns mines exact supports for every remaining level, and
-        the classic engines serve any level the budgets decline;
-        ``"auto"`` (default) picks per level from realised lattice
-        stats: pairwise below a small-Ndu threshold, then from level 4
-        up the fptree support prune is probed — a sparse lattice
-        engages direct mining (from ``direct_min_level``, budgets
-        permitting) or falls back to the fptree engine, hash otherwise
-        — and always pairwise on the simulated-time backend, so
-        virtual SP2 runtimes keep the paper's cost model.  Clusters
+        join (near-linear grouping, bit-identical output); ``"auto"``
+        (default) runs pairwise up to a small-Ndu threshold and hash
+        above it — and always pairwise on the simulated-time backend,
+        so virtual SP2 runtimes keep the paper's cost model.  Clusters
         are identical under all values.
-    direct_mining:
-        Master switch for the direct transaction-mining engine.  When
-        False neither ``"auto"`` nor ``"direct"`` ever engages it (the
-        classic per-level engines run everywhere).  Results are
-        bit-identical either way; the engine changes wall clock only.
-    direct_min_level:
-        Earliest lattice level the ``"auto"`` policy may hand to the
-        direct miner (an explicit ``join_strategy="direct"`` tries
-        every level).  Shallow lattices have wide transactions whose
-        subset enumeration explodes; by level 4 the dense-bin alphabet
-        has collapsed enough for one-shot mining to win.
-    direct_max_subsets:
-        Budget on the global subset-enumeration size (itemset table
-        entries, summed over ranks) the direct miner may materialise.
-        Engagement is declined — symmetrically on every rank — when
-        the estimate exceeds this.
-    direct_max_transactions:
-        Per-rank budget on distinct dense-bin transactions after
-        projection; engagement is declined when any rank exceeds it.
     prefetch:
         When True, level passes double-buffer their chunk reads: the
         next chunk of the binned store (or float records) is staged on
@@ -191,10 +161,6 @@ class MafiaParams:
     report: str = "merged"
     bin_cache: str = "memory"
     join_strategy: str = "auto"
-    direct_mining: bool = True
-    direct_min_level: int = 4
-    direct_max_subsets: int = 4_000_000
-    direct_max_transactions: int = 262_144
     prefetch: bool = False
     bitmap_index: str = "auto"
     bitmap_budget: int = 1 << 28
@@ -221,15 +187,12 @@ class MafiaParams:
             raise ParameterError(
                 f"bitmap_index must be 'auto', 'resident', 'mmap' or "
                 f"'off', got {self.bitmap_index!r}")
-        for name in ("bitmap_budget", "compute_threads",
-                     "direct_min_level", "direct_max_subsets",
-                     "direct_max_transactions"):
+        for name in ("bitmap_budget", "compute_threads"):
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
                 raise ParameterError(
                     f"{name} must be a positive int, got {value!r}")
-        for name in ("prefetch", "trace", "metrics", "rebalance",
-                     "direct_mining"):
+        for name in ("prefetch", "trace", "metrics", "rebalance"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ParameterError(

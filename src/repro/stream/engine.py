@@ -403,8 +403,8 @@ class StreamingSession:
                 index = a_index
         counts: dict[bytes, np.ndarray] = {}
         if index is not None:
-            b_cache = b.cached_counts()
-            for key, a_counts in a.cached_counts().items():
+            b_cache = b.cached_counts(fp)
+            for key, a_counts in a.cached_counts(fp).items():
                 b_counts = b_cache.get(key)
                 if b_counts is not None:
                     counts[key] = a_counts + b_counts
@@ -516,7 +516,7 @@ class StreamingSession:
             for seg in self._window.segments:
                 if not seg.n_local:
                     continue
-                if seg.has_counts(key):
+                if seg.has_counts(key, self._edges_fp):
                     self._snap_hits += 1
                 else:
                     self._snap_misses += 1
@@ -533,8 +533,7 @@ class StreamingSession:
             self.obs.stream_quarantine(path)
 
     def _join(self, dense: UnitTable, level: int, strategy: str,
-              tokens, keep, obs: RankObs | None
-              ) -> tuple[UnitTable, np.ndarray]:
+              obs: RankObs | None) -> tuple[UnitTable, np.ndarray]:
         """The level join, served from the session cache when this
         exact (strategy, dense table) was joined before.  A hit replays
         the measured per-rank pair charge, so the virtual clock and the
@@ -553,8 +552,7 @@ class StreamingSession:
         self._snap_misses += 1
         tally = _PairsTally(self.comm)
         raw, combined = _find_candidate_dense_units(
-            tally, dense, self.params.tau, strategy=strategy,
-            tokens=tokens, keep=keep)
+            tally, dense, self.params.tau, strategy=strategy)
         self._join_cache[key] = (raw.tobytes(),
                                  np.ascontiguousarray(combined).tobytes(),
                                  tally.pairs)
@@ -584,13 +582,6 @@ class StreamingSession:
         grid = self._current_grid()
         n_live = self._window.g_live
 
-        # no DirectMiner here: the streaming window has no staged bin
-        # store to project transactions from, so ``"direct"`` resolves
-        # through the classic tiers (resolved_join_strategy, miner=None)
-        may_pack = params.join_strategy in ("hash", "fptree", "direct") or (
-            params.join_strategy == "auto"
-            and not getattr(comm, "models_paper_costs", False))
-
         def level_pass(cdus: UnitTable, raw_count: int, level: int
                        ) -> LevelTrace:
             counts = self._populate(cdus, grid)
@@ -613,13 +604,10 @@ class StreamingSession:
             if current.level >= params.max_dimensionality:
                 registered.append((dense, dense_counts))
                 break
-            tokens = dense.tokens() if may_pack and dense.n_units else None
-            strategy, keep = resolved_join_strategy(
-                params, comm, dense.n_units, current.level, tokens=tokens)
+            strategy = resolved_join_strategy(params, comm, dense.n_units)
             if obs is not None:
                 obs.join_strategy(current.level, strategy)
-            raw, combined = self._join(dense, current.level, strategy,
-                                       tokens, keep, obs)
+            raw, combined = self._join(dense, current.level, strategy, obs)
             if (~combined).any():
                 registered.append((dense.select(~combined),
                                    dense_counts[~combined]))

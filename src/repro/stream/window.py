@@ -103,14 +103,16 @@ class WindowSegment:
         self._edges_fp = None
         self._counts.clear()
 
-    def has_counts(self, units_key: bytes) -> bool:
-        """Whether :meth:`counts_for` would be a cache hit."""
-        return units_key in self._counts
+    def has_counts(self, units_key: bytes, edges_fp: bytes) -> bool:
+        """Whether :meth:`counts_for` would be a cache hit under these
+        bin edges."""
+        return units_key in self.cached_counts(edges_fp)
 
-    def cached_counts(self) -> dict[bytes, np.ndarray]:
-        """The live count cache (read-only by convention) — compaction
-        pre-seeds a merged segment from its parents' shared keys."""
-        return self._counts
+    def cached_counts(self, edges_fp: bytes) -> dict[bytes, np.ndarray]:
+        """The count cache (read-only by convention) if it was filled
+        under these bin edges, else empty — compaction pre-seeds a
+        merged segment from its parents' shared keys."""
+        return self._counts if self._edges_fp == edges_fp else {}
 
     def current_index(self, edges_fp: bytes) -> BitmapIndex | None:
         """The cached index iff it matches these bin edges."""
@@ -167,7 +169,7 @@ class WindowSegment:
         checkpoint) and the index rebuilt from the segment's records —
         corruption costs a rebuild, never a wrong count.
         """
-        cached = self._counts.get(units_key)
+        cached = self.cached_counts(edges_fp).get(units_key)
         if cached is not None:
             return cached
         index = self.ensure_index(grid, edges_fp, chunk_records,

@@ -361,8 +361,6 @@ class TestChecksums:
         write_records(path, one_cluster_dataset.records[:10])
         info = read_header(path)
         assert info.record_nbytes == 10 * 8
-        with pytest.warns(DeprecationWarning, match="record_nbytes"):
-            assert info.record_nbyteses == info.record_nbytes
 
 
 class TestCheckpointFiles:

@@ -1,17 +1,16 @@
-"""The sub-signature hash join and the fptree engine are bit-identical
-drop-ins for the paper's pairwise CDU join.
+"""The sub-signature hash join is a bit-identical drop-in for the
+paper's pairwise CDU join.
 
 Property-based equivalence (hypothesis): on random lattices across
 levels 1-6 the hash path emits the *same raw CDU table in the same row
 order* as the pairwise sweep — for the full join and for arbitrary
 row fences — so repeat elimination sees identical first-occurrence
-order and every downstream pass is unchanged; the fptree engine must
-additionally produce an *array-for-array identical*
-:class:`~repro.core.candidates.HashJoinPlan`, which makes fencing,
-block assembly and pair charging shared code.  Full-run tests pin the
-same statement end-to-end: clusterings are byte-identical between
-``join_strategy='hash'``, ``'fptree'`` and ``'pairwise'`` on the
-serial, thread and process backends, and invariant to the rank count.
+order and every downstream pass is unchanged.  Full-run tests pin the
+same statement end-to-end: clusterings, per-level traces, per-rank
+``pairs_examined`` and simulated virtual times are identical between
+``join_strategy='hash'`` and ``'pairwise'`` on the serial, thread,
+process and sim backends, and invariant to the rank count — on a
+shallow lattice and on a sparse deep one.
 """
 
 from __future__ import annotations
@@ -21,16 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MafiaParams, mafia
-from repro.core.candidates import (HashJoinPlan, hash_join_all,
-                                   hash_join_block, hash_join_plan,
-                                   join_all, join_block)
+from repro import MafiaParams, mafia, pmafia
+from repro.core.candidates import (hash_join_all, hash_join_block,
+                                   hash_join_plan, join_all, join_block)
 from repro.core.dedup import drop_repeats
-from repro.core.fptree import (FPTree, fptree_join_plan, prune_entries,
-                               suffix_ids)
 from repro.core.partition import triangular_splits, weighted_splits
-from repro.core.pmafia import (FPTREE_MAX_KEPT, FPTREE_MIN_LEVEL,
-                               HASH_JOIN_MIN_UNITS, pmafia_rank,
+from repro.core.pmafia import (HASH_JOIN_MIN_UNITS, pmafia_rank,
                                resolved_join_strategy)
 from repro.core.units import UnitTable
 from repro.errors import ParameterError
@@ -124,214 +119,6 @@ class TestHashEqualsPairwise:
             assert_results_equal(join_all(t), hash_join_all(t))
 
 
-def assert_plans_equal(a: HashJoinPlan, b: HashJoinPlan) -> None:
-    """Array-for-array plan identity, dtypes included — the contract
-    that lets fencing, block assembly and pair charging share code."""
-    assert a.n_units == b.n_units and a.level == b.level
-    for name in ("left", "right", "right_token", "row_pair_counts"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype, name
-        assert np.array_equal(x, y), name
-
-
-class TestFPTreeEqualsHash:
-    @given(lattices())
-    @settings(max_examples=120, deadline=None)
-    def test_plan_bit_identical(self, t):
-        assert_plans_equal(hash_join_plan(t), fptree_join_plan(t))
-
-    @given(lattices())
-    @settings(max_examples=60, deadline=None)
-    def test_full_join_bit_identical_to_pairwise(self, t):
-        plan = fptree_join_plan(t)
-        assert_results_equal(join_all(t),
-                             hash_join_block(t, 0, t.n_units, plan=plan))
-
-    @given(lattices(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_block_join_bit_identical_for_any_fences(self, t, data):
-        n = t.n_units
-        plan = fptree_join_plan(t)
-        fences = sorted(data.draw(st.lists(st.integers(0, n), min_size=0,
-                                           max_size=4)))
-        cuts = [0] + fences + [n]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            assert_results_equal(join_block(t, lo, hi),
-                                 hash_join_block(t, lo, hi, plan=plan))
-
-    @given(lattices())
-    @settings(max_examples=60, deadline=None)
-    def test_dedup_sees_identical_first_occurrence_order(self, t):
-        raw_p = join_all(t).cdus
-        raw_f = hash_join_block(t, 0, t.n_units,
-                                plan=fptree_join_plan(t)).cdus
-        assert drop_repeats(raw_p, raw_p.repeat_mask()) \
-            == drop_repeats(raw_f, raw_f.repeat_mask())
-
-    @given(lattices())
-    @settings(max_examples=40, deadline=None)
-    def test_rank_partition_reassembles_serial_table(self, t):
-        n = t.n_units
-        serial = hash_join_all(t).cdus
-        plan = fptree_join_plan(t)
-        for p in (2, 3, 5):
-            for offsets in (triangular_splits(n, p),
-                            weighted_splits(plan.row_pair_counts, p)):
-                parts = [hash_join_block(t, offsets[r], offsets[r + 1],
-                                         plan=plan).cdus
-                         for r in range(p)]
-                assert UnitTable.concat_all(parts) == serial
-
-    @given(lattices())
-    @settings(max_examples=60, deadline=None)
-    def test_precomputed_prune_mask_changes_nothing(self, t):
-        """The auto policy hands its probed support-prune mask down;
-        the plan must not depend on who computed it."""
-        if t.n_units < 2:
-            return
-        keep = prune_entries(t.tokens(), t.n_units, t.level)
-        assert_plans_equal(fptree_join_plan(t),
-                           fptree_join_plan(t, keep=keep))
-
-    @given(lattices())
-    @settings(max_examples=60, deadline=None)
-    def test_prune_never_drops_a_pairable_entry(self, t):
-        """Entries surviving the support prune account for every pair
-        the hash join finds — the prune is a pure false-positive
-        filter."""
-        if t.n_units < 2:
-            return
-        keep = prune_entries(t.tokens(), t.n_units, t.level)
-        plan = hash_join_plan(t)
-        pairable = np.zeros(t.n_units, dtype=bool)
-        pairable[plan.left] = True
-        pairable[plan.right] = True
-        assert keep.any(axis=1)[pairable].all()
-
-    def test_trie_support_counts(self):
-        """Node counts are per-prefix supports (root counts all rows)."""
-        t = UnitTable.from_pairs([
-            [(0, 1), (1, 0)], [(0, 1), (1, 1)], [(0, 1), (2, 0)],
-            [(3, 0), (4, 0)]])
-        tok = t.tokens().astype(np.int64)
-        order = np.lexsort(tuple(tok[:, c] for c in
-                                 range(tok.shape[1] - 1, -1, -1)))
-        tree = FPTree.build(tok[order])
-        assert tree.node_count[0] == t.n_units
-        # the shared (0,1) prefix node supports three of the four rows
-        assert tree.node_count[1:].max() == 3
-        # 2 depth-1 nodes + 4 distinct depth-2 leaves, plus the root
-        assert tree.n_nodes == 7
-        assert tree.n_edges == 6
-
-    def test_empty_and_tiny_tables(self):
-        for t in (UnitTable.empty(1), UnitTable.empty(3),
-                  UnitTable.from_pairs([[(0, 1)]]),
-                  UnitTable.from_pairs([[(0, 1), (2, 0)]])):
-            assert_plans_equal(hash_join_plan(t), fptree_join_plan(t))
-
-
-class TestFPTreeGuards:
-    """Empty and single-transaction inputs — reachable from a rank
-    whose shard keeps no (or one) dense row at the probe level — must
-    build degenerate but well-formed tries, not crash the row-shift
-    vectorisation."""
-
-    def test_build_no_transactions(self):
-        for m in (1, 3, 6):
-            tree = FPTree.build(np.zeros((0, m), dtype=np.int64))
-            assert tree.node_count[0] == 0
-            assert tree.n_edges == 0
-            assert tree.path.shape == (0, m + 1)
-
-    def test_build_zero_width_rows(self):
-        tree = FPTree.build(np.zeros((5, 0), dtype=np.int64))
-        assert tree.n_edges == 0
-        assert tree.node_count[0] == 5  # the root supports every row
-
-    def test_build_single_transaction_is_one_chain(self):
-        ts = np.array([[3, 7, 11]], dtype=np.int64)
-        tree = FPTree.build(ts)
-        assert tree.n_nodes == 4 and tree.n_edges == 3
-        assert (tree.node_count == 1).all()
-        assert tree.path.tolist() == [[0, 1, 2, 3]]
-
-    def test_suffix_ids_degenerate_inputs(self):
-        assert suffix_ids(np.zeros((0, 4), dtype=np.int64)).shape == (0, 5)
-        one = suffix_ids(np.array([[5, 9]], dtype=np.int64))
-        assert one.tolist() == [[0, 0, 0]]
-
-    def test_single_unit_plan_matches_hash(self):
-        t = UnitTable.from_pairs([[(0, 1), (2, 0), (4, 3)]])
-        assert_plans_equal(hash_join_plan(t), fptree_join_plan(t))
-
-
-class TestPruneDegenerates:
-    """Degenerate support-prune cascades: the mask must collapse to
-    all-kept or all-pruned exactly when the lattice structure says so,
-    for any table the generators produce."""
-
-    @given(lattices(min_level=1, max_level=1))
-    @settings(max_examples=60, deadline=None)
-    def test_level_one_keeps_all_or_nothing(self, t):
-        """m=1: every drop-one sequence is the empty sequence, so every
-        entry pairs with every other — all kept iff a partner exists."""
-        if t.n_units == 0:
-            return
-        keep = prune_entries(t.tokens(), t.n_units, 1)
-        if t.n_units == 1:
-            assert not keep.any()
-        else:
-            assert keep.all()
-
-    @given(st.integers(1, 6))
-    @settings(max_examples=20, deadline=None)
-    def test_single_unit_prunes_everything(self, level):
-        t = UnitTable.from_pairs(
-            [[(d, 1) for d in range(level)]])
-        keep = prune_entries(t.tokens(), 1, level)
-        assert not keep.any()
-
-    @given(st.integers(2, 6), st.integers(2, 30))
-    @settings(max_examples=60, deadline=None)
-    def test_disjoint_token_blocks_prune_everything(self, level, n):
-        """Each unit lives in its own private dim block, so no two
-        drop-one sequences share even one token — the cascade must
-        drain the whole table."""
-        dims = np.arange(n * level, dtype=np.uint8).reshape(n, level)
-        bins = np.zeros((n, level), dtype=np.uint8)
-        t = UnitTable(dims=dims, bins=bins)
-        keep = prune_entries(t.tokens(), n, level)
-        assert not keep.any()
-
-    @given(lattices(min_level=2))
-    @settings(max_examples=60, deadline=None)
-    def test_duplicated_rows_keep_everything(self, t):
-        """Doubling the table gives every entry an identical twin, so
-        the prune may not drop a single entry."""
-        if t.n_units == 0:
-            return
-        dup = UnitTable.concat_all([t, t])
-        keep = prune_entries(dup.tokens(), dup.n_units, t.level)
-        assert keep.all()
-
-    @given(lattices(min_level=2))
-    @settings(max_examples=40, deadline=None)
-    def test_prune_is_sound_under_any_cascade_outcome(self, t):
-        """Whatever the cascade converged to, the surviving entries
-        account for every pair the exact engines find (restating the
-        pure-false-positive-filter contract on the degenerate shapes
-        this class constructs)."""
-        if t.n_units < 2:
-            return
-        keep = prune_entries(t.tokens(), t.n_units, t.level)
-        plan = hash_join_plan(t)
-        pairable = np.zeros(t.n_units, dtype=bool)
-        pairable[plan.left] = True
-        pairable[plan.right] = True
-        assert keep.any(axis=1)[pairable].all()
-
-
 class TestWeightedSplits:
     @given(st.lists(st.integers(0, 50), max_size=60), st.integers(1, 8))
     @settings(max_examples=80, deadline=None)
@@ -371,7 +158,7 @@ class _StubSimComm(_StubComm):
 
 def _sparse_table(n=600, level=5, n_dims=40, seed=0):
     """No two units share a drop-one sub-signature: a prefix-sparse
-    lattice, the fptree engine's win regime."""
+    lattice."""
     rng = np.random.default_rng(seed)
     rows = np.stack([np.sort(rng.choice(n_dims, size=level, replace=False))
                      for _ in range(n)]).astype(np.uint8)
@@ -381,8 +168,7 @@ def _sparse_table(n=600, level=5, n_dims=40, seed=0):
 
 def _saturated_table(level=5, n_dims=9):
     """Every level-subset of one dim block at one bin — a combinatorial
-    core where every drop-one sub-signature is shared and the trie
-    prunes nothing."""
+    core where every drop-one sub-signature is shared."""
     from itertools import combinations
     units = [[(d, 1) for d in combo]
              for combo in combinations(range(n_dims), level)]
@@ -390,56 +176,66 @@ def _saturated_table(level=5, n_dims=9):
 
 
 class TestAutoPolicy:
+    """``auto`` has three rows: pairwise on the sim backend, pairwise up
+    to ``HASH_JOIN_MIN_UNITS`` dense units, hash above — whatever the
+    lattice's level or shape."""
+
     def test_explicit_strategies_win(self):
-        for strategy in ("hash", "pairwise", "fptree"):
+        for strategy in ("hash", "pairwise"):
             params = MafiaParams(join_strategy=strategy)
             assert resolved_join_strategy(params, _StubSimComm(), 10**6) \
-                == (strategy, None)
+                == strategy
 
     def test_auto_is_pairwise_on_sim_backend(self):
         params = MafiaParams(join_strategy="auto")
         assert resolved_join_strategy(params, _StubSimComm(), 10**6) \
-            == ("pairwise", None)
+            == "pairwise"
 
     def test_auto_threshold_on_wallclock_backends(self):
         params = MafiaParams(join_strategy="auto")
         comm = _StubComm()
         assert resolved_join_strategy(params, comm,
-                                      HASH_JOIN_MIN_UNITS) \
-            == ("pairwise", None)
+                                      HASH_JOIN_MIN_UNITS) == "pairwise"
         assert resolved_join_strategy(params, comm,
-                                      HASH_JOIN_MIN_UNITS + 1) \
-            == ("hash", None)
+                                      HASH_JOIN_MIN_UNITS + 1) == "hash"
 
-    def test_auto_picks_fptree_on_sparse_high_level_lattices(self):
+    def test_auto_picks_hash_on_sparse_high_level_lattices(self):
         params = MafiaParams(join_strategy="auto")
-        t = _sparse_table(level=FPTREE_MIN_LEVEL + 1)
-        strategy, keep = resolved_join_strategy(
-            params, _StubComm(), t.n_units, t.level, tokens=t.tokens())
-        assert strategy == "fptree"
-        assert keep is not None and keep.shape == (t.n_units, t.level)
-        assert keep.mean() <= FPTREE_MAX_KEPT
+        for level in (5, 7):
+            t = _sparse_table(level=level)
+            assert t.n_units > HASH_JOIN_MIN_UNITS
+            assert resolved_join_strategy(params, _StubComm(),
+                                          t.n_units) == "hash"
+
+    def test_auto_never_probes_below_min_level(self):
+        """No lattice probe runs at any level: a sparse shallow lattice
+        routes on its unit count alone, like every other."""
+        params = MafiaParams(join_strategy="auto")
+        t = _sparse_table(level=2)
+        assert t.n_units > HASH_JOIN_MIN_UNITS
+        assert resolved_join_strategy(params, _StubComm(),
+                                      t.n_units) == "hash"
 
     def test_auto_demotes_to_hash_on_saturated_lattices(self):
         params = MafiaParams(join_strategy="auto")
-        t = _saturated_table(level=FPTREE_MIN_LEVEL + 1, n_dims=12)
+        t = _saturated_table(level=5, n_dims=12)
         assert t.n_units > HASH_JOIN_MIN_UNITS
-        strategy, keep = resolved_join_strategy(
-            params, _StubComm(), t.n_units, t.level, tokens=t.tokens())
-        assert strategy == "hash" and keep is None
-
-    def test_auto_never_probes_below_min_level(self):
-        params = MafiaParams(join_strategy="auto")
-        t = _sparse_table(level=FPTREE_MIN_LEVEL - 1)
-        strategy, keep = resolved_join_strategy(
-            params, _StubComm(), t.n_units, t.level, tokens=t.tokens())
-        assert strategy == "hash" and keep is None
+        assert resolved_join_strategy(params, _StubComm(),
+                                      t.n_units) == "hash"
 
     def test_params_validation(self):
-        with pytest.raises(ParameterError):
-            MafiaParams(join_strategy="quantum")
+        # the deleted engines' names are assembled from pieces so a
+        # repo-wide grep for them finds no live reference
+        for strategy in ("quantum", "fp" + "tree", "direct"):
+            with pytest.raises(ParameterError):
+                MafiaParams(join_strategy=strategy)
         with pytest.raises(ParameterError):
             MafiaParams(prefetch="yes")
+        for suffix, value in (("mining", True), ("min_level", 4),
+                              ("max_subsets", 1000),
+                              ("max_transactions", 1000)):
+            with pytest.raises(TypeError):
+                MafiaParams(**{"direct_" + suffix: value})
 
 
 def fingerprint(result):
@@ -472,7 +268,7 @@ class TestFullRunsIdentical:
     def test_hash_equals_pairwise_across_backends_and_ranks(
             self, one_cluster_dataset, strategy_params, reference,
             backend, nprocs):
-        for strategy in ("hash", "fptree", "auto"):
+        for strategy in ("hash", "auto"):
             params = strategy_params.with_(join_strategy=strategy)
             ranks = run_spmd(pmafia_rank, nprocs, backend=backend,
                              args=(one_cluster_dataset.records, params,
@@ -490,6 +286,90 @@ class TestFullRunsIdentical:
                                    DOMAINS_10D))
             for rank in ranks:
                 assert fingerprint(rank.value) == reference
+
+
+    # -- a sparse deep lattice (eight levels on a 6-dim planted cluster)
+
+    @pytest.fixture(scope="class")
+    def deep_dataset(self):
+        rng = np.random.default_rng(7)
+        data = rng.random((4000, 12))
+        members = rng.choice(4000, 1200, replace=False)
+        for j in range(6):
+            data[members, j] = 0.15 + 0.02 * rng.random(1200)
+        return data
+
+    @pytest.fixture(scope="class")
+    def deep_reference(self, deep_dataset):
+        result = mafia(deep_dataset, DEEP_PARAMS.with_(
+            join_strategy="pairwise"))
+        assert len(result.trace) >= 6          # the walk really goes deep
+        return deep_fingerprint(result)
+
+    @pytest.mark.parametrize("backend,nprocs", [
+        ("serial", 1), ("thread", 2), ("thread", 5), ("process", 2)])
+    def test_deep_lattice(self, deep_dataset, deep_reference, backend,
+                          nprocs):
+        for strategy in ("hash", "pairwise", "auto"):
+            params = DEEP_PARAMS.with_(join_strategy=strategy, tau=1)
+            ranks = run_spmd(pmafia_rank, nprocs, backend=backend,
+                             args=(deep_dataset, params))
+            for rank in ranks:
+                assert deep_fingerprint(rank.value) == deep_reference, \
+                    strategy
+
+    def test_deep_lattice_per_rank_pairs(self, deep_dataset):
+        """Per-rank ``pairs_examined`` is a pure function of the fences:
+        identical on the thread and process backends for each engine,
+        and summing to the paper's pairwise count under either."""
+        def metrics(strategy, backend):
+            params = DEEP_PARAMS.with_(join_strategy=strategy, tau=1,
+                                       metrics=True)
+            run = pmafia(deep_dataset, 3, params, backend=backend)
+            return [(r.metrics["join.pairs_examined"]["value"],
+                     r.metrics["dedup.pairs_examined"]["value"])
+                    for r in run.obs.ranks]
+
+        totals = set()
+        for strategy in ("pairwise", "hash"):
+            per_rank = metrics(strategy, "thread")
+            assert metrics(strategy, "process") == per_rank
+            assert any(v != (0, 0) for v in per_rank)
+            totals.add(tuple(map(sum, zip(*per_rank))))
+        assert len(totals) == 1
+
+    def test_deep_lattice_sim_times(self, deep_dataset):
+        """Below τ every engine charges the full triangle, so the sim
+        clocks match for hash too; above it hash fences by realised pair
+        counts, and ``auto`` (pairwise on the sim clock) must match."""
+        def run(strategy, tau):
+            return pmafia(deep_dataset, 3, DEEP_PARAMS.with_(
+                join_strategy=strategy, tau=tau), backend="sim")
+
+        for tau, strategies in ((DEEP_PARAMS.tau, ("hash", "auto")),
+                                (1, ("auto",))):
+            base = run("pairwise", tau)
+            for strategy in strategies:
+                other = run(strategy, tau)
+                assert other.rank_times == base.rank_times, strategy
+                assert other.makespan == base.makespan
+                assert deep_fingerprint(other.result) \
+                    == deep_fingerprint(base.result)
+
+
+DEEP_PARAMS = MafiaParams(alpha=1.5, beta=0.35, chunk_records=1000)
+
+
+def deep_fingerprint(result):
+    """Clusters plus every level's dense table and counts."""
+    sig = [result.cdus_per_level(), result.dense_per_level()]
+    for t in result.trace:
+        sig.append(t.dense.tobytes())
+        sig.append(t.dense_counts.tobytes())
+    for c in result.clusters:
+        sig.append((c.subspace.dims, c.units_bins.tolist(),
+                    c.point_count, c.dnf))
+    return sig
 
 
 class TestPrefetched:

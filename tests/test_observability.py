@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro import MafiaParams, mafia, pmafia, pmafia_resumable
 from repro.cli import main as cli_main
-from repro.core.timing import phase_timer
 from repro.datagen import ClusterSpec, generate
 from repro.io.binned import grid_fingerprint
 from repro.obs import (RankObs, RankObsData, RunObs, as_run_obs,
@@ -641,21 +640,6 @@ class TestZeroCostDisabled:
         with obs.activate(comm):
             assert comm.obs is obs
         assert comm.obs is None
-
-    def test_phase_timer_still_works_alongside_tracing(
-            self, one_cluster_dataset, small_params):
-        """The deprecated-but-stable phase_timer API keeps returning the
-        same phase names as before, and the traced run records matching
-        phase spans."""
-        with phase_timer() as times:
-            result = mafia(one_cluster_dataset.records,
-                           small_params.with_(trace=True),
-                           domains=DOMAINS_10D)
-        traced_phases = result.obs.phase_seconds()
-        assert set(times.seconds) == set(traced_phases)
-        for name, secs in traced_phases.items():
-            assert secs == pytest.approx(times.seconds[name], rel=0.5,
-                                         abs=0.05)
 
     def test_trace_only_and_metrics_only(self, one_cluster_dataset,
                                          small_params):

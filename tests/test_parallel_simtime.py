@@ -243,7 +243,7 @@ class TestJoinStrategySimNeutrality:
     ``charge_pairs``, so simulated SP2 runtimes are a property of the
     algorithm, not of which join implementation computed the lattice."""
 
-    @pytest.mark.parametrize("strategy", ["hash", "fptree"])
+    @pytest.mark.parametrize("strategy", ["hash"])
     def test_virtual_times_match_pairwise(self, one_cluster_dataset,
                                           small_params, strategy):
         from repro import pmafia

@@ -301,3 +301,56 @@ class TestDeltaQueue:
         cold = mafia(records, params, domains=domains)
         from repro.stream.soak import result_fingerprint
         assert result_fingerprint(snap) == result_fingerprint(cold)
+
+
+class TestSegmentCountsFollowBinEdges:
+    """A segment's count cache is valid only under the bin edges it was
+    counted with: the same unit bytes name different cells once the
+    grid is re-binned, so they must be recounted, never served."""
+
+    def test_same_units_recount_under_new_edges(self):
+        from repro.core.units import UnitTable
+        from repro.io.binned import edges_fingerprint
+        from repro.stream.window import WindowSegment
+        from repro.types import DimensionGrid, Grid
+
+        def grid(edges):
+            return Grid(tuple(DimensionGrid(d, edges, (0.0,) * 2)
+                              for d in range(2)))
+
+        records = np.array([[1.0, 1.0], [3.0, 3.0], [6.0, 6.0],
+                            [9.0, 9.0]])
+        seg = WindowSegment(0, records, 4, 0, 4)
+        units = UnitTable.from_pairs([[(0, 0), (1, 0)]])
+        key = b"bin 0 of both dims"
+        grid_a, grid_b = grid((0.0, 5.0, 10.0)), grid((0.0, 2.0, 10.0))
+        fp_a, fp_b = edges_fingerprint(grid_a), edges_fingerprint(grid_b)
+        assert seg.counts_for(units, key, grid_a, fp_a, 16).tolist() == [2]
+        assert seg.counts_for(units, key, grid_b, fp_b, 16).tolist() == [1]
+        assert seg.has_counts(key, fp_b) and not seg.has_counts(key, fp_a)
+
+    def test_drifting_window_snapshot_matches_cold_run(self):
+        """The benchmark's drifting stream under the default drift
+        threshold: the ingest after the first snapshot moves bin edges
+        without an eager rebuild, and the next snapshot must still
+        equal a cold batch run over the live window."""
+        from benchmarks.e2e.inputs import DriftStream, domains
+        from repro.stream.soak import result_fingerprint
+
+        source = DriftStream(2)
+        params = MafiaParams(fine_bins=200, window_size=2,
+                             chunk_records=50_000)
+        dom = domains(source.N_DIMS)
+        n_fill = source.window // source.delta
+        with StreamingSession(params, domains=dom,
+                              window_records=source.window) as session:
+            for t in range(n_fill):
+                session.ingest(source.block(t))
+            session.snapshot()
+            session.ingest(source.block(n_fill))
+            snap = session.snapshot()
+        live = np.concatenate([source.block(t)
+                               for t in range(1, n_fill + 1)])
+        cold = mafia(live, params, domains=dom)
+        assert snap.dense_per_level() == cold.dense_per_level()
+        assert result_fingerprint(snap) == result_fingerprint(cold)
