@@ -2,21 +2,18 @@
 """Pinned hot-path benchmark suite with a JSON trajectory output.
 
 Runs the kernels the system's wall-clock time actually goes to —
-population (float, binned-bitmap, overflow-fallback and persistent
-bitmap-index engines), record location, bin-index and bitmap-index
-staging, histogramming, the CDU join and repeat elimination — including
-a bulk clustered-lattice join that times the pairwise sweep against the
-sub-signature hash join on > 20k raw CDUs, and ``populate_levelN_*``
-pairs that time the binned streaming pass against the indexed
-AND/popcount pass on clustered level-N lattices, and a serving triple
+record location, bitmap-index staging, the indexed AND/popcount
+population pass on clustered level-N lattices (``populate_levelN_indexed``),
+histogramming, the CDU join and repeat elimination — including a bulk
+clustered-lattice join that times the pairwise sweep against the
+sub-signature hash join on > 20k raw CDUs, and a serving triple
 (``score_batch_naive`` / ``_compiled`` / ``_cached``) that scores one
 skewed hot-key batch through the per-term reference loop, the compiled
 packed-interval evaluator and a cache-warm ``ClusterServer`` — plus an
-end-to-end
-5-level pMAFIA run under ``bin_cache="off"`` vs ``"memory"`` (index
-pinned off) and under the default ``bitmap_index="auto"``, and writes
-one JSON document (kernel → median seconds, machine info, e2e and
-index speedups).
+end-to-end 5-level pMAFIA run with the bitmap index resident and
+spilled, and writes one JSON document (kernel → median seconds, machine
+info, e2e times).  Kernels are for diagnosis; the end-to-end numbers
+that judge a change come from ``python -m benchmarks.e2e``.
 
 Usage::
 
@@ -30,10 +27,10 @@ the *same* suite and exits non-zero when any kernel regressed by more
 than ``--fail-over`` (default 3x — wide enough for shared-runner noise,
 narrow enough to catch an accidentally de-vectorised kernel).
 
-The e2e section verifies that both cache policies produce identical
-clusters and that the result passes ``repro.analysis.verify_result``
-(an independent float-path recount), so a reported speedup can never
-come from a silently wrong fast path.
+The e2e section verifies that the resident and spilled runs produce
+identical clusters and that the result passes
+``repro.analysis.verify_result`` (an independent brute-force recount),
+so a reported time can never come from a silently wrong fast path.
 
 The observability section re-runs the e2e workload with tracing and
 metrics off vs on, reports the enabled-tracing overhead ratio, and —
@@ -71,7 +68,6 @@ from repro.core.population import (IndexedPopulator,  # noqa: E402
                                    populate_local)
 from repro.core.units import UnitTable  # noqa: E402
 from repro.io import ArraySource, stage_bitmap_index  # noqa: E402
-from repro.io.binned import stage_binned  # noqa: E402
 from repro.parallel import SerialComm  # noqa: E402
 from repro.serve import (ClusterServer, compile_clusters,  # noqa: E402
                          score_batch_naive)
@@ -186,15 +182,13 @@ def build_suite(smoke: bool, only: str | None = None):
     """
     if smoke:
         n_records, n_dims, nbins = 20_000, 8, 8
-        n_units, chunk = 400, 10_000
-        overflow_records, overflow_units = 5_000, 64
+        chunk = 10_000
         join_units, dedup_base = 200, 1_000
         runs = 3
     else:
         # the reference load: 200k records x ~3000 4-d CDUs
         n_records, n_dims, nbins = 200_000, 15, 10
-        n_units, chunk = 3_000, 50_000
-        overflow_records, overflow_units = 50_000, 512
+        chunk = 50_000
         join_units, dedup_base = 800, 5_000
         runs = 5
 
@@ -202,38 +196,12 @@ def build_suite(smoke: bool, only: str | None = None):
     records = rng.random((n_records, n_dims)) * 100.0
     source = ArraySource(records)
     grid = uniform_grid(n_dims, nbins)
-    units = random_units(n_units, 4 if not smoke else 3, n_dims, nbins,
-                         seed=8)
     comm = SerialComm()
 
     def wanted(*names):
         """Does the ``--only`` glob (if any) match one of ``names``?"""
         return only is None or any(fnmatch.fnmatch(n, only)
                                    for n in names)
-
-    store = None
-    if wanted("populate_local_binned",
-              *(f"populate_level{lv}_binned" for lv in (2, 3, 4))):
-        store = stage_binned(source, comm, grid, chunk)
-
-    # overflow load: radix product 200^9 >> 2**62 forces the fallback.
-    # Many units per subspace (the usual MAFIA shape) so the per-unit
-    # matcher — not locate_records or the per-subspace column selection
-    # — dominates the kernel and the column-narrowing short-circuit is
-    # actually what gets pinned.
-    over_d = max(n_dims, 9)
-    over_grid = uniform_grid(over_d, 200)
-    rng11 = np.random.default_rng(11)
-    over_pairs = []
-    for _ in range(8):
-        ds = sorted(rng11.choice(over_d, size=9, replace=False).tolist())
-        for _ in range(overflow_units // 8):
-            over_pairs.append([(d, int(rng11.integers(0, 200)))
-                               for d in ds])
-    over_units = UnitTable.from_pairs(over_pairs).unique()
-    over_source = ArraySource(
-        np.ascontiguousarray(records[:overflow_records, :1])
-        * np.ones((1, over_d)))
 
     # bulk join load: the hash-vs-pairwise headliner.  At full scale the
     # 8 x C(12,3) = 1760-unit lattice emits > 20k raw CDUs, the regime
@@ -252,18 +220,16 @@ def build_suite(smoke: bool, only: str | None = None):
 
     # level-N population loads: one *nested* clustered lattice — every
     # level's units extend the previous level's, the shape real level
-    # passes count — timed on the binned streaming engine vs the
-    # persistent bitmap index.  One populator is shared across levels
+    # passes count — timed on the bitmap index.  One populator is
+    # shared across levels
     # and pre-warmed bottom-up, exactly as the driver runs it: by the
     # time level k counts, level k-1's leaves seed the prefix memo and
     # each unit costs one AND + its share of a batched popcount.
     index = indexed_pop = None
     level_units = {}
     if wanted("bitmap_index_build",
-              *(f"populate_level{lv}_binned" for lv in (2, 3, 4)),
               *(f"populate_level{lv}_indexed" for lv in (2, 3, 4))):
-        index = stage_bitmap_index(source, comm, grid, chunk,
-                                   policy="resident")
+        index = stage_bitmap_index(source, comm, grid, chunk)
         indexed_pop = IndexedPopulator(index)
         lattice_clusters = 8 if smoke else 40
         lattice_dim = 5 if smoke else 6
@@ -382,16 +348,6 @@ def build_suite(smoke: bool, only: str | None = None):
 
     kernels = {
         "locate_records": (lambda: grid.locate_records(records), runs),
-        "populate_local_float": (
-            lambda: populate_local(source, comm, grid, units, chunk), runs),
-        "binned_store_build": (
-            lambda: stage_binned(source, comm, grid, chunk), runs),
-        "populate_local_binned": (
-            lambda: populate_local(source, comm, grid, units, chunk,
-                                   binned=store), runs),
-        "populate_overflow_fallback": (
-            lambda: populate_local(over_source, comm, over_grid, over_units,
-                                   chunk), runs),
         "fine_histogram_local": (
             lambda: fine_histogram_local(source, comm,
                                          np.array([[0.0, 100.0]] * n_dims),
@@ -404,8 +360,7 @@ def build_suite(smoke: bool, only: str | None = None):
         "hash_join_plan_bulk": (lambda: hash_join_plan(bulk), runs),
         "cdu_dedup_bulk": (lambda: bulk_raw.repeat_mask(), runs),
         "bitmap_index_build": (
-            lambda: stage_bitmap_index(source, comm, grid, chunk,
-                                       policy="resident"), runs),
+            lambda: stage_bitmap_index(source, comm, grid, chunk), runs),
         "score_batch_naive": (
             lambda: score_batch_naive(serve_cls, serve_records), runs),
         "score_batch_compiled": (
@@ -420,9 +375,6 @@ def build_suite(smoke: bool, only: str | None = None):
                           domains=stream_domains), runs),
     }
     for lv, lvu in level_units.items():
-        kernels[f"populate_level{lv}_binned"] = (
-            lambda u=lvu: populate_local(source, comm, grid, u, chunk,
-                                         binned=store), runs)
         kernels[f"populate_level{lv}_indexed"] = (
             lambda u=lvu: populate_local(source, comm, grid, u, chunk,
                                          indexed=indexed_pop), runs)
@@ -470,44 +422,30 @@ def run_e2e(cfg: dict) -> dict:
     doms = domains(cfg["n_dims"])
     base = bench_params(chunk_records=cfg["chunk"])
 
-    # the index is on by default, so the historical bin_cache
-    # comparison pins bitmap_index="off" for both of its legs; a third
-    # leg under the defaults measures what the index itself buys.
+    # the default run keeps the bitmap index resident; a one-byte
+    # budget spills it to mmap tiles and must not change the result
     t0 = time.perf_counter()
-    off = mafia(ds.records, base.with_(bin_cache="off",
-                                       bitmap_index="off"), domains=doms)
-    t_off = time.perf_counter() - t0
+    resident = mafia(ds.records, base, domains=doms)
+    t_resident = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    mem = mafia(ds.records, base.with_(bin_cache="memory",
-                                       bitmap_index="off"), domains=doms)
-    t_mem = time.perf_counter() - t0
+    spilled = mafia(ds.records, base.with_(bitmap_budget=1), domains=doms)
+    t_spilled = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    idx = mafia(ds.records, base, domains=doms)
-    t_idx = time.perf_counter() - t0
-
-    identical = (cluster_signature(off) == cluster_signature(mem)
-                 == cluster_signature(idx))
-    trace_identical = all(
-        a.level == b.level == c.level
-        and a.n_cdus == b.n_cdus == c.n_cdus
-        and a.n_dense == b.n_dense == c.n_dense
+    identical = cluster_signature(resident) == cluster_signature(spilled)
+    trace_identical = len(resident.trace) == len(spilled.trace) and all(
+        a.level == b.level and a.n_cdus == b.n_cdus
+        and a.n_dense == b.n_dense
         and np.array_equal(a.dense_counts, b.dense_counts)
-        and np.array_equal(a.dense_counts, c.dense_counts)
-        for a, b, c in zip(off.trace, mem.trace, idx.trace)) \
-        and len(off.trace) == len(mem.trace) == len(idx.trace)
-    report = verify_result(idx, ds.records, cfg["chunk"])
+        for a, b in zip(resident.trace, spilled.trace))
+    report = verify_result(resident, ds.records, cfg["chunk"])
 
     return {
         "workload": cfg,
-        "levels": len(mem.trace),
-        "n_clusters_found": len(mem.clusters),
-        "bin_cache_off_s": round(t_off, 4),
-        "bin_cache_memory_s": round(t_mem, 4),
-        "bitmap_index_s": round(t_idx, 4),
-        "speedup": round(t_off / t_mem, 2) if t_mem > 0 else None,
-        "index_speedup": round(t_mem / t_idx, 2) if t_idx > 0 else None,
+        "levels": len(resident.trace),
+        "n_clusters_found": len(resident.clusters),
+        "resident_s": round(t_resident, 4),
+        "spilled_s": round(t_spilled, 4),
         "clusters_identical": bool(identical),
         "trace_identical": bool(trace_identical),
         "verify_ok": bool(report.ok),
@@ -534,10 +472,7 @@ def run_obs_overhead(cfg: dict, runs: int,
                            n_clusters=cfg["n_clusters"],
                            cluster_dim=cfg["cluster_dim"], seed=3)
     doms = domains(cfg["n_dims"])
-    # the overhead ratio is measured on the streaming engine: the
-    # 5% gate was calibrated against its pass times, and the indexed
-    # engine's shorter runs would drown the ratio in timer noise
-    base = bench_params(chunk_records=cfg["chunk"], bitmap_index="off")
+    base = bench_params(chunk_records=cfg["chunk"])
     on = base.with_(trace=True, metrics=True)
 
     plain = mafia(ds.records, base, domains=doms)   # warm caches
@@ -573,22 +508,15 @@ def run_obs_overhead(cfg: dict, runs: int,
     }
     if obs_dir is not None:
         obs_dir.mkdir(parents=True, exist_ok=True)
-        # artifacts come from an instrumented run under the *defaults*
-        # (index on) so trace.json carries the stage_bitmap_index span
-        # and metrics.json the index.* counters
-        indexed = mafia(ds.records,
-                        bench_params(chunk_records=cfg["chunk"],
-                                     trace=True, metrics=True),
-                        domains=doms)
-        indexed_obs = as_run_obs(indexed)
-        write_chrome_trace(obs_dir / "trace.json",
-                           indexed_obs.merged_spans())
-        write_metrics_snapshot(obs_dir / "metrics.json", indexed_obs)
+        # trace.json carries the stage_bitmap_index span and
+        # metrics.json the index.* counters
+        write_chrome_trace(obs_dir / "trace.json", run_obs.merged_spans())
+        write_metrics_snapshot(obs_dir / "metrics.json", run_obs)
         write_manifest(obs_dir / MANIFEST_NAME,
-                       build_manifest(indexed,
-                                      phases=indexed_obs.phase_seconds()))
+                       build_manifest(traced,
+                                      phases=run_obs.phase_seconds()))
         (obs_dir / "index_spill.json").write_text(
-            json.dumps(index_spill_stats(indexed_obs, ds, cfg), indent=2)
+            json.dumps(index_spill_stats(run_obs, ds, cfg), indent=2)
             + "\n")
         out["obs_dir"] = str(obs_dir)
     return out
@@ -606,7 +534,7 @@ def index_spill_stats(run_obs, ds, cfg: dict) -> dict:
     source = ArraySource(ds.records)
     grid = uniform_grid(cfg["n_dims"], 10)
     spilled = stage_bitmap_index(source, comm, grid, cfg["chunk"],
-                                 policy="auto", budget=1)
+                                 budget=1)
     probe = {
         "budget": 1,
         "resident": bool(spilled.resident),
@@ -672,13 +600,6 @@ def main(argv=None) -> int:
     ap.add_argument("--fail-over", type=float, default=3.0,
                     help="fail when any kernel is this many times slower "
                          "than the baseline (default 3.0)")
-    ap.add_argument("--min-speedup", type=float, default=0.0,
-                    help="fail unless the e2e memory-vs-off speedup "
-                         "reaches this factor")
-    ap.add_argument("--min-index-speedup", type=float, default=0.0,
-                    help="fail unless the level>=2 population kernels' "
-                         "median indexed-vs-binned speedup reaches this "
-                         "factor")
     ap.add_argument("--min-serve-speedup", type=float, default=0.0,
                     help="fail unless the compiled serving evaluator "
                          "beats the naive per-term scorer by this "
@@ -691,7 +612,7 @@ def main(argv=None) -> int:
                          "factor slower than untraced (0 = report only; "
                          "CI passes 1.10 — measured overhead is ~2.5%%, "
                          "the headroom absorbs shared-runner noise on "
-                         "the ~25 ms probe)")
+                         "the ~50 ms probe)")
     ap.add_argument("--obs-dir", type=Path, default=None,
                     help="export the instrumented smoke run's trace.json, "
                          "metrics.json and run_manifest.json here")
@@ -729,26 +650,9 @@ def main(argv=None) -> int:
               f"{doc['join']['speedup']}x faster than pairwise")
 
     if index_load is not None:
-        per_level = {}
-        speedups = []
-        for lv in index_load["levels"]:
-            if not have(f"populate_level{lv}_binned",
-                        f"populate_level{lv}_indexed"):
-                continue
-            b = doc["kernels"][f"populate_level{lv}_binned"]["median_s"]
-            i = doc["kernels"][f"populate_level{lv}_indexed"]["median_s"]
-            s = round(b / i, 2) if i else None
-            per_level[f"level{lv}"] = {"binned_s": b, "indexed_s": i,
-                                       "speedup": s}
-            if s is not None:
-                speedups.append(s)
-        doc["index"] = dict(index_load, per_level=per_level,
-                            median_speedup=round(
-                                statistics.median(speedups), 2)
-                            if speedups else None)
+        doc["index"] = index_load
         print(f"  bitmap index: {index_load['index_nbytes'] / 1e6:.2f} MB "
-              f"resident, level>=2 population median speedup "
-              f"{doc['index']['median_speedup']}x over binned streaming")
+              f"resident, {index_load['memo_entries']} memo entries")
 
     if serve_load is not None and have("score_batch_naive",
                                        "score_batch_compiled",
@@ -793,14 +697,11 @@ def main(argv=None) -> int:
               f"ingest), identical: {stream_load['identical']}")
 
     if not args.skip_e2e:
-        print("running end-to-end bin_cache off vs memory ...")
+        print("running end-to-end resident vs spilled index ...")
         doc["e2e"] = run_e2e(e2e_cfg)
         e = doc["e2e"]
-        print(f"  off: {e['bin_cache_off_s']:.2f}s  "
-              f"memory: {e['bin_cache_memory_s']:.2f}s  "
-              f"indexed: {e['bitmap_index_s']:.2f}s  "
-              f"speedup: {e['speedup']}x  "
-              f"index speedup: {e['index_speedup']}x  "
+        print(f"  resident: {e['resident_s']:.2f}s  "
+              f"spilled: {e['spilled_s']:.2f}s  "
               f"levels: {e['levels']}  "
               f"clusters identical: {e['clusters_identical']}  "
               f"verified: {e['verify_ok']}")
@@ -808,9 +709,9 @@ def main(argv=None) -> int:
         print("running end-to-end observability off vs on ...")
         # the per-span cost is fixed, so the ratio needs a run long
         # enough to resolve 5%: keep the smoke e2e tiny for the
-        # correctness legs but give the overhead probe >= 60k records
+        # correctness legs but give the overhead probe >= 200k records
         obs_cfg = dict(e2e_cfg,
-                       n_records=max(e2e_cfg["n_records"], 60_000))
+                       n_records=max(e2e_cfg["n_records"], 200_000))
         doc["obs"] = run_obs_overhead(obs_cfg, runs=7,
                                       obs_dir=args.obs_dir)
         o = doc["obs"]
@@ -827,13 +728,6 @@ def main(argv=None) -> int:
     rc = 0
     if args.compare is not None:
         rc = compare(doc, args.compare, args.fail_over)
-    if args.min_index_speedup and \
-            (doc.get("index", {}).get("median_speedup")
-             or 0) < args.min_index_speedup:
-        print(f"FAIL: indexed population median speedup "
-              f"{doc.get('index', {}).get('median_speedup')}x below "
-              f"required {args.min_index_speedup}x")
-        rc = 1
     if "serve" in doc and not doc["serve"]["identical"]:
         print("FAIL: compiled serving evaluator disagrees with the "
               "naive per-term scorer")
@@ -849,12 +743,8 @@ def main(argv=None) -> int:
         e = doc["e2e"]
         if not (e["clusters_identical"] and e["trace_identical"]
                 and e["verify_ok"]):
-            print("FAIL: binned and float paths disagree or verification "
-                  "failed")
-            rc = 1
-        if args.min_speedup and (e["speedup"] or 0) < args.min_speedup:
-            print(f"FAIL: e2e speedup {e['speedup']}x below required "
-                  f"{args.min_speedup}x")
+            print("FAIL: resident and spilled runs disagree or "
+                  "verification failed")
             rc = 1
         o = doc["obs"]
         if not o["clusters_identical"] or o["span_problems"]:

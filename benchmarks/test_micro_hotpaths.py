@@ -1,8 +1,8 @@
 """Micro-benchmarks of the hot paths (real wall time, not virtual).
 
 These exist to catch performance regressions in the vectorised kernels
-the whole system leans on — population matching, the CDU join, repeat
-elimination, histogramming — following the guide's rule: no
+the whole system leans on — bitmap-index staging and population, the
+CDU join, repeat elimination, histogramming — following the guide's rule: no
 optimisation without measurement.  pytest-benchmark tracks them across
 runs (``--benchmark-autosave`` / ``--benchmark-compare``).
 """
@@ -14,10 +14,9 @@ import pytest
 
 from repro.core.candidates import join_all
 from repro.core.histogram import fine_histogram_local
-from repro.core.population import populate_local
+from repro.core.population import IndexedPopulator, populate_local
 from repro.core.units import UnitTable
-from repro.io import ArraySource
-from repro.io.binned import stage_binned
+from repro.io import ArraySource, stage_bitmap_index
 from repro.parallel import SerialComm
 from repro.types import DimensionGrid, Grid
 
@@ -48,47 +47,26 @@ def many_units():
     return UnitTable.from_pairs(units).unique()
 
 
+def test_micro_index_staging(benchmark, records):
+    """Staging the bitmap index: 200k records x 15 dims x 10 bins."""
+    grid = uniform_grid(15, 10)
+    index = benchmark(stage_bitmap_index, ArraySource(records),
+                      SerialComm(), grid, 50_000)
+    assert index.n_records == records.shape[0]
+
+
 def test_micro_population_pass(benchmark, records, many_units):
-    """One full population pass: 200k records x ~3000 4-d CDUs."""
+    """One population pass off a staged index: 200k records x ~3000
+    4-d CDUs."""
     grid = uniform_grid(15, 10)
     source = ArraySource(records)
+    comm = SerialComm()
+    indexed = IndexedPopulator(stage_bitmap_index(source, comm, grid,
+                                                  50_000))
 
-    counts = benchmark(populate_local, source, SerialComm(), grid,
-                       many_units, 50_000)
+    counts = benchmark(populate_local, source, comm, grid, many_units,
+                       50_000, indexed=indexed)
     assert counts.sum() > 0
-
-
-def test_micro_population_pass_binned(benchmark, records, many_units):
-    """The same pass through a staged bin-index store (bitmap engine)."""
-    grid = uniform_grid(15, 10)
-    source = ArraySource(records)
-    store = stage_binned(source, SerialComm(), grid, 50_000)
-
-    counts = benchmark(populate_local, source, SerialComm(), grid,
-                       many_units, 50_000, binned=store)
-    assert np.array_equal(
-        counts, populate_local(source, SerialComm(), grid, many_units,
-                               50_000))
-
-
-def test_micro_overflow_matcher(benchmark, records):
-    """Population with a subspace whose radix product is near
-    ``_KEY_LIMIT`` — exercises the overflow fallback's short-circuit
-    column narrowing instead of the keyed fast path."""
-    grid = uniform_grid(15, 200)   # 200^9 >> 2**62 for a 9-d subspace
-    rng = np.random.default_rng(11)
-    units = []
-    for _ in range(8):             # many units per subspace: the per-unit
-        dims = sorted(rng.choice(  # matcher dominates, not the selection
-            15, size=9, replace=False).tolist())
-        units.extend([[(d, int(rng.integers(0, 200))) for d in dims]
-                      for _ in range(64)])
-    table = UnitTable.from_pairs(units).unique()
-    source = ArraySource(records[:50_000])
-
-    counts = benchmark(populate_local, source, SerialComm(), grid,
-                       table, 50_000)
-    assert counts.shape == (table.n_units,)
 
 
 def test_micro_fine_histogram(benchmark, records):

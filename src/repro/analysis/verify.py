@@ -5,7 +5,9 @@ none of the driver's code paths, every invariant a correct
 (p)MAFIA run must satisfy:
 
 1. **Counts** — each dense unit's stored count equals a brute-force
-   recount of records falling in its bins;
+   recount of records falling in its bins (per chunk: locate every
+   record, then one AND over ``==`` masks per unit — no bitmaps, no
+   prefix sharing);
 2. **Density** — each dense unit's count strictly exceeds the max of
    its bins' thresholds;
 3. **Closure** — every projection of a dense unit appears among the
@@ -26,13 +28,11 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from ..core.population import populate_local
 from ..core.result import ClusteringResult
 from ..core.units import UnitTable
 from ..core.identify import unit_thresholds
 from ..core.dnf import projections
 from ..io.chunks import DataSource, as_source
-from ..parallel.serial import SerialComm
 
 
 @dataclass
@@ -58,14 +58,32 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _recount(source: DataSource, result: ClusteringResult,
+             chunk_records: int) -> dict[int, np.ndarray]:
+    """Brute-force counts of every level's dense units, one chunked
+    pass over the records."""
+    levels = [t for t in result.trace if t.n_dense]
+    counts = {t.level: np.zeros(t.n_dense, dtype=np.int64) for t in levels}
+    for chunk in source.iter_chunks(chunk_records):
+        idx = result.grid.locate_records(chunk)
+        for trace in levels:
+            dims = trace.dense.dims.astype(np.intp)
+            bins = trace.dense.bins
+            for i in range(trace.n_dense):
+                mask = idx[:, dims[i, 0]] == bins[i, 0]
+                for j in range(1, dims.shape[1]):
+                    mask &= idx[:, dims[i, j]] == bins[i, j]
+                counts[trace.level][i] += int(mask.sum())
+    return counts
+
+
 def _check_counts(report: VerificationReport, result: ClusteringResult,
                   source: DataSource, chunk_records: int) -> None:
-    comm = SerialComm()
+    recounts = _recount(source, result, chunk_records)
     for trace in result.trace:
         if trace.n_dense == 0:
             continue
-        recounted = populate_local(source, comm, result.grid, trace.dense,
-                                   chunk_records)
+        recounted = recounts[trace.level]
         report.checks_run += trace.n_dense
         bad = np.flatnonzero(recounted != np.asarray(trace.dense_counts))
         for i in bad[:5]:

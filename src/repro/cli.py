@@ -338,12 +338,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                              window_size=args.window,
                              chunk_records=args.chunk,
                              report=args.report,
-                             bin_cache=args.bin_cache,
                              join_strategy=args.join_strategy,
-                             prefetch=args.prefetch,
-                             bitmap_index=args.bitmap_index,
                              bitmap_budget=args.bitmap_budget,
-                             compute_threads=args.compute_threads,
                              rebalance=args.rebalance,
                              trace=args.trace_out is not None,
                              metrics=args.metrics_out is not None)
@@ -564,11 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--report", choices=("merged", "paper", "maximal"),
                      default="merged",
                      help="cluster-reporting semantics (DESIGN.md 4.1)")
-    run.add_argument("--bin-cache", choices=("memory", "disk", "off"),
-                     default="memory", dest="bin_cache",
-                     help="staged bin-index store policy: keep per-record "
-                          "bin indices in RAM, on disk beside the staged "
-                          "records, or re-locate records every pass")
     run.add_argument("--join-strategy", choices=JOIN_STRATEGIES,
                      default="auto", dest="join_strategy",
                      help="CDU join implementation: the paper's pairwise "
@@ -576,28 +567,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "(hash above a dense-unit threshold, pairwise "
                           "below it and always on the sim backend); "
                           "clusters are identical under every choice")
-    run.add_argument("--prefetch", action="store_true",
-                     help="double-buffer chunk reads on a background "
-                          "thread during level passes")
-    run.add_argument("--bitmap-index",
-                     choices=("auto", "resident", "mmap", "off"),
-                     default="auto", dest="bitmap_index",
-                     help="persistent per-(dim,bin) membership bitmap "
-                          "index: auto keeps it in RAM under "
-                          "--bitmap-budget and spills to an mmap tile "
-                          "file over it; resident/mmap force one mode; "
-                          "off streams the binned store every pass; "
-                          "results are identical either way")
     run.add_argument("--bitmap-budget", type=int, default=1 << 28,
                      dest="bitmap_budget", metavar="BYTES",
-                     help="byte budget shared by the resident bitmap "
-                          "index and its prefix-AND memo "
-                          "(default 256 MiB)")
-    run.add_argument("--compute-threads", type=int, default=1,
-                     dest="compute_threads", metavar="N",
-                     help="intra-rank threads tiling the indexed "
-                          "engine's AND/popcount loop (counts are "
-                          "identical for any value)")
+                     help="byte budget shared by the per-(dim,bin) "
+                          "bitmap index and its prefix-AND memo: the "
+                          "index stays in RAM when it fits and spills "
+                          "to an mmap tile file otherwise; results are "
+                          "identical either way (default 256 MiB)")
     run.add_argument("--collectives", choices=("flat", "tree"),
                      default="flat",
                      help="collective wire pattern for parallel runs")

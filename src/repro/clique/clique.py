@@ -30,12 +30,13 @@ from ..core.mafia import PMafiaRun
 from ..core.pmafia import (Registered, _eliminate_repeat_cdus,
                            _find_candidate_dense_units, _identify_dense,
                            _local_view, _maximal_registrations)
-from ..core.population import populate_global
+from ..core.population import IndexedPopulator, populate_global
 from ..core.result import ClusteringResult, LevelTrace
 from ..core.units import UnitTable
 from ..core.histogram import global_domains
 from ..core.merge import face_adjacent_components
 from ..errors import DataError
+from ..io.bitmap_index import stage_bitmap_index
 from ..params import CliqueParams
 from ..parallel.comm import Comm
 from ..parallel.machine import MachineSpec
@@ -109,6 +110,11 @@ def clique_rank(comm: Comm, data: Any, params: CliqueParams | None = None,
     grid = uniform_grid(domains, params.bins_for(source.n_dims),
                         n_records, params.threshold)
 
+    # one bitmap index per run, like pMAFIA: every level pass is then
+    # AND + popcount with the paper's record-scan charges replayed
+    indexed = IndexedPopulator(stage_bitmap_index(
+        source, comm, grid, params.chunk_records, start, stop))
+
     if params.modified_join:
         block_join = mafia_join_block
     else:
@@ -116,7 +122,8 @@ def clique_rank(comm: Comm, data: Any, params: CliqueParams | None = None,
 
     def level_pass(cdus: UnitTable, raw_count: int, level: int) -> LevelTrace:
         counts = populate_global(source, comm, grid, cdus,
-                                 params.chunk_records, start, stop)
+                                 params.chunk_records, start, stop,
+                                 indexed=indexed)
         mask, ndu = _identify_dense(comm, cdus, counts, grid, params.tau)
         dense, dense_counts = dense_units(cdus, counts, mask)
         if params.mdl_prune and dense.n_units:

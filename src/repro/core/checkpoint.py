@@ -172,8 +172,8 @@ def save_shard_manifest(directory: str | os.PathLike, rank: int,
 
     The manifest records what a *replacement* for this rank needs in
     order to rebuild only the lost shard: the record range the rank
-    owns, the staged artifact paths (local record copy, PMBS bin store,
-    PMBI ``.bmx`` bitmap index) and the grid fingerprint those artifacts
+    owns, the staged artifact paths (local record copy, PMBI ``.bmx``
+    bitmap index) and the grid fingerprint those artifacts
     were staged under.  Every rank writes its own file (distinct names,
     no contention); the supervisor hands the file to the replacement so
     it can reuse the on-disk caches instead of re-deriving them, after
@@ -213,14 +213,10 @@ def check_compatible(state: dict[str, Any], params: Any,
     """Refuse to resume from a checkpoint written under different
     parameters or data — the replayed passes would silently diverge.
 
-    ``bin_cache`` is excluded from the comparison: the bin-index store
-    is a transparent encoding of the same pass (bit-identical counts),
-    so a run may legitimately resume under a different cache policy —
-    the store is restaged from the checkpointed grid either way.  The
-    bitmap-index knobs (``bitmap_index``, ``bitmap_budget``,
-    ``compute_threads``) are excluded for the same reason: the index
-    engine is bit-identical to the streaming engines and rebuilt from
-    the checkpointed grid on resume.  ``trace`` and ``metrics`` are
+    ``bitmap_budget`` is excluded from the comparison: it only decides
+    whether the bitmap index is resident or spilled (bit-identical
+    counts either way), and the index is restaged from the checkpointed
+    grid on resume.  ``trace`` and ``metrics`` are
     likewise excluded: observability is read-only with respect to the
     algorithm, so a crashed untraced run may be resumed under tracing
     (and vice versa) without divergence.  ``rebalance`` is excluded for
@@ -230,10 +226,7 @@ def check_compatible(state: dict[str, Any], params: Any,
     stored = state.get("params")
     if stored is not None:
         try:
-            stored = stored.with_(bin_cache=params.bin_cache,
-                                  bitmap_index=params.bitmap_index,
-                                  bitmap_budget=params.bitmap_budget,
-                                  compute_threads=params.compute_threads,
+            stored = stored.with_(bitmap_budget=params.bitmap_budget,
                                   trace=params.trace,
                                   metrics=params.metrics,
                                   rebalance=params.rebalance)

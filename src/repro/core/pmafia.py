@@ -34,8 +34,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import CheckpointError, DataError
-from ..io.binned import grid_fingerprint, stage_binned
-from ..io.bitmap_index import stage_bitmap_index
+from ..io.bitmap_index import grid_fingerprint, stage_bitmap_index
 from ..io.chunks import DataSource, as_source
 from ..io.partition import block_range
 from ..io.records import RecordFile
@@ -526,30 +525,19 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
         trace = []
         registered = []
 
-    # once the grid is fixed, stage this rank's bin-index store — every
-    # level pass then streams compact indices instead of re-locating the
-    # float records (charges nothing, like shared-to-local staging)
-    with _ospan(obs, "stage_binned", cat="io"):
-        binned = stage_binned(source, comm, grid, params.chunk_records,
-                              start, stop, policy=params.bin_cache,
-                              retry=retry)
-
-    # ... and on top of it the persistent per-(dim, bin) bitmap index:
-    # level passes become AND + popcount over cached bitmaps with no
-    # data reads at all (also free on the virtual clock — the indexed
-    # engine replays the streaming engines' exact charge sequence)
+    # once the grid is fixed, one pass over the float records stages
+    # this rank's per-(dim, bin) bitmap index: level passes become AND +
+    # popcount over cached bitmaps with no data reads at all (staging is
+    # free on the virtual clock, and the populator replays a record
+    # pass's exact charge sequence)
     with _ospan(obs, "stage_bitmap_index", cat="io"):
         index = stage_bitmap_index(source, comm, grid,
                                    params.chunk_records, start, stop,
-                                   policy=params.bitmap_index,
-                                   budget=params.bitmap_budget,
-                                   binned=binned, retry=retry)
+                                   budget=params.bitmap_budget, retry=retry)
     # one populator for the whole run: its prefix-AND memo spans level
     # passes (level-(k+1) CDUs extend level-k dense units), and one
     # long-lived overlap worker instead of a pool per level
-    indexed = None if index is None else IndexedPopulator(
-        index, budget=params.bitmap_budget,
-        compute_threads=params.compute_threads)
+    indexed = IndexedPopulator(index, budget=params.bitmap_budget)
     runner = OverlapRunner()
 
     # each rank records what its shard is made of next to the level
@@ -573,7 +561,6 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
             "data_path": os.fspath(data)
             if isinstance(data, (str, os.PathLike)) else None,
             "staged_path": _artifact_path(source),
-            "binned_path": _artifact_path(binned),
             "bitmap_path": _artifact_path(index),
         })
 
@@ -600,9 +587,7 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
             with _ospan(obs, "population", cat="phase"):
                 counts = populate_global(source, comm, grid, cdus,
                                          params.chunk_records, start, stop,
-                                         retry, binned=binned,
-                                         indexed=indexed,
-                                         prefetch=params.prefetch,
+                                         retry, indexed=indexed,
                                          overlap=overlap, runner=runner,
                                          order=order)
             pop_seconds = time.perf_counter() - pop_start
@@ -681,7 +666,7 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                     with _ospan(obs, "dedup", cat="phase"):
                         cdus, pop_order = _eliminate_repeat_cdus(
                             comm, raw, params.tau, shares=shares,
-                            want_order=indexed is not None)
+                            want_order=True)
                     nxt, dense_tokens = level_pass(
                         cdus, raw.n_units, current.level + 1,
                         order=pop_order)
@@ -720,8 +705,6 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                     obs.recovery_event("resumed", level=level)
     finally:
         runner.close()
-        if indexed is not None:
-            indexed.close()
 
     return ClusteringResult(grid=grid, clusters=clusters,
                             trace=tuple(trace), params=params,

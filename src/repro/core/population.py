@@ -6,52 +6,25 @@ this is the data-parallel heart of pMAFIA: every rank streams its N/p
 local records in chunks of B and increments the histogram count of each
 CDU a record falls in; a sum-Reduce yields global counts.
 
-Three engines share this module, selected by what the caller staged:
+One engine serves every pass.  Right after the grid is fixed each rank
+stages a :class:`~repro.io.bitmap_index.BitmapIndex` over its local
+records — one packed membership bitmap per (dim, bin) pair — and a CDU's
+count is the popcount of the AND of its k bitmaps.  :func:`count_units`
+visits the CDUs in lexicographic subspace order so the accumulator for
+``(d0..dk)`` reuses the AND for ``(d0..dk-1)`` (a prefix stack within
+the pass); an :class:`IndexedPopulator` adds an LRU prefix memo across
+passes — level-(k+1) CDUs extend level-k dense units, so the previous
+pass's leaves are this pass's prefixes.
 
-* **Float path** (``binned=None``, ``indexed=None``): records are
-  mapped to per-dimension bin indices (one ``searchsorted`` per
-  column), then CDUs are grouped by subspace and records matched by
-  mixed-radix subspace keys — O(B·k) per subspace instead of
-  O(B·Ncdu·k) naive masking.  Matchers are visited in lexicographic
-  subspace order so Horner key folds are shared between subspaces with
-  a common dim prefix: the level-k fold for ``(d0..dk)`` reuses the
-  cached level-(k-1) fold for ``(d0..dk-1)`` instead of restarting
-  from column 0.
-
-* **Bitmap path** (``binned`` given): the staged uint8/uint16 columns
-  are turned into packed per-(dim, bin) membership bitmaps once per
-  chunk (``np.packbits`` of ``col == b``, built only for pairs some CDU
-  references) and each CDU's count is the popcount of the AND of its k
-  bitmaps, batched across CDUs.  Per chunk this is one byte-wide AND +
-  popcount per CDU — no per-record keys at all — and skips
-  ``locate_records`` because the store did it once at staging time.
-
-* **Indexed path** (``indexed`` given): the per-chunk ``packbits`` of
-  the bitmap path is itself redundant across levels — the same
-  (dim, bin) memberships are re-packed at every level.  An
-  :class:`IndexedPopulator` wraps the persistent
-  :class:`~repro.io.bitmap_index.BitmapIndex` staged once after grid
-  construction and serves every pass as pure AND + popcount over the
-  cached full-length bitmaps, with **zero data reads**.  CDUs are
-  visited in lexicographic subspace order so the level-k accumulator
-  for ``(d0..dk)`` reuses the AND for ``(d0..dk-1)`` (a stack within
-  the pass, an LRU prefix memo across passes — level-(k+1) CDUs extend
-  level-k dense units, so the previous pass's leaves are this pass's
-  prefixes).  The AND/popcount loop optionally tiles across an
-  intra-rank thread pool (numpy releases the GIL); counts are exact
-  integers, so threading never changes results.
-
-All engines produce bit-identical counts.  The simulated-time backend
-is charged the naive per-CDU cost (what the paper's per-record scan on
-the SP2 paid) and float-width I/O either way — the indexed engine
-*replays* the exact per-chunk charge sequence of the streaming engines
-without performing the reads — keeping virtual runtimes faithful to
-the measured system and independent of the engine.
+The simulated-time backend is charged the naive per-CDU cost (what the
+paper's per-record scan on the SP2 paid) and float-width I/O per chunk:
+the populator *replays* the exact per-chunk charge sequence of a pass
+that re-read the records, without performing the reads, keeping virtual
+runtimes faithful to the measured system.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
@@ -59,25 +32,18 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DataError
-from ..io.binned import RECORD_ITEMSIZE, BinnedStore, grid_fingerprint
-from ..io.bitmap_index import DEFAULT_BITMAP_BUDGET, BitmapIndex
-from ..io.chunks import DataSource, charged_chunks
+from ..io.bitmap_index import (DEFAULT_BITMAP_BUDGET, RECORD_ITEMSIZE,
+                               BitmapIndex, build_bitmap_index,
+                               grid_fingerprint)
+from ..io.chunks import DataSource
 from ..io.resilient import RetryPolicy
 from ..parallel.comm import Comm
 from ..types import Grid
 from .units import UnitTable
 
-#: keys are int64; fall back to row-matching when the radix product
-#: would overflow
-_KEY_LIMIT = 2**62
-
-#: CDUs ANDed per batched bitmap gather — bounds the (batch, k, n/8)
-#: gather scratch while keeping the popcount loop out of Python
+#: leaf accumulators popcounted per batch — one vectorised count over
+#: ``(batch, row_bytes)`` replaces a per-unit ufunc round trip
 _UNIT_BATCH = 512
-
-#: past this many bitmap bytes per chunk the bitmap engine would thrash
-#: cache for sparse unit tables; fall back to keyed matching instead
-_BITMAP_BYTE_CAP = 1 << 27
 
 _POPCOUNT8 = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
@@ -93,219 +59,20 @@ if hasattr(np, "bitwise_count"):
             return np.bitwise_count(acc.view(np.uint64)) \
                 .sum(axis=1, dtype=np.int64)
         return np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
-
-    def _popcount_row(acc: np.ndarray) -> int:
-        """Popcount of one packed bitmap row."""
-        head = acc.nbytes & ~7
-        if head and acc.flags.c_contiguous:
-            total = int(np.bitwise_count(
-                acc[:head].view(np.uint64)).sum(dtype=np.int64))
-            if acc.nbytes != head:
-                total += int(np.bitwise_count(
-                    acc[head:]).sum(dtype=np.int64))
-            return total
-        return int(np.bitwise_count(acc).sum(dtype=np.int64))
 else:
     def _popcount_rows(acc: np.ndarray) -> np.ndarray:
         """Per-row popcounts of a ``(rows, nbytes)`` packed matrix."""
         return _POPCOUNT8[acc].sum(axis=1, dtype=np.int64)
-
-    def _popcount_row(acc: np.ndarray) -> int:
-        """Popcount of one packed bitmap row."""
-        return int(_POPCOUNT8[acc].sum(dtype=np.int64))
-
-
-class _SubspaceMatcher:
-    """Pre-computed matching state for the units of one subspace."""
-
-    def __init__(self, dims: tuple[int, ...], rows: np.ndarray,
-                 units: UnitTable, grid: Grid) -> None:
-        self.dims = np.asarray(dims, dtype=np.int64)
-        self.dims_t = tuple(int(d) for d in dims)
-        self.rows = rows                      # indices into the CDU table
-        bins = units.bins[rows][:, :].astype(np.int64)
-        self.radices = np.array([grid[d].nbins for d in dims], dtype=np.int64)
-        product = 1
-        for r in self.radices:
-            product *= int(r)
-            if product >= _KEY_LIMIT:
-                break
-        self.overflow = product >= _KEY_LIMIT
-        if self.overflow:
-            # rare: fall back to per-unit column matching
-            self.unit_bins = bins
-            return
-        keys = self._keys(bins)
-        order = np.argsort(keys)
-        self.sorted_keys = keys[order]
-        self.order = order
-        # counts[mapped_rows] += hist is a permutation (unit keys are
-        # unique within a subspace), so plain fancy-index assignment
-        # replaces the unbuffered np.add.at scatter
-        self.mapped_rows = rows[order]
-
-    def _keys(self, idx: np.ndarray) -> np.ndarray:
-        key = idx[:, 0].astype(np.int64)
-        for j in range(1, idx.shape[1]):
-            key = key * self.radices[j] + idx[:, j]
-        return key
-
-    def _subspace_columns(self, bin_idx: np.ndarray) -> np.ndarray:
-        if bin_idx.shape[1] == len(self.dims_t):
-            # dims are strictly increasing, so covering every column
-            # means the identity selection — skip the fancy-index copy
-            return bin_idx
-        return bin_idx[:, self.dims]
-
-    def count_chunk(self, bin_idx: np.ndarray, counts: np.ndarray) -> None:
-        """Add this chunk's matches into ``counts`` (full CDU-table length)."""
-        sub = self._subspace_columns(bin_idx)
-        if self.overflow:
-            self._count_overflow(sub, counts)
-            return
-        self.count_keys(self._keys(sub), counts)
-
-    def _count_overflow(self, sub: np.ndarray, counts: np.ndarray) -> None:
-        # narrow the candidate set column by column and stop at the
-        # first empty intersection instead of building a full
-        # (rows, k) equality mask per unit
-        for local, row in enumerate(self.rows):
-            target = self.unit_bins[local]
-            cand = np.flatnonzero(sub[:, 0] == target[0])
-            for j in range(1, sub.shape[1]):
-                if cand.size == 0:
-                    break
-                cand = cand[sub[cand, j] == target[j]]
-            counts[row] += int(cand.size)
-
-    def count_keys(self, rec_keys: np.ndarray, counts: np.ndarray) -> None:
-        """Match pre-folded record keys against this subspace's units."""
-        pos = np.searchsorted(self.sorted_keys, rec_keys)
-        np.minimum(pos, len(self.sorted_keys) - 1, out=pos)
-        hit = self.sorted_keys[pos] == rec_keys
-        if hit.any():
-            local_counts = np.bincount(pos[hit],
-                                       minlength=len(self.sorted_keys))
-            counts[self.mapped_rows] += local_counts
-
-
-def build_matchers(units: UnitTable, grid: Grid) -> list[_SubspaceMatcher]:
-    """One matcher per distinct subspace, in lexicographic dim order so
-    consecutive matchers share key-fold prefixes."""
-    if units.n_units and int(units.dims.max()) >= grid.ndim:
-        raise DataError("unit table references dimensions beyond the grid")
-    return [
-        _SubspaceMatcher(dims, rows, units, grid)
-        for dims, rows in sorted(units.group_by_subspace().items())
-    ]
-
-
-def _count_with_matchers(matchers: list[_SubspaceMatcher],
-                         bin_idx: np.ndarray,
-                         counts: np.ndarray) -> None:
-    """Run one chunk through every matcher, reusing Horner fold
-    prefixes between consecutive (lexicographically sorted) subspaces.
-
-    The stack holds at most k live key arrays — the folds along the
-    current subspace's dim prefix — so sharing costs O(k·B) transient
-    memory, never one cached array per subspace.
-    """
-    stack_dims: list[int] = []
-    stack_keys: list[np.ndarray] = []
-    for m in matchers:
-        if m.overflow:
-            m.count_chunk(bin_idx, counts)
-            continue
-        dims_t = m.dims_t
-        keep = 0
-        limit = min(len(stack_dims), len(dims_t))
-        while keep < limit and stack_dims[keep] == dims_t[keep]:
-            keep += 1
-        del stack_dims[keep:], stack_keys[keep:]
-        for j in range(keep, len(dims_t)):
-            col = bin_idx[:, dims_t[j]]
-            if j == 0:
-                key = col.astype(np.int64)
-            else:
-                key = stack_keys[j - 1] * m.radices[j] + col
-            stack_dims.append(dims_t[j])
-            stack_keys.append(key)
-        m.count_keys(stack_keys[-1], counts)
-
-
-class _BitmapCounter:
-    """Batched bitmap-AND population over staged bin-index columns.
-
-    For each (dim, bin) pair some CDU references, one packed membership
-    bitmap is built per chunk; a CDU's count is then the popcount of
-    the AND of its k bitmaps.  ``np.packbits`` pads the last byte with
-    zero bits, which AND/popcount ignore, so partial chunks need no
-    special casing.
-
-    The bitmap matrix and the (batch, k, nbytes) gather / (batch,
-    nbytes) accumulator scratch persist across chunks and batches —
-    every chunk of a level pass has the same width except the last, so
-    the counter allocates once per pass instead of once per
-    ``count_columns`` call (and once more per unit batch).
-    """
-
-    def __init__(self, units: UnitTable, grid: Grid) -> None:
-        nbins = np.array([grid[d].nbins for d in range(grid.ndim)],
-                         dtype=np.int64)
-        offsets = np.zeros(grid.ndim + 1, dtype=np.int64)
-        np.cumsum(nbins, out=offsets[1:])
-        flat = offsets[units.dims.astype(np.int64)] \
-            + units.bins.astype(np.int64)
-        self.used = np.unique(flat)           # referenced (dim, bin) pairs
-        self.unit_rows = np.searchsorted(self.used, flat)  # (n_units, k)
-        self.used_dims = np.searchsorted(offsets, self.used,
-                                         side="right") - 1
-        self.used_bins = self.used - offsets[self.used_dims]
-        self._bitmaps: np.ndarray | None = None
-        self._gather: np.ndarray | None = None
-        self._acc: np.ndarray | None = None
-
-    def bitmap_nbytes(self, rows: int) -> int:
-        return len(self.used) * (-(-rows // 8))
-
-    def _scratch(self, row_bytes: int) -> np.ndarray:
-        """The persistent per-pass scratch, (re)sized for this chunk
-        width (only the final partial chunk ever differs)."""
-        if self._bitmaps is None or self._bitmaps.shape[1] != row_bytes:
-            self._bitmaps = np.empty((len(self.used), row_bytes),
-                                     dtype=np.uint8)
-            batch = max(1, min(_UNIT_BATCH, self.unit_rows.shape[0]))
-            self._gather = np.empty(
-                (batch, self.unit_rows.shape[1], row_bytes), dtype=np.uint8)
-            self._acc = np.empty((batch, row_bytes), dtype=np.uint8)
-        return self._bitmaps
-
-    def count_columns(self, cols: np.ndarray, counts: np.ndarray) -> None:
-        """Add one ``(n_dims, rows)`` column block's matches to ``counts``."""
-        bitmaps = self._scratch(-(-cols.shape[1] // 8))
-        for i in range(len(self.used)):
-            bitmaps[i] = np.packbits(
-                cols[self.used_dims[i]] == self.used_bins[i])
-        n_units = self.unit_rows.shape[0]
-        for lo in range(0, n_units, _UNIT_BATCH):
-            n = min(_UNIT_BATCH, n_units - lo)
-            gathered = self._gather[:n]
-            np.take(bitmaps, self.unit_rows[lo:lo + n], axis=0,
-                    out=gathered)
-            acc = self._acc[:n]
-            np.bitwise_and.reduce(gathered, axis=1, out=acc)
-            counts[lo:lo + n] += _popcount_rows(acc)
 
 
 class _PrefixMemo:
     """Byte-bounded LRU of prefix AND accumulators, keyed by the tuple
     of flat (dim, bin) pair ids along a lexicographic subspace prefix.
 
-    Shared by all compute threads of an :class:`IndexedPopulator` and
-    kept across level passes — a level-(k+1) CDU's k-prefix is a
-    level-k dense unit whose accumulator the previous pass cached.
-    Entries are immutable (readers AND them into fresh arrays), so a
-    cheap lock around the bookkeeping is the only synchronisation.
+    Kept across level passes by an :class:`IndexedPopulator` — a
+    level-(k+1) CDU's k-prefix is a level-k dense unit whose
+    accumulator the previous pass cached.  Entries are immutable
+    (readers AND them into fresh arrays).
     """
 
     def __init__(self, byte_budget: int) -> None:
@@ -313,7 +80,6 @@ class _PrefixMemo:
         self._entries: OrderedDict[tuple[int, ...], np.ndarray] = \
             OrderedDict()
         self._nbytes = 0
-        self._lock = threading.Lock()
 
     @property
     def nbytes(self) -> int:
@@ -323,29 +89,28 @@ class _PrefixMemo:
         return len(self._entries)
 
     def get(self, key: tuple[int, ...]) -> np.ndarray | None:
-        with self._lock:
-            acc = self._entries.get(key)
-            if acc is not None:
-                self._entries.move_to_end(key)
-            return acc
+        acc = self._entries.get(key)
+        if acc is not None:
+            self._entries.move_to_end(key)
+        return acc
 
     def put(self, key: tuple[int, ...], acc: np.ndarray) -> None:
         if acc.nbytes > self.byte_budget:
             return
         acc.setflags(write=False)
-        with self._lock:
-            prev = self._entries.pop(key, None)
-            if prev is not None:
-                self._nbytes -= prev.nbytes
-            self._entries[key] = acc
-            self._nbytes += acc.nbytes
-            while self._nbytes > self.byte_budget:
-                _, old = self._entries.popitem(last=False)
-                self._nbytes -= old.nbytes
+        prev = self._entries.pop(key, None)
+        if prev is not None:
+            self._nbytes -= prev.nbytes
+        self._entries[key] = acc
+        self._nbytes += acc.nbytes
+        while self._nbytes > self.byte_budget:
+            _, old = self._entries.popitem(last=False)
+            self._nbytes -= old.nbytes
 
 
 class _PassStats:
-    """Mutable per-segment tally, merged on the main thread."""
+    """Tally of one :func:`count_units` walk: memo probes that hit and
+    missed, and bitmap ANDs actually executed."""
 
     __slots__ = ("hits", "misses", "and_ops")
 
@@ -355,42 +120,118 @@ class _PassStats:
         self.and_ops = 0
 
 
+def count_units(index: BitmapIndex, units: UnitTable,
+                out: np.ndarray | None = None, *,
+                memo: _PrefixMemo | None = None,
+                order: np.ndarray | None = None,
+                stats: _PassStats | None = None) -> np.ndarray:
+    """Exact per-unit record counts straight off a bitmap index.
+
+    CDUs are visited in lexicographic pair order (``order`` may pass
+    that permutation precomputed; pair ids are monotone in the (dim,
+    bin) tokens, so the dedup phase's token sort agrees row for row).
+    ``stack_accs[j]`` is the AND of the bitmaps along the current
+    path's first ``j + 1`` pairs — or ``None`` when a ``memo`` seed
+    jumped straight to a deeper prefix and the intermediate
+    accumulators were never materialised (holes are recomputed only if
+    a later truncation exposes them).  With a ``memo`` every leaf is
+    also cached as a prefix of the next level's CDUs.
+
+    Counts are pure popcounts, additive over any row partition: the
+    streaming engine sums per-segment counts and equals one count over
+    the concatenated records.
+    """
+    counts = np.zeros(units.n_units, dtype=np.int64) if out is None else out
+    if out is not None:
+        counts[:] = 0
+    if units.n_units == 0:
+        return counts
+    stats = _PassStats() if stats is None else stats
+    pairs = index.pair_ids(units.dims, units.bins)
+    k = pairs.shape[1]
+    if order is None:
+        order = np.lexsort(tuple(pairs[:, j] for j in range(k - 1, -1, -1)))
+    stack_pairs: list[int] = []
+    stack_accs: list[np.ndarray | None] = []
+    batch = max(1, min(_UNIT_BATCH, units.n_units))
+    scratch = np.empty((batch, index.row_bytes), dtype=np.uint8)
+    pend_rows = np.empty(batch, dtype=np.int64)
+    n_pend = 0
+    for row_i in order:
+        row = pairs[row_i].tolist()     # plain ints: one C call
+        keep = 0
+        limit = len(stack_pairs)
+        while keep < limit and stack_pairs[keep] == row[keep]:
+            keep += 1
+        del stack_pairs[keep:], stack_accs[keep:]
+        # deepest kept depth whose accumulator is materialised
+        best = keep
+        while best > 0 and stack_accs[best - 1] is None:
+            best -= 1
+        # probe the memo for a prefix deeper than anything on the
+        # stack (depth-1 "prefixes" are raw index rows, never cached)
+        probes = range(k - 1, max(best, 1), -1) if memo is not None \
+            else ()
+        for plen in probes:
+            cached = memo.get(tuple(row[:plen]))
+            if cached is None:
+                stats.misses += 1
+                continue
+            stats.hits += 1
+            while len(stack_pairs) < plen:
+                stack_pairs.append(row[len(stack_pairs)])
+                stack_accs.append(None)
+            stack_accs[plen - 1] = cached
+            best = plen
+            break
+        acc = stack_accs[best - 1] if best else None
+        for j in range(best, k):
+            pair = row[j]
+            bitmap = index.bitmap(pair)
+            if acc is None:
+                acc = bitmap       # depth 1: a read-only index view
+            else:
+                acc = acc & bitmap
+                stats.and_ops += 1
+            if j < len(stack_pairs):
+                stack_pairs[j] = pair
+                stack_accs[j] = acc
+            else:
+                stack_pairs.append(pair)
+                stack_accs.append(acc)
+        if n_pend == batch:
+            counts[pend_rows] = _popcount_rows(scratch)
+            n_pend = 0
+        scratch[n_pend] = acc
+        pend_rows[n_pend] = row_i
+        n_pend += 1
+        if memo is not None and k >= 2:
+            # the leaf is the next level's prefix (level-(k+1) CDUs
+            # extend level-k dense units)
+            memo.put(tuple(row), acc)
+    if n_pend:
+        counts[pend_rows[:n_pend]] = _popcount_rows(scratch[:n_pend])
+    return counts
+
+
 class IndexedPopulator:
     """Population served from a persistent bitmap index: every pass is
     AND + popcount over cached bitmaps, no data reads at all.
 
-    One instance lives for the whole run (the memo spans level passes);
-    the driver closes it when the lattice loop ends.  ``counts`` are
-    exact integer popcounts of deterministic AND chains, so they are
-    bit-identical to the streaming engines' for any thread count and
-    any memo state.
+    One instance lives for the whole run so its prefix memo spans level
+    passes.  ``counts`` are exact integer popcounts of deterministic
+    AND chains, so they are bit-identical for any memo state.
     """
 
     def __init__(self, index: BitmapIndex, *,
-                 budget: int = DEFAULT_BITMAP_BUDGET,
-                 compute_threads: int = 1) -> None:
+                 budget: int = DEFAULT_BITMAP_BUDGET) -> None:
         self.index = index
         # the resident index and the memo share one byte budget; a
         # spilled (mmap) index leaves the whole budget to the memo
         memo_budget = budget - (index.nbytes if index.resident else 0)
         self.memo = _PrefixMemo(memo_budget)
-        self.compute_threads = max(1, int(compute_threads))
-        self._pool: ThreadPoolExecutor | None = None
         self._grid_ok: bool = False
 
-    # -- lifecycle --------------------------------------------------------
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "IndexedPopulator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- the pass ---------------------------------------------------------
     def _check_grid(self, grid: Grid) -> None:
         if self._grid_ok:
             return
@@ -401,16 +242,16 @@ class IndexedPopulator:
         self._grid_ok = True
 
     def populate_local(self, comm: Comm, grid: Grid, units: UnitTable,
-                       chunk_records: int, counts: np.ndarray,
+                       chunk_records: int,
                        order: np.ndarray | None = None) -> np.ndarray:
         """This rank's counts per CDU, straight off the index.
 
-        The virtual clock is charged the streaming engines' exact
-        per-chunk sequence (float-width I/O, then the naive per-CDU
-        cell cost) over the same chunk boundaries — same additions in
-        the same order, so simulated times are bit-identical to a pass
-        that actually read the data.  ``order`` forwards a precomputed
-        lexicographic unit permutation to :meth:`_count`.
+        The virtual clock is charged a record pass's exact per-chunk
+        sequence (float-width I/O, then the naive per-CDU cell cost)
+        over the same chunk boundaries — same additions in the same
+        order, so simulated times equal a pass that actually read the
+        data.  ``order`` forwards a precomputed lexicographic unit
+        permutation to :func:`count_units`.
         """
         if chunk_records <= 0:
             raise DataError(
@@ -426,173 +267,13 @@ class IndexedPopulator:
             if obs is not None:
                 obs.io_chunk(rows, nbytes, kind="indexed")
             comm.charge_cells(rows * per_record_cost)
-        stats = self._count(units, counts, order=order)
+        stats = _PassStats()
+        counts = count_units(index, units, memo=self.memo, order=order,
+                             stats=stats)
         if obs is not None:
             obs.indexed_pass(units.n_units, stats.hits, stats.misses,
                              stats.and_ops, self.memo.nbytes)
         return counts
-
-    def _count(self, units: UnitTable, counts: np.ndarray,
-               order: np.ndarray | None = None) -> _PassStats:
-        pairs = self.index.pair_ids(units.dims, units.bins)
-        k = pairs.shape[1]
-        # lexicographic subspace order maximises shared prefixes; the
-        # np.array_split segments stay contiguous runs of that order,
-        # so each thread keeps its own intra-segment prefix stack.
-        # ``order`` may pass the identical permutation precomputed from
-        # the dedup phase's packed token keys (pair ids are monotone in
-        # the (dim, bin) tokens, so the two sorts agree row for row) —
-        # the shared-prefix walk below is the same either way.
-        if order is None:
-            order = np.lexsort(
-                tuple(pairs[:, j] for j in range(k - 1, -1, -1)))
-        total = _PassStats()
-        if self.compute_threads == 1 or units.n_units < 2:
-            self._count_segment(pairs, order, counts, total)
-            return total
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.compute_threads,
-                thread_name_prefix="repro-index")
-        segments = [seg for seg in
-                    np.array_split(order, self.compute_threads) if len(seg)]
-        stats = [_PassStats() for _ in segments]
-        futures: list[Future] = [
-            self._pool.submit(self._count_segment, pairs, seg, counts, st)
-            for seg, st in zip(segments, stats)]
-        for future in futures:
-            future.result()
-        for st in stats:
-            total.hits += st.hits
-            total.misses += st.misses
-            total.and_ops += st.and_ops
-        return total
-
-    def _count_segment(self, pairs: np.ndarray, seg: np.ndarray,
-                       counts: np.ndarray, stats: _PassStats) -> None:
-        """Count one contiguous run of the lexicographic unit order.
-
-        ``stack_accs[j]`` is the AND of the bitmaps along the current
-        path's first ``j + 1`` pairs — or ``None`` when a memo seed
-        jumped straight to a deeper prefix and the intermediate
-        accumulators were never materialised (holes are recomputed
-        only if a later truncation exposes them).
-        """
-        index = self.index
-        memo = self.memo
-        k = pairs.shape[1]
-        stack_pairs: list[int] = []
-        stack_accs: list[np.ndarray | None] = []
-        # leaf accumulators are popcounted in batches: one vectorised
-        # count over (batch, row_bytes) replaces a per-unit
-        # ufunc-dispatch round trip
-        batch = max(1, min(_UNIT_BATCH, len(seg)))
-        scratch = np.empty((batch, index.row_bytes), dtype=np.uint8)
-        pend_rows = np.empty(batch, dtype=np.int64)
-        n_pend = 0
-        for row_i in seg:
-            row = pairs[row_i].tolist()     # plain ints: one C call
-            keep = 0
-            limit = len(stack_pairs)
-            while keep < limit and stack_pairs[keep] == row[keep]:
-                keep += 1
-            del stack_pairs[keep:], stack_accs[keep:]
-            # deepest kept depth whose accumulator is materialised
-            best = keep
-            while best > 0 and stack_accs[best - 1] is None:
-                best -= 1
-            # probe the memo for a prefix deeper than anything on the
-            # stack (depth-1 "prefixes" are raw index rows, never cached)
-            for plen in range(k - 1, max(best, 1), -1):
-                cached = memo.get(tuple(row[:plen]))
-                if cached is None:
-                    stats.misses += 1
-                    continue
-                stats.hits += 1
-                while len(stack_pairs) < plen:
-                    stack_pairs.append(row[len(stack_pairs)])
-                    stack_accs.append(None)
-                stack_accs[plen - 1] = cached
-                best = plen
-                break
-            acc = stack_accs[best - 1] if best else None
-            for j in range(best, k):
-                pair = row[j]
-                bitmap = index.bitmap(pair)
-                if acc is None:
-                    acc = bitmap       # depth 1: a read-only index view
-                else:
-                    acc = acc & bitmap
-                    stats.and_ops += 1
-                if j < len(stack_pairs):
-                    stack_pairs[j] = pair
-                    stack_accs[j] = acc
-                else:
-                    stack_pairs.append(pair)
-                    stack_accs.append(acc)
-            if n_pend == batch:
-                counts[pend_rows] = _popcount_rows(scratch)
-                n_pend = 0
-            scratch[n_pend] = acc
-            pend_rows[n_pend] = row_i
-            n_pend += 1
-            if k >= 2:
-                # the leaf is the next level's prefix (level-(k+1) CDUs
-                # extend level-k dense units)
-                memo.put(tuple(row), acc)
-        if n_pend:
-            counts[pend_rows[:n_pend]] = _popcount_rows(scratch[:n_pend])
-
-
-def count_units(index: BitmapIndex, units: UnitTable,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Exact per-unit record counts straight off a bitmap index.
-
-    The standalone cousin of :class:`IndexedPopulator`: same AND chains
-    in the same lexicographic order, but no communicator, no virtual
-    clock charges and no cross-call memo — a pure function of
-    ``(index, units)``.  The streaming engine counts each window
-    segment's local index with this and sums the per-segment integers,
-    which equals a single count over the concatenated records because
-    popcounts are additive over any row partition.
-    """
-    counts = np.zeros(units.n_units, dtype=np.int64) if out is None else out
-    if out is not None:
-        counts[:] = 0
-    if units.n_units == 0 or index.n_records == 0:
-        return counts
-    pairs = index.pair_ids(units.dims, units.bins)
-    k = pairs.shape[1]
-    order = np.lexsort(tuple(pairs[:, j] for j in range(k - 1, -1, -1)))
-    stack_pairs: list[int] = []
-    stack_accs: list[np.ndarray] = []
-    batch = max(1, min(_UNIT_BATCH, units.n_units))
-    scratch = np.empty((batch, index.row_bytes), dtype=np.uint8)
-    pend_rows = np.empty(batch, dtype=np.int64)
-    n_pend = 0
-    for row_i in order:
-        row = pairs[row_i].tolist()
-        keep = 0
-        limit = len(stack_pairs)
-        while keep < limit and stack_pairs[keep] == row[keep]:
-            keep += 1
-        del stack_pairs[keep:], stack_accs[keep:]
-        acc = stack_accs[keep - 1] if keep else None
-        for j in range(keep, k):
-            pair = row[j]
-            bitmap = index.bitmap(pair)
-            acc = bitmap if acc is None else acc & bitmap
-            stack_pairs.append(pair)
-            stack_accs.append(acc)
-        if n_pend == batch:
-            counts[pend_rows] = _popcount_rows(scratch)
-            n_pend = 0
-        scratch[n_pend] = acc
-        pend_rows[n_pend] = row_i
-        n_pend += 1
-    if n_pend:
-        counts[pend_rows[:n_pend]] = _popcount_rows(scratch[:n_pend])
-    return counts
 
 
 class OverlapRunner:
@@ -624,91 +305,41 @@ class OverlapRunner:
         self.close()
 
 
-def _populate_binned(binned: BinnedStore, comm: Comm, grid: Grid,
-                     units: UnitTable, chunk_records: int,
-                     counts: np.ndarray,
-                     retry: RetryPolicy | None,
-                     prefetch: bool = False) -> np.ndarray:
-    if binned.n_dims != grid.ndim:
-        raise DataError(
-            f"binned store has {binned.n_dims} dimensions, grid has "
-            f"{grid.ndim}")
-    per_record_cost = units.n_units * units.level
-    counter = _BitmapCounter(units, grid)
-    rows = min(chunk_records, binned.n_records)
-    use_bitmaps = counter.bitmap_nbytes(rows) <= _BITMAP_BYTE_CAP
-    matchers = None if use_bitmaps else build_matchers(units, grid)
-    for cols in binned.charged_chunks(comm, chunk_records, retry=retry,
-                                      prefetch=prefetch):
-        comm.charge_cells(cols.shape[1] * per_record_cost)
-        if use_bitmaps:
-            counter.count_columns(cols, counts)
-        else:
-            bin_idx = np.ascontiguousarray(cols.T).astype(np.int64)
-            _count_with_matchers(matchers, bin_idx, counts)
-    return counts
-
-
 def populate_local(source: DataSource | None, comm: Comm, grid: Grid,
                    units: UnitTable, chunk_records: int,
                    start: int = 0, stop: int | None = None,
                    retry: RetryPolicy | None = None, *,
-                   binned: BinnedStore | None = None,
                    indexed: IndexedPopulator | None = None,
-                   prefetch: bool = False,
                    order: np.ndarray | None = None) -> np.ndarray:
     """Counts of this rank's local records per CDU (one data pass).
 
     ``start``/``stop`` select the rank's block when the source holds the
     full data set (in-memory SPMD); a staged local file is passed whole.
-    With ``binned`` given the pass streams the staged bin-index store
-    (which must cover exactly this rank's ``[start, stop)`` block)
-    through the bitmap engine instead of re-reading and re-locating the
-    float records; counts and simulated-time charges are identical.
-    With ``indexed`` given (takes precedence) the pass is served from
-    the persistent bitmap index with no data reads at all, replaying
-    the identical charge sequence.  With ``prefetch`` the streaming
-    engines read the next chunk ahead on a background thread (double
-    buffering); counts and charges are again identical.
+    ``indexed`` serves the pass from the run's staged index (which must
+    cover exactly this block); without one a resident index is staged
+    from the source for this call alone.
     """
-    counts = np.zeros(units.n_units, dtype=np.int64)
     if units.n_units == 0:
-        return counts
-    if indexed is not None:
-        if source is not None:
-            expected = (source.n_records if stop is None else stop) - start
-            if indexed.index.n_records != expected:
-                raise DataError(
-                    f"bitmap index holds {indexed.index.n_records} records "
-                    f"but the rank's block has {expected}")
-        return indexed.populate_local(comm, grid, units, chunk_records,
-                                      counts, order=order)
-    if binned is not None:
-        if source is not None:
-            expected = (source.n_records if stop is None else stop) - start
-            if binned.n_records != expected:
-                raise DataError(
-                    f"binned store holds {binned.n_records} records but the "
-                    f"rank's block has {expected}")
-        return _populate_binned(binned, comm, grid, units, chunk_records,
-                                counts, retry, prefetch)
-    matchers = build_matchers(units, grid)
-    per_record_cost = units.n_units * units.level
-    for chunk in charged_chunks(source, comm, chunk_records, start, stop,
-                                retry=retry, prefetch=prefetch):
-        comm.charge_cells(chunk.shape[0] * per_record_cost)
-        bin_idx = grid.locate_records(chunk)
-        _count_with_matchers(matchers, bin_idx, counts)
-    return counts
+        return np.zeros(0, dtype=np.int64)
+    if indexed is None:
+        indexed = IndexedPopulator(build_bitmap_index(
+            source, grid, chunk_records, start, stop, retry=retry,
+            fault_state=getattr(comm, "fault_state", None)))
+    elif source is not None:
+        expected = (source.n_records if stop is None else stop) - start
+        if indexed.index.n_records != expected:
+            raise DataError(
+                f"bitmap index holds {indexed.index.n_records} records "
+                f"but the rank's block has {expected}")
+    return indexed.populate_local(comm, grid, units, chunk_records,
+                                  order=order)
 
 
 def populate_global(source: DataSource | None, comm: Comm, grid: Grid,
                     units: UnitTable, chunk_records: int,
                     start: int = 0, stop: int | None = None,
                     retry: RetryPolicy | None = None, *,
-                    binned: BinnedStore | None = None,
                     indexed: IndexedPopulator | None = None,
-                    prefetch: bool = False,
                     overlap: "Callable[[], None] | None" = None,
                     runner: OverlapRunner | None = None,
                     order: np.ndarray | None = None) -> np.ndarray:
@@ -727,8 +358,7 @@ def populate_global(source: DataSource | None, comm: Comm, grid: Grid,
     and torn down inside this call.
     """
     local = populate_local(source, comm, grid, units, chunk_records,
-                           start, stop, retry, binned=binned,
-                           indexed=indexed, prefetch=prefetch, order=order)
+                           start, stop, retry, indexed=indexed, order=order)
     if overlap is None:
         return comm.allreduce(local, op="sum")
     owned = OverlapRunner() if runner is None else None

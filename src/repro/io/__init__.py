@@ -1,17 +1,13 @@
 """Out-of-core I/O substrate: binary record files, chunked passes,
-block partitioning of N over p ranks, shared→local disk staging, the
-staged bin-index store behind the ``bin_cache`` policy and the
-persistent membership bitmap index behind ``bitmap_index``."""
+block partitioning of N over p ranks, shared→local disk staging and the
+persistent membership bitmap index every population pass reads."""
 
-from .binned import (BinnedStore, binned_cache_path, build_binned_store,
-                     grid_fingerprint, load_binned_cache, stage_binned)
 from .bitmap_index import (DEFAULT_BITMAP_BUDGET, BitmapIndex,
                            bitmap_cache_path, build_bitmap_index,
-                           index_nbytes, load_bitmap_cache,
-                           stage_bitmap_index)
+                           grid_fingerprint, index_nbytes,
+                           load_bitmap_cache, stage_bitmap_index)
 from .chunks import ArraySource, DataSource, as_source, charged_chunks
 from .partition import block_offsets, block_range
-from .prefetch import prefetched
 from .records import (DEFAULT_CRC_CHUNK_RECORDS, RecordFile, RecordFileInfo,
                       RecordFileWriter, read_header, write_records)
 from .resilient import DEFAULT_RETRY, RetryPolicy, read_with_retry
@@ -19,7 +15,6 @@ from .staging import local_path, stage_local
 
 __all__ = [
     "ArraySource",
-    "BinnedStore",
     "BitmapIndex",
     "DEFAULT_BITMAP_BUDGET",
     "DEFAULT_CRC_CHUNK_RECORDS",
@@ -30,22 +25,17 @@ __all__ = [
     "RecordFileWriter",
     "RetryPolicy",
     "as_source",
-    "binned_cache_path",
     "bitmap_cache_path",
     "block_offsets",
     "block_range",
-    "build_binned_store",
     "build_bitmap_index",
     "charged_chunks",
     "grid_fingerprint",
     "index_nbytes",
-    "load_binned_cache",
     "load_bitmap_cache",
     "local_path",
-    "prefetched",
     "read_header",
     "read_with_retry",
-    "stage_binned",
     "stage_bitmap_index",
     "stage_local",
     "write_records",

@@ -1,24 +1,24 @@
 """Persistent per-(dim, bin) membership bitmap index.
 
-The binned store (PR 2) removed the *float decode* from level passes but
-every pass still re-reads the staged columns and re-runs
-``np.packbits(col == b)`` for the same (dim, bin) pairs at every level
-and every chunk.  A :class:`BitmapIndex` is the next fixpoint of that
-redundancy: immediately after the adaptive grid is fixed, one staging
-pass packs **one membership bitmap per (dim, bin) pair of the grid** —
-bit ``r`` of bitmap ``(d, b)`` is set iff record ``r`` falls in bin
-``b`` of dimension ``d``.  Every later population pass is then pure
-AND + popcount over cached bitmaps: zero re-reads of the staged
-columns, zero repeated ``packbits`` (see
-:class:`repro.core.population.IndexedPopulator` for the memoized
-prefix AND-tree that consumes this index).
+Every population pass after grid construction needs only each record's
+bin membership per dimension.  A :class:`BitmapIndex` stages that once:
+immediately after the adaptive grid is fixed, one per-chunk pass over
+the float records locates every value (one ``searchsorted`` on the
+dimension's inner edges — the :meth:`~repro.types.DimensionGrid.locate`
+rule) and packs **one membership bitmap per (dim, bin) pair of the
+grid** — bit ``r`` of bitmap ``(d, b)`` is set iff record ``r`` falls in
+bin ``b`` of dimension ``d``.  Every later population pass is then pure
+AND + popcount over cached bitmaps with zero data reads (see
+:class:`repro.core.population.IndexedPopulator` for the memoized prefix
+AND walk that consumes this index).
 
-Residency is governed by a byte budget (``MafiaParams.bitmap_budget``):
+Residency is governed by one byte budget (``MafiaParams.bitmap_budget``):
 an index of ``sum(nbins) * ceil(n/8)`` bytes lives in RAM when it fits
-(``auto``/``resident``) and otherwise *spills* to an mmap-tiled on-disk
-format — each pair's bitmap is one contiguous tile, mapped read-only
-and CRC-verified lazily on first touch, with the same grid-fingerprint
-cache-invalidation rule as the PMBS binned store.
+and otherwise *spills* to an mmap-tiled on-disk format — each pair's
+bitmap is one contiguous tile, mapped read-only and CRC-verified lazily
+on first touch.  The grid fingerprint (:func:`grid_fingerprint`) is the
+cache-invalidation rule: a file is only served for the grid it was
+built from.
 
 On-disk format (version 1)::
 
@@ -44,15 +44,17 @@ population pass.  Batch staging keeps writing version 1; version-1
 files are upgraded to version 2 (with doubled capacity, via an atomic
 temp + rename) the first time they are appended to.
 
-Cost-model note: like binned staging, building the index charges
-*nothing* to the virtual clock, and the indexed population engine
-replays the exact per-chunk I/O + cell charges the streaming engines
-pay — the index changes wall clock only, never simulated SP2 times
+Cost-model note: building the index charges *nothing* to the virtual
+clock (like shared-to-local staging, which §5.2 excludes from
+measurements), and the indexed population engine replays the exact
+per-chunk float-width I/O + cell charges of the paper's per-pass record
+scan — the index changes wall clock only, never simulated SP2 times
 (see :mod:`repro.parallel.simtime`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -66,10 +68,9 @@ import numpy as np
 from ..errors import ChecksumError, DataError, RecordFileError
 from ..parallel.comm import Comm
 from ..types import Grid
-from .binned import BinnedStore, _source_chunks, _unlink_quiet, grid_fingerprint
-from .chunks import DataSource
+from .chunks import DataSource, _raw_blocks
 from .records import RecordFile
-from .resilient import RetryPolicy, read_with_retry
+from .resilient import RetryPolicy
 
 _MAGIC = b"PMBI"
 _VERSION = 1
@@ -88,6 +89,85 @@ _CRC_BLOCK = 1 << 20
 
 #: default residency budget for the index plus the prefix-AND memo
 DEFAULT_BITMAP_BUDGET = 1 << 28
+
+#: bytes a level pass is charged per record cell on the virtual clock —
+#: float64 width, so the simulated machine keeps paying the paper's
+#: per-pass record-read cost although the index reads no records at all
+RECORD_ITEMSIZE = 8
+
+
+def grid_fingerprint(grid: Grid) -> bytes:
+    """32-byte SHA-256 fingerprint of a grid's exact geometry.
+
+    Covers dimension count and, per dimension, the bin edges, density
+    thresholds and the uniform-resplit flag.  Two grids share a
+    fingerprint iff staged artifacts built under one are valid under
+    the other.
+    """
+    return _fingerprint(grid, thresholds=True)
+
+
+def edges_fingerprint(grid: Grid) -> bytes:
+    """32-byte SHA-256 fingerprint of a grid's *bin-edge geometry only*
+    (dimension count, per-dimension edges) — deliberately excluding the
+    density thresholds.
+
+    Bin membership — hence every membership bitmap — depends only on
+    the edges; thresholds merely classify counts as dense.  The
+    streaming engine keys its per-segment bitmap tiles and count caches
+    on this fingerprint so a grid whose thresholds moved (every ingest
+    changes ``n_records``, scaling thresholds) but whose edges did not
+    keeps all staged tiles valid.  Batch staging keeps using the
+    stricter :func:`grid_fingerprint`.
+    """
+    return _fingerprint(grid, thresholds=False)
+
+
+def _fingerprint(grid: Grid, *, thresholds: bool) -> bytes:
+    h = hashlib.sha256()
+    h.update(struct.pack("<q", grid.ndim))
+    for dg in grid:
+        h.update(struct.pack("<qq?", dg.dim, dg.nbins, dg.uniform))
+        h.update(np.asarray(dg.edges, dtype="<f8").tobytes())
+        if thresholds:
+            h.update(np.asarray(dg.thresholds, dtype="<f8").tobytes())
+    return h.digest()
+
+
+def _unlink_quiet(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _source_chunks(source: DataSource, chunk_records: int, start: int,
+                   stop: int, retry: RetryPolicy | None,
+                   fault_state) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(offset_from_start, chunk)`` pairs covering
+    ``[start, stop)`` — the resilient-read loop of
+    :func:`repro.io.chunks.charged_chunks`, minus the charging (staging
+    is free on the virtual clock, like
+    :func:`repro.io.staging.stage_local`)."""
+    read_block = getattr(source, "read_block", None)
+    if read_block is None:
+        chunks = source.iter_chunks(chunk_records, start, stop)
+    else:
+        chunks = _raw_blocks(read_block, fault_state, chunk_records, start,
+                             stop, retry)
+    offset = 0
+    for chunk in chunks:
+        yield offset, chunk
+        offset += chunk.shape[0]
+
+
+def _bin_column(inner_edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Contiguous ``uint8`` bin indices of one dimension's values under
+    the :meth:`~repro.types.DimensionGrid.locate` rule: below the domain
+    maps to bin 0, at or above the last inner edge to the last bin, and
+    NaN (which sorts past every edge) to the last bin too."""
+    return np.searchsorted(inner_edges, values, side="right") \
+        .astype(np.uint8)
 
 
 def _grid_nbins(grid: Grid) -> tuple[int, ...]:
@@ -310,28 +390,9 @@ def _aligned_chunk(chunk_records: int) -> int:
     return max(8, chunk_records - (chunk_records % 8))
 
 
-def _binned_blocks(binned: BinnedStore, chunk_records: int,
-                   retry: RetryPolicy | None,
-                   fault_state) -> Iterator[tuple[int, np.ndarray]]:
-    """``(offset, (n_dims, rows))`` blocks from the staged bin store —
-    the resilient-read pattern of its charged pass, minus the charging
-    (index staging is free on the virtual clock)."""
-    for index, lo in enumerate(range(0, binned.n_records, chunk_records)):
-        hi = min(lo + chunk_records, binned.n_records)
-
-        def attempt(lo: int = lo, hi: int = hi,
-                    index: int = index) -> np.ndarray:
-            if fault_state is not None:
-                fault_state.on_chunk_read(index)
-            return binned.read_columns(lo, hi)
-
-        yield lo, read_with_retry(attempt, retry)
-
-
-def build_bitmap_index(source: DataSource | None, grid: Grid,
+def build_bitmap_index(source: DataSource, grid: Grid,
                        chunk_records: int, start: int = 0,
                        stop: int | None = None, *,
-                       binned: BinnedStore | None = None,
                        path: str | os.PathLike | None = None,
                        retry: RetryPolicy | None = None,
                        fault_state=None,
@@ -340,64 +401,50 @@ def build_bitmap_index(source: DataSource | None, grid: Grid,
     rank's ``[start, stop)`` block, resident (``path`` None) or into the
     on-disk tile format (atomic temp + rename publish).
 
-    The pass prefers the staged bin-index store (``binned``) — compact
-    columns, no re-locating — and falls back to streaming the float
-    ``source`` through ``grid.locate_records`` when no store was staged
-    (``bin_cache="off"``).
+    Per byte-aligned chunk of float records and per dimension, the
+    values are located into a contiguous ``uint8`` bin column
+    (:func:`_bin_column`) and all of the dimension's bitmaps are packed
+    by one one-hot comparison + one ``np.packbits``.  Chunk reads go
+    through the resilient-read loop: the rank's ``fault_state`` is
+    consulted before every read and transient failures retry under
+    ``retry``.
 
     ``grid_hash`` overrides the fingerprint stamped into the index (the
-    streaming engine stamps :func:`~repro.io.binned.edges_fingerprint`
-    so tiles stay valid across threshold-only grid changes); the
-    default is the strict :func:`~repro.io.binned.grid_fingerprint`.
+    streaming engine stamps :func:`edges_fingerprint` so tiles stay
+    valid across threshold-only grid changes); the default is the
+    strict :func:`grid_fingerprint`.
     """
     nbins = _grid_nbins(grid)
     if max(nbins, default=1) > 256:
         raise DataError(
             f"grid has {max(nbins)} bins in one dimension; unit tables "
             f"hold byte bins, so the bitmap index supports at most 256")
-    if binned is not None:
-        n = binned.n_records
-        if binned.n_dims != grid.ndim:
-            raise DataError(
-                f"binned store has {binned.n_dims} dimensions, grid has "
-                f"{grid.ndim}")
-    else:
-        if source is None:
-            raise DataError("build_bitmap_index needs a source or a "
-                            "binned store")
-        stop = source.n_records if stop is None else stop
-        if not 0 <= start <= stop <= source.n_records:
-            raise DataError(
-                f"range [{start}, {stop}) out of bounds for "
-                f"{source.n_records} records")
-        n = stop - start
+    if source.n_dims != grid.ndim:
+        raise DataError(
+            f"records have {source.n_dims} dimensions, grid has "
+            f"{grid.ndim}")
+    stop = source.n_records if stop is None else stop
+    if not 0 <= start <= stop <= source.n_records:
+        raise DataError(
+            f"range [{start}, {stop}) out of bounds for "
+            f"{source.n_records} records")
+    n = stop - start
     chunk = _aligned_chunk(chunk_records)
     n_pairs = sum(nbins)
     row_bytes = -(-n // 8)
     offsets = _pair_offsets(nbins)
+    inner = [np.asarray(dg.edges[1:-1], dtype=np.float64) for dg in grid]
+    bin_ids = [np.arange(nb, dtype=np.uint8)[:, None] for nb in nbins]
     ghash = grid_fingerprint(grid) if grid_hash is None else bytes(grid_hash)
 
-    def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        """(record offset, (n_dims, rows)) column blocks."""
-        if binned is not None:
-            yield from _binned_blocks(binned, chunk, retry, fault_state)
-            return
+    def fill(data: np.ndarray) -> None:
         for offset, raw in _source_chunks(source, chunk, start, stop,
                                           retry, fault_state):
-            yield offset, grid.locate_records(raw).T
-
-    def fill(data: np.ndarray) -> None:
-        for offset, cols in blocks():
             byte_lo = offset // 8
             for dim in range(grid.ndim):
-                col = cols[dim]
+                col = _bin_column(inner[dim], raw[:, dim])
+                packed = np.packbits(col == bin_ids[dim], axis=1)
                 base = int(offsets[dim])
-                # all of the dimension's bitmaps in one one-hot
-                # comparison + one packbits (row-padded exactly like
-                # the per-bin packbits it replaces)
-                hits = col[None, :] == np.arange(
-                    nbins[dim], dtype=np.int64)[:, None]
-                packed = np.packbits(hits, axis=1)
                 data[base:base + nbins[dim],
                      byte_lo:byte_lo + packed.shape[1]] = packed
 
@@ -422,14 +469,7 @@ def build_bitmap_index(source: DataSource | None, grid: Grid,
         try:
             fill(mm)
             mm.flush()
-            crcs = []
-            for pair in range(n_pairs):
-                crc = 0
-                for lo in range(0, row_bytes, _CRC_BLOCK):
-                    crc = zlib.crc32(
-                        np.ascontiguousarray(mm[pair, lo:lo + _CRC_BLOCK]),
-                        crc)
-                crcs.append(crc)
+            crcs = [_tile_crc(mm[pair]) for pair in range(n_pairs)]
         finally:
             del mm  # drop the mapping (and its descriptor) before publish
         with open(tmp, "ab") as fh:
@@ -448,14 +488,14 @@ def _membership_bits(grid: Grid, records: np.ndarray,
                      nbins: tuple[int, ...]) -> np.ndarray:
     """``(n_pairs, m)`` membership booleans of ``m`` new records — the
     unpacked form of the tile bits an append splices on."""
-    cols = grid.locate_records(records).T
     offsets = _pair_offsets(nbins)
     hits = np.empty((sum(nbins), records.shape[0]), dtype=bool)
-    for dim in range(len(nbins)):
+    for dim, dg in enumerate(grid):
         base = int(offsets[dim])
+        col = _bin_column(np.asarray(dg.edges[1:-1], dtype=np.float64),
+                          records[:, dim])
         hits[base:base + nbins[dim]] = (
-            cols[dim][None, :]
-            == np.arange(nbins[dim], dtype=np.int64)[:, None])
+            col == np.arange(nbins[dim], dtype=np.uint8)[:, None])
     return hits
 
 
@@ -704,55 +744,46 @@ def load_bitmap_cache(path: str | os.PathLike, grid: Grid,
     return index
 
 
-def stage_bitmap_index(source: DataSource | None, comm: Comm, grid: Grid,
+def stage_bitmap_index(source: DataSource, comm: Comm, grid: Grid,
                        chunk_records: int, start: int = 0,
-                       stop: int | None = None, *, policy: str = "auto",
+                       stop: int | None = None, *,
                        budget: int = DEFAULT_BITMAP_BUDGET,
-                       binned: BinnedStore | None = None,
-                       retry: RetryPolicy | None = None
-                       ) -> BitmapIndex | None:
-    """Stage this rank's bitmap index under a ``bitmap_index`` policy.
+                       retry: RetryPolicy | None = None) -> BitmapIndex:
+    """Stage this rank's bitmap index; ``budget`` alone decides where it
+    lives.
 
-    ``"auto"`` keeps the index resident when it fits ``budget`` bytes
-    and spills to the mmap tile format otherwise; ``"resident"`` forces
-    RAM regardless of the budget; ``"mmap"`` always writes the on-disk
-    format — next to the rank's staged record file when the source is
-    one (reusing a still-valid cache from an earlier run), otherwise
-    into an anonymous temp file removed with the index; ``"off"``
-    returns ``None`` (the streaming engines run instead).  Staging
-    charges nothing to the virtual clock, like shared-to-local staging.
+    An index that fits ``budget`` bytes stays resident in RAM.  A larger
+    one spills to the mmap tile format — next to the rank's staged
+    record file when the source is one (reusing a still-valid cache
+    from an earlier run), otherwise into an anonymous temp file removed
+    with the index.  Staging charges nothing to the virtual clock, like
+    shared-to-local staging.
     """
-    if policy == "off":
-        return None
-    if policy not in ("auto", "resident", "mmap"):
-        raise DataError(f"unknown bitmap_index policy {policy!r}")
-    if binned is not None:
-        n = binned.n_records
-    else:
-        stop = (source.n_records if stop is None else stop)
-        n = stop - start
+    stop = source.n_records if stop is None else stop
+    n = stop - start
     fault_state = getattr(comm, "fault_state", None)
-    obs = getattr(comm, "obs", None)
-    want_resident = policy == "resident" or (
-        policy == "auto" and index_nbytes(grid, n) <= budget)
-    if want_resident:
+    if index_nbytes(grid, n) <= budget:
         index = build_bitmap_index(source, grid, chunk_records, start, stop,
-                                   binned=binned, retry=retry,
-                                   fault_state=fault_state)
+                                   retry=retry, fault_state=fault_state)
     elif isinstance(source, RecordFile):
         path = bitmap_cache_path(source.path)
         index = load_bitmap_cache(path, grid, n)
         if index is None:
             index = build_bitmap_index(source, grid, chunk_records, start,
-                                       stop, binned=binned, path=path,
-                                       retry=retry, fault_state=fault_state)
+                                       stop, path=path, retry=retry,
+                                       fault_state=fault_state)
     else:
         fd, tmpname = tempfile.mkstemp(prefix="pmafia-rank-", suffix=".bmx")
         os.close(fd)
-        index = build_bitmap_index(source, grid, chunk_records, start, stop,
-                                   binned=binned, path=tmpname, retry=retry,
-                                   fault_state=fault_state)
+        try:
+            index = build_bitmap_index(source, grid, chunk_records, start,
+                                       stop, path=tmpname, retry=retry,
+                                       fault_state=fault_state)
+        except BaseException:
+            _unlink_quiet(tmpname)
+            raise
         weakref.finalize(index, _unlink_quiet, tmpname)
+    obs = getattr(comm, "obs", None)
     if obs is not None:
         obs.bitmap_index_built(index.n_pairs, index.nbytes, index.resident)
     return index

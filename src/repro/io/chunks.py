@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import DataError
 from ..parallel.comm import Comm
-from .prefetch import prefetched
 from .resilient import RetryPolicy, read_with_retry
 
 
@@ -99,9 +98,8 @@ def as_source(data) -> DataSource:
 def _raw_blocks(read_block, fault_state, chunk_records: int, start: int,
                 stop: int, retry: RetryPolicy | None,
                 on_retry=None) -> Iterator[np.ndarray]:
-    """The uncharged read loop — safe to run on a prefetch thread (it
-    touches only the source, the rank's fault state and the retry
-    counter, never the communicator's clock)."""
+    """The uncharged read loop: per-chunk fault hook plus retried
+    ``read_block`` calls, shared by the charged passes and staging."""
     for index, lo in enumerate(range(start, stop, chunk_records)):
         hi = min(lo + chunk_records, stop)
 
@@ -117,8 +115,7 @@ def _raw_blocks(read_block, fault_state, chunk_records: int, start: int,
 def charged_chunks(source: DataSource, comm: Comm, chunk_records: int,
                    start: int = 0, stop: int | None = None,
                    itemsize: int = 8,
-                   retry: RetryPolicy | None = None,
-                   prefetch: bool = False) -> Iterator[np.ndarray]:
+                   retry: RetryPolicy | None = None) -> Iterator[np.ndarray]:
     """Iterate chunks while charging each block read to the rank's
     virtual I/O clock (one chunk access of ``rows * d * itemsize`` bytes).
 
@@ -132,14 +129,9 @@ def charged_chunks(source: DataSource, comm: Comm, chunk_records: int,
     path.  Pure streaming sources without ``read_block`` cannot be
     re-read and fall back to plain iteration.
 
-    With ``prefetch`` the next block is read one step ahead on a
-    background thread (:func:`repro.io.prefetch.prefetched`); charging
-    always happens here on the consumer thread, so simulated times are
-    unaffected.
-
     When the rank has an observer attached (``comm.obs``), every chunk
     is also counted into its metrics registry (chunks / records /
-    bytes, retries, prefetch hits) — pure counting on top of the same
+    bytes, retries) — pure counting on top of the same
     values already charged, so virtual clocks are untouched.
     """
     obs = getattr(comm, "obs", None)
@@ -158,9 +150,6 @@ def charged_chunks(source: DataSource, comm: Comm, chunk_records: int,
         chunks = _raw_blocks(read_block, getattr(comm, "fault_state", None),
                              chunk_records, start, stop, retry,
                              obs.io_retry if obs is not None else None)
-    if prefetch:
-        chunks = prefetched(
-            chunks, obs.prefetch_result if obs is not None else None)
     for chunk in chunks:
         nbytes = chunk.shape[0] * chunk.shape[1] * itemsize
         comm.charge_io(nbytes, chunks=1)

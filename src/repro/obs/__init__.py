@@ -153,23 +153,17 @@ class RankObs:
     # -- I/O hooks -------------------------------------------------------
     def io_chunk(self, rows: int, nbytes: int,
                  kind: str = "records") -> None:
-        """One chunk handed to the consumer (record or binned pass)."""
+        """One chunk of a pass: a record read (``records``) or the
+        replayed charge of an index-served level pass (``indexed``)."""
         if self.metrics is not None:
             self.metrics.counter("io.chunks_read", kind=kind).inc()
             self.metrics.counter("io.records_read", kind=kind).inc(rows)
             self.metrics.counter("io.bytes_read", kind=kind).inc(nbytes)
 
     def io_retry(self) -> None:
-        """One transient read failure absorbed by the retry loop.  May
-        fire on a prefetch reader thread (plain GIL-guarded add)."""
+        """One transient read failure absorbed by the retry loop."""
         if self.metrics is not None:
             self.metrics.counter("io.read_retries").inc()
-
-    def prefetch_result(self, hit: bool) -> None:
-        """Whether a prefetched chunk was ready when the consumer asked."""
-        if self.metrics is not None:
-            name = "io.prefetch_hits" if hit else "io.prefetch_misses"
-            self.metrics.counter(name).inc()
 
     # -- bitmap-index hooks ----------------------------------------------
     def bitmap_index_built(self, n_pairs: int, nbytes: int,

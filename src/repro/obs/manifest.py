@@ -2,7 +2,7 @@
 
 One JSON document per run answering "what exactly ran": the full
 parameter set, the adaptive-grid fingerprint (the same SHA-256 the
-binned store and checkpoints carry, so artifacts cross-check), data-set
+bitmap index and checkpoints carry, so artifacts cross-check), data-set
 shape, the per-level lattice sizes, per-phase wall totals from the
 span buffer and the virtual completion time on the simulated backend.
 
@@ -34,7 +34,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..io.binned import grid_fingerprint
+from ..io.bitmap_index import grid_fingerprint
 
 SCHEMA = "pmafia-run-manifest/1"
 MANIFEST_NAME = "run_manifest.json"

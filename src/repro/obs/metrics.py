@@ -14,9 +14,7 @@ communicator, its virtual clock or the cost-accounting hooks, which is
 what keeps results and simulated runtimes bit-identical with metrics
 enabled (asserted by ``tests/test_observability.py``).
 
-Counter increments are plain int/float adds guarded by the GIL; the
-only off-thread writers are the retry counters bumped on a prefetch
-reader thread, for which that is sufficient.
+Counter increments are plain int/float adds guarded by the GIL.
 """
 
 from __future__ import annotations

@@ -22,19 +22,18 @@ Charging policy for engine variants
 -----------------------------------
 The virtual machine models the *paper's* implementation: per-record
 scans that re-read 8-byte records on every pass.  Faster engines in
-this codebase (the staged bin-index store, the persistent bitmap
-index, chunk prefetching, hash joins on the sim backend staying
-pairwise) must therefore **charge what the modelled machine would have
-paid, not what they actually did**: level passes charge float-width
-I/O per chunk and the naive per-CDU cell cost in the same order and
-amounts regardless of engine — the bitmap-index engine performs zero
-reads yet *replays* the identical ``charge_io``/``charge_cells``
-sequence over the same chunk boundaries.  Charges are plain float
-additions, so an identical call sequence yields bit-identical clocks:
-virtual SP2 times are invariant under every engine knob
-(``bin_cache``, ``bitmap_index``, ``compute_threads``, ``prefetch``)
-while wall clock drops.  Staging passes (bin store, bitmap index,
-shared-to-local copy) charge nothing, as §5.2 excludes them.
+this codebase (the persistent bitmap index, the hash join — which
+the sim backend keeps pairwise) must therefore **charge what the
+modelled machine would have paid, not what they actually did**: level
+passes charge float-width I/O per chunk and the naive per-CDU cell
+cost in the same order and amounts as a record scan — the bitmap-index
+engine performs zero reads yet *replays* the identical
+``charge_io``/``charge_cells`` sequence over the same chunk
+boundaries.  Charges are plain float additions, so an identical call
+sequence yields bit-identical clocks: virtual SP2 times are invariant
+under the index's residency (``bitmap_budget``) while wall clock
+drops.  Staging passes (bitmap index, shared-to-local copy) charge
+nothing, as §5.2 excludes them.
 """
 
 from __future__ import annotations

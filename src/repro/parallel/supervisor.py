@@ -16,7 +16,7 @@ parent-side supervisor that
 3. **rebuilds only the lost shard**: a replacement process is spawned
    with a :class:`RecoveryBoot` telling it to restore the agreed level
    directly from the checkpoint directory and restage its own block
-   from the record file and the staged PMBS/PMBI artifacts — no
+   from the record file and the staged PMBI bitmap index — no
    collective participation until it reaches the restore point;
 4. **re-admits** the replacement: survivors resume from the same level
    under a new *epoch*, and because every pass is a deterministic

@@ -78,17 +78,6 @@ class MafiaParams:
         Algorithm 3 rule.  ``"maximal"`` reports every dense unit that
         is not a projection of a dense unit one level up (strictly
         lossless, may surface marginal boundary leftovers).
-    bin_cache:
-        Where the staged bin-index store lives.  Once the adaptive grid
-        is fixed, each rank converts its local records to per-dimension
-        bin indices exactly once; every level pass then streams those
-        compact columns instead of re-reading and re-locating the float
-        records.  ``"memory"`` (default) keeps the store in RAM (n x d
-        bytes per rank), ``"disk"`` writes it next to the rank's staged
-        record file (reused across runs while the grid fingerprint
-        matches), ``"off"`` disables the cache and re-locates records
-        every pass.  Results and simulated runtimes are identical under
-        all three policies.
     join_strategy:
         How CDUs are generated from the dense units of the level below.
         ``"pairwise"`` runs the paper's O(Ndu²) triangular sweep
@@ -98,32 +87,17 @@ class MafiaParams:
         above it — and always pairwise on the simulated-time backend,
         so virtual SP2 runtimes keep the paper's cost model.  Clusters
         are identical under all values.
-    prefetch:
-        When True, level passes double-buffer their chunk reads: the
-        next chunk of the binned store (or float records) is staged on
-        a background thread while the current chunk's counting runs.
-        Results and simulated runtimes are unaffected.
-    bitmap_index:
-        Whether each rank keeps a persistent per-(dim, bin) membership
-        bitmap index for the lifetime of the run.  Built once right
-        after the adaptive grid is fixed, the index turns every level
-        pass into pure AND + popcount over cached bitmaps — zero
-        re-reads of the staged columns and zero repeated ``packbits``.
-        ``"auto"`` (default) keeps the index resident in RAM when it
-        fits ``bitmap_budget`` bytes and spills it to an mmap-tiled
-        on-disk format (CRC-checked, grid-fingerprint-invalidated)
-        otherwise; ``"resident"`` / ``"mmap"`` force one mode;
-        ``"off"`` disables the index and level passes stream the
-        binned store (or float records) as before.  Clusters, CDU
-        counts and simulated runtimes are bit-identical under every
-        value — the index changes wall clock only.
     bitmap_budget:
-        Byte budget (per rank) shared by the resident bitmap index and
-        the memoized prefix-AND cache on top of it.  Default 256 MiB.
-    compute_threads:
-        Intra-rank threads tiling the indexed engine's AND/popcount
-        loop (numpy releases the GIL).  1 (default) stays serial;
-        counts are bit-identical for any value.
+        Byte budget (per rank) shared by the bitmap index and the
+        memoized prefix-AND cache on top of it.  Right after the
+        adaptive grid is fixed each rank packs one membership bitmap
+        per (dim, bin) pair of its local records; every level pass is
+        then AND + popcount over those bitmaps.  The index stays
+        resident in RAM when it fits this budget and spills to an
+        mmap-tiled on-disk format (CRC-checked,
+        grid-fingerprint-invalidated) otherwise.  Clusters, CDU counts
+        and simulated runtimes are bit-identical either way.  Default
+        256 MiB.
     trace:
         When True, every rank records per-span timing (wall and
         virtual clocks) of phases, collectives, level passes and
@@ -134,8 +108,8 @@ class MafiaParams:
     metrics:
         When True, every rank keeps the :mod:`repro.obs` counter/gauge/
         histogram registry (records read, bytes per collective, pairs
-        examined, per-level lattice sizes, retries, checkpoint bytes,
-        prefetch hits).  Same bit-identity guarantee as ``trace``.
+        examined, per-level lattice sizes, retries, checkpoint bytes).
+        Same bit-identity guarantee as ``trace``.
     rebalance:
         When True (and more than one rank, on a wall-clock backend),
         the driver watches realised per-level population times and
@@ -159,12 +133,8 @@ class MafiaParams:
     max_dimensionality: int = 64
     min_bin_points: int = 0
     report: str = "merged"
-    bin_cache: str = "memory"
     join_strategy: str = "auto"
-    prefetch: bool = False
-    bitmap_index: str = "auto"
     bitmap_budget: int = 1 << 28
-    compute_threads: int = 1
     trace: bool = False
     metrics: bool = False
     rebalance: bool = False
@@ -174,25 +144,15 @@ class MafiaParams:
             raise ParameterError(
                 f"report must be 'merged', 'paper' or 'maximal', "
                 f"got {self.report!r}")
-        if self.bin_cache not in ("memory", "disk", "off"):
-            raise ParameterError(
-                f"bin_cache must be 'memory', 'disk' or 'off', "
-                f"got {self.bin_cache!r}")
         if self.join_strategy not in JOIN_STRATEGIES:
             choices = ", ".join(repr(s) for s in JOIN_STRATEGIES)
             raise ParameterError(
                 f"join_strategy must be one of {choices}, "
                 f"got {self.join_strategy!r}")
-        if self.bitmap_index not in ("auto", "resident", "mmap", "off"):
-            raise ParameterError(
-                f"bitmap_index must be 'auto', 'resident', 'mmap' or "
-                f"'off', got {self.bitmap_index!r}")
-        for name in ("bitmap_budget", "compute_threads"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ParameterError(
-                    f"{name} must be a positive int, got {value!r}")
-        for name in ("prefetch", "trace", "metrics", "rebalance"):
+        if not isinstance(self.bitmap_budget, int) or self.bitmap_budget <= 0:
+            raise ParameterError(f"bitmap_budget must be a positive int, "
+                                 f"got {self.bitmap_budget!r}")
+        for name in ("trace", "metrics", "rebalance"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ParameterError(

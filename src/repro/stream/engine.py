@@ -66,9 +66,8 @@ from ..core.pmafia import (_eliminate_repeat_cdus,
 from ..core.result import ClusteringResult, LevelTrace
 from ..core.units import UnitTable
 from ..errors import DataError, StreamError
-from ..io.binned import edges_fingerprint
 from ..io.bitmap_index import (append_bitmap_index, append_bitmap_tiles,
-                               bitmap_cache_path)
+                               bitmap_cache_path, edges_fingerprint)
 from ..io.partition import block_range
 from ..io.records import RecordFile, write_records
 from ..obs import RankObs

@@ -4,7 +4,7 @@ Each ingested delta becomes one :class:`WindowSegment` holding the
 rank's local slice of the delta's records plus two lazily built,
 reusable artifacts: a per-(dim, bin) bitmap index over the slice and a
 cache of per-CDU popcounts.  Both depend only on the grid's *bin
-edges* (stamped via :func:`repro.io.binned.edges_fingerprint`), so
+edges* (stamped via :func:`repro.io.bitmap_index.edges_fingerprint`), so
 they survive threshold-only grid changes — the common case under
 steady traffic, where new deltas shift density thresholds every ingest
 but leave the merged bin structure alone.

@@ -2,9 +2,9 @@
 
 The load-bearing property: a population pass served from a
 :class:`~repro.io.bitmap_index.BitmapIndex` — resident or spilled,
-memo warm or cold, one compute thread or many, and on every backend —
-produces *bit-identical* CDU counts, clusters and simulated virtual
-times to the streaming engines.  The index is a pure cache; any
+memo warm or cold, and on every backend — produces exactly the counts
+of a brute-force recount, and clusters and simulated virtual times that
+do not depend on where the index lives.  The index is a pure cache; any
 observable difference is a bug.
 """
 
@@ -17,39 +17,62 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import population
+from repro.analysis import verify_result
 from repro.core.mafia import mafia, pmafia, pmafia_resumable
 from repro.core.population import (IndexedPopulator, OverlapRunner,
-                                   populate_global, populate_local)
+                                   count_units, populate_global,
+                                   populate_local)
 from repro.core.units import UnitTable
 from repro.datagen import ClusterSpec, generate
 from repro.errors import ChecksumError, DataError, RecordFileError
 from repro.io import ArraySource, write_records
-from repro.io.binned import build_binned_store
 from repro.io.bitmap_index import (BitmapIndex, append_bitmap_index,
                                    append_bitmap_tiles, bitmap_cache_path,
-                                   build_bitmap_index, index_nbytes,
-                                   invalidate_bitmap_cache,
+                                   build_bitmap_index, grid_fingerprint,
+                                   index_nbytes, invalidate_bitmap_cache,
                                    load_bitmap_cache, stage_bitmap_index)
-from repro.io.binned import grid_fingerprint
 from repro.parallel import SerialComm
 from repro.params import MafiaParams
+from repro.types import DimensionGrid, Grid
 from tests.conftest import DOMAINS_10D
-from tests.test_binned_store import (cluster_signature, random_units,
-                                     uniform_grid)
+from tests.test_population import brute_force_counts
 
 PARAMS = MafiaParams(fine_bins=100, window_size=2, chunk_records=1000)
+
+
+def uniform_grid(d: int, nbins: int) -> Grid:
+    dims = []
+    for j in range(d):
+        edges = tuple(np.linspace(0, 100, nbins + 1))
+        dims.append(DimensionGrid(dim=j, edges=edges,
+                                  thresholds=(1.0,) * nbins))
+    return Grid(dims=tuple(dims))
+
+
+def random_units(rng, d: int, nbins: int, level: int,
+                 n_units: int) -> UnitTable:
+    units = []
+    for _ in range(n_units):
+        dims = sorted(rng.choice(d, size=level, replace=False).tolist())
+        units.append([(dim, int(rng.integers(0, nbins))) for dim in dims])
+    return UnitTable.from_pairs(units).unique()
+
+
+def cluster_signature(result):
+    return [
+        (tuple(c.subspace.dims), c.units_bins.tolist(), c.point_count)
+        for c in result.clusters
+    ]
 
 
 def expected_bitmap(records, grid, dim, bin_):
     return np.packbits(grid.locate_records(records)[:, dim] == bin_)
 
 
-def make_populator(source, grid, chunk=64, *, policy="resident",
-                   budget=1 << 24, threads=1, comm=None):
+def make_populator(source, grid, chunk=64, *, budget=1 << 24, comm=None):
     index = stage_bitmap_index(source, comm or SerialComm(), grid, chunk,
-                               policy=policy, budget=budget)
-    return IndexedPopulator(index, budget=budget, compute_threads=threads)
+                               budget=budget)
+    return IndexedPopulator(index, budget=budget)
 
 
 class TestIndexFormat:
@@ -84,16 +107,11 @@ class TestIndexFormat:
                         index.bitmap(index.pair_id(dim, b)),
                         expected_bitmap(records, grid, dim, b))
 
-    def test_built_from_binned_store_matches_source_build(self, tmp_path):
-        rng = np.random.default_rng(2)
-        records = rng.random((300, 3)) * 100.0
-        grid = uniform_grid(3, 5)
-        source = ArraySource(records)
-        binned = build_binned_store(source, grid, 64)
-        via_store = build_bitmap_index(None, grid, 64, binned=binned)
-        via_source = build_bitmap_index(source, grid, 64)
-        for p in range(via_source.n_pairs):
-            assert np.array_equal(via_store.bitmap(p), via_source.bitmap(p))
+    def test_grid_fingerprint_sensitivity(self):
+        a = uniform_grid(3, 5)
+        b = uniform_grid(3, 6)
+        assert grid_fingerprint(a) == grid_fingerprint(uniform_grid(3, 5))
+        assert grid_fingerprint(a) != grid_fingerprint(b)
 
     def test_crc_detects_corruption(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -160,16 +178,15 @@ class TestIndexFormat:
         bad = UnitTable.from_pairs([[(0, 1), (1, 5)]])  # bin 5 of 4
         with pytest.raises(DataError):
             index.pair_ids(bad.dims, bad.bins)
-        with pytest.raises(DataError):
-            build_bitmap_index(None, grid, 32)
+        with pytest.raises(DataError):     # records narrower than grid
+            build_bitmap_index(ArraySource(records[:, :1]), grid, 32)
         with pytest.raises(DataError):
             build_bitmap_index(ArraySource(records), grid, 0)
         with pytest.raises(DataError):
             build_bitmap_index(ArraySource(records), uniform_grid(2, 300),
                                32)
         with pytest.raises(DataError):
-            stage_bitmap_index(ArraySource(records), SerialComm(), grid,
-                               32, policy="ram")
+            build_bitmap_index(ArraySource(records), grid, 32, 10, 65)
 
     def test_resident_bitmaps_are_read_only(self):
         rng = np.random.default_rng(7)
@@ -178,6 +195,67 @@ class TestIndexFormat:
         index = build_bitmap_index(ArraySource(records), grid, 32)
         with pytest.raises(ValueError):
             index.bitmap(0)[0] = 0xFF
+
+
+#: values that stress the locate rule: NaN, both infinities, the
+#: domain's extremes, and values outside it
+_HOSTILE = (np.nan, np.inf, -np.inf, 0.0, 100.0, -1e-300, -50.0, 100.5,
+            1e308, -1e308)
+
+
+@st.composite
+def hostile_blocks(draw):
+    """A grid with uneven edges plus records drawn from its edges, the
+    hostile specials and ordinary in-domain values."""
+    d = draw(st.integers(1, 4))
+    dims = []
+    for j in range(d):
+        nbins = draw(st.integers(1, 12))
+        inner = sorted(set(draw(st.lists(
+            st.floats(0.5, 99.5, allow_nan=False), min_size=nbins - 1,
+            max_size=nbins - 1))))
+        edges = (0.0, *inner, 100.0)
+        dims.append(DimensionGrid(dim=j, edges=edges,
+                                  thresholds=(1.0,) * (len(edges) - 1)))
+    grid = Grid(dims=tuple(dims))
+    pool = st.one_of(st.sampled_from(_HOSTILE),
+                     st.floats(-10.0, 110.0, allow_nan=False),
+                     st.sampled_from([e for dg in grid for e in dg.edges]))
+    n = draw(st.sampled_from([0, 1, 7, 9, 23, 64, 130]))
+    records = np.array(
+        draw(st.lists(st.lists(pool, min_size=d, max_size=d),
+                      min_size=n, max_size=n)),
+        dtype=np.float64).reshape(n, d)
+    chunk = draw(st.sampled_from([1, 3, 7, 9, 13, 17, 100]))
+    return grid, records, chunk
+
+
+class TestLocateAndPack:
+    """The staging pass (locate into a ``uint8`` column, one-hot
+    ``packbits``) against the literal rule: bitmap ``(d, b)`` is
+    ``packbits(grid.locate_records(x)[:, d] == b)``."""
+
+    @given(hostile_blocks())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_hostile_values_match_locate(self, case):
+        grid, records, chunk = case
+        source = ArraySource(records)
+        index = build_bitmap_index(source, grid, chunk)
+        for dim in range(grid.ndim):
+            for b in range(grid[dim].nbins):
+                assert np.array_equal(index.bitmap(index.pair_id(dim, b)),
+                                      expected_bitmap(records, grid, dim,
+                                                      b)), (dim, b)
+        # a one-record block of the same data, and an append of the
+        # rest onto it, pack exactly like the whole-block build
+        if len(records):
+            head = build_bitmap_index(source, grid, chunk, 0, 1)
+            whole = append_bitmap_tiles(head, grid, records[1:])
+            for pair in range(index.n_pairs):
+                assert np.array_equal(whole.bitmap(pair),
+                                      index.bitmap(pair))
 
 
 class TestSpillPolicy:
@@ -189,28 +267,14 @@ class TestSpillPolicy:
         comm = SerialComm()
         nbytes = index_nbytes(grid, 2000)
         resident = stage_bitmap_index(source, comm, grid, 256,
-                                      policy="auto", budget=nbytes)
+                                      budget=nbytes)
         assert resident.resident
         spilled = stage_bitmap_index(source, comm, grid, 256,
-                                     policy="auto", budget=nbytes - 1)
+                                     budget=nbytes - 1)
         assert not spilled.resident
         assert spilled.path is not None and spilled.path.exists()
         for p in range(resident.n_pairs):
             assert np.array_equal(resident.bitmap(p), spilled.bitmap(p))
-
-    def test_forced_modes_ignore_budget(self):
-        rng = np.random.default_rng(9)
-        records = rng.random((100, 2)) * 100.0
-        grid = uniform_grid(2, 4)
-        source = ArraySource(records)
-        comm = SerialComm()
-        assert stage_bitmap_index(source, comm, grid, 64,
-                                  policy="resident", budget=1).resident
-        assert not stage_bitmap_index(source, comm, grid, 64,
-                                      policy="mmap",
-                                      budget=1 << 30).resident
-        assert stage_bitmap_index(source, comm, grid, 64,
-                                  policy="off") is None
 
     def test_record_file_sibling_cache_reused(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -221,43 +285,59 @@ class TestSpillPolicy:
         from repro.io.records import RecordFile
         source = RecordFile(shared)
         comm = SerialComm()
-        first = stage_bitmap_index(source, comm, grid, 64, policy="mmap")
+        first = stage_bitmap_index(source, comm, grid, 64, budget=1)
         cache = bitmap_cache_path(shared)
         assert first.path == cache and cache.exists()
         mtime = cache.stat().st_mtime_ns
-        again = stage_bitmap_index(source, comm, grid, 64, policy="mmap")
+        again = stage_bitmap_index(source, comm, grid, 64, budget=1)
         assert cache.stat().st_mtime_ns == mtime   # reused, not rebuilt
         for p in range(first.n_pairs):
             assert np.array_equal(first.bitmap(p), again.bitmap(p))
         # a stale cache (different grid) is rebuilt in place
         other = uniform_grid(3, 6)
-        rebuilt = stage_bitmap_index(source, comm, other, 64, policy="mmap")
+        rebuilt = stage_bitmap_index(source, comm, other, 64, budget=1)
         assert rebuilt.nbins == (6, 6, 6)
         assert cache.stat().st_mtime_ns != mtime
 
     def test_full_run_spill_budget_respected(self, one_cluster_dataset,
                                              small_params):
         records = one_cluster_dataset.records
-        baseline = mafia(records, small_params.with_(bitmap_index="off"),
-                         domains=DOMAINS_10D)
+        baseline = mafia(records, small_params, domains=DOMAINS_10D)
         # one byte of budget: the index must spill and the memo stays
-        # empty, yet the result is unchanged
-        spilled = mafia(records, small_params.with_(bitmap_index="auto",
-                                                    bitmap_budget=1),
+        # empty, yet the result is unchanged and recounts clean
+        spilled = mafia(records, small_params.with_(bitmap_budget=1),
                         domains=DOMAINS_10D)
         assert cluster_signature(spilled) == cluster_signature(baseline)
+        assert verify_result(spilled, records).ok
+
+    def test_spilled_run_reuses_sibling_cache(self, tmp_path,
+                                              one_cluster_dataset,
+                                              small_params):
+        """A spilled index over a staged record file lands beside it
+        and is reused, not rebuilt, by the next run."""
+        shared = tmp_path / "data.bin"
+        write_records(shared, one_cluster_dataset.records)
+        params = small_params.with_(bitmap_budget=1)
+        first = mafia(str(shared), params, domains=DOMAINS_10D)
+        cache = bitmap_cache_path(tmp_path / "data.rank0.bin")
+        assert cache.exists()
+        mtime = cache.stat().st_mtime_ns
+        second = mafia(str(shared), params, domains=DOMAINS_10D)
+        assert cache.stat().st_mtime_ns == mtime   # reused, not rebuilt
+        resident = mafia(str(shared), small_params, domains=DOMAINS_10D)
+        assert (cluster_signature(first) == cluster_signature(second)
+                == cluster_signature(resident))
 
 
 class TestIndexedCountsIdentical:
-    """Property-based bit-identity of the indexed engine against the
-    bitmap and keyed engines, right at the ``_BITMAP_BYTE_CAP``
-    fallback boundary (the cap decides which streaming engine the
-    binned path runs, so pinning it to the workload's exact bitmap
-    size exercises both sides)."""
+    """The indexed engine against :func:`brute_force_counts`, on the
+    inputs that used to pick between population engines (tiny and
+    byte-unaligned chunks, radix products past ``2**62``, wide unit
+    tables) — one engine must count them all exactly."""
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
-    def test_indexed_vs_streaming_at_cap_boundary(self, data):
+    def test_indexed_matches_brute_force(self, data):
         d = data.draw(st.integers(2, 5))
         nbins = data.draw(st.integers(2, 6))
         n = data.draw(st.integers(1, 300))
@@ -271,36 +351,22 @@ class TestIndexedCountsIdentical:
                              data.draw(st.integers(1, 20)))
         source = ArraySource(records)
         comm = SerialComm()
-
-        # pin the cap exactly at / just under this workload's per-chunk
-        # bitmap size: "at" keeps the binned path on bitmaps, "under"
-        # drops it to keyed matchers — the indexed engine must match both
-        counter = population._BitmapCounter(units, grid)
-        nbytes = counter.bitmap_nbytes(min(chunk, n))
-        cap = data.draw(st.sampled_from([nbytes, max(0, nbytes - 1)]))
-        saved = population._BITMAP_BYTE_CAP
-        population._BITMAP_BYTE_CAP = cap
-        try:
-            ref = populate_local(source, comm, grid, units, chunk)
-            binned = build_binned_store(source, grid, chunk)
+        ref = brute_force_counts(records, grid, units)
+        # a per-call staged index, then a run-long populator whose memo
+        # is warm on the second pass (identical, not additive)
+        assert np.array_equal(
+            populate_local(source, comm, grid, units, chunk), ref)
+        pop = make_populator(source, grid, chunk)
+        for _ in range(2):
             assert np.array_equal(
                 populate_local(source, comm, grid, units, chunk,
-                               binned=binned), ref)
-            with make_populator(source, grid, chunk) as pop:
-                assert np.array_equal(
-                    populate_local(source, comm, grid, units, chunk,
-                                   indexed=pop), ref)
-                # warm memo: a second pass must be identical, not additive
-                assert np.array_equal(
-                    populate_local(source, comm, grid, units, chunk,
-                                   indexed=pop), ref)
-        finally:
-            population._BITMAP_BYTE_CAP = saved
+                               indexed=pop), ref)
+        assert np.array_equal(count_units(pop.index, units), ref)
 
     def test_mixed_radix_overflow_path_matches(self):
-        """d=9 x 200 bins: the keyed path's radix product exceeds 2^62
-        and falls back to per-unit column matching; the indexed engine
-        must agree with it bit for bit."""
+        """d=9 x 200 bins: a mixed-radix key over the subspace would
+        overflow int64; the index has no keys and must still match the
+        brute-force recount bit for bit."""
         rng = np.random.default_rng(11)
         d, nbins, n = 9, 200, 400
         records = rng.random((n, d)) * 100.0
@@ -310,20 +376,17 @@ class TestIndexedCountsIdentical:
         units = UnitTable.from_pairs(
             [[(dim, int(bins[i, dim])) for dim in range(d)]
              for i in range(10)]).unique()
-        matcher = population.build_matchers(units, grid)[0]
-        assert matcher.overflow
         source = ArraySource(records)
         comm = SerialComm()
-        ref = populate_local(source, comm, grid, units, 64)
+        ref = brute_force_counts(records, grid, units)
         assert int(ref.sum()) > 0
-        with make_populator(source, grid, 64) as pop:
-            assert np.array_equal(
-                populate_local(source, comm, grid, units, 64, indexed=pop),
-                ref)
+        assert np.array_equal(
+            populate_local(source, comm, grid, units, 64,
+                           indexed=make_populator(source, grid, 64)), ref)
 
     def test_empty_chunk_edge(self):
         """A chunk size larger than the record count (single partial
-        chunk) and a single-record store both count correctly."""
+        chunk) and a single-record index both count correctly."""
         rng = np.random.default_rng(12)
         grid = uniform_grid(3, 4)
         comm = SerialComm()
@@ -331,27 +394,26 @@ class TestIndexedCountsIdentical:
             records = rng.random((n, 3)) * 100.0
             source = ArraySource(records)
             units = random_units(rng, 3, 4, 2, 8)
-            ref = populate_local(source, comm, grid, units, 1000)
-            with make_populator(source, grid, 1000) as pop:
-                assert np.array_equal(
-                    populate_local(source, comm, grid, units, 1000,
-                                   indexed=pop), ref)
+            assert np.array_equal(
+                populate_local(source, comm, grid, units, 1000,
+                               indexed=make_populator(source, grid, 1000)),
+                brute_force_counts(records, grid, units))
 
-    def test_compute_threads_bit_identical(self):
+    def test_many_units_match_brute_force(self):
+        """200 level-3 units over 3000 records: more than one popcount
+        batch, shared prefixes, and a warm memo on the second pass."""
         rng = np.random.default_rng(13)
         records = rng.random((3000, 5)) * 100.0
         grid = uniform_grid(5, 6)
         units = random_units(rng, 5, 6, 3, 200)
         source = ArraySource(records)
         comm = SerialComm()
-        with make_populator(source, grid, 512) as serial:
-            ref = populate_local(source, comm, grid, units, 512,
-                                 indexed=serial)
-        for threads in (2, 5):
-            with make_populator(source, grid, 512, threads=threads) as pop:
-                assert np.array_equal(
-                    populate_local(source, comm, grid, units, 512,
-                                   indexed=pop), ref)
+        ref = brute_force_counts(records, grid, units)
+        pop = make_populator(source, grid, 512)
+        for _ in range(2):
+            assert np.array_equal(
+                populate_local(source, comm, grid, units, 512,
+                               indexed=pop), ref)
 
     def test_memo_budget_bounds_resident_bytes(self):
         rng = np.random.default_rng(14)
@@ -362,11 +424,11 @@ class TestIndexedCountsIdentical:
         comm = SerialComm()
         row_bytes = -(-4000 // 8)
         budget = index_nbytes(grid, 4000) + 3 * row_bytes
-        with make_populator(source, grid, 512, budget=budget) as pop:
-            populate_local(source, comm, grid, units, 512, indexed=pop)
-            assert pop.memo.nbytes <= pop.memo.byte_budget
-            assert pop.memo.byte_budget == 3 * row_bytes
-            assert len(pop.memo) <= 3
+        pop = make_populator(source, grid, 512, budget=budget)
+        populate_local(source, comm, grid, units, 512, indexed=pop)
+        assert pop.memo.nbytes <= pop.memo.byte_budget
+        assert pop.memo.byte_budget == 3 * row_bytes
+        assert len(pop.memo) <= 3
 
     def test_stale_grid_rejected(self):
         rng = np.random.default_rng(15)
@@ -374,10 +436,10 @@ class TestIndexedCountsIdentical:
         grid = uniform_grid(3, 4)
         units = random_units(rng, 3, 4, 2, 5)
         source = ArraySource(records)
-        with make_populator(source, grid, 64) as pop:
-            with pytest.raises(DataError):
-                populate_local(source, SerialComm(), uniform_grid(3, 5),
-                               units, 64, indexed=pop)
+        pop = make_populator(source, grid, 64)
+        with pytest.raises(DataError):
+            populate_local(source, SerialComm(), uniform_grid(3, 5),
+                           units, 64, indexed=pop)
 
     def test_block_mismatch_rejected(self):
         rng = np.random.default_rng(16)
@@ -386,10 +448,9 @@ class TestIndexedCountsIdentical:
         units = random_units(rng, 3, 4, 2, 5)
         source = ArraySource(records)
         index = build_bitmap_index(source, grid, 64, 0, 60)
-        with IndexedPopulator(index) as pop:
-            with pytest.raises(DataError):
-                populate_local(source, SerialComm(), grid, units, 64,
-                               indexed=pop)
+        with pytest.raises(DataError):
+            populate_local(source, SerialComm(), grid, units, 64,
+                           indexed=IndexedPopulator(index))
 
 
 class TestOverlapRunner:
@@ -490,9 +551,9 @@ def _signature(result):
 
 
 class TestConformanceProperty:
-    """Hypothesis sweep mirroring ``tests/test_observability.py``: the
-    bitmap index must be invisible in results and virtual times on
-    every backend."""
+    """Hypothesis sweep mirroring ``tests/test_observability.py``: where
+    the index lives must be invisible in results and virtual times on
+    every backend, and the results must recount clean."""
 
     @given(workloads())
     @settings(max_examples=8, deadline=None,
@@ -500,15 +561,11 @@ class TestConformanceProperty:
                                      HealthCheck.data_too_large])
     def test_indexed_runs_bit_identical(self, dataset):
         domains = np.array([[0.0, 100.0]] * dataset.n_dims)
-        baseline = mafia(dataset.records, PARAMS.with_(bitmap_index="off"),
-                         domains=domains)
-        for kw in (dict(bitmap_index="resident"),
-                   dict(bitmap_index="mmap"),
-                   dict(bitmap_index="auto", compute_threads=3),
-                   dict(bitmap_index="auto", bin_cache="off")):
-            run = mafia(dataset.records, PARAMS.with_(**kw),
+        baseline = mafia(dataset.records, PARAMS, domains=domains)
+        assert verify_result(baseline, dataset.records).ok
+        spilled = mafia(dataset.records, PARAMS.with_(bitmap_budget=1),
                         domains=domains)
-            assert _signature(run) == _signature(baseline), kw
+        assert _signature(spilled) == _signature(baseline)
         threaded = pmafia(dataset.records, 2, PARAMS, domains=domains)
         assert _signature(threaded.result) == _signature(baseline)
 
@@ -518,44 +575,41 @@ class TestConformanceProperty:
                                      HealthCheck.data_too_large])
     def test_sim_virtual_times_bit_identical(self, dataset):
         domains = np.array([[0.0, 100.0]] * dataset.n_dims)
-        off = pmafia(dataset.records, 2, PARAMS.with_(bitmap_index="off"),
-                     backend="sim", domains=domains)
-        on = pmafia(dataset.records, 2,
-                    PARAMS.with_(bitmap_index="resident"),
-                    backend="sim", domains=domains)
-        assert on.rank_times == off.rank_times
-        assert on.makespan == off.makespan
-        assert _signature(on.result) == _signature(off.result)
+        resident = pmafia(dataset.records, 2, PARAMS, backend="sim",
+                          domains=domains)
+        spilled = pmafia(dataset.records, 2,
+                         PARAMS.with_(bitmap_budget=1),
+                         backend="sim", domains=domains)
+        assert spilled.rank_times == resident.rank_times
+        assert spilled.makespan == resident.makespan
+        assert _signature(spilled.result) == _signature(resident.result)
 
     def test_process_backend_bit_identical(self, one_cluster_dataset):
-        baseline = pmafia(one_cluster_dataset.records, 2,
-                          PARAMS.with_(bitmap_index="off"),
-                          backend="process", domains=DOMAINS_10D)
+        baseline = mafia(one_cluster_dataset.records, PARAMS,
+                         domains=DOMAINS_10D)
         indexed = pmafia(one_cluster_dataset.records, 2, PARAMS,
                          backend="process", domains=DOMAINS_10D)
-        assert _signature(indexed.result) == _signature(baseline.result)
+        assert _signature(indexed.result) == _signature(baseline)
 
     def test_resume_crosses_index_policy(self, tmp_path,
                                          one_cluster_dataset,
                                          small_params):
         """A checkpointed run may resume under a different
-        ``bitmap_index`` policy — the index is an engine knob, not an
+        ``bitmap_budget`` — residency is an engine detail, not an
         algorithm parameter."""
         records = one_cluster_dataset.records
         ckpt = tmp_path / "ckpt"
-        baseline = mafia(records, small_params.with_(bitmap_index="off"),
-                         domains=DOMAINS_10D)
-        pmafia_resumable(records, 1,
-                         small_params.with_(bitmap_index="off"),
+        baseline = mafia(records, small_params, domains=DOMAINS_10D)
+        pmafia_resumable(records, 1, small_params.with_(bitmap_budget=1),
                          checkpoint_dir=ckpt, resume=False,
                          domains=DOMAINS_10D)
         resumed = pmafia_resumable(
-            records, 1,
-            small_params.with_(bitmap_index="resident",
-                               bitmap_budget=1 << 20, compute_threads=2),
+            records, 1, small_params.with_(bitmap_budget=1 << 20),
             checkpoint_dir=ckpt, resume=True, domains=DOMAINS_10D)
         assert (cluster_signature(resumed.result)
                 == cluster_signature(baseline))
+        assert all(np.array_equal(a.dense_counts, b.dense_counts)
+                   for a, b in zip(resumed.result.trace, baseline.trace))
 
     def test_index_metrics_exported(self, one_cluster_dataset,
                                     small_params):

@@ -106,26 +106,20 @@ class TestRun:
         assert rc == 0
 
 
-class TestBinCacheFlag:
-    def test_default_is_memory(self):
+class TestBitmapBudgetFlag:
+    def test_default_is_256_mib(self):
         args = build_parser().parse_args(["run", "x.bin"])
-        assert args.bin_cache == "memory"
+        assert args.bitmap_budget == 1 << 28
 
-    @pytest.mark.parametrize("policy", ["memory", "disk", "off"])
-    def test_policies_accepted_and_equivalent(self, record_file, capsys,
-                                              policy):
-        rc = main(["run", str(record_file), "--fine-bins", "200",
-                   "--window", "2", "--chunk", "2000",
-                   "--bin-cache", policy])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "clusters: 1" in out
-        assert "(1, 3, 5, 7)" in out
-
-    def test_unknown_policy_rejected(self, record_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", str(record_file), "--bin-cache", "ram"])
-        assert "--bin-cache" in capsys.readouterr().err
+    def test_spilled_index_prints_identical_output(self, record_file,
+                                                   capsys):
+        argv = ["run", str(record_file), "--fine-bins", "200",
+                "--window", "2", "--chunk", "2000"]
+        assert main(argv) == 0
+        resident = capsys.readouterr().out
+        assert main(argv + ["--bitmap-budget", "1"]) == 0
+        assert capsys.readouterr().out == resident
+        assert "(1, 3, 5, 7)" in resident
 
 
 class TestParser:

@@ -594,7 +594,8 @@ class TestCheckpointResume:
 class TestDescriptorHygiene:
     """A read that raises mid-pass must not strand file descriptors or
     half-written temp files — the audit behind the context-managed /
-    cached-mapping readers in ``io/records.py`` and ``io/binned.py``."""
+    cached-mapping readers in ``io/records.py`` and
+    ``io/bitmap_index.py``."""
 
     @staticmethod
     def _open_fds() -> int:
@@ -608,7 +609,7 @@ class TestDescriptorHygiene:
 
         path = tmp_path / "data.bin"
         write_records(path, one_cluster_dataset.records)
-        params = small_params.with_(bin_cache="disk")
+        params = small_params.with_(bitmap_budget=1)   # spilled index
         plan = FaultPlan(read_faults=(ReadFault(rank=0, permanent=True),))
         gc.collect()
         before = self._open_fds()
@@ -622,14 +623,19 @@ class TestDescriptorHygiene:
         # the failed staging passes must not leave temp files around
         assert not list(tmp_path.glob("*.tmp"))
 
-    def test_failed_binned_staging_removes_temp_file(self, tmp_path,
-                                                     one_cluster_dataset,
-                                                     small_params):
+    def test_failed_index_staging_removes_temp_file(self, tmp_path,
+                                                    monkeypatch,
+                                                    one_cluster_dataset,
+                                                    small_params):
         """A staging pass that dies halfway (here: the source raising
-        after its first chunk) unlinks the partially written store."""
+        after its first chunk) unlinks the partially written index —
+        both a sibling tile file and a spilled anonymous temp file."""
+        import tempfile
+
         from repro.core.adaptive_grid import build_grid
-        from repro.core.histogram import fine_histogram_global, global_domains
-        from repro.io.binned import build_binned_store
+        from repro.core.histogram import fine_histogram_global
+        from repro.io.bitmap_index import (build_bitmap_index,
+                                           stage_bitmap_index)
         from repro.io.chunks import ArraySource
         from repro.parallel.serial import SerialComm
 
@@ -653,11 +659,20 @@ class TestDescriptorHygiene:
                     raise ChecksumError("synthetic mid-staging corruption")
                 return super().read_block(start, stop)
 
-        target = tmp_path / "rank0.bins"
+        target = tmp_path / "rank0.bmx"
         with pytest.raises(ChecksumError):
-            build_binned_store(FlakySource(records), grid, 1000, path=target)
+            build_bitmap_index(FlakySource(records), grid, 1000, path=target)
         assert not target.exists()
         assert not list(tmp_path.glob("*.tmp"))
+        # a one-byte budget spills to an anonymous temp file, which the
+        # failed pass must remove along with its ``.tmp`` sibling
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+        with pytest.raises(ChecksumError):
+            stage_bitmap_index(FlakySource(records), comm, grid, 1000,
+                               budget=1)
+        assert not list(spill_dir.iterdir())
 
     def test_record_writer_closes_handle_when_first_write_fails(
             self, tmp_path, monkeypatch):

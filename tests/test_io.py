@@ -117,6 +117,19 @@ class TestArraySource:
             as_source("not records")
 
 
+class TestNoCopyArraySource:
+    def test_float64_input_is_wrapped_not_copied(self):
+        records = np.random.default_rng(8).random((50, 3))
+        source = ArraySource(records)
+        assert np.shares_memory(source.records, records)
+        assert np.shares_memory(source.read_block(10, 30), records)
+
+    def test_foreign_dtype_still_converts(self):
+        records = np.arange(12, dtype=np.int32).reshape(4, 3)
+        source = ArraySource(records)
+        assert source.records.dtype == np.float64
+
+
 class TestChargedChunks:
     def test_io_charged_per_chunk(self, records):
         from repro.parallel.simtime import TimedComm

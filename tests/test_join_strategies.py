@@ -29,7 +29,6 @@ from repro.core.pmafia import (HASH_JOIN_MIN_UNITS, pmafia_rank,
                                resolved_join_strategy)
 from repro.core.units import UnitTable
 from repro.errors import ParameterError
-from repro.io.prefetch import prefetched
 from repro.parallel import run_spmd
 from repro.parallel.comm import Comm
 from tests.conftest import DOMAINS_10D
@@ -229,13 +228,19 @@ class TestAutoPolicy:
         for strategy in ("quantum", "fp" + "tree", "direct"):
             with pytest.raises(ParameterError):
                 MafiaParams(join_strategy=strategy)
-        with pytest.raises(ParameterError):
-            MafiaParams(prefetch="yes")
         for suffix, value in (("mining", True), ("min_level", 4),
                               ("max_subsets", 1000),
                               ("max_transactions", 1000)):
             with pytest.raises(TypeError):
                 MafiaParams(**{"direct_" + suffix: value})
+        # likewise the deleted population knobs: the bitmap index is
+        # the only engine and ``bitmap_budget`` its only setting
+        for name, value in (("bin_" + "cache", "off"),
+                            ("pre" + "fetch", True),
+                            ("bitmap_" + "index", "off"),
+                            ("compute_" + "threads", 2)):
+            with pytest.raises(TypeError):
+                MafiaParams(**{name: value})
 
 
 def fingerprint(result):
@@ -271,17 +276,6 @@ class TestFullRunsIdentical:
         for strategy in ("hash", "auto"):
             params = strategy_params.with_(join_strategy=strategy)
             ranks = run_spmd(pmafia_rank, nprocs, backend=backend,
-                             args=(one_cluster_dataset.records, params,
-                                   DOMAINS_10D))
-            for rank in ranks:
-                assert fingerprint(rank.value) == reference
-
-    def test_prefetch_does_not_change_results(self, one_cluster_dataset,
-                                              strategy_params, reference):
-        for nprocs in (1, 3):
-            params = strategy_params.with_(join_strategy="hash",
-                                           prefetch=True)
-            ranks = run_spmd(pmafia_rank, nprocs, backend="thread",
                              args=(one_cluster_dataset.records, params,
                                    DOMAINS_10D))
             for rank in ranks:
@@ -370,30 +364,3 @@ def deep_fingerprint(result):
         sig.append((c.subspace.dims, c.units_bins.tolist(),
                     c.point_count, c.dnf))
     return sig
-
-
-class TestPrefetched:
-    def test_preserves_order_and_items(self):
-        assert list(prefetched(iter(range(100)))) == list(range(100))
-        assert list(prefetched(iter([]))) == []
-
-    def test_propagates_reader_exceptions_in_order(self):
-        def gen():
-            yield 1
-            yield 2
-            raise OSError("boom")
-
-        it = prefetched(gen())
-        assert next(it) == 1
-        assert next(it) == 2
-        with pytest.raises(OSError, match="boom"):
-            next(it)
-
-    def test_abandoning_joins_reader_thread(self):
-        import threading
-
-        before = threading.active_count()
-        it = prefetched(iter(range(1000)))
-        assert next(it) == 0
-        it.close()
-        assert threading.active_count() == before

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro import MafiaParams, mafia, pmafia, pmafia_resumable
 from repro.cli import main as cli_main
 from repro.datagen import ClusterSpec, generate
-from repro.io.binned import grid_fingerprint
+from repro.io.bitmap_index import grid_fingerprint
 from repro.obs import (RankObs, RankObsData, RunObs, as_run_obs,
                        serve_summary, write_chrome_trace,
                        write_metrics_snapshot)
@@ -332,7 +332,7 @@ class TestMetricsAgainstGroundTruth:
         assert read > 0 and read % n == 0
         levels = len(result.trace)
         # one pass per level, served from the bitmap index (which
-        # replays the streaming engines' per-chunk accounting exactly)
+        # replays a record pass's per-chunk accounting exactly)
         key = metric_key("io.records_read", {"kind": "indexed"})
         assert m[key]["value"] == levels * n
 
@@ -352,20 +352,6 @@ class TestMetricsAgainstGroundTruth:
         else:
             assert rate == 0.0
         assert 0.0 <= rate <= 1.0
-
-    def test_prefetch_hit_miss_counters(self, one_cluster_dataset,
-                                        small_params):
-        # prefetch only exists on the streaming engines, so pin the
-        # level passes to the binned store for this test
-        params = small_params.with_(metrics=True, prefetch=True,
-                                    chunk_records=500, bitmap_index="off")
-        result = mafia(one_cluster_dataset.records, params,
-                       domains=DOMAINS_10D)
-        m = result.obs.metrics
-        hits = m.get("io.prefetch_hits", {}).get("value", 0)
-        misses = m.get("io.prefetch_misses", {}).get("value", 0)
-        chunks = m[metric_key("io.chunks_read", {"kind": "binned"})]["value"]
-        assert hits + misses == chunks
 
     def test_lattice_counters_match_trace(self, one_cluster_dataset,
                                           small_params):

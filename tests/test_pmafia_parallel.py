@@ -3,12 +3,17 @@ task-parallel paths, file staging (repro.core.{pmafia,mafia})."""
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro import MachineSpec, MafiaParams, mafia, pmafia
-from repro.io import write_records
+from repro.io import as_source, block_offsets, write_records
 from tests.conftest import DOMAINS_10D
+
+# the driver module (``repro.core.pmafia`` the attribute is the function)
+pmafia_module = importlib.import_module("repro.core.pmafia")
 
 
 def clusters_of(result):
@@ -61,6 +66,39 @@ class TestSerialParallelEquivalence:
         run = pmafia(one_cluster_dataset.records, 8,
                      small_params.with_(tau=0), domains=DOMAINS_10D)
         assert [c.subspace.dims for c in run.result.clusters] == [(1, 3, 5, 7)]
+
+
+def _uneven_view(comm, data):
+    """Rank 0 owns no records, rank 1 exactly one, and the remaining
+    ranks block-split the rest."""
+    source = as_source(data)
+    rest = block_offsets(source.n_records - 1, comm.size - 2)
+    fences = [0, 0] + [1 + f for f in rest]
+    return source, fences[comm.rank], fences[comm.rank + 1]
+
+
+def trace_of(result):
+    return [(t.level, t.n_cdus_raw, t.n_cdus, t.n_dense, t.dense.tobytes(),
+             t.dense_counts.tobytes()) for t in result.trace]
+
+
+class TestDegenerateShards:
+    """An empty rank and a single-record rank stage a 0- and a 1-record
+    bitmap index; the run must still equal serial MAFIA exactly."""
+
+    @pytest.mark.parametrize("backend", ["thread", "sim"])
+    @pytest.mark.parametrize("domains", [DOMAINS_10D, None],
+                             ids=["given-domains", "scanned-domains"])
+    def test_empty_and_single_record_ranks(self, monkeypatch,
+                                           one_cluster_dataset,
+                                           small_params, backend, domains):
+        records = one_cluster_dataset.records
+        serial = mafia(records, small_params, domains=domains)
+        monkeypatch.setattr(pmafia_module, "_local_view", _uneven_view)
+        run = pmafia(records, 4, small_params, backend=backend,
+                     domains=domains)
+        assert clusters_of(run.result) == clusters_of(serial)
+        assert trace_of(run.result) == trace_of(serial)
 
 
 class TestFileStagedRuns:

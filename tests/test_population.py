@@ -132,9 +132,12 @@ class TestPopulateGlobal:
 
 
 class TestOverflowFallback:
+    """Subspaces with more cells than an int64 key can number, checked
+    against the brute-force recount."""
+
     def test_huge_radix_product_uses_row_matching(self):
-        """With > 2^62 possible keys the matcher must fall back to
-        per-unit masks and still count correctly."""
+        """A subspace with > 2^62 possible cells (too many for an int64
+        mixed-radix key) still counts exactly."""
         d = 9
         nbins = 200
         grid = uniform_grid(d, nbins)

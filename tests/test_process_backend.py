@@ -121,3 +121,20 @@ class TestProcessFailures:
         from repro.errors import CommTimeoutError
         with pytest.raises(CommTimeoutError, match="timed out receiving"):
             run_spmd(_silent_peer, 2, backend="process", recv_timeout=1.0)
+
+
+class TestProcessBackendZeroCopy:
+    @pytest.mark.slow
+    def test_large_allreduce_ships_no_pickled_arrays(self):
+        from repro.parallel.process import run_processes
+
+        def rankfn(comm):
+            histogram = np.full(200_000, comm.rank + 1, dtype=np.int64)
+            total = comm.allreduce(histogram, op="sum")   # 1.6 MB payload
+            assert int(total[0]) == sum(range(1, comm.size + 1))
+            comm.strategy = "tree"
+            total2 = comm.allreduce(histogram, op="sum")
+            assert np.array_equal(total, total2)
+            return comm.serialized_arrays
+
+        assert run_processes(rankfn, 3) == [0, 0, 0]

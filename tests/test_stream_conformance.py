@@ -24,7 +24,7 @@ from repro.errors import DataError
 from repro.parallel.spmd import run_spmd
 from repro.stream import StreamingSession
 from repro.stream.soak import pairs_examined, result_fingerprint
-from tests.test_binned_store import cluster_signature
+from tests.test_bitmap_index import cluster_signature
 
 DIMS = 4
 DOMAINS = np.array([[0.0, 100.0]] * DIMS)

@@ -310,7 +310,7 @@ class TestSegmentCountsFollowBinEdges:
 
     def test_same_units_recount_under_new_edges(self):
         from repro.core.units import UnitTable
-        from repro.io.binned import edges_fingerprint
+        from repro.io.bitmap_index import edges_fingerprint
         from repro.stream.window import WindowSegment
         from repro.types import DimensionGrid, Grid
 

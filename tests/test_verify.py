@@ -67,6 +67,32 @@ class TestTamperedRunsFlagged:
         assert not report.ok
         assert any("recount" in f for f in report.findings)
 
+    def test_one_tampered_deep_count_reported_independently(
+            self, result, one_cluster_dataset, monkeypatch):
+        """One count off by one on the top level is the only finding,
+        and the recount uses none of the population engine's code."""
+        import repro.core.population as population
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify must not call the engine")
+
+        for name in ("populate_local", "count_units", "IndexedPopulator"):
+            monkeypatch.setattr(population, name, forbidden)
+        level = len(result.trace) - 1
+        while result.trace[level].n_dense == 0:
+            level -= 1
+        bad_counts = result.trace[level].dense_counts.copy()
+        bad_counts[-1] += 1
+        tampered = _tamper_trace(result, level, dense_counts=bad_counts)
+        report = verify_result(tampered, one_cluster_dataset.records,
+                               chunk_records=777)
+        recounts = [f for f in report.findings if "recount" in f]
+        assert len(recounts) == 1
+        unit = tampered.trace[level].dense.unit(
+            tampered.trace[level].n_dense - 1)
+        assert str(unit) in recounts[0]
+        assert f"level {tampered.trace[level].level} " in recounts[0]
+
     def test_non_dense_unit_detected(self, result, one_cluster_dataset):
         """A stored count at the threshold (not above) must be flagged
         by the density check."""
