@@ -235,8 +235,9 @@ def _with_neighbours(units: UnitTable) -> UnitTable:
 
 def merged_mask(lower: UnitTable, higher: UnitTable | None) -> np.ndarray:
     """The ``report='merged'`` policy: True for lower-level units that
-    are neither projections of a higher dense unit *nor face-adjacent to
-    one* in their subspace.
+    are neither projections of a higher dense unit *nor its neighbours*
+    in their subspace — within Chebyshev distance 1 of a projection,
+    i.e. every bin within ±1, diagonals included.
 
     Adjacent leftovers are boundary slivers of the higher-dimensional
     cluster (an adaptive bin that overhangs the cluster edge); reporting

@@ -11,13 +11,23 @@ A :class:`UnitTable` holds ``n`` units of one level ``k`` as two
 helpers for canonical ordering, messaging (``tobytes``/``frombytes``)
 and per-subspace grouping.
 
-The byte layout doubles as *key material*: every (dim, bin) cell packs
-into one uint16 token (``dim << 8 | bin``, :meth:`UnitTable.tokens`),
-and a row of ``k`` tokens packs into ``ceil(k/4)`` uint64 words
-(:func:`pack_tokens`).  Equal rows ⇔ equal words, so whole-unit
-grouping (repeat elimination) and sub-signature grouping (the hash
-join in :mod:`repro.core.candidates`) both reduce to one vectorised
-sort over small integer keys instead of pairwise row comparisons.
+The byte layout doubles as *key material*, packed two ways into
+uint64 words:
+
+* every (dim, bin) cell packs into one uint16 token (``dim << 8 |
+  bin``, :meth:`UnitTable.tokens`), and a row of ``k`` tokens into
+  ``ceil(k/4)`` words (:func:`pack_tokens`) — the keys of repeat
+  elimination and of the sub-signature hash join in
+  :mod:`repro.core.candidates`;
+* a unit's flat ``dims ‖ bins`` row, zero-padded and read big-endian,
+  packs into ``ceil(2k/8)`` words whose order is the canonical
+  (dims, bins) order — the keys of :meth:`UnitTable.sort`,
+  :meth:`UnitTable.unique` and :meth:`UnitTable.contains_rows`.
+
+Equal units ⇔ equal words either way, so grouping, ordering and
+membership all reduce to one vectorised sort over a few integer
+columns (:func:`group_sort`) instead of pairwise row comparisons or
+byte-string keys.
 """
 
 from __future__ import annotations
@@ -115,10 +125,6 @@ class UnitTable:
             yield self.unit(i)
 
     # -- row algebra ---------------------------------------------------------
-    def _rows(self) -> np.ndarray:
-        """(n, 2k) combined rows (dims then bins) for lexicographic ops."""
-        return np.concatenate([self.dims, self.bins], axis=1)
-
     def tokens(self) -> np.ndarray:
         """``(n, k)`` uint16 token matrix: cell ``(i, j)`` is
         ``dims[i, j] << 8 | bins[i, j]``.
@@ -159,10 +165,29 @@ class UnitTable:
             out = out.concat(t)
         return out
 
+    def _row_words(self) -> np.ndarray:
+        """``(n, ceil(2k/8))`` uint64 key words of the combined rows
+        (dims then bins), each row zero-padded to whole words and read
+        big-endian.
+
+        Big-endian words compare like the bytes they hold, so the
+        lexicographic order of the word rows is the lexicographic
+        (dims, bins) byte order of the units; equal units ⇔ equal word
+        rows.  :meth:`canonical_order`, :meth:`unique` and
+        :meth:`contains_rows` all sort these few integer columns
+        instead of 2k byte columns or void keys.
+        """
+        n, k = self.dims.shape
+        packed = np.zeros((n, max(1, -(-2 * k // 8))), dtype=">u8")
+        raw = packed.view(np.uint8)
+        raw[:, :k] = self.dims
+        raw[:, k:2 * k] = self.bins
+        return packed.astype(np.uint64)
+
     def canonical_order(self) -> np.ndarray:
-        """Indices that sort units lexicographically by (dims, bins)."""
-        rows = self._rows()
-        return np.lexsort(tuple(rows[:, c] for c in range(rows.shape[1] - 1, -1, -1)))
+        """Indices that sort units lexicographically by (dims, bins);
+        stable, so repeated units keep their original relative order."""
+        return group_sort(self._row_words())
 
     def sort(self) -> "UnitTable":
         """Lexicographically sorted copy (deterministic canonical form)."""
@@ -190,23 +215,19 @@ class UnitTable:
         """Drop repeated units; result is in canonical (sorted) order."""
         if self.n_units == 0:
             return self
-        rows = np.unique(self._rows(), axis=0)
-        k = self.level
-        return UnitTable(dims=rows[:, :k], bins=rows[:, k:])
+        words = self._row_words()
+        order = group_sort(words)
+        return self.select(order[group_starts(words[order])])
 
     def contains_rows(self, other: "UnitTable") -> np.ndarray:
         """For each unit of ``other`` (same level), whether it appears in
         this table."""
         if other.level != self.level:
             raise DataError("level mismatch in contains_rows")
-        if self.n_units == 0 or other.n_units == 0:
-            return np.zeros(other.n_units, dtype=bool)
-        # row-wise membership via searchsorted on the void-key view
-        a = row_keys(self.sort()._rows())
-        b = row_keys(other._rows())
-        pos = np.searchsorted(a, b)
-        pos = np.clip(pos, 0, len(a) - 1)
-        return a[pos] == b
+        # group both tables' keys at once: a unit of ``other`` is a
+        # member iff the first row of its key run is one of ours
+        words = np.concatenate([self._row_words(), other._row_words()])
+        return first_occurrence(words)[self.n_units:] < self.n_units
 
     # -- grouping ------------------------------------------------------------
     def group_by_subspace(self) -> dict[tuple[int, ...], np.ndarray]:
@@ -288,12 +309,11 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     """A 1-D void view of a 2-D array's rows: one memcmp-comparable,
     hashable key per row.
 
-    Equal rows ⇔ equal keys, so the view feeds ``np.searchsorted`` /
-    ``np.unique`` grouping (as in :meth:`UnitTable.contains_rows`) and
-    — via ``key.tobytes()`` — dictionary keys, which is how the serving
-    cache (:mod:`repro.serve.cache`) indexes packed bin signatures.
-    Void keys order by memcmp, not by integer value; use them for
-    grouping and equality, not for numeric order.
+    Equal rows ⇔ equal keys, so ``key.tobytes()`` gives dictionary
+    keys, which is how the serving cache (:mod:`repro.serve.cache`)
+    indexes packed bin signatures.  Void keys order by memcmp, not by
+    integer value; use them for grouping and equality, not for numeric
+    order.
     """
     rows = np.ascontiguousarray(rows)
     if rows.ndim != 2 or rows.shape[1] == 0:

@@ -4,6 +4,7 @@ and the cluster-report masks (maximal / merged)."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,3 +141,86 @@ class TestReportMaskProperties:
         lower = UnitTable.from_pairs([[(200, 0)]])
         assert maximal_mask(lower, higher).all()
         assert merged_mask(lower, higher).all()
+
+
+def naive_report_mask(lower: UnitTable, higher: UnitTable,
+                      reach: int) -> list[bool]:
+    """Brute-force report mask: a lower unit is kept unless some unique
+    projection of a higher unit lies in the same dims with every bin
+    within ``reach`` (0 = ``maximal``, 1 = ``merged``'s Chebyshev ball).
+    Checks every (lower unit, projection) pair; no packing, no sorting."""
+    projs = {unit[:drop] + unit[drop + 1:]
+             for unit in higher for drop in range(len(unit))}
+    keep = []
+    for unit in lower:
+        dims = [d for d, _ in unit]
+        suppressed = any(
+            [d for d, _ in proj] == dims
+            and max(abs(b - c) for (_, b), (_, c) in zip(unit, proj)) <= reach
+            for proj in projs)
+        keep.append(not suppressed)
+    return keep
+
+
+@st.composite
+def report_mask_cases(draw, level):
+    """``(lower, higher)``: ``higher`` at ``level`` over a few subspaces
+    with bins at both byte edges; ``lower`` mixes the higher table's
+    projections shifted by −2..+2 per bin (clipped to the byte range)
+    with unrelated units."""
+    n_dims = level + 2
+    subspace = st.lists(st.integers(0, n_dims - 1), min_size=level,
+                        max_size=level, unique=True).map(sorted)
+    edge_bins = st.sampled_from([0, 1, 2, 127, 128, 253, 254, 255])
+    subspaces = draw(st.lists(subspace, min_size=1, max_size=3))
+    n = draw(st.integers(1, 8))
+    higher = UnitTable(
+        dims=np.array([draw(st.sampled_from(subspaces)) for _ in range(n)],
+                      dtype=np.uint8),
+        bins=np.array([draw(st.lists(edge_bins, min_size=level,
+                                     max_size=level)) for _ in range(n)],
+                      dtype=np.uint8)).unique()
+    proj = projections(higher)
+    picks = draw(st.lists(st.integers(0, proj.n_units - 1), max_size=16))
+    shifts = draw(st.lists(
+        st.lists(st.sampled_from([-2, -1, 0, 0, 1, 2]), min_size=level - 1,
+                 max_size=level - 1),
+        min_size=len(picks), max_size=len(picks)))
+    idx = np.asarray(picks, dtype=np.int64)
+    shifted = proj.bins[idx].astype(np.int16) + np.asarray(
+        shifts, dtype=np.int16).reshape(len(picks), level - 1)
+    near = UnitTable(dims=proj.dims[idx],
+                     bins=np.clip(shifted, 0, 255).astype(np.uint8))
+    n_stray = draw(st.integers(0, 4))
+    stray_sub = st.lists(st.integers(0, n_dims - 1), min_size=level - 1,
+                         max_size=level - 1, unique=True).map(sorted)
+    stray = UnitTable(
+        dims=np.array([draw(stray_sub) for _ in range(n_stray)],
+                      dtype=np.uint8).reshape(n_stray, level - 1),
+        bins=np.array([draw(st.lists(edge_bins, min_size=level - 1,
+                                     max_size=level - 1))
+                       for _ in range(n_stray)],
+                      dtype=np.uint8).reshape(n_stray, level - 1))
+    return near.concat(stray), higher
+
+
+class TestReportMasksAgainstNaiveOracle:
+    """``maximal_mask``/``merged_mask`` against :func:`naive_report_mask`
+    for higher levels 2–6, with bins at 0 and 255 so the byte-range
+    clipping of the neighbour expansion runs."""
+
+    @pytest.mark.parametrize("level", range(2, 7))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_maximal_mask(self, level, data):
+        lower, higher = data.draw(report_mask_cases(level))
+        assert maximal_mask(lower, higher).tolist() == naive_report_mask(
+            lower, higher, reach=0)
+
+    @pytest.mark.parametrize("level", range(2, 7))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_merged_mask(self, level, data):
+        lower, higher = data.draw(report_mask_cases(level))
+        assert merged_mask(lower, higher).tolist() == naive_report_mask(
+            lower, higher, reach=1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,83 @@ class TestUnitTableProperties:
         groups = t.group_by_subspace()
         all_rows = sorted(int(i) for rows in groups.values() for i in rows)
         assert all_rows == list(range(t.n_units))
+
+
+#: bin values at both byte edges plus a few interior ones, so rows
+#: repeat often and the 0x00/0xFF bytes land in every key position
+_EDGE_BINS = st.sampled_from([0, 1, 2, 127, 128, 254, 255])
+
+
+@st.composite
+def byte_tables(draw, level, max_units=30):
+    """Tables at ``level`` over a few subspaces drawn from the full dim
+    byte range (0–255), bins from :data:`_EDGE_BINS`; sometimes empty,
+    sometimes one unit repeated ``n`` times."""
+    subspaces = draw(st.lists(
+        st.lists(st.integers(0, 255), min_size=level, max_size=level,
+                 unique=True).map(sorted), min_size=1, max_size=3))
+    n = draw(st.integers(0, max_units))
+    dims = [draw(st.sampled_from(subspaces)) for _ in range(n)]
+    bins = [draw(st.lists(_EDGE_BINS, min_size=level, max_size=level))
+            for _ in range(n)]
+    if n and draw(st.booleans()):
+        dims, bins = [dims[0]] * n, [bins[0]] * n
+    return UnitTable(dims=np.array(dims, dtype=np.uint8).reshape(n, level),
+                     bins=np.array(bins, dtype=np.uint8).reshape(n, level))
+
+
+def _row_tuples(t: UnitTable) -> list[tuple]:
+    """Each unit as a (dims, bins) pair of tuples — the canonical key."""
+    return list(zip(map(tuple, t.dims.tolist()), map(tuple, t.bins.tolist())))
+
+
+#: levels 1–9 pack into 2k = 2..18 bytes, i.e. every zero-padding case
+#: 2k mod 8 ∈ {0, 2, 4, 6} on both the one-word (k ≤ 4) and the
+#: multi-word row keys
+_LEVELS = pytest.mark.parametrize("level", range(1, 10))
+
+
+class TestRowAlgebraOracles:
+    """``unique``/``sort``/``contains_rows`` against plain-Python and
+    plain-NumPy references that know nothing of packed keys."""
+
+    @_LEVELS
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_unique_matches_numpy_row_unique(self, level, data):
+        t = data.draw(byte_tables(level))
+        u = t.unique()
+        if t.n_units == 0:
+            assert u.n_units == 0
+            return
+        expected = np.unique(np.hstack([t.dims, t.bins]), axis=0)
+        np.testing.assert_array_equal(np.hstack([u.dims, u.bins]), expected)
+
+    @_LEVELS
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_sort_matches_python_sorted(self, level, data):
+        t = data.draw(byte_tables(level))
+        keys = _row_tuples(t)
+        assert _row_tuples(t.sort()) == sorted(keys)
+        # stable: repeated units keep their original relative order
+        assert t.canonical_order().tolist() == sorted(
+            range(t.n_units), key=keys.__getitem__)
+
+    @_LEVELS
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_contains_rows_matches_set_membership(self, level, data):
+        a = data.draw(byte_tables(level))
+        fresh = data.draw(byte_tables(level))
+        # mix in units of ``a`` so members and non-members both occur
+        picks = data.draw(st.lists(st.integers(0, max(a.n_units - 1, 0)),
+                                   max_size=8 if a.n_units else 0))
+        b = fresh.concat(a.select(np.asarray(picks, dtype=np.int64)))
+        mine = set(_row_tuples(a))
+        got = a.contains_rows(b)
+        assert got.dtype == bool
+        assert got.tolist() == [key in mine for key in _row_tuples(b)]
 
 
 class TestJoinProperties:
