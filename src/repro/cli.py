@@ -340,7 +340,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                              report=args.report,
                              join_strategy=args.join_strategy,
                              bitmap_budget=args.bitmap_budget,
-                             rebalance=args.rebalance,
                              trace=args.trace_out is not None,
                              metrics=args.metrics_out is not None)
         data: object = Path(args.data)
@@ -589,11 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "supervisor (process backend) so a lost or "
                           "hung rank is replaced mid-run instead of "
                           "failing the job; requires --checkpoint-dir")
-    run.add_argument("--rebalance", action="store_true",
-                     help="MAFIA only: re-fence the CDU partition "
-                          "between levels when per-level population "
-                          "times reveal a straggler rank (results are "
-                          "identical either way)")
     run.add_argument("--chaos-scenario", type=Path, default=None,
                      dest="chaos_scenario", metavar="PATH",
                      help="MAFIA only: inject the named chaos scenario "
@@ -650,9 +644,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.algorithm == "clique":
                 parser.error("--supervised/--chaos-scenario are not "
                              "supported with --algorithm clique")
-        if args.rebalance and args.algorithm == "clique":
-            parser.error("--rebalance is not supported with "
-                         "--algorithm clique")
         if args.checkpoint_dir is not None and args.algorithm == "clique":
             parser.error("--checkpoint-dir is not supported with "
                          "--algorithm clique")

@@ -23,11 +23,9 @@ from .export import (result_from_dict, result_from_json, result_to_dict,
 from .mafia import (PMafiaRun, mafia, pmafia, pmafia_resumable,
                     pmafia_supervised)
 from .merge import UnionFind, face_adjacent_components
-from .partition import (even_splits, prefix_work, proportional_splits,
-                        row_work, split_range, triangular_splits,
-                        weighted_splits)
+from .partition import (even_splits, prefix_work, row_work, split_range,
+                        triangular_splits, weighted_splits)
 from .pmafia import assemble_clusters, pmafia_rank
-from .rebalance import REBALANCE_THRESHOLD, StragglerMonitor
 from .population import populate_global, populate_local
 from .result import ClusteringResult, LevelTrace
 from .units import (MAX_BINS, MAX_DIMS, UnitTable, first_occurrence,
@@ -35,10 +33,8 @@ from .units import (MAX_BINS, MAX_DIMS, UnitTable, first_occurrence,
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "REBALANCE_THRESHOLD",
     "SHARD_MANIFEST_VERSION",
     "ClusteringResult",
-    "StragglerMonitor",
     "HashJoinPlan",
     "JoinResult",
     "LevelTrace",
@@ -88,7 +84,6 @@ __all__ = [
     "pmafia_rank",
     "pmafia_resumable",
     "pmafia_supervised",
-    "proportional_splits",
     "quarantine_checkpoint",
     "save_checkpoint",
     "save_shard_manifest",

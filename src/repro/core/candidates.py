@@ -184,20 +184,13 @@ def _empty_plan(n: int, m: int) -> HashJoinPlan:
                         n_units=n, level=m)
 
 
-def hash_join_plan(dense: UnitTable,
-                   tokens: np.ndarray | None = None) -> HashJoinPlan:
+def hash_join_plan(dense: UnitTable) -> HashJoinPlan:
     """Group units by drop-one-token sub-signature and enumerate every
-    valid join pair.
-
-    ``tokens`` may pass a precomputed ``dense.tokens()`` matrix (the
-    driver computes it on a background thread while the population
-    reduce drains — see :func:`repro.core.pmafia.pmafia`).
-    """
+    valid join pair."""
     n, m = dense.n_units, dense.level
-    if tokens is None:
-        tokens = dense.tokens()
     if n < 2:
         return _empty_plan(n, m)
+    tokens = dense.tokens()
 
     # one entry per (unit, dropped column): the m−1 surviving tokens are
     # the sub-signature, the dropped token is the leftover

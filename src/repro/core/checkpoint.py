@@ -219,17 +219,14 @@ def check_compatible(state: dict[str, Any], params: Any,
     grid on resume.  ``trace`` and ``metrics`` are
     likewise excluded: observability is read-only with respect to the
     algorithm, so a crashed untraced run may be resumed under tracing
-    (and vice versa) without divergence.  ``rebalance`` is excluded for
-    the same reason — straggler re-fencing moves work between ranks
-    without changing any pass's output.
+    (and vice versa) without divergence.
     """
     stored = state.get("params")
     if stored is not None:
         try:
             stored = stored.with_(bitmap_budget=params.bitmap_budget,
                                   trace=params.trace,
-                                  metrics=params.metrics,
-                                  rebalance=params.rebalance)
+                                  metrics=params.metrics)
         except (AttributeError, TypeError):
             pass
     if stored != params:

@@ -109,49 +109,6 @@ def weighted_splits(weights: "np.ndarray | list[int]",
     return offsets
 
 
-def proportional_splits(weights: "np.ndarray | list[int]",
-                        shares: "np.ndarray | list[float]") -> list[int]:
-    """Fence-post offsets giving rank ``i`` a ``shares[i]`` fraction of
-    the total per-row work — :func:`weighted_splits` generalised to
-    heterogeneous rank capacity.
-
-    The straggler rebalancer feeds realised per-rank speeds as
-    ``shares`` so a slow rank is fenced a proportionally smaller pivot
-    range for the next join/dedup pass.  Fences remain contiguous row
-    ranges, so rank-order concatenation still reproduces the serial row
-    order bit-for-bit; with uniform shares this matches
-    ``weighted_splits(weights, len(shares))`` up to floating-point
-    tie-breaking when a prefix target lands exactly on a fence.
-    """
-    s = np.asarray(shares, dtype=np.float64)
-    if s.ndim != 1 or s.shape[0] == 0:
-        raise ParameterError(
-            f"shares must be a non-empty 1-d vector, got shape {s.shape}")
-    if (s < 0).any() or not np.isfinite(s).all():
-        raise ParameterError("shares must be finite and non-negative")
-    if s.sum() <= 0:
-        raise ParameterError("shares must not sum to zero")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise ParameterError(f"weights must be 1-d, got shape {w.shape}")
-    if (w < 0).any():
-        raise ParameterError("weights must be non-negative")
-    n = w.shape[0]
-    n_ranks = s.shape[0]
-    prefix = np.cumsum(w)
-    total = prefix[-1] if n else 0.0
-    cumshare = np.cumsum(s) / s.sum()
-    offsets = [0]
-    for i in range(1, n_ranks):
-        target = total * cumshare[i - 1]
-        cut = int(np.searchsorted(prefix, target, side="left")) + 1 \
-            if total > 0 else 0
-        cut = max(offsets[-1], min(cut, n))
-        offsets.append(cut)
-    offsets.append(n)
-    return offsets
-
-
 def even_splits(n_units: int, n_ranks: int) -> list[int]:
     """Plain near-equal row split (used where per-row work is constant,
     e.g. Identify-dense-units divides Ncdu by p)."""

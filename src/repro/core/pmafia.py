@@ -25,7 +25,6 @@ broadcasts the result (print-clusters()).
 from __future__ import annotations
 
 import os
-import time
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -58,10 +57,9 @@ from .dnf import dnf_terms, maximal_mask, merged_mask
 from .histogram import fine_histogram_global, global_domains
 from .identify import dense_flags_block, dense_units, unit_thresholds
 from .merge import face_adjacent_components
-from .partition import (even_splits, prefix_work, proportional_splits,
-                        triangular_splits, weighted_splits)
-from .rebalance import StragglerMonitor
-from .population import IndexedPopulator, OverlapRunner, populate_global
+from .partition import (even_splits, prefix_work, triangular_splits,
+                        weighted_splits)
+from .population import IndexedPopulator, populate_global
 from .result import ClusteringResult, LevelTrace
 from .units import MAX_DIMS, UnitTable, group_sort, pack_tokens
 
@@ -156,9 +154,7 @@ level_one_cdus = _level_one_cdus
 
 def _find_candidate_dense_units(comm: Comm, dense: UnitTable, tau: int,
                                 block_join=join_block, *,
-                                strategy: str = "pairwise",
-                                tokens: np.ndarray | None = None,
-                                shares: np.ndarray | None = None
+                                strategy: str = "pairwise"
                                 ) -> tuple[UnitTable, np.ndarray]:
     """Algorithm 3: build level-(k+1) CDUs from the level-k dense units.
 
@@ -174,19 +170,11 @@ def _find_candidate_dense_units(comm: Comm, dense: UnitTable, tau: int,
     (:func:`~repro.core.partition.weighted_splits`) instead of the
     triangular estimate.  The fences stay contiguous pivot-row ranges,
     so the rank-order concatenation below is bit-identical to the
-    pairwise path's.  ``tokens`` may pass the dense table's
-    pre-packed token matrix (computed overlapping the previous level's
-    population reduce).
-
-    ``shares`` (per-rank fractions from
-    :class:`~repro.core.rebalance.StragglerMonitor`, identical on every
-    rank) skews the fences so slow ranks own proportionally less pivot
-    work; ``None`` keeps the paper's balanced split.  Either way the
-    fences stay contiguous pivot ranges, so the output is bit-identical.
+    pairwise path's.
     """
     ndu = dense.n_units
     if strategy == "hash":
-        plan = hash_join_plan(dense, tokens)
+        plan = hash_join_plan(dense)
 
         def block_join(d: UnitTable, lo: int, hi: int, _plan=plan):
             return hash_join_block(d, lo, hi, plan=_plan)
@@ -194,15 +182,7 @@ def _find_candidate_dense_units(comm: Comm, dense: UnitTable, tau: int,
         plan = None
     if comm.size > 1 and ndu > tau:
         if plan is not None:
-            if shares is not None:
-                offsets = proportional_splits(plan.row_pair_counts, shares)
-            else:
-                offsets = weighted_splits(plan.row_pair_counts, comm.size)
-        elif shares is not None:
-            # per-pivot pair counts of the triangular sweep: row i
-            # examines ndu - 1 - i partners
-            offsets = proportional_splits(
-                np.arange(ndu - 1, -1, -1, dtype=np.float64), shares)
+            offsets = weighted_splits(plan.row_pair_counts, comm.size)
         else:
             offsets = triangular_splits(ndu, comm.size)
         lo, hi = offsets[comm.rank], offsets[comm.rank + 1]
@@ -229,14 +209,9 @@ def _find_candidate_dense_units(comm: Comm, dense: UnitTable, tau: int,
 
 
 def _eliminate_repeat_cdus(comm: Comm, raw: UnitTable, tau: int,
-                           shares: np.ndarray | None = None,
                            want_order: bool = False
                            ) -> tuple[UnitTable, np.ndarray | None]:
     """Algorithm 4: drop repeated CDUs, task-parallel above τ.
-
-    ``shares`` re-fences the flag-marking split for stragglers (see
-    :func:`_find_candidate_dense_units`); the even rebuild split below
-    is untouched — it is pure cheap selection, not pair work.
 
     With ``want_order`` the packed token keys this pass sorts anyway
     are reused to also return the unique table's lexicographic
@@ -256,11 +231,7 @@ def _eliminate_repeat_cdus(comm: Comm, raw: UnitTable, tau: int,
         return group_sort(words[keep]) if want_order else None
 
     if comm.size > 1 and n > tau:
-        if shares is not None:
-            offsets = proportional_splits(
-                np.arange(n - 1, -1, -1, dtype=np.float64), shares)
-        else:
-            offsets = triangular_splits(n, comm.size)
+        offsets = triangular_splits(n, comm.size)
         lo, hi = offsets[comm.rank], offsets[comm.rank + 1]
         pairs = prefix_work(n, hi) - prefix_work(n, lo)
         comm.charge_pairs(pairs)
@@ -535,10 +506,8 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                                    params.chunk_records, start, stop,
                                    budget=params.bitmap_budget, retry=retry)
     # one populator for the whole run: its prefix-AND memo spans level
-    # passes (level-(k+1) CDUs extend level-k dense units), and one
-    # long-lived overlap worker instead of a pool per level
+    # passes (level-(k+1) CDUs extend level-k dense units)
     indexed = IndexedPopulator(index, budget=params.bitmap_budget)
-    runner = OverlapRunner()
 
     # each rank records what its shard is made of next to the level
     # checkpoints; a future replacement verifies the witness against the
@@ -564,33 +533,14 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
             "bitmap_path": _artifact_path(index),
         })
 
-    monitor = StragglerMonitor.create(params, comm)
-
-    # token packing for the *next* level's hash join can overlap the
-    # population reduce — it only reads the CDU table, which is fixed
-    # before the pass starts
-    may_pack = params.join_strategy == "hash" or (
-        params.join_strategy == "auto"
-        and not getattr(comm, "models_paper_costs", False))
-
     def level_pass(cdus: UnitTable, raw_count: int, level: int,
-                   order: np.ndarray | None = None
-                   ) -> tuple[LevelTrace, np.ndarray | None]:
+                   order: np.ndarray | None = None) -> LevelTrace:
         announce("populate", level)
         with _ospan(obs, "level", cat="level", level=level) as sp:
-            packed: dict[str, np.ndarray] = {}
-            overlap = None
-            if may_pack and cdus.n_units:
-                def overlap() -> None:
-                    packed["tokens"] = cdus.tokens()
-            pop_start = time.perf_counter()
             with _ospan(obs, "population", cat="phase"):
                 counts = populate_global(source, comm, grid, cdus,
                                          params.chunk_records, start, stop,
-                                         retry, indexed=indexed,
-                                         overlap=overlap, runner=runner,
-                                         order=order)
-            pop_seconds = time.perf_counter() - pop_start
+                                         retry, indexed=indexed, order=order)
             mask, ndu = _identify_dense(comm, cdus, counts, grid,
                                         params.tau, params.min_bin_points)
             if sp is not None:
@@ -599,112 +549,90 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
             if obs is not None:
                 obs.level_stats(level, raw_count, cdus.n_units, ndu)
             dense, dense_counts = dense_units(cdus, counts, mask)
-            tokens = packed.get("tokens")
-            dense_tokens = tokens[mask] if tokens is not None else None
-            trace_entry = LevelTrace(level=level, n_cdus_raw=raw_count,
-                                     n_cdus=cdus.n_units, n_dense=ndu,
-                                     dense=dense, dense_counts=dense_counts)
-        if monitor is not None:
-            monitor.observe(level, pop_seconds)
-        return trace_entry, dense_tokens
+            return LevelTrace(level=level, n_cdus_raw=raw_count,
+                              n_cdus=cdus.n_units, n_dense=ndu,
+                              dense=dense, dense_counts=dense_counts)
 
-    try:
-        dense_tokens = None  # resumed runs repack lazily inside the join
-        if state is None:
-            # a fresh checkpointed run must not leave stale higher-level
-            # files behind for a later resume to pick up
-            if checkpoint_dir is not None and comm.rank == 0:
-                clear_checkpoints(checkpoint_dir)
-            # the level-0 checkpoint (grid + domains, empty frontier)
-            # makes even a rank lost during the *first* level pass
-            # recoverable without replaying grid construction
-            save_level(0, trace, registered, grid, domains)
-        elif recovery is not None:
-            recovery.snapshot(state["level"], trace, registered)
-        if recovery is not None:
-            recovery.arm()
-        # the retry loop of the recovery protocol: a RecoveryInterrupt
-        # unwinds this rank to the restore level the supervisor agreed
-        # on, then the level loop replays from there — deterministically,
-        # so the final result is bit-identical to a fault-free run
-        while True:
-            try:
-                if not trace:
-                    cdus = _level_one_cdus(grid)
-                    first, dense_tokens = level_pass(cdus, cdus.n_units, 1)
-                    trace.append(first)
-                    save_level(1, trace, registered, grid, domains)
-                current = trace[-1]
-                while current.n_dense > 0:
-                    dense, dense_counts = current.dense, current.dense_counts
-                    if current.level >= params.max_dimensionality:
-                        registered.append((dense, dense_counts))
-                        break
-                    announce("join", current.level)
-                    shares = monitor.shares() if monitor is not None else None
-                    if shares is not None and obs is not None:
-                        obs.rebalance_event(current.level, monitor.last_ratio)
-                    with _ospan(obs, "join", cat="phase"):
-                        strategy = resolved_join_strategy(
-                            params, comm, dense.n_units)
-                        if obs is not None:
-                            obs.join_strategy(current.level, strategy)
-                        raw, combined = _find_candidate_dense_units(
-                            comm, dense, params.tau, strategy=strategy,
-                            tokens=dense_tokens, shares=shares)
-                    # non-combinable dense units are registered as
-                    # potential clusters
-                    if (~combined).any():
-                        registered.append((dense.select(~combined),
-                                           dense_counts[~combined]))
-                    if raw.n_units == 0:
-                        if combined.any():
-                            registered.append((dense.select(combined),
-                                               dense_counts[combined]))
-                        break
-                    announce("dedup", current.level)
-                    with _ospan(obs, "dedup", cat="phase"):
-                        cdus, pop_order = _eliminate_repeat_cdus(
-                            comm, raw, params.tau, shares=shares,
-                            want_order=True)
-                    nxt, dense_tokens = level_pass(
-                        cdus, raw.n_units, current.level + 1,
-                        order=pop_order)
-                    trace.append(nxt)
-                    if nxt.n_dense == 0 and combined.any():
-                        # the combinable units were the top of the
-                        # lattice after all
+    if state is None:
+        # a fresh checkpointed run must not leave stale higher-level
+        # files behind for a later resume to pick up
+        if checkpoint_dir is not None and comm.rank == 0:
+            clear_checkpoints(checkpoint_dir)
+        # the level-0 checkpoint (grid + domains, empty frontier)
+        # makes even a rank lost during the *first* level pass
+        # recoverable without replaying grid construction
+        save_level(0, trace, registered, grid, domains)
+    elif recovery is not None:
+        recovery.snapshot(state["level"], trace, registered)
+    if recovery is not None:
+        recovery.arm()
+    # the retry loop of the recovery protocol: a RecoveryInterrupt
+    # unwinds this rank to the restore level the supervisor agreed
+    # on, then the level loop replays from there — deterministically,
+    # so the final result is bit-identical to a fault-free run
+    while True:
+        try:
+            if not trace:
+                cdus = _level_one_cdus(grid)
+                trace.append(level_pass(cdus, cdus.n_units, 1))
+                save_level(1, trace, registered, grid, domains)
+            current = trace[-1]
+            while current.n_dense > 0:
+                dense, dense_counts = current.dense, current.dense_counts
+                if current.level >= params.max_dimensionality:
+                    registered.append((dense, dense_counts))
+                    break
+                announce("join", current.level)
+                with _ospan(obs, "join", cat="phase"):
+                    strategy = resolved_join_strategy(
+                        params, comm, dense.n_units)
+                    if obs is not None:
+                        obs.join_strategy(current.level, strategy)
+                    raw, combined = _find_candidate_dense_units(
+                        comm, dense, params.tau, strategy=strategy)
+                # non-combinable dense units are registered as
+                # potential clusters
+                if (~combined).any():
+                    registered.append((dense.select(~combined),
+                                       dense_counts[~combined]))
+                if raw.n_units == 0:
+                    if combined.any():
                         registered.append((dense.select(combined),
                                            dense_counts[combined]))
-                    current = nxt
-                    save_level(current.level, trace, registered, grid,
-                               domains)
-                reg = registrations_for_report(tuple(trace), registered,
-                                               params.report)
-                with _ospan(obs, "assembly", cat="phase"):
-                    if comm.rank == 0:
-                        clusters = assemble_clusters(grid, reg)
-                    else:
-                        clusters = None
-                    clusters = comm.bcast(clusters, root=0)
-                break
-            except RecoveryInterrupt as intr:
-                if recovery is None:
-                    raise
-                with _ospan(obs, "recovery.park", cat="recovery",
-                            epoch=intr.epoch):
-                    level, trace_t, reg_t = recovery.park_and_await(intr)
-                trace = list(trace_t)
-                registered = list(reg_t)
-                dense_tokens = None
-                if monitor is not None:
-                    # the replacement has no timing history; fences must
-                    # be derived from data every rank agrees on
-                    monitor.reset()
-                if obs is not None:
-                    obs.recovery_event("resumed", level=level)
-    finally:
-        runner.close()
+                    break
+                announce("dedup", current.level)
+                with _ospan(obs, "dedup", cat="phase"):
+                    cdus, pop_order = _eliminate_repeat_cdus(
+                        comm, raw, params.tau, want_order=True)
+                nxt = level_pass(cdus, raw.n_units, current.level + 1,
+                                 order=pop_order)
+                trace.append(nxt)
+                if nxt.n_dense == 0 and combined.any():
+                    # the combinable units were the top of the
+                    # lattice after all
+                    registered.append((dense.select(combined),
+                                       dense_counts[combined]))
+                current = nxt
+                save_level(current.level, trace, registered, grid, domains)
+            reg = registrations_for_report(tuple(trace), registered,
+                                           params.report)
+            with _ospan(obs, "assembly", cat="phase"):
+                if comm.rank == 0:
+                    clusters = assemble_clusters(grid, reg)
+                else:
+                    clusters = None
+                clusters = comm.bcast(clusters, root=0)
+            break
+        except RecoveryInterrupt as intr:
+            if recovery is None:
+                raise
+            with _ospan(obs, "recovery.park", cat="recovery",
+                        epoch=intr.epoch):
+                level, trace_t, reg_t = recovery.park_and_await(intr)
+            trace = list(trace_t)
+            registered = list(reg_t)
+            if obs is not None:
+                obs.recovery_event("resumed", level=level)
 
     return ClusteringResult(grid=grid, clusters=clusters,
                             trace=tuple(trace), params=params,

@@ -26,8 +26,6 @@ runtimes faithful to the measured system.
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable
 
 import numpy as np
 
@@ -276,35 +274,6 @@ class IndexedPopulator:
         return counts
 
 
-class OverlapRunner:
-    """One long-lived background worker for compute/collective overlap.
-
-    The driver keeps a single runner for the whole run instead of
-    building a fresh ``ThreadPoolExecutor`` every level; the worker
-    thread is started lazily on first :meth:`submit` and joined by
-    :meth:`close` (or the context manager exit)."""
-
-    def __init__(self) -> None:
-        self._pool: ThreadPoolExecutor | None = None
-
-    def submit(self, fn: Callable[[], None]) -> Future:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-overlap")
-        return self._pool.submit(fn)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "OverlapRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def populate_local(source: DataSource | None, comm: Comm, grid: Grid,
                    units: UnitTable, chunk_records: int,
                    start: int = 0, stop: int | None = None,
@@ -340,40 +309,9 @@ def populate_global(source: DataSource | None, comm: Comm, grid: Grid,
                     start: int = 0, stop: int | None = None,
                     retry: RetryPolicy | None = None, *,
                     indexed: IndexedPopulator | None = None,
-                    overlap: "Callable[[], None] | None" = None,
-                    runner: OverlapRunner | None = None,
                     order: np.ndarray | None = None) -> np.ndarray:
-    """Global CDU counts: local pass + sum Reduce (§4.1).
-
-    ``overlap``, when given, is run on a background thread concurrently
-    with the counts reduce and joined before this returns — the driver
-    uses it to pack the level's join key material while the collective
-    drains.  It must touch neither the communicator nor the source (pure
-    compute); any exception it raises propagates here — unless the
-    collective itself fails, in which case the collective's exception
-    is primary and the overlap worker is drained silently (a dying
-    collective routinely takes the overlap down with it; its secondary
-    error must not mask the root cause).  ``runner`` supplies the
-    long-lived overlap worker; without one a temporary worker is built
-    and torn down inside this call.
-    """
-    local = populate_local(source, comm, grid, units, chunk_records,
-                           start, stop, retry, indexed=indexed, order=order)
-    if overlap is None:
-        return comm.allreduce(local, op="sum")
-    owned = OverlapRunner() if runner is None else None
-    try:
-        background = (owned or runner).submit(overlap)
-        try:
-            total = comm.allreduce(local, op="sum")
-        except BaseException:
-            try:
-                background.result()
-            except BaseException:
-                pass
-            raise
-        background.result()  # join; surface overlap failures
-        return total
-    finally:
-        if owned is not None:
-            owned.close()
+    """Global CDU counts: local pass + sum Reduce (§4.1)."""
+    return comm.allreduce(
+        populate_local(source, comm, grid, units, chunk_records, start,
+                       stop, retry, indexed=indexed, order=order),
+        op="sum")

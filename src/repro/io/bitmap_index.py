@@ -754,10 +754,12 @@ def stage_bitmap_index(source: DataSource, comm: Comm, grid: Grid,
 
     An index that fits ``budget`` bytes stays resident in RAM.  A larger
     one spills to the mmap tile format — next to the rank's staged
-    record file when the source is one (reusing a still-valid cache
-    from an earlier run), otherwise into an anonymous temp file removed
-    with the index.  Staging charges nothing to the virtual clock, like
-    shared-to-local staging.
+    record file when the rank reads that file whole (reusing a
+    still-valid cache from an earlier run), otherwise into an anonymous
+    temp file removed with the index.  The sibling cache names only the
+    file, so a rank reading a ``[start, stop)`` slice of a shared file
+    never uses it: another rank's slice would share the path.  Staging
+    charges nothing to the virtual clock, like shared-to-local staging.
     """
     stop = source.n_records if stop is None else stop
     n = stop - start
@@ -765,7 +767,8 @@ def stage_bitmap_index(source: DataSource, comm: Comm, grid: Grid,
     if index_nbytes(grid, n) <= budget:
         index = build_bitmap_index(source, grid, chunk_records, start, stop,
                                    retry=retry, fault_state=fault_state)
-    elif isinstance(source, RecordFile):
+    elif isinstance(source, RecordFile) \
+            and (start, stop) == (0, source.n_records):
         path = bitmap_cache_path(source.path)
         index = load_bitmap_cache(path, grid, n)
         if index is None:

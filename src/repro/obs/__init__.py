@@ -319,7 +319,7 @@ class RankObs:
         if self.metrics is not None:
             self.metrics.counter("stream.tile_quarantines").inc()
 
-    # -- recovery / rebalance hooks --------------------------------------
+    # -- recovery hooks --------------------------------------------------
     def recovery_event(self, kind: str, **attrs: Any) -> None:
         """One step of a shard-recovery round seen from this rank:
         ``resumed`` on a survivor restored to an earlier level,
@@ -328,15 +328,6 @@ class RankObs:
         self.instant(f"recovery.{kind}", cat="recovery", **attrs)
         if self.metrics is not None:
             self.metrics.counter("recovery.events", kind=kind).inc()
-
-    def rebalance_event(self, level: int, ratio: float) -> None:
-        """The straggler monitor re-fenced the level's join/dedup work
-        (``ratio`` is the realised slowest/fastest spread)."""
-        self.instant("recovery.rebalance", cat="recovery", level=level,
-                     ratio=ratio)
-        if self.metrics is not None:
-            self.metrics.counter("rebalance.refences").inc()
-            self.metrics.gauge("rebalance.last_ratio").set(ratio)
 
     # -- export ----------------------------------------------------------
     def phase_seconds(self) -> dict[str, float]:

@@ -16,8 +16,6 @@ checkpoint restores) are :meth:`RankTracer.instant` records.
 
 The buffer is a plain Python list appended to by exactly one thread —
 the rank's driver thread — so no lock is taken on the hot path.
-Prefetch and overlap helper threads never touch the tracer (mirroring
-how ``charge_io`` stays on the consumer thread).
 
 Export: :func:`write_chrome_trace` emits the Chrome ``trace_event``
 JSON format (load in ``chrome://tracing`` or https://ui.perfetto.dev);

@@ -70,7 +70,9 @@ class MafiaParams:
     report:
         Which dense units seed reported clusters.  ``"merged"``
         (default) reports maximal dense units except boundary slivers
-        face-adjacent to a higher cluster's projection — matching the
+        within Chebyshev distance 1 of a higher cluster's projection
+        (every bin within ±1, diagonals included; see
+        :func:`repro.core.dnf.merged_mask`) — matching the
         paper's printed outputs (subset clusters eliminated, no edge
         artefacts) while keeping clusters that stop extending early.
         ``"paper"`` registers a unit only when it combined with no other
@@ -110,16 +112,6 @@ class MafiaParams:
         histogram registry (records read, bytes per collective, pairs
         examined, per-level lattice sizes, retries, checkpoint bytes).
         Same bit-identity guarantee as ``trace``.
-    rebalance:
-        When True (and more than one rank, on a wall-clock backend),
-        the driver watches realised per-level population times and
-        re-fences the next join/repeat-elimination passes so a
-        straggling rank owns proportionally less pivot work (see
-        :mod:`repro.core.rebalance`).  Fences stay contiguous row
-        ranges, so clusters and CDU tables are bit-identical with
-        rebalancing on or off — only wall clock and message sizes move.
-        Inert on the simulated-time backend (it would change the
-        modelled message pattern).
     """
 
     alpha: float = 1.5
@@ -137,7 +129,6 @@ class MafiaParams:
     bitmap_budget: int = 1 << 28
     trace: bool = False
     metrics: bool = False
-    rebalance: bool = False
 
     def __post_init__(self) -> None:
         if self.report not in ("merged", "paper", "maximal"):
@@ -152,7 +143,7 @@ class MafiaParams:
         if not isinstance(self.bitmap_budget, int) or self.bitmap_budget <= 0:
             raise ParameterError(f"bitmap_budget must be a positive int, "
                                  f"got {self.bitmap_budget!r}")
-        for name in ("trace", "metrics", "rebalance"):
+        for name in ("trace", "metrics"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ParameterError(

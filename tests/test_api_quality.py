@@ -89,3 +89,33 @@ class TestExports:
         assert all(callable(x) for x in
                    (mafia, pmafia, run_spmd, match_clusters, verify_result,
                     clique, pclique, generate, generate_to_file))
+
+
+class TestParamsCatalogue:
+    """``MafiaParams``' fields, the Attributes of its docstring and its
+    ``docs/API.md`` row name the same knobs, so deleting a field cannot
+    leave a stale entry behind (nor adding one skip the docs)."""
+
+    @staticmethod
+    def _fields() -> set[str]:
+        import dataclasses
+        return {f.name for f in dataclasses.fields(repro.MafiaParams)}
+
+    def test_docstring_attributes_match_fields(self):
+        import re
+        doc = inspect.getdoc(repro.MafiaParams)
+        section = doc.split("Attributes\n----------\n", 1)[1]
+        listed = set(re.findall(r"^(\w+):$", section, re.MULTILINE))
+        assert listed == self._fields()
+
+    def test_api_row_matches_fields(self):
+        import pathlib
+        import re
+        root = pathlib.Path(repro.__file__).resolve().parents[2]
+        lines = (root / "docs" / "API.md").read_text().splitlines()
+        rows = [line for line in lines
+                if line.startswith("| `MafiaParams` |")]
+        assert len(rows) == 1
+        cell = rows[0].split("|")[2]
+        listed = set(re.findall(r"`(\w+)`", cell))
+        assert listed == self._fields()

@@ -10,8 +10,6 @@ observable difference is a bug.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,9 +17,8 @@ from hypothesis import strategies as st
 
 from repro.analysis import verify_result
 from repro.core.mafia import mafia, pmafia, pmafia_resumable
-from repro.core.population import (IndexedPopulator, OverlapRunner,
-                                   count_units, populate_global,
-                                   populate_local)
+from repro.core.population import (IndexedPopulator, count_units,
+                                   populate_global, populate_local)
 from repro.core.units import UnitTable
 from repro.datagen import ClusterSpec, generate
 from repro.errors import ChecksumError, DataError, RecordFileError
@@ -299,6 +296,46 @@ class TestSpillPolicy:
         assert rebuilt.nbins == (6, 6, 6)
         assert cache.stat().st_mtime_ns != mtime
 
+    def test_record_file_slices_spill_apart(self, tmp_path):
+        """Two ranks reading equal-sized slices of one shared record
+        file must not share its sibling cache: the second slice's index
+        holds its own records, not the first slice's."""
+        rng = np.random.default_rng(11)
+        records = rng.random((300, 3)) * 100.0
+        grid = uniform_grid(3, 5)
+        shared = tmp_path / "data.bin"
+        write_records(shared, records)
+        from repro.io.records import RecordFile
+        source = RecordFile(shared)
+        units = random_units(rng, 3, 5, 2, 12)
+        for start, stop in ((0, 150), (150, 300)):
+            spilled = stage_bitmap_index(source, SerialComm(), grid, 64,
+                                         start, stop, budget=1)
+            assert not spilled.resident
+            resident = build_bitmap_index(source, grid, 64, start, stop)
+            assert np.array_equal(count_units(spilled, units),
+                                  count_units(resident, units))
+        assert not bitmap_cache_path(shared).exists()
+
+    def test_threaded_ranks_over_one_record_file_spill_apart(
+            self, tmp_path, one_cluster_dataset, small_params):
+        """Both thread ranks slice the same record file; with a spilled
+        index each must build its own file instead of racing on one
+        shared ``.bmx``."""
+        from repro.io.records import RecordFile
+        records = one_cluster_dataset.records
+        shared = tmp_path / "data.bin"
+        write_records(shared, records)
+        resident = mafia(records, small_params, domains=DOMAINS_10D)
+        run = pmafia(RecordFile(shared), 2,
+                     small_params.with_(bitmap_budget=1),
+                     domains=DOMAINS_10D)
+        assert cluster_signature(run.result) == cluster_signature(resident)
+        assert ([lvl.dense_counts.tolist() for lvl in run.result.trace]
+                == [lvl.dense_counts.tolist() for lvl in resident.trace])
+        assert verify_result(run.result, records).ok
+        assert not bitmap_cache_path(shared).exists()
+
     def test_full_run_spill_budget_respected(self, one_cluster_dataset,
                                              small_params):
         records = one_cluster_dataset.records
@@ -451,67 +488,6 @@ class TestIndexedCountsIdentical:
         with pytest.raises(DataError):
             populate_local(source, SerialComm(), grid, units, 64,
                            indexed=IndexedPopulator(index))
-
-
-class TestOverlapRunner:
-    def test_collective_failure_is_primary(self):
-        """When the allreduce dies, its exception must surface even if
-        the overlap thread also failed (the old ``finally: result()``
-        replaced the root cause with the overlap's error)."""
-
-        class DyingComm(SerialComm):
-            def allreduce(self, value, op="sum"):
-                raise OSError("collective lost a rank")
-
-        rng = np.random.default_rng(17)
-        records = rng.random((50, 2)) * 100.0
-        grid = uniform_grid(2, 4)
-        units = random_units(rng, 2, 4, 1, 4)
-
-        def overlap():
-            raise ValueError("secondary: overlap saw torn state")
-
-        with pytest.raises(OSError, match="collective lost a rank"):
-            populate_global(ArraySource(records), DyingComm(), grid,
-                            units, 32, overlap=overlap)
-
-    def test_overlap_failure_surfaces_when_collective_succeeds(self):
-        rng = np.random.default_rng(18)
-        records = rng.random((50, 2)) * 100.0
-        grid = uniform_grid(2, 4)
-        units = random_units(rng, 2, 4, 1, 4)
-
-        def overlap():
-            raise ValueError("overlap broke")
-
-        with pytest.raises(ValueError, match="overlap broke"):
-            populate_global(ArraySource(records), SerialComm(), grid,
-                            units, 32, overlap=overlap)
-
-    def test_runner_reuses_one_worker_thread(self):
-        seen = set()
-        with OverlapRunner() as runner:
-            for _ in range(4):
-                runner.submit(lambda: seen.add(
-                    threading.current_thread().ident)).result()
-        assert len(seen) == 1
-
-    def test_populate_global_accepts_shared_runner(self):
-        rng = np.random.default_rng(19)
-        records = rng.random((80, 3)) * 100.0
-        grid = uniform_grid(3, 4)
-        units = random_units(rng, 3, 4, 2, 6)
-        comm = SerialComm()
-        source = ArraySource(records)
-        ref = populate_global(source, comm, grid, units, 32)
-        done = []
-        with OverlapRunner() as runner:
-            for _ in range(3):
-                total = populate_global(source, comm, grid, units, 32,
-                                        overlap=lambda: done.append(1),
-                                        runner=runner)
-                assert np.array_equal(total, ref)
-        assert len(done) == 3
 
 
 @st.composite

@@ -132,6 +132,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_rebalance_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "data.bin", "--rebalance"])
+        assert exc.value.code == 2
+        assert "--rebalance" in capsys.readouterr().err
+
 
 class TestVerifyFlag:
     def test_run_with_verify_passes(self, record_file, capsys):

@@ -166,7 +166,7 @@ class TestSplitProperties:
     """Property-based invariants for the weighted fence builders: every
     output must be a valid fence-post vector (monotone, spanning
     [0, n]) for *any* non-negative weights, and the generalisation
-    chain even -> triangular -> weighted -> proportional must close."""
+    chain even -> triangular -> weighted must close."""
 
     hyp = pytest.importorskip("hypothesis")
 
@@ -192,41 +192,6 @@ class TestSplitProperties:
         from repro.core.partition import weighted_splits
         offsets = weighted_splits(weights, n_ranks)
         self._check_fences(offsets, len(weights), n_ranks)
-
-    @given(weights=weights_st, n_ranks=ranks_st)
-    @settings(max_examples=200, deadline=None)
-    def test_uniform_shares_reduce_to_weighted(self, weights, n_ranks):
-        """proportional_splits with equal shares matches weighted_splits
-        up to float tie-breaking: a 1-ulp difference in the prefix
-        target may shift a fence across a tie (including a plateau of
-        zero-weight rows), moving at most one boundary row's worth of
-        work — never a second row."""
-        from repro.core.partition import (proportional_splits,
-                                          weighted_splits)
-        shares = np.full(n_ranks, 1.0 / n_ranks)
-        got = proportional_splits(weights, shares)
-        want = weighted_splits(weights, n_ranks)
-        assert len(got) == len(want)
-        w = np.asarray(weights, dtype=np.float64)
-        prefix = np.concatenate([[0.0], np.cumsum(w)])
-        heaviest = float(w.max()) if w.size else 0.0
-        tol = heaviest + 1e-6 * float(prefix[-1]) + 1e-12
-        for g, f in zip(got, want):
-            assert abs(prefix[g] - prefix[f]) <= tol
-
-    @given(weights=weights_st,
-           shares=st.lists(st.floats(min_value=0.0, max_value=100.0,
-                                     allow_nan=False,
-                                     allow_infinity=False),
-                           min_size=1, max_size=32))
-    @settings(max_examples=200, deadline=None)
-    def test_proportional_splits_always_valid_fences(self, weights,
-                                                     shares):
-        from repro.core.partition import proportional_splits
-        if sum(shares) <= 0:
-            shares = [s + 1.0 for s in shares]
-        offsets = proportional_splits(weights, shares)
-        self._check_fences(offsets, len(weights), len(shares))
 
     @given(weights=weights_st, n_ranks=ranks_st)
     @settings(max_examples=100, deadline=None)
@@ -261,51 +226,27 @@ class TestSplitProperties:
                 work = float(weights[lo:hi].sum())
                 assert work <= tri / n_ranks + n + 1e-6
 
-    @given(weights=weights_st)
-    @settings(max_examples=100, deadline=None)
-    def test_starved_share_gets_empty_range(self, weights):
-        """A zero share is legal (a parked rank): it must produce an
-        empty fence range, never steal rows."""
-        from repro.core.partition import proportional_splits
-        offsets = proportional_splits(weights, [1.0, 0.0, 1.0])
-        self._check_fences(offsets, len(weights), 3)
-        w = np.asarray(weights, dtype=np.float64)
-        mid = float(w[offsets[1]:offsets[2]].sum())
-        # rank 1's range may hold at most one boundary row's weight
-        assert mid <= (float(w.max()) if w.size else 0.0) + 1e-6
-
-    def test_proportional_splits_validation(self):
-        from repro.core.partition import proportional_splits
+    def test_weighted_splits_validation(self):
+        from repro.core.partition import weighted_splits
         with pytest.raises(ParameterError):
-            proportional_splits([1.0, 2.0], [])
+            weighted_splits([1.0, 2.0], 0)
         with pytest.raises(ParameterError):
-            proportional_splits([1.0, 2.0], [0.0, 0.0])
+            weighted_splits([[1.0], [2.0]], 1)
         with pytest.raises(ParameterError):
-            proportional_splits([1.0, 2.0], [1.0, -1.0])
-        with pytest.raises(ParameterError):
-            proportional_splits([1.0, 2.0], [1.0, float("nan")])
-        with pytest.raises(ParameterError):
-            proportional_splits([[1.0], [2.0]], [1.0])
-        with pytest.raises(ParameterError):
-            proportional_splits([-1.0], [1.0])
+            weighted_splits([-1.0], 1)
 
     def test_more_ranks_than_units(self):
         """16 ranks over a 3-row lattice: trailing ranks get empty but
-        valid ranges on both weighted and proportional paths."""
-        from repro.core.partition import (proportional_splits,
-                                          weighted_splits)
+        valid ranges."""
+        from repro.core.partition import weighted_splits
         offsets = weighted_splits([5.0, 3.0, 1.0], 16)
-        self._check_fences(offsets, 3, 16)
-        offsets = proportional_splits([5.0, 3.0, 1.0], np.ones(16) / 16)
         self._check_fences(offsets, 3, 16)
 
     def test_single_unit_lattice(self):
-        """One row: exactly one rank gets it, whoever's share covers
-        the first positive prefix target."""
-        from repro.core.partition import (proportional_splits,
-                                          weighted_splits)
-        for offsets in (weighted_splits([7.0], 4),
-                        proportional_splits([7.0], [1.0, 1.0, 1.0, 1.0])):
-            self._check_fences(offsets, 1, 4)
-            widths = [b - a for a, b in zip(offsets, offsets[1:])]
-            assert sum(widths) == 1 and max(widths) == 1
+        """One row: exactly one rank gets it, whichever rank's fence
+        covers the first positive prefix target."""
+        from repro.core.partition import weighted_splits
+        offsets = weighted_splits([7.0], 4)
+        self._check_fences(offsets, 1, 4)
+        widths = [b - a for a, b in zip(offsets, offsets[1:])]
+        assert sum(widths) == 1 and max(widths) == 1

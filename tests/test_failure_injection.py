@@ -578,6 +578,27 @@ class TestCheckpointResume:
         assert run.result.n_records == len(one_cluster_dataset.records)
         assert not checkpoint_path(tmp_path, 9).exists()
 
+    def test_checkpoint_with_deleted_param_field_resumes(
+            self, tmp_path, baseline, one_cluster_dataset, small_params):
+        """A checkpoint whose pickled ``MafiaParams`` still carries a
+        since-deleted field (``rebalance``, as written by older
+        releases) resumes: compatibility compares dataclass fields
+        only, and the replayed levels give the identical result."""
+        pmafia_resumable(one_cluster_dataset.records, 3, small_params,
+                         checkpoint_dir=tmp_path, domains=DOMAINS_10D)
+        first = checkpoint_path(tmp_path, 1)
+        state = load_checkpoint(first)
+        object.__setattr__(state["params"], "rebalance", False)
+        clear_checkpoints(tmp_path)
+        save_checkpoint(tmp_path, 1, state)
+        assert load_checkpoint(first)["params"].rebalance is False
+        run = pmafia_resumable(one_cluster_dataset.records, 3,
+                               small_params, checkpoint_dir=tmp_path,
+                               domains=DOMAINS_10D)
+        # a fresh run would have rewritten the level-0 checkpoint
+        assert not checkpoint_path(tmp_path, 0).exists()
+        _assert_identical(run.result, baseline)
+
     def test_incompatible_checkpoint_refused(self, tmp_path,
                                              one_cluster_dataset,
                                              small_params):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.mafia import pmafia, pmafia_supervised
-from repro.core.rebalance import StragglerMonitor
 from repro.errors import CommError, ParameterError
 from repro.parallel.faults import CrashPoint, FaultPlan, MessageFault
 from repro.parallel.supervisor import (RecoveryEvent, RecoveryReport,
@@ -201,66 +200,6 @@ class TestRecoveryObservability:
         assert parsed["replacements"] == 1
         assert parsed["events"][0]["rank"] == 0
         assert parsed["events"][0]["rto_seconds"] >= 0.0
-
-
-class TestRebalance:
-    """Mid-level re-fencing: identical results, monitor unit behavior."""
-
-    def test_rebalanced_run_is_identical(self, tmp_path, baseline,
-                                         one_cluster_dataset, small_params,
-                                         monkeypatch):
-        """Force re-fencing every level (threshold 1.0) and demand the
-        clustering is still bit-identical — the fences move, the
-        result must not."""
-        monkeypatch.setattr("repro.core.rebalance.REBALANCE_THRESHOLD", 1.0)
-        run = pmafia(one_cluster_dataset.records, 3,
-                     small_params.with_(rebalance=True),
-                     domains=DOMAINS_10D)
-        _assert_identical(run.result, baseline)
-
-    def test_monitor_inert_below_threshold(self):
-        class FakeComm:
-            size = 3
-            rank = 0
-
-            def allgather(self, value):
-                return [value, value, value]  # perfectly balanced
-
-        from repro.params import MafiaParams
-        params = MafiaParams(rebalance=True)
-        monitor = StragglerMonitor.create(params, FakeComm())
-        assert monitor is not None
-        monitor.observe(1, 1.0)
-        assert monitor.shares() is None  # ratio 1.0 < threshold
-
-    def test_monitor_detects_straggler(self):
-        class SkewComm:
-            size = 3
-            rank = 0
-
-            def allgather(self, value):
-                return [1.0, 1.0, 4.0]  # rank 2 is 4x slower
-
-        from repro.params import MafiaParams
-        params = MafiaParams(rebalance=True)
-        monitor = StragglerMonitor.create(params, SkewComm())
-        monitor.observe(1, 1.0)
-        shares = monitor.shares()
-        assert shares is not None
-        assert shares.shape == (3,)
-        assert shares[2] < shares[0]  # the straggler gets less work
-        assert np.isclose(shares.sum(), 1.0)
-        assert monitor.last_ratio == pytest.approx(4.0)
-
-    def test_monitor_disabled_paths(self, small_params):
-        class Size1Comm:
-            size = 1
-            rank = 0
-
-        from repro.params import MafiaParams
-        assert StragglerMonitor.create(small_params, Size1Comm()) is None
-        params = MafiaParams(rebalance=True)
-        assert StragglerMonitor.create(params, Size1Comm()) is None
 
 
 class TestPolicyValidation:
