@@ -9,9 +9,8 @@ from .checkpoint import (CHECKPOINT_VERSION, SHARD_MANIFEST_VERSION,
                          check_compatible, checkpoint_path,
                          clear_checkpoints, latest_checkpoint,
                          load_checkpoint, load_latest_checkpoint,
-                         load_shard_manifest, quarantine_checkpoint,
-                         save_checkpoint, save_shard_manifest,
-                         shard_manifest_path)
+                         load_shard_manifest, save_checkpoint,
+                         save_shard_manifest, shard_manifest_path)
 from .dedup import drop_repeats, repeat_flags_block
 from .dnf import (dnf_terms, greedy_cover, grow_box, maximal_mask,
                   merged_mask, projections)
@@ -84,7 +83,6 @@ __all__ = [
     "pmafia_rank",
     "pmafia_resumable",
     "pmafia_supervised",
-    "quarantine_checkpoint",
     "save_checkpoint",
     "save_shard_manifest",
     "shard_manifest_path",

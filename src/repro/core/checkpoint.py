@@ -9,13 +9,14 @@ then restarted from the last completed level by
 pass is a deterministic function of this state — produces a
 bit-identical :class:`~repro.core.result.ClusteringResult`.
 
-File format (versioned, see ``docs/ROBUSTNESS.md``): a 18-byte header
-``magic "PMCK" | u16 version | u32 crc32(payload) | i64 payload-length``
-followed by a pickled state dict.  Files are written atomically
-(temp + rename) so a crash mid-checkpoint leaves the previous level's
-file intact; the CRC makes a torn or bit-rotten checkpoint fail with
+File format (versioned, see ``docs/ROBUSTNESS.md``): the
+:func:`repro.io.artifact.write_framed` frame with magic ``"PMCK"``
+around a pickled state dict.  Files are published atomically, so a
+crash mid-checkpoint leaves the previous level's file intact; the CRC
+makes a torn or bit-rotten checkpoint fail with
 :class:`~repro.errors.CheckpointError` instead of resuming from
-garbage.
+garbage.  Shard manifests use the same frame (magic ``"PMSH"``) around
+a JSON object.
 """
 
 from __future__ import annotations
@@ -24,18 +25,17 @@ import json
 import os
 import pickle
 import re
-import struct
-import zlib
 from pathlib import Path
 from typing import Any
 
 from ..errors import CheckpointError
+from ..io.artifact import quarantine, read_framed, write_framed
 
 _MAGIC = b"PMCK"
 #: bump when the state dict's schema changes incompatibly
 CHECKPOINT_VERSION = 1
-_HEADER = struct.Struct("<4sHIq")
 _LEVEL_RE = re.compile(r"^level(\d{4})\.ckpt$")
+_SHARD_MAGIC = b"PMSH"
 #: bump when the shard-manifest schema changes incompatibly
 SHARD_MANIFEST_VERSION = 1
 
@@ -48,44 +48,16 @@ def checkpoint_path(directory: str | os.PathLike, level: int) -> Path:
 def save_checkpoint(directory: str | os.PathLike, level: int,
                     state: dict[str, Any]) -> Path:
     """Atomically write the post-``level`` state; returns the path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    path = checkpoint_path(directory, level)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, CHECKPOINT_VERSION,
-                              zlib.crc32(payload), len(payload)))
-        fh.write(payload)
-    os.replace(tmp, path)
-    return path
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    return write_framed(checkpoint_path(directory, level), _MAGIC,
+                        CHECKPOINT_VERSION,
+                        pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def load_checkpoint(path: str | os.PathLike) -> dict[str, Any]:
     """Read, validate and unpickle one checkpoint file."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    magic, version, crc, length = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: checkpoint version {version} is not supported "
-            f"(this build reads version {CHECKPOINT_VERSION})")
-    payload = raw[_HEADER.size:]
-    if len(payload) != length:
-        raise CheckpointError(
-            f"{path}: checkpoint payload is {len(payload)} bytes, "
-            f"header says {length}")
-    if zlib.crc32(payload) != crc:
-        raise CheckpointError(f"{path}: checkpoint CRC mismatch "
-                              f"(corrupt or torn write)")
+    payload = read_framed(path, _MAGIC, CHECKPOINT_VERSION,
+                          CheckpointError, "checkpoint")
     try:
         state = pickle.loads(payload)
     except Exception as exc:  # noqa: BLE001 - any unpickling failure
@@ -112,24 +84,15 @@ def latest_checkpoint(directory: str | os.PathLike) -> Path | None:
     return best[1] if best else None
 
 
-def quarantine_checkpoint(path: str | os.PathLike) -> Path:
-    """Move a bad checkpoint aside as ``<name>.corrupt`` so the next
-    :func:`latest_checkpoint` scan no longer offers it; returns the new
-    path.  An existing quarantine file for the same level is replaced —
-    only the newest corpse is worth keeping for post-mortems."""
-    path = Path(path)
-    target = path.with_suffix(path.suffix + ".corrupt")
-    os.replace(path, target)
-    return target
-
-
 def load_latest_checkpoint(directory: str | os.PathLike
                            ) -> dict[str, Any] | None:
     """Load the newest *readable* checkpoint in ``directory``.
 
     A truncated or corrupt newest file — the expected debris of a crash
-    or disk fault mid-run — is quarantined (renamed ``.corrupt``) and
-    the scan falls back to the previous level instead of aborting the
+    or disk fault mid-run — is quarantined
+    (:func:`repro.io.artifact.quarantine`, so the next
+    :func:`latest_checkpoint` scan no longer offers it) and the scan
+    falls back to the previous level instead of aborting the
     resume; losing one level of progress beats losing all of it.
     Returns ``None`` when no readable checkpoint remains.
     """
@@ -140,7 +103,7 @@ def load_latest_checkpoint(directory: str | os.PathLike
         try:
             return load_checkpoint(newest)
         except CheckpointError:
-            quarantine_checkpoint(newest)
+            quarantine(newest)
 
 
 def clear_checkpoints(directory: str | os.PathLike) -> int:
@@ -179,17 +142,12 @@ def save_shard_manifest(directory: str | os.PathLike, rank: int,
     it can reuse the on-disk caches instead of re-deriving them, after
     verifying the fingerprint still matches the checkpointed grid.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = shard_manifest_path(directory, rank)
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    Path(directory).mkdir(parents=True, exist_ok=True)
     payload = dict(manifest)
-    payload.setdefault("version", SHARD_MANIFEST_VERSION)
     payload.setdefault("rank", rank)
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return write_framed(shard_manifest_path(directory, rank), _SHARD_MAGIC,
+                        SHARD_MANIFEST_VERSION,
+                        json.dumps(payload, sort_keys=True).encode())
 
 
 def load_shard_manifest(directory: str | os.PathLike,
@@ -197,15 +155,13 @@ def load_shard_manifest(directory: str | os.PathLike,
     """Read one rank's shard manifest; ``None`` when absent or
     unreadable (the replacement then re-stages from scratch — manifests
     are an optimisation witness, never load-bearing state)."""
-    path = shard_manifest_path(directory, rank)
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        manifest = json.loads(read_framed(
+            shard_manifest_path(directory, rank), _SHARD_MAGIC,
+            SHARD_MANIFEST_VERSION, CheckpointError, "shard manifest"))
+    except (CheckpointError, ValueError):
         return None
-    if (not isinstance(manifest, dict)
-            or manifest.get("version") != SHARD_MANIFEST_VERSION):
-        return None
-    return manifest
+    return manifest if isinstance(manifest, dict) else None
 
 
 def check_compatible(state: dict[str, Any], params: Any,

@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import DataError
 from ..io.bitmap_index import (DEFAULT_BITMAP_BUDGET, RECORD_ITEMSIZE,
                                BitmapIndex, build_bitmap_index,
-                               grid_fingerprint)
+                               edges_fingerprint)
 from ..io.chunks import DataSource
 from ..io.resilient import RetryPolicy
 from ..parallel.comm import Comm
@@ -234,7 +234,7 @@ class IndexedPopulator:
         if self._grid_ok:
             return
         if grid.ndim != self.index.n_dims or \
-                grid_fingerprint(grid) != self.index.grid_hash:
+                not self.index.key.startswith(edges_fingerprint(grid)):
             raise DataError(
                 "bitmap index was built for a different grid; restage it")
         self._grid_ok = True

@@ -1,6 +1,8 @@
 """Out-of-core I/O substrate: binary record files, chunked passes,
-block partitioning of N over p ranks, shared→local disk staging and the
-persistent membership bitmap index every population pass reads."""
+block partitioning of N over p ranks, shared→local disk staging, the
+persistent membership bitmap index every population pass reads, and
+(:mod:`repro.io.artifact`) the one publish / verify / quarantine path
+every staged file goes through."""
 
 from .bitmap_index import (DEFAULT_BITMAP_BUDGET, BitmapIndex,
                            bitmap_cache_path, build_bitmap_index,

@@ -7,52 +7,46 @@ on-disk format — a tiny self-describing header followed by C-order raw
 records — readable via memmap so chunked passes never materialise the
 whole data set.
 
-Two on-disk versions coexist (see ``docs/ROBUSTNESS.md``):
+On-disk format (version 2, the only one; see ``docs/ROBUSTNESS.md``)::
 
-* **v1** — 24-byte header (magic, version, dtype, shape) + raw records.
-* **v2** (default for new files) — 32-byte header that additionally
-  records ``crc_chunk_records``, raw records, then a footer table with
-  one CRC32 per chunk of that many records.  Reads verify the CRCs of
-  the chunks they touch (cached per handle) and raise
-  :class:`~repro.errors.ChecksumError` on the first mismatch — silent
-  bit rot on a multi-hour disk-based run is not recoverable, so it must
-  fail fast.  v1 files remain fully readable (no checksums, no
-  verification).
+    header  <4sHHqqq>  magic b"PMAF" | u16 version | u16 dtype code |
+                       i64 n_records | i64 n_dims | i64 crc_chunk_records
+    data    n_records x n_dims raw records
+    footer  one CRC32 per chunk of crc_chunk_records records
+
+Files are published and checked through :mod:`repro.io.artifact`.  Reads
+verify the CRCs of the chunks they touch (cached per handle) and raise
+:class:`~repro.errors.ChecksumError` on the first mismatch — silent bit
+rot on a multi-hour disk-based run is not recoverable, so it must fail
+fast.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from ..errors import ChecksumError, DataError, RecordFileError
+from .artifact import Publication, crc32, open_frame, verify_crc
 
 _MAGIC = b"PMAF"
-_V1 = 1
-_V2 = 2
-#: version written by default
-_VERSION = _V2
-#: v1 header: magic, version, dtype code, n_records, n_dims
-_HEADER_V1 = struct.Struct("<4sHHqq")
-#: v2 header: v1 fields + crc_chunk_records; CRC32 footer after the data
-_HEADER_V2 = struct.Struct("<4sHHqqq")
+_VERSION = 2
+_HEADER = struct.Struct("<4sHHqqq")
 _CRC_ITEM = struct.Struct("<I")
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {v: k for k, v in _DTYPES.items()}
 
-#: records covered by one footer CRC32 in a v2 file
+#: records covered by one footer CRC32
 DEFAULT_CRC_CHUNK_RECORDS = 4096
 
 
 def _crc_chunk_count(n_records: int, crc_chunk_records: int) -> int:
-    if crc_chunk_records <= 0 or n_records <= 0:
-        return 0
     return -(-n_records // crc_chunk_records)
 
 
@@ -64,12 +58,12 @@ class RecordFileInfo:
     n_records: int
     n_dims: int
     dtype: np.dtype
-    version: int = _V1
-    data_offset: int = _HEADER_V1.size
-    #: records per footer CRC32 (0: no checksums, v1 file)
-    crc_chunk_records: int = 0
-    #: one CRC32 per chunk of ``crc_chunk_records`` records (v2 only)
-    crcs: tuple[int, ...] = field(default=())
+    version: int
+    data_offset: int
+    #: records per footer CRC32
+    crc_chunk_records: int
+    #: one CRC32 per chunk of ``crc_chunk_records`` records
+    crcs: tuple[int, ...]
 
     @property
     def record_nbytes(self) -> int:
@@ -82,6 +76,17 @@ class RecordFileInfo:
     @property
     def n_crc_chunks(self) -> int:
         return len(self.crcs)
+
+    def digest(self, start: int, stop: int) -> bytes:
+        """32-byte SHA-256 of this file's header and CRC table plus the
+        record range ``[start, stop)`` — the identity of exactly those
+        records, which artifacts derived from them are keyed on."""
+        h = hashlib.sha256(_HEADER.pack(
+            _MAGIC, self.version, _DTYPE_CODES[self.dtype],
+            self.n_records, self.n_dims, self.crc_chunk_records))
+        h.update(np.asarray(self.crcs, dtype="<u4").tobytes())
+        h.update(struct.pack("<qq", start, stop))
+        return h.digest()
 
 
 class RecordFile:
@@ -123,9 +128,9 @@ class RecordFile:
 
     def verify_chunk(self, index: int) -> None:
         """Check one CRC chunk against its stored checksum; raises
-        :class:`~repro.errors.ChecksumError` on mismatch.  No-op for v1
-        files and for chunks this handle already verified."""
-        if index in self._verified or not self.info.crcs:
+        :class:`~repro.errors.ChecksumError` on mismatch.  No-op for
+        chunks this handle already verified."""
+        if index in self._verified:
             return
         ccr = self.info.crc_chunk_records
         if not 0 <= index < self.info.n_crc_chunks:
@@ -133,37 +138,21 @@ class RecordFile:
                             f"{self.info.n_crc_chunks} chunks")
         lo = index * ccr
         hi = min(lo + ccr, self.n_records)
-        raw = np.ascontiguousarray(self.memmap()[lo:hi])
-        computed = zlib.crc32(raw.tobytes(order="C"))
-        stored = self.info.crcs[index]
-        if computed != stored:
-            raise ChecksumError(
-                f"{self.path}: CRC mismatch in chunk {index} (records "
-                f"[{lo}, {hi})): stored {stored:#010x}, "
-                f"computed {computed:#010x}")
+        verify_crc(self.memmap()[lo:hi], self.info.crcs[index],
+                   ChecksumError,
+                   f"{self.path}: chunk {index} (records [{lo}, {hi}))")
         self._verified.add(index)
 
-    def _verify_range(self, start: int, stop: int) -> None:
-        ccr = self.info.crc_chunk_records
-        if not self.info.crcs or stop <= start:
-            return
-        for index in range(start // ccr, (stop - 1) // ccr + 1):
-            self.verify_chunk(index)
-
-    def read_block(self, start: int, stop: int,
-                   verify: bool | None = None) -> np.ndarray:
-        """Read records ``[start, stop)`` into a fresh in-memory array.
-
-        ``verify`` controls checksum validation of the touched CRC
-        chunks: ``None`` (default) verifies when the file carries
-        checksums, ``False`` skips, ``True`` insists (a no-op on v1
-        files, which have none).
-        """
+    def read_block(self, start: int, stop: int) -> np.ndarray:
+        """Read records ``[start, stop)`` into a fresh in-memory array,
+        verifying the checksums of the CRC chunks it touches."""
         if not 0 <= start <= stop <= self.n_records:
             raise DataError(
                 f"block [{start}, {stop}) out of range for {self.n_records} records")
-        if verify or verify is None:
-            self._verify_range(start, stop)
+        ccr = self.info.crc_chunk_records
+        if stop > start:
+            for index in range(start // ccr, (stop - 1) // ccr + 1):
+                self.verify_chunk(index)
         return np.array(self.memmap()[start:stop], copy=True)
 
     def read_all(self) -> np.ndarray:
@@ -198,7 +187,7 @@ class _ChunkCrcs:
         view = memoryview(data)
         while view:
             take = min(len(view), self.chunk_nbytes - self._fill)
-            self._current = zlib.crc32(view[:take], self._current)
+            self._current = crc32(view[:take], self._current)
             self._fill += take
             view = view[take:]
             if self._fill == self.chunk_nbytes:
@@ -217,7 +206,7 @@ class _ChunkCrcs:
 class RecordFileWriter:
     """Incremental record-file writer for data too large to build in
     memory.  Append ``(n, d)`` blocks, then ``close()`` (or use as a
-    context manager) to finalise the header.
+    context manager) to finalise the header and publish the file.
 
     >>> with RecordFileWriter(path, n_dims=8) as w:
     ...     for block in blocks:
@@ -225,33 +214,26 @@ class RecordFileWriter:
     """
 
     def __init__(self, path: str | os.PathLike, n_dims: int,
-                 dtype: str = "<f8", version: int = _VERSION,
+                 dtype: str = "<f8",
                  crc_chunk_records: int = DEFAULT_CRC_CHUNK_RECORDS) -> None:
         if n_dims <= 0:
             raise DataError(f"n_dims must be positive, got {n_dims}")
-        if version not in (_V1, _V2):
-            raise DataError(f"unsupported record-file version {version}")
+        if crc_chunk_records <= 0:
+            raise DataError(f"crc_chunk_records must be positive, "
+                            f"got {crc_chunk_records}")
         self.path = Path(path)
         self.n_dims = n_dims
         self.dtype = np.dtype(dtype)
         if self.dtype not in _DTYPE_CODES:
             raise DataError(f"unsupported dtype {dtype!r}")
-        self.version = version
+        self.crc_chunk_records = crc_chunk_records
+        self._crcs = _ChunkCrcs(
+            crc_chunk_records * n_dims * self.dtype.itemsize)
         self._n_records = 0
-        self._crcs: _ChunkCrcs | None = None
-        self.crc_chunk_records = 0
-        if version == _V2:
-            if crc_chunk_records <= 0:
-                raise DataError(f"crc_chunk_records must be positive, "
-                                f"got {crc_chunk_records}")
-            self.crc_chunk_records = crc_chunk_records
-            self._crcs = _ChunkCrcs(
-                crc_chunk_records * n_dims * self.dtype.itemsize)
-        self._tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        self._fh = open(self._tmp, "wb")
+        self._out: Publication | None = Publication(self.path)
         try:
             # placeholder header, patched on close
-            self._fh.write(self._header(0))
+            self._out.fh.write(self._header(0))
         except BaseException:
             # don't strand the descriptor or the temp file if the very
             # first write fails (full disk, injected fault)
@@ -259,12 +241,8 @@ class RecordFileWriter:
             raise
 
     def _header(self, n_records: int) -> bytes:
-        if self.version == _V1:
-            return _HEADER_V1.pack(_MAGIC, _V1, _DTYPE_CODES[self.dtype],
-                                   n_records, self.n_dims)
-        return _HEADER_V2.pack(_MAGIC, _V2, _DTYPE_CODES[self.dtype],
-                               n_records, self.n_dims,
-                               self.crc_chunk_records)
+        return _HEADER.pack(_MAGIC, _VERSION, _DTYPE_CODES[self.dtype],
+                            n_records, self.n_dims, self.crc_chunk_records)
 
     @property
     def n_records(self) -> int:
@@ -272,7 +250,7 @@ class RecordFileWriter:
 
     def append(self, block: np.ndarray) -> None:
         """Append a block of records (converted to the file dtype)."""
-        if self._fh is None:
+        if self._out is None:
             raise RecordFileError(f"{self.path}: writer already closed")
         block = np.asarray(block)
         if block.ndim != 2 or block.shape[1] != self.n_dims:
@@ -282,31 +260,30 @@ class RecordFileWriter:
             raise DataError("block contains NaN or infinite values")
         raw = np.ascontiguousarray(
             block.astype(self.dtype, copy=False)).tobytes(order="C")
-        self._fh.write(raw)
-        if self._crcs is not None:
-            self._crcs.feed(raw)
+        self._out.fh.write(raw)
+        self._crcs.feed(raw)
         self._n_records += block.shape[0]
 
     def close(self) -> RecordFile:
         """Finalise the header and atomically publish the file."""
-        if self._fh is None:
-            return RecordFile(self.path)
-        if self._crcs is not None:
-            for crc in self._crcs.finish():
-                self._fh.write(_CRC_ITEM.pack(crc))
-        self._fh.seek(0)
-        self._fh.write(self._header(self._n_records))
-        self._fh.close()
-        self._fh = None
-        os.replace(self._tmp, self.path)
+        if self._out is not None:
+            out, self._out = self._out, None
+            try:
+                for crc in self._crcs.finish():
+                    out.fh.write(_CRC_ITEM.pack(crc))
+                out.fh.seek(0)
+                out.fh.write(self._header(self._n_records))
+            except BaseException:
+                out.abort()
+                raise
+            out.commit()
         return RecordFile(self.path)
 
     def abort(self) -> None:
         """Discard everything written so far."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-            self._tmp.unlink(missing_ok=True)
+        if self._out is not None:
+            self._out.abort()
+            self._out = None
 
     def __enter__(self) -> "RecordFileWriter":
         return self
@@ -319,13 +296,11 @@ class RecordFileWriter:
 
 
 def write_records(path: str | os.PathLike, records: np.ndarray,
-                  version: int = _VERSION,
                   crc_chunk_records: int = DEFAULT_CRC_CHUNK_RECORDS
                   ) -> RecordFile:
     """Write an ``(n, d)`` float array as a record file and return a
     handle on it.  float32/float64 inputs keep their precision; anything
-    else is converted to float64.  New files are checksummed v2 by
-    default; pass ``version=1`` for the legacy format."""
+    else is converted to float64."""
     records = np.asarray(records)
     if records.ndim != 2:
         raise DataError(f"records must be 2-D, got shape {records.shape}")
@@ -335,66 +310,36 @@ def write_records(path: str | os.PathLike, records: np.ndarray,
     if not np.isfinite(records).all():
         raise DataError("records contain NaN or infinite values")
     with RecordFileWriter(path, n_dims=records.shape[1],
-                          dtype=records.dtype, version=version,
+                          dtype=records.dtype,
                           crc_chunk_records=crc_chunk_records) as writer:
         writer.append(records)
     return RecordFile(path)
 
 
 def read_header(path: str | os.PathLike) -> RecordFileInfo:
-    """Decode and validate a record file's header (v1 or v2); for v2
-    files the footer CRC table is loaded as well."""
-    path = Path(path)
-    try:
-        size = path.stat().st_size
-        with open(path, "rb") as fh:
-            raw = fh.read(_HEADER_V2.size)
-            if len(raw) < _HEADER_V1.size:
-                raise RecordFileError(f"{path}: truncated header")
-            magic, version = struct.unpack_from("<4sH", raw)
-            if magic != _MAGIC:
-                raise RecordFileError(f"{path}: bad magic {magic!r}")
-            crcs: tuple[int, ...] = ()
-            if version == _V1:
-                _, _, dtype_code, n_records, n_dims = _HEADER_V1.unpack(
-                    raw[:_HEADER_V1.size])
-                data_offset = _HEADER_V1.size
-                crc_chunk_records = 0
-            elif version == _V2:
-                if len(raw) < _HEADER_V2.size:
-                    raise RecordFileError(f"{path}: truncated header")
-                (_, _, dtype_code, n_records, n_dims,
-                 crc_chunk_records) = _HEADER_V2.unpack(raw)
-                data_offset = _HEADER_V2.size
-                if crc_chunk_records <= 0:
-                    raise RecordFileError(
-                        f"{path}: bad crc_chunk_records {crc_chunk_records}")
-            else:
-                raise RecordFileError(f"{path}: unsupported version {version}")
-            if dtype_code not in _DTYPES:
-                raise RecordFileError(f"{path}: unknown dtype code {dtype_code}")
-            if n_records < 0 or n_dims <= 0:
-                raise RecordFileError(f"{path}: bad shape ({n_records}, {n_dims})")
-            dtype = _DTYPES[dtype_code]
-            data_nbytes = n_records * n_dims * dtype.itemsize
-            n_chunks = (_crc_chunk_count(n_records, crc_chunk_records)
-                        if version == _V2 else 0)
-            expected = data_offset + data_nbytes + n_chunks * _CRC_ITEM.size
-            if size != expected:
-                raise RecordFileError(
-                    f"{path}: file is {size} bytes, header implies {expected}")
-            if n_chunks:
-                fh.seek(data_offset + data_nbytes)
-                table = fh.read(n_chunks * _CRC_ITEM.size)
-                if len(table) != n_chunks * _CRC_ITEM.size:
-                    raise RecordFileError(f"{path}: truncated CRC table")
-                crcs = tuple(
-                    int(v) for v in np.frombuffer(table, dtype="<u4"))
-    except RecordFileError:
-        raise
-    except OSError as exc:
-        raise RecordFileError(f"cannot open record file {path}: {exc}") from exc
-    return RecordFileInfo(path=path, n_records=n_records, n_dims=n_dims,
-                          dtype=dtype, version=version,
-                          data_offset=data_offset,
+    """Decode and validate a record file's header and load its CRC
+    table."""
+    with open_frame(path, _HEADER, magic=_MAGIC, version=_VERSION,
+                    error=RecordFileError, what="record file") as frame:
+        dtype_code, n_records, n_dims, crc_chunk_records = frame.fields
+        if dtype_code not in _DTYPES:
+            raise RecordFileError(
+                f"{frame.path}: unknown dtype code {dtype_code}")
+        if n_records < 0 or n_dims <= 0:
+            raise RecordFileError(
+                f"{frame.path}: bad shape ({n_records}, {n_dims})")
+        if crc_chunk_records <= 0:
+            raise RecordFileError(f"{frame.path}: bad crc_chunk_records "
+                                  f"{crc_chunk_records}")
+        dtype = _DTYPES[dtype_code]
+        data_nbytes = n_records * n_dims * dtype.itemsize
+        n_chunks = _crc_chunk_count(n_records, crc_chunk_records)
+        frame.expect_size(_HEADER.size + data_nbytes
+                          + n_chunks * _CRC_ITEM.size)
+        table = frame.read_at(_HEADER.size + data_nbytes,
+                              n_chunks * _CRC_ITEM.size)
+    crcs = tuple(int(v) for v in np.frombuffer(table, dtype="<u4"))
+    return RecordFileInfo(path=frame.path, n_records=n_records,
+                          n_dims=n_dims, dtype=dtype, version=_VERSION,
+                          data_offset=_HEADER.size,
                           crc_chunk_records=crc_chunk_records, crcs=crcs)

@@ -32,19 +32,12 @@ def stage_local(comm: Comm, shared: str | os.PathLike,
                 local_dir: str | os.PathLike | None = None) -> RecordFile:
     """Copy this rank's N/p block of ``shared`` onto "local disk".
 
-    Returns a handle on the rank-private record file.  Idempotent: an
-    existing up-to-date local copy is reused.
+    Returns a handle on the rank-private record file.  The copy is
+    republished on every call, so it always holds the shared file's
+    current records; artifacts derived from it (the spilled bitmap
+    index) stay reusable through their record-bound keys.
     """
     source = RecordFile(shared)
     start, stop = block_range(source.n_records, comm.size, comm.rank)
-    destination = local_path(shared, comm.rank, local_dir)
-    if destination.exists():
-        try:
-            existing = RecordFile(destination)
-        except Exception:
-            destination.unlink()
-        else:
-            if (existing.n_records == stop - start
-                    and existing.n_dims == source.n_dims):
-                return existing
-    return write_records(destination, source.read_block(start, stop))
+    return write_records(local_path(shared, comm.rank, local_dir),
+                         source.read_block(start, stop))

@@ -37,11 +37,11 @@ depends on when (or whether) that eager rebuild runs.
 
 A ``spill_dir`` (single-rank sessions only) makes the session
 resumable: each delta's records are staged to disk before the
-manifest commit, segment bitmap indexes persist as crash-safe ``.bmx``
-siblings, and ``resume=True`` rebuilds the exact live window from the
-manifest — re-ingesting an already applied sequence number is a no-op,
-so producers replay their last delta after a crash without
-double-counting.
+manifest commit, segment bitmap indexes persist as ``.bmx`` siblings
+keyed on the exact records they cover, and ``resume=True`` rebuilds
+the exact live window from the manifest — re-ingesting an already
+applied sequence number is a no-op, so producers replay their last
+delta after a crash without double-counting.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ from ..core.pmafia import (_eliminate_repeat_cdus,
 from ..core.result import ClusteringResult, LevelTrace
 from ..core.units import UnitTable
 from ..errors import DataError, StreamError
-from ..io.bitmap_index import (append_bitmap_index, append_bitmap_tiles,
-                               bitmap_cache_path, edges_fingerprint)
+from ..io.artifact import read_framed, write_framed
+from ..io.bitmap_index import bitmap_cache_path, edges_fingerprint
 from ..io.partition import block_range
 from ..io.records import RecordFile, write_records
 from ..obs import RankObs
@@ -78,6 +78,7 @@ from ..parallel.serial import SerialComm
 from .window import SlidingWindow, WindowSegment
 
 _MANIFEST_NAME = "stream_manifest.json"
+_MANIFEST_MAGIC = b"PMST"
 _MANIFEST_VERSION = 1
 
 #: default segment-count ceiling before adjacent segments are merged
@@ -103,15 +104,6 @@ class _PairsTally:
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._comm, name)
-
-
-def _atomic_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def _unlink_quiet(path: Path | None) -> None:
@@ -154,11 +146,9 @@ class StreamingSession:
         sessions only).
     compact_segments:
         Merge the two oldest segments whenever the live segment count
-        exceeds this (bounds per-snapshot segment overhead); resident
-        merges go through
-        :func:`~repro.io.bitmap_index.append_bitmap_tiles`, spilled
-        ones through the crash-safe on-disk
-        :func:`~repro.io.bitmap_index.append_bitmap_index`.
+        exceeds this (bounds per-snapshot segment overhead); the merged
+        segment keeps its parents' summed count caches and rebuilds its
+        bitmap index lazily.
     resume:
         Rebuild the live window from ``spill_dir``'s manifest (which
         must exist) instead of starting empty.
@@ -203,7 +193,6 @@ class StreamingSession:
                               dtype=np.int64)
         self._window = SlidingWindow()
         self._last_seq = -1
-        self._grid = None
         self._edges_fp: bytes | None = None
         self._grid_hist: np.ndarray | None = None
         self._join_cache: dict[tuple, tuple[bytes, bytes, float]] = {}
@@ -336,7 +325,6 @@ class StreamingSession:
             raise DataError("cannot cluster an empty data set")
         grid = build_grid(self._hist, self.domains, self._window.g_live,
                           self.params)
-        self._grid = grid
         self._edges_fp = edges_fingerprint(grid)
         return grid
 
@@ -364,12 +352,11 @@ class StreamingSession:
     # -- compaction -------------------------------------------------------
     def _compact(self) -> None:
         """Merge the two oldest segments until the count is back under
-        ``compact_segments`` (single-rank sessions).  Current artifacts
-        are carried over by *appending* the younger segment's records
-        to the older one's bitmap index — resident via
-        :func:`append_bitmap_tiles`, spilled via the crash-safe
-        :func:`append_bitmap_index` — and by summing the parents' count
-        caches for keys both hold."""
+        ``compact_segments`` (single-rank sessions).  The merged segment
+        carries over the parents' count caches, summed for keys both
+        hold; its bitmap index is rebuilt lazily by
+        :meth:`WindowSegment.ensure_index`, the path any stale segment
+        takes."""
         while len(self._window.segments) > self.compact_segments:
             a, b = self._window.segments[0], self._window.segments[1]
             self._window.segments[:2] = [self._merge(a, b)]
@@ -379,37 +366,17 @@ class StreamingSession:
             np.concatenate([a.records, b.records], axis=0))
         g_size = a.g_live + b.g_live
         rec_path = None
-        index = None
-        fp = self._edges_fp
         if self.spill_dir is not None:
             rec_path = self.spill_dir / f"seg-{b.seq:08d}c.rec"
             write_records(rec_path, records)
-        if fp is not None and self._grid is not None:
-            a_index = a.current_index(fp)
-            if a_index is not None and b.records.shape[0]:
-                if a_index.resident:
-                    index = append_bitmap_tiles(a_index, self._grid,
-                                                b.records)
-                elif rec_path is not None and a_index.path is not None:
-                    # carry the on-disk tiles over under the merged name,
-                    # then append in place (crash-safe: fingerprint is
-                    # zeroed until the new tiles and CRCs are committed)
-                    target = bitmap_cache_path(rec_path)
-                    target.write_bytes(Path(a_index.path).read_bytes())
-                    index = append_bitmap_index(target, self._grid,
-                                                b.records, grid_hash=fp)
-            elif a_index is not None:
-                index = a_index
-        counts: dict[bytes, np.ndarray] = {}
-        if index is not None:
-            b_cache = b.cached_counts(fp)
-            for key, a_counts in a.cached_counts(fp).items():
-                b_counts = b_cache.get(key)
-                if b_counts is not None:
-                    counts[key] = a_counts + b_counts
         merged = WindowSegment(b.seq, records, g_size, 0, g_size, rec_path)
+        fp = self._edges_fp
         if fp is not None:
-            merged.seed_artifacts(index, fp, counts)
+            b_cache = b.cached_counts(fp)
+            merged.seed_counts(fp, {
+                key: a_counts + b_cache[key]
+                for key, a_counts in a.cached_counts(fp).items()
+                if key in b_cache})
         for old in (a, b):
             if old.rec_path is not None:
                 _unlink_quiet(old.rec_path)
@@ -420,8 +387,7 @@ class StreamingSession:
     def _write_manifest(self) -> None:
         if self.spill_dir is None:
             return
-        _atomic_json(self.spill_dir / _MANIFEST_NAME, {
-            "version": _MANIFEST_VERSION,
+        manifest = {
             "last_seq": self._last_seq,
             "n_dims": self.n_dims,
             "fine_bins": self.params.fine_bins,
@@ -434,23 +400,23 @@ class StreamingSession:
                 "g_size": seg.g_size,
                 "g_dropped": seg.g_dropped,
             } for seg in self._window.segments],
-        })
+        }
+        write_framed(self.spill_dir / _MANIFEST_NAME, _MANIFEST_MAGIC,
+                     _MANIFEST_VERSION,
+                     json.dumps(manifest, indent=1, sort_keys=True).encode())
 
     def _resume_from_manifest(self) -> None:
         path = self.spill_dir / _MANIFEST_NAME
         if not path.exists():
             raise StreamError(
                 f"resume=True but no manifest at {path}")
+        payload = read_framed(path, _MANIFEST_MAGIC, _MANIFEST_VERSION,
+                              StreamError, "stream manifest")
         try:
-            with open(path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, ValueError) as exc:
+            manifest = json.loads(payload)
+        except ValueError as exc:
             raise StreamError(f"unreadable stream manifest {path}: "
                               f"{exc}") from exc
-        if manifest.get("version") != _MANIFEST_VERSION:
-            raise StreamError(
-                f"unsupported stream manifest version "
-                f"{manifest.get('version')!r}")
         if manifest["n_dims"] != self.n_dims:
             raise StreamError(
                 f"manifest has {manifest['n_dims']} dimensions, session "

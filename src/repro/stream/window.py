@@ -4,10 +4,12 @@ Each ingested delta becomes one :class:`WindowSegment` holding the
 rank's local slice of the delta's records plus two lazily built,
 reusable artifacts: a per-(dim, bin) bitmap index over the slice and a
 cache of per-CDU popcounts.  Both depend only on the grid's *bin
-edges* (stamped via :func:`repro.io.bitmap_index.edges_fingerprint`), so
-they survive threshold-only grid changes — the common case under
-steady traffic, where new deltas shift density thresholds every ingest
-but leave the merged bin structure alone.
+edges* (:func:`repro.io.bitmap_index.edges_fingerprint`), so they
+survive threshold-only grid changes — the common case under steady
+traffic, where new deltas shift density thresholds every ingest but
+leave the merged bin structure alone.  A spilled segment's index is
+keyed on those edges plus the digest of exactly its live records
+(the tail of its record file left after head drops).
 
 Window expiry is head-drop in *global* record order: the window tracks
 each segment's global size and each rank's global sub-range, so every
@@ -26,11 +28,13 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ChecksumError, DataError
-from ..core.checkpoint import quarantine_checkpoint
 from ..core.population import count_units
-from ..io.bitmap_index import (BitmapIndex, bitmap_cache_path,
-                               build_bitmap_index, load_bitmap_cache)
+from ..io.artifact import quarantine
+from ..io.bitmap_index import (NO_RECORDS_DIGEST, BitmapIndex,
+                               bitmap_cache_path, build_bitmap_index,
+                               load_bitmap_cache)
 from ..io.chunks import ArraySource
+from ..io.records import read_header
 from ..types import Grid
 
 
@@ -39,7 +43,10 @@ class WindowSegment:
 
     ``g_size`` is the delta's *global* record count and ``[g_lo, g_hi)``
     the global positions this rank's slice covered at ingest time;
-    ``g_dropped`` counts globally expired head records.  The segment's
+    ``g_dropped`` counts globally expired head records and
+    ``local_dropped`` the rows of them this rank held, so the live
+    records are rows ``[local_dropped, local_dropped + n_local)`` of
+    the segment's record file.  The segment's
     artifacts (bitmap index, per-unit count cache) are invalidated by
     expiry and by bin-edge changes, never by threshold-only grid
     changes.
@@ -62,6 +69,7 @@ class WindowSegment:
         self.g_lo = int(g_lo)
         self.g_hi = int(g_hi)
         self.g_dropped = 0
+        self.local_dropped = 0
         self.rec_path = None if rec_path is None else Path(rec_path)
         self._index: BitmapIndex | None = None
         self._edges_fp: bytes | None = None
@@ -90,9 +98,8 @@ class WindowSegment:
             return self.records[:0]
         dropped = self.records[:n_drop].copy()
         self.records = np.ascontiguousarray(self.records[n_drop:])
-        self._index = None
-        self._edges_fp = None
-        self._counts.clear()
+        self.local_dropped += n_drop
+        self.invalidate()
         return dropped
 
     # -- artifacts --------------------------------------------------------
@@ -114,15 +121,12 @@ class WindowSegment:
         merged segment from its parents' shared keys."""
         return self._counts if self._edges_fp == edges_fp else {}
 
-    def current_index(self, edges_fp: bytes) -> BitmapIndex | None:
-        """The cached index iff it matches these bin edges."""
-        return self._index if self._edges_fp == edges_fp else None
-
-    def seed_artifacts(self, index: BitmapIndex | None, edges_fp: bytes,
-                       counts: dict[bytes, np.ndarray]) -> None:
-        """Adopt pre-built artifacts (compaction's merged index and
-        summed count cache)."""
-        self._index = index
+    def seed_counts(self, edges_fp: bytes,
+                    counts: dict[bytes, np.ndarray]) -> None:
+        """Adopt a count cache filled under these bin edges
+        (compaction's summed parent caches); the index is built lazily
+        by :meth:`ensure_index`."""
+        self._index = None
         self._edges_fp = edges_fp
         self._counts = dict(counts)
 
@@ -131,26 +135,27 @@ class WindowSegment:
             else bitmap_cache_path(self.rec_path)
 
     def ensure_index(self, grid: Grid, edges_fp: bytes,
-                     chunk_records: int, *,
-                     on_quarantine: Callable[[str], None] | None = None
-                     ) -> BitmapIndex:
+                     chunk_records: int) -> BitmapIndex:
         """The segment's bitmap index for the current bin edges,
         (re)building it when stale.  A spilled segment persists the
-        index next to its record file; a sibling failing its header or
-        fingerprint check is silently rebuilt, and one failing a tile
-        CRC *after* load is quarantined (renamed ``.corrupt``) before
-        the rebuild — see :meth:`counts_for`."""
+        index next to its record file, keyed on the edges and the
+        digest of its live records; a sibling failing its header or key
+        check is silently rebuilt, and one failing a tile CRC *after*
+        load is quarantined before the rebuild — see
+        :meth:`counts_for`."""
         if self._index is not None and self._edges_fp == edges_fp:
             return self._index
         path = self._index_path()
         index = None
+        digest = NO_RECORDS_DIGEST
         if path is not None:
-            index = load_bitmap_cache(path, grid, self.n_local,
-                                      grid_hash=edges_fp)
+            digest = read_header(self.rec_path).digest(
+                self.local_dropped, self.local_dropped + self.n_local)
+            index = load_bitmap_cache(path, grid, digest)
         if index is None:
             index = build_bitmap_index(
                 ArraySource(self.records), grid, chunk_records,
-                path=path, grid_hash=edges_fp)
+                path=path, records_digest=digest)
         if self._edges_fp != edges_fp:
             self._counts.clear()
         self._index = index
@@ -165,28 +170,25 @@ class WindowSegment:
         cached per (edges, unit-table) pair.
 
         A spilled tile failing its CRC on first touch is quarantined
-        (the ``.bmx`` is renamed ``.corrupt``, like a corrupt
+        (:func:`repro.io.artifact.quarantine`, like a corrupt
         checkpoint) and the index rebuilt from the segment's records —
         corruption costs a rebuild, never a wrong count.
         """
         cached = self.cached_counts(edges_fp).get(units_key)
         if cached is not None:
             return cached
-        index = self.ensure_index(grid, edges_fp, chunk_records,
-                                  on_quarantine=on_quarantine)
+        index = self.ensure_index(grid, edges_fp, chunk_records)
         try:
             counts = count_units(index, units)
         except ChecksumError:
             path = self._index_path()
             if path is None or not path.exists():
                 raise
-            quarantined = quarantine_checkpoint(path)
+            quarantined = quarantine(path)
             if on_quarantine is not None:
                 on_quarantine(str(quarantined))
-            self._index = None
-            self._edges_fp = None
-            index = self.ensure_index(grid, edges_fp, chunk_records,
-                                      on_quarantine=on_quarantine)
+            self.invalidate()
+            index = self.ensure_index(grid, edges_fp, chunk_records)
             counts = count_units(index, units)
         self._counts[units_key] = counts
         return counts

@@ -23,10 +23,9 @@ from repro.core.units import UnitTable
 from repro.datagen import ClusterSpec, generate
 from repro.errors import ChecksumError, DataError, RecordFileError
 from repro.io import ArraySource, write_records
-from repro.io.bitmap_index import (BitmapIndex, append_bitmap_index,
-                                   append_bitmap_tiles, bitmap_cache_path,
-                                   build_bitmap_index, grid_fingerprint,
-                                   index_nbytes, invalidate_bitmap_cache,
+from repro.io.bitmap_index import (BitmapIndex, bitmap_cache_path,
+                                   build_bitmap_index, edges_fingerprint,
+                                   grid_fingerprint, index_nbytes,
                                    load_bitmap_cache, stage_bitmap_index)
 from repro.parallel import SerialComm
 from repro.params import MafiaParams
@@ -95,8 +94,7 @@ class TestIndexFormat:
         built = build_bitmap_index(ArraySource(records), grid, 100,
                                    path=path)
         assert not built.resident
-        reopened = BitmapIndex.open(
-            path, expected_grid_hash=grid_fingerprint(grid))
+        reopened = BitmapIndex.open(path, expected_key=built.key)
         for index in (built, reopened):
             for dim in range(3):
                 for b in range(9):
@@ -142,14 +140,16 @@ class TestIndexFormat:
         grid = uniform_grid(2, 5)
         other = uniform_grid(2, 6)
         path = tmp_path / "stale.bmx"
-        build_bitmap_index(ArraySource(records), grid, 50, path=path)
+        digest = b"\x05" * 32
+        build_bitmap_index(ArraySource(records), grid, 50, path=path,
+                           records_digest=digest)
         with pytest.raises(RecordFileError, match="stale"):
             BitmapIndex.open(path,
-                             expected_grid_hash=grid_fingerprint(other))
+                             expected_key=edges_fingerprint(other) + digest)
         # the cache loader invalidates instead of raising
-        assert load_bitmap_cache(path, other, 100) is None
-        assert load_bitmap_cache(path, grid, 99) is None
-        assert load_bitmap_cache(path, grid, 100) is not None
+        assert load_bitmap_cache(path, other, digest) is None
+        assert load_bitmap_cache(path, grid, b"\x06" * 32) is None
+        assert load_bitmap_cache(path, grid, digest) is not None
 
     def test_empty_record_range(self):
         grid = uniform_grid(3, 4)
@@ -245,14 +245,6 @@ class TestLocateAndPack:
                 assert np.array_equal(index.bitmap(index.pair_id(dim, b)),
                                       expected_bitmap(records, grid, dim,
                                                       b)), (dim, b)
-        # a one-record block of the same data, and an append of the
-        # rest onto it, pack exactly like the whole-block build
-        if len(records):
-            head = build_bitmap_index(source, grid, chunk, 0, 1)
-            whole = append_bitmap_tiles(head, grid, records[1:])
-            for pair in range(index.n_pairs):
-                assert np.array_equal(whole.bitmap(pair),
-                                      index.bitmap(pair))
 
 
 class TestSpillPolicy:
@@ -598,107 +590,3 @@ class TestConformanceProperty:
         assert m["index.units_counted"]["value"] == \
             sum(t.n_cdus for t in result.trace)
         assert m["index.and_ops"]["value"] > 0
-
-
-class TestAppend:
-    """In-place tile append (the streaming engine's compaction path):
-    appending must be bit-identical to rebuilding over the
-    concatenated records, crash-safe, and never launder corruption."""
-
-    def _records(self, seed, n, d=3):
-        return np.random.default_rng(seed).random((n, d)) * 100.0
-
-    def test_resident_append_matches_rebuild(self):
-        grid = uniform_grid(3, 6)
-        head, tail = self._records(10, 501), self._records(11, 77)
-        appended = append_bitmap_tiles(
-            build_bitmap_index(ArraySource(head), grid, 128), grid, tail)
-        rebuilt = build_bitmap_index(
-            ArraySource(np.concatenate([head, tail])), grid, 128)
-        assert appended.n_records == 578
-        for pair in range(rebuilt.n_pairs):
-            assert np.array_equal(appended.bitmap(pair),
-                                  rebuilt.bitmap(pair))
-
-    def test_resident_append_edge_cases(self, tmp_path):
-        grid = uniform_grid(2, 4)
-        index = build_bitmap_index(
-            ArraySource(self._records(12, 40, d=2)), grid, 64)
-        assert append_bitmap_tiles(index, grid,
-                                   np.empty((0, 2))) is index
-        with pytest.raises(DataError):
-            append_bitmap_tiles(index, grid, self._records(13, 5, d=4))
-        spilled = build_bitmap_index(
-            ArraySource(self._records(14, 40, d=2)), grid, 64,
-            path=tmp_path / "s.bmx")
-        with pytest.raises(DataError):  # disk tiles use the other API
-            append_bitmap_tiles(spilled, grid, self._records(15, 4, d=2))
-
-    def test_disk_append_in_place_matches_rebuild(self, tmp_path):
-        """First append upgrades v1 -> v2 with headroom; the second
-        extends in place.  Both reopen CRC-clean and bit-identical to
-        a full rebuild."""
-        grid = uniform_grid(3, 5)
-        parts = [self._records(s, n) for s, n in
-                 ((20, 333), (21, 55), (22, 60))]
-        path = tmp_path / "grow.bmx"
-        build_bitmap_index(ArraySource(parts[0]), grid, 100, path=path)
-        append_bitmap_index(path, grid, parts[1])
-        index = append_bitmap_index(path, grid, parts[2])
-        assert index.n_records == 448
-        reopened = BitmapIndex.open(
-            path, expected_grid_hash=grid_fingerprint(grid))
-        rebuilt = build_bitmap_index(
-            ArraySource(np.concatenate(parts)), grid, 100)
-        for pair in range(rebuilt.n_pairs):
-            assert np.array_equal(reopened.bitmap(pair),
-                                  rebuilt.bitmap(pair))
-
-    def test_invalidate_marks_file_stale_for_every_loader(self, tmp_path):
-        grid = uniform_grid(2, 5)
-        records = self._records(30, 90, d=2)
-        path = tmp_path / "stale.bmx"
-        build_bitmap_index(ArraySource(records), grid, 64, path=path)
-        assert load_bitmap_cache(path, grid, 90) is not None
-        assert invalidate_bitmap_cache(path)
-        assert load_bitmap_cache(path, grid, 90) is None
-        with pytest.raises(RecordFileError):
-            BitmapIndex.open(path,
-                             expected_grid_hash=grid_fingerprint(grid))
-        with pytest.raises(RecordFileError):  # stale, not appendable
-            append_bitmap_index(path, grid, self._records(31, 10, d=2))
-        assert not invalidate_bitmap_cache(tmp_path / "missing.bmx")
-
-    def test_append_verifies_existing_tiles_first(self, tmp_path):
-        """Latent corruption surfaces as ChecksumError instead of
-        being laundered into fresh CRCs over bad bytes."""
-        grid = uniform_grid(2, 4)
-        path = tmp_path / "latent.bmx"
-        build_bitmap_index(ArraySource(self._records(40, 120, d=2)),
-                           grid, 64, path=path)
-        append_bitmap_index(path, grid, self._records(41, 16, d=2))
-        index = BitmapIndex.open(path)
-        raw = bytearray(path.read_bytes())
-        raw[index._data_offset + 1] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumError):
-            append_bitmap_index(path, grid, self._records(42, 8, d=2))
-
-    def test_append_honours_grid_hash_override(self, tmp_path):
-        """The streaming engine stamps edge-only fingerprints; appends
-        must round-trip the override and reject mismatches."""
-        grid = uniform_grid(2, 6)
-        stamp = b"\x07" * 32
-        path = tmp_path / "edges.bmx"
-        head, tail = self._records(50, 70, d=2), self._records(51, 30, d=2)
-        build_bitmap_index(ArraySource(head), grid, 64, path=path,
-                           grid_hash=stamp)
-        index = append_bitmap_index(path, grid, tail, grid_hash=stamp)
-        assert index.grid_hash == stamp
-        rebuilt = build_bitmap_index(
-            ArraySource(np.concatenate([head, tail])), grid, 64)
-        for pair in range(rebuilt.n_pairs):
-            assert np.array_equal(index.bitmap(pair),
-                                  rebuilt.bitmap(pair))
-        with pytest.raises(RecordFileError):
-            append_bitmap_index(path, grid, tail, grid_hash=b"\x08" * 32)

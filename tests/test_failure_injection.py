@@ -334,16 +334,6 @@ class TestChecksums:
         with pytest.raises(ChecksumError):
             rf.read_block(50, 150)
 
-    def test_v1_files_still_readable(self, tmp_path, one_cluster_dataset):
-        path = tmp_path / "legacy.bin"
-        write_records(path, one_cluster_dataset.records[:200], version=1)
-        info = read_header(path)
-        assert info.version == 1
-        assert info.n_crc_chunks == 0
-        got = RecordFile(path).read_all()
-        np.testing.assert_array_equal(got,
-                                      one_cluster_dataset.records[:200])
-
     def test_corrupt_v2_detected_by_mafia_run(self, tmp_path,
                                               one_cluster_dataset):
         path = tmp_path / "data.bin"
@@ -414,9 +404,9 @@ class TestCheckpointFiles:
             check_compatible(state, small_params, 4999)
 
     def test_quarantine_moves_file_aside(self, tmp_path):
-        from repro.core.checkpoint import quarantine_checkpoint
+        from repro.io.artifact import quarantine
         path = save_checkpoint(tmp_path, 2, self.STATE)
-        corpse = quarantine_checkpoint(path)
+        corpse = quarantine(path)
         assert corpse == tmp_path / "level0002.ckpt.corrupt"
         assert corpse.exists() and not path.exists()
         # a quarantined file is invisible to the resume scan

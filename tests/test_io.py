@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.mafia import mafia
+from repro.datagen import ClusterSpec, generate
 from repro.errors import CommError, DataError, ParameterError, RecordFileError
 from repro.io import (ArraySource, RecordFile, as_source, block_offsets,
                       block_range, charged_chunks, local_path, read_header,
                       stage_local, write_records)
 from repro.parallel import MachineSpec, SerialComm, run_spmd
+from tests.conftest import DOMAINS_10D
 
 
 @pytest.fixture
@@ -176,15 +179,25 @@ class TestStaging:
         got = np.concatenate([r.value for r in results])
         np.testing.assert_allclose(got, records)
 
-    def test_staging_idempotent(self, tmp_path, records):
-        shared = tmp_path / "shared.bin"
-        write_records(shared, records)
-        comm = SerialComm()
-        first = stage_local(comm, shared, tmp_path)
-        mtime = first.path.stat().st_mtime_ns
-        second = stage_local(comm, shared, tmp_path)
-        assert second.path == first.path
-        assert second.path.stat().st_mtime_ns == mtime
+    def test_staging_republishes_rewritten_source(self, tmp_path,
+                                                  one_cluster_dataset,
+                                                  small_params):
+        """A rank's local copy is republished on every run: rewriting
+        the shared file with a same-shape data set must change the
+        result, never serve the old copy."""
+        shared = tmp_path / "data.bin"
+        write_records(shared, one_cluster_dataset.records)
+        first = mafia(str(shared), small_params, domains=DOMAINS_10D)
+        assert [c.subspace.dims for c in first.clusters] == [(1, 3, 5, 7)]
+        moved = generate(5000, 10, [ClusterSpec.box(
+            [0, 2, 4], [(20, 40), (10, 30), (50, 80)], name="c0")], seed=7)
+        assert moved.records.shape == one_cluster_dataset.records.shape
+        write_records(shared, moved.records)
+        second = mafia(str(shared), small_params, domains=DOMAINS_10D)
+        cold = mafia(moved.records, small_params, domains=DOMAINS_10D)
+        assert [c.subspace.dims for c in second.clusters] == [(0, 2, 4)]
+        assert ([c.point_count for c in second.clusters]
+                == [c.point_count for c in cold.clusters])
 
     def test_local_path_is_rank_private(self, tmp_path):
         a = local_path(tmp_path / "d.bin", 0)

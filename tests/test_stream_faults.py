@@ -8,10 +8,9 @@ retry, a rebuild) but never a wrong snapshot —
   and already-applied sequence numbers land as no-ops;
 - **transient reads** — delta sources absorb transient ``OSError`` s
   under a :class:`~repro.io.resilient.RetryPolicy`;
-- **stale/corrupt tiles** — a spilled bitmap tile failing its CRC is
-  quarantined (renamed ``.corrupt``) and rebuilt from the segment's
-  records; a fingerprint zeroed by a crashed append is silently
-  rejected by the loader and rebuilt.
+- **corrupt tiles** — a spilled bitmap tile failing its CRC is
+  quarantined and rebuilt from the segment's records (stale keys and
+  the other per-format faults live in ``test_artifact_faults.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import pytest
 
 from repro import MafiaParams, mafia
 from repro.errors import StreamError
-from repro.io.bitmap_index import BitmapIndex, invalidate_bitmap_cache
+from repro.io.bitmap_index import BitmapIndex
 from repro.io.records import write_records
 from repro.io.resilient import RetryPolicy
 from repro.parallel.spmd import run_spmd
@@ -160,7 +159,7 @@ class TestTileFaults:
         index = BitmapIndex.open(victim)
         raw = bytearray(victim.read_bytes())
         lo = index._data_offset
-        hi = lo + index.n_pairs * index._cap_row_bytes
+        hi = lo + index.n_pairs * index.row_bytes
         for pos in range(lo, hi):  # every tile fails its CRC
             raw[pos] ^= 0xFF
         victim.write_bytes(bytes(raw))
@@ -170,24 +169,6 @@ class TestTileFaults:
         assert victim.with_suffix(".bmx.corrupt").exists()
         metrics = resumed.obs.export().metrics
         assert metrics["stream.tile_quarantines"]["value"] >= 1
-        assert_equivalent(snap, mafia(live_window(blocks, WINDOW),
-                                      PARAMS, domains=DOMAINS))
-        resumed.close()
-
-    def test_crashed_append_fingerprint_rejected_then_rebuilt(
-            self, tmp_path):
-        """A zeroed fingerprint (what a crash mid-append leaves) is
-        stale, not corrupt: the loader refuses it silently and the
-        segment rebuilds — no quarantine, still exact."""
-        blocks, bmx_paths = self._spill_and_kill(tmp_path, seed=47)
-        assert invalidate_bitmap_cache(bmx_paths[0])
-
-        resumed = spilled_session(tmp_path, resume=True)
-        snap = resumed.snapshot()
-        metrics = resumed.obs.export().metrics
-        assert metrics.get("stream.tile_quarantines",
-                           {"value": 0})["value"] == 0
-        assert not list(tmp_path.glob("*.corrupt"))
         assert_equivalent(snap, mafia(live_window(blocks, WINDOW),
                                       PARAMS, domains=DOMAINS))
         resumed.close()
