@@ -155,17 +155,24 @@ def _check_clusters(report: VerificationReport,
         if expected != cluster.point_count:
             report.add(f"cluster {ci}: point_count {cluster.point_count} "
                        f"!= sum of unit counts {expected}")
-        # DNF covers exactly the cluster's cells
+        # DNF covers exactly the cluster's cells; an interval's bins are
+        # found by exact lookup of its endpoints among the grid's edges
+        # (locating them as values is off by a bin once an edge's ulp
+        # exceeds any fixed nudge)
         cells = {tuple(r) for r in cluster.units_bins.tolist()}
         covered = set()
-        for term in cluster.dnf:
-            ranges = []
-            for d, (lo, hi) in zip(cluster.subspace.dims, term.intervals):
-                dg = result.grid[d]
-                lo_bin = int(dg.locate(np.array([lo]))[0])
-                hi_bin = int(dg.locate(np.array([hi - 1e-12]))[0])
-                ranges.append(range(lo_bin, hi_bin + 1))
-            covered |= set(iter_product(*ranges))
+        try:
+            for term in cluster.dnf:
+                ranges = []
+                for d, (lo, hi) in zip(cluster.subspace.dims,
+                                       term.intervals):
+                    edges = result.grid[d].edges
+                    ranges.append(range(edges.index(lo), edges.index(hi)))
+                covered |= set(iter_product(*ranges))
+        except ValueError:
+            report.add(f"cluster {ci}: a DNF interval endpoint is not a "
+                       f"grid edge")
+            continue
         if covered != cells:
             report.add(f"cluster {ci}: DNF covers {len(covered)} cells, "
                        f"units occupy {len(cells)}")

@@ -46,10 +46,10 @@ def uniform_grid(domains: np.ndarray, bins_per_dim: tuple[int, ...],
         lo, hi = domains[j]
         if not hi > lo:
             raise GridError(f"dimension {j}: empty domain [{lo}, {hi})")
-        edges = np.linspace(lo, hi, xi + 1)
+        # ξ fine intervals, one bin each: the identity lookup table
         dims.append(DimensionGrid(
-            dim=j,
-            edges=tuple(float(e) for e in edges),
+            dim=j, lo=float(lo), hi=float(hi), n_fine=xi,
+            cuts=tuple(range(xi + 1)),
             thresholds=(float(count_threshold),) * xi,
             uniform=True,
         ))

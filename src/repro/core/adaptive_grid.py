@@ -15,6 +15,10 @@ For each dimension:
    cluster;
 5. set the threshold of each bin of width ``a`` to ``α·N·a/|D_i|`` — the
    count expected under uniformity times the significance factor α.
+
+Every bin is a run of fine intervals (the re-split's cut ``k`` is fine
+boundary ``k * fine_bins // uniform_split``), so a record's bin is a
+lookup on its fine-interval code (:class:`~repro.types.DimensionGrid`).
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ import numpy as np
 
 from ..errors import GridError
 from ..params import MafiaParams
-from ..types import DimensionGrid, Grid
-from .units import MAX_BINS
+from ..types import MAX_BINS, DimensionGrid, Grid, fine_edges
 
 
 def window_maxima(fine_counts: np.ndarray, window_size: int) -> np.ndarray:
@@ -89,22 +92,22 @@ def build_dimension_grid(dim: int, fine_counts: np.ndarray,
 
     uniform = len(ranges) == 1
     if uniform:
-        # equi-distributed dimension: fixed equal partitions, boosted α
-        edges = np.linspace(lo, hi, params.uniform_split + 1)
+        # equi-distributed dimension: near-equal partitions on fine
+        # boundaries (widths differ by at most one fine interval when
+        # uniform_split does not divide n_fine), boosted α
+        split = params.uniform_split
+        cuts = [k * n_fine // split for k in range(split + 1)]
         alpha = params.alpha * params.uniform_alpha_boost
     else:
-        # map window boundaries back to attribute coordinates
-        fine_width = extent / n_fine
-        cuts = [0.0]
-        for _, stop in ranges:
-            cuts.append(min(stop * params.window_size, n_fine) * fine_width)
-        edges = lo + np.asarray(cuts)
-        edges[-1] = hi
+        # window boundaries, as fine-interval indices
+        cuts = [0] + [min(stop * params.window_size, n_fine)
+                      for _, stop in ranges]
         alpha = params.alpha
 
-    widths = np.diff(edges)
+    widths = np.diff(fine_edges(lo, hi, n_fine, cuts))
     thresholds = alpha * n_records * widths / extent
-    return DimensionGrid(dim=dim, edges=tuple(float(e) for e in edges),
+    return DimensionGrid(dim=dim, lo=lo, hi=hi, n_fine=n_fine,
+                         cuts=tuple(cuts),
                          thresholds=tuple(float(t) for t in thresholds),
                          uniform=uniform)
 

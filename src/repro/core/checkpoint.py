@@ -32,8 +32,9 @@ from ..errors import CheckpointError
 from ..io.artifact import quarantine, read_framed, write_framed
 
 _MAGIC = b"PMCK"
-#: bump when the state dict's schema changes incompatibly
-CHECKPOINT_VERSION = 1
+#: bump when the state dict's schema changes incompatibly (2: the
+#: pickled grid defines its bins by fine-interval cuts)
+CHECKPOINT_VERSION = 2
 _LEVEL_RE = re.compile(r"^level(\d{4})\.ckpt$")
 _SHARD_MAGIC = b"PMSH"
 #: bump when the shard-manifest schema changes incompatibly

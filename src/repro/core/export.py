@@ -35,10 +35,17 @@ from .result import ClusteringResult, LevelTrace
 from .units import UnitTable
 
 
+#: version of the ``pmafia-result`` format; 2 defines each grid
+#: dimension by its fine intervals (``lo``/``hi``/``n_fine``/``cuts``)
+RESULT_VERSION = 2
+
+
 def grid_to_dict(grid: Grid) -> dict[str, Any]:
+    """The grid's defining fields (its edges are derived from them)."""
     return {
         "dims": [
-            {"dim": dg.dim, "edges": list(dg.edges),
+            {"dim": dg.dim, "lo": dg.lo, "hi": dg.hi, "n_fine": dg.n_fine,
+             "cuts": list(dg.cuts),
              "thresholds": list(dg.thresholds), "uniform": dg.uniform}
             for dg in grid
         ]
@@ -48,8 +55,9 @@ def grid_to_dict(grid: Grid) -> dict[str, Any]:
 def grid_from_dict(payload: dict[str, Any]) -> Grid:
     try:
         dims = tuple(
-            DimensionGrid(dim=int(d["dim"]),
-                          edges=tuple(float(e) for e in d["edges"]),
+            DimensionGrid(dim=int(d["dim"]), lo=float(d["lo"]),
+                          hi=float(d["hi"]), n_fine=int(d["n_fine"]),
+                          cuts=tuple(int(c) for c in d["cuts"]),
                           thresholds=tuple(float(t) for t in d["thresholds"]),
                           uniform=bool(d["uniform"]))
             for d in payload["dims"])
@@ -128,7 +136,7 @@ def result_to_dict(result: ClusteringResult) -> dict[str, Any]:
     }
     return {
         "format": "pmafia-result",
-        "version": 1,
+        "version": RESULT_VERSION,
         "n_records": result.n_records,
         "params": params_dict,
         "grid": grid_to_dict(result.grid),
@@ -142,7 +150,7 @@ def result_from_dict(payload: dict[str, Any]) -> ClusteringResult:
     when the fields fit, else stay a plain dict)."""
     if payload.get("format") != "pmafia-result":
         raise DataError("not a pmafia-result payload")
-    if payload.get("version") != 1:
+    if payload.get("version") != RESULT_VERSION:
         raise DataError(f"unsupported result version {payload.get('version')}")
     raw_params = dict(payload.get("params", {}))
     if isinstance(raw_params.get("bins", None), list):

@@ -60,56 +60,101 @@ def check_domains(domains: np.ndarray, n_dims: int) -> np.ndarray:
     return domains
 
 
+def code_dtype(fine_bins: int) -> np.dtype:
+    """The narrowest unsigned dtype holding every code of ``fine_bins``
+    fine intervals: ``uint8`` up to 256, ``uint16`` above."""
+    return np.min_scalar_type(max(0, fine_bins - 1))
+
+
+def fine_codes(values: np.ndarray, lo, width, fine_bins: int) -> np.ndarray:
+    """The fine-interval code of every value — the one locate rule of
+    the clustering path.
+
+    ``(values - lo) / width * fine_bins`` (in that order), clipped into
+    ``[0, fine_bins - 1]`` and truncated.  Values below the domain get
+    code 0; values at or above its top, ``+inf`` and NaN get the last
+    code (``np.fmin`` returns its non-NaN operand, so NaN needs no
+    extra pass).  ``lo``/``width`` are scalars for one column or
+    ``(d,)`` arrays for an ``(n, d)`` block.
+    """
+    with np.errstate(over="ignore"):        # huge values clip anyway
+        scaled = np.subtract(values, lo)
+        scaled /= width
+        scaled *= fine_bins
+    np.fmin(scaled, fine_bins - 1, out=scaled)
+    np.fmax(scaled, 0, out=scaled)
+    return scaled.astype(code_dtype(fine_bins))
+
+
+def block_codes(block: np.ndarray, domains: np.ndarray,
+                fine_bins: int) -> np.ndarray:
+    """Contiguous ``(d, n)`` :func:`fine_codes` of an ``(n, d)`` record
+    block under ``(d, 2)`` domains."""
+    lo = domains[:, 0]
+    width = domains[:, 1] - domains[:, 0]
+    return np.ascontiguousarray(fine_codes(block, lo, width, fine_bins).T)
+
+
+def code_histogram(codes: np.ndarray, fine_bins: int) -> np.ndarray:
+    """``(d, fine_bins)`` counts of a ``(d, n)`` code matrix."""
+    counts = np.empty((codes.shape[0], fine_bins), dtype=np.int64)
+    for j, row in enumerate(codes):
+        counts[j] = np.bincount(row, minlength=fine_bins)
+    return counts
+
+
 def block_histogram(block: np.ndarray, domains: np.ndarray,
                     fine_bins: int) -> np.ndarray:
     """``(d, fine_bins)`` histogram of one record block — the exact
     per-block operation of the batch pass, factored out so the
-    streaming engine bins deltas **identically** (same scale, same
-    clip, same integer truncation).  Integer counts are additive over
-    any block partition, which is what makes the maintained streaming
-    histogram bit-equal to a cold pass over the live records.
+    streaming engine bins deltas **identically** (the same
+    :func:`fine_codes`).  Integer counts are additive over any block
+    partition, which is what makes the maintained streaming histogram
+    bit-equal to a cold pass over the live records.
     """
     domains = np.asarray(domains, dtype=np.float64)
-    lo = domains[:, 0]
-    width = domains[:, 1] - domains[:, 0]
-    d = domains.shape[0]
-    counts = np.zeros((d, fine_bins), dtype=np.int64)
-    if block.shape[0] == 0:
-        return counts
-    scaled = (block - lo) / width * fine_bins
-    idx = np.clip(scaled.astype(np.int64), 0, fine_bins - 1)
-    for j in range(d):
-        counts[j] += np.bincount(idx[:, j], minlength=fine_bins)
-    return counts
+    return code_histogram(block_codes(block, domains, fine_bins), fine_bins)
 
 
 def fine_histogram_local(source: DataSource, comm: Comm, domains: np.ndarray,
                          fine_bins: int, chunk_records: int,
                          start: int = 0, stop: int | None = None,
-                         retry: RetryPolicy | None = None) -> np.ndarray:
+                         retry: RetryPolicy | None = None, *,
+                         codes: np.ndarray | None = None) -> np.ndarray:
     """This rank's ``(d, fine_bins)`` histogram over its local records.
 
     Values are clipped into their domain so that every record lands in a
     fine bin (out-of-domain values can only occur if the caller passed
-    domains narrower than the data).
+    domains narrower than the data).  With ``codes`` — a ``(d, n)``
+    buffer over the ``n`` records of ``[start, stop)`` — the pass also
+    keeps every record's fine codes there, so staging the bitmap index
+    reads no floats.
     """
     d = source.n_dims
     domains = check_domains(domains, d)
     if fine_bins <= 0:
         raise DataError(f"fine_bins must be positive, got {fine_bins}")
     counts = np.zeros((d, fine_bins), dtype=np.int64)
+    offset = 0
     for chunk in charged_chunks(source, comm, chunk_records, start, stop,
                                 retry=retry):
         comm.charge_cells(chunk.shape[0] * d)
-        counts += block_histogram(chunk, domains, fine_bins)
+        chunk_codes = block_codes(chunk, domains, fine_bins)
+        counts += code_histogram(chunk_codes, fine_bins)
+        if codes is not None:
+            codes[:, offset:offset + len(chunk)] = chunk_codes
+        offset += len(chunk)
     return counts
 
 
 def fine_histogram_global(source: DataSource, comm: Comm, domains: np.ndarray,
                           fine_bins: int, chunk_records: int,
                           start: int = 0, stop: int | None = None,
-                          retry: RetryPolicy | None = None) -> np.ndarray:
-    """Global fine histogram: local pass plus a sum Reduce (§4.1)."""
+                          retry: RetryPolicy | None = None, *,
+                          codes: np.ndarray | None = None) -> np.ndarray:
+    """Global fine histogram: local pass plus a sum Reduce (§4.1);
+    ``codes`` as in :func:`fine_histogram_local`."""
     local = fine_histogram_local(source, comm, domains, fine_bins,
-                                 chunk_records, start, stop, retry)
+                                 chunk_records, start, stop, retry,
+                                 codes=codes)
     return comm.allreduce(local, op="sum")

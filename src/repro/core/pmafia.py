@@ -33,7 +33,8 @@ from typing import Any
 import numpy as np
 
 from ..errors import CheckpointError, DataError
-from ..io.bitmap_index import grid_fingerprint, stage_bitmap_index
+from ..io.bitmap_index import (grid_fingerprint, index_nbytes,
+                               stage_bitmap_index)
 from ..io.chunks import DataSource, as_source
 from ..io.partition import block_range
 from ..io.records import RecordFile
@@ -54,7 +55,7 @@ from .checkpoint import (check_compatible, checkpoint_path,
 from .candidates import hash_join_block, hash_join_plan, join_block
 from .dedup import drop_repeats, repeat_flags_block
 from .dnf import dnf_terms, maximal_mask, merged_mask
-from .histogram import fine_histogram_global, global_domains
+from .histogram import code_dtype, fine_histogram_global, global_domains
 from .identify import dense_flags_block, dense_units, unit_thresholds
 from .merge import face_adjacent_components
 from .partition import (even_splits, prefix_work, triangular_splits,
@@ -474,6 +475,9 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
         if obs is not None:
             obs.checkpoint_saved(level, path.stat().st_size)
 
+    # the fine codes of this rank's records, kept by the histogram pass
+    # (when they fit the budget) so that staging reads no floats
+    codes = None
     if state is not None:
         domains = state["domains"]
         grid = state["grid"]
@@ -488,23 +492,34 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
             else:
                 domains = np.asarray(domains, dtype=np.float64)
             fault_site(comm, "histogram", 0)
+            dtype = code_dtype(params.fine_bins)
+            if source.n_dims * n_local * dtype.itemsize \
+                    <= params.bitmap_budget:
+                codes = np.empty((source.n_dims, n_local), dtype=dtype)
             fine = fine_histogram_global(source, comm, domains,
                                          params.fine_bins,
                                          params.chunk_records, start, stop,
-                                         retry)
+                                         retry, codes=codes)
             grid = build_grid(fine, domains, n_records, params)
         trace = []
         registered = []
 
-    # once the grid is fixed, one pass over the float records stages
-    # this rank's per-(dim, bin) bitmap index: level passes become AND +
-    # popcount over cached bitmaps with no data reads at all (staging is
-    # free on the virtual clock, and the populator replays a record
-    # pass's exact charge sequence)
+    # once the grid is fixed, one pass over the kept fine codes (or,
+    # when they were not kept, the records) stages this rank's
+    # per-(dim, bin) bitmap index: level passes become AND + popcount
+    # over cached bitmaps with no data reads at all (staging is free on
+    # the virtual clock, and the populator replays a record pass's
+    # exact charge sequence).  The codes are kept only while they fit
+    # the budget beside the index, and dropped once it is built.
+    if codes is not None and codes.nbytes + index_nbytes(grid, n_local) \
+            > params.bitmap_budget:
+        codes = None
     with _ospan(obs, "stage_bitmap_index", cat="io"):
         index = stage_bitmap_index(source, comm, grid,
                                    params.chunk_records, start, stop,
-                                   budget=params.bitmap_budget, retry=retry)
+                                   budget=params.bitmap_budget, retry=retry,
+                                   codes=codes)
+    del codes
     # one populator for the whole run: its prefix-AND memo spans level
     # passes (level-(k+1) CDUs extend level-k dense units)
     indexed = IndexedPopulator(index, budget=params.bitmap_budget)

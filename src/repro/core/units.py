@@ -39,10 +39,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import DataError
+from ..types import MAX_BINS
 
 #: dims and bins are bytes, as in the paper — so at most 256 of each
 MAX_DIMS = 256
-MAX_BINS = 256
 
 _HEADER = struct.Struct("<qq")  # n_units, level
 

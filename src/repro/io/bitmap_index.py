@@ -2,13 +2,16 @@
 
 Every population pass after grid construction needs only each record's
 bin membership per dimension.  A :class:`BitmapIndex` stages that once:
-immediately after the adaptive grid is fixed, one per-chunk pass over
-the float records locates every value (one ``searchsorted`` on the
-dimension's inner edges — the :meth:`~repro.types.DimensionGrid.locate`
-rule) and packs **one membership bitmap per (dim, bin) pair of the
-grid** — bit ``r`` of bitmap ``(d, b)`` is set iff record ``r`` falls in
-bin ``b`` of dimension ``d``.  Every later population pass is then pure
-AND + popcount over cached bitmaps with zero data reads (see
+immediately after the adaptive grid is fixed, one per-chunk pass maps
+every record's fine-interval code through the dimension's lookup table
+(the :meth:`~repro.types.DimensionGrid.locate` rule, ``lut[code]``) and
+packs **one membership bitmap per (dim, bin) pair of the grid** — bit
+``r`` of bitmap ``(d, b)`` is set iff record ``r`` falls in bin ``b`` of
+dimension ``d``.  The codes are the ones the fine-histogram pass kept
+when they fit the budget beside the index (no float is read); otherwise
+they are recomputed from the records with the same
+:func:`~repro.core.histogram.fine_codes`.  Every later population pass
+is then pure AND + popcount over cached bitmaps with zero data reads (see
 :class:`repro.core.population.IndexedPopulator` for the memoized prefix
 AND walk that consumes this index).
 
@@ -84,25 +87,25 @@ RECORD_ITEMSIZE = 8
 def grid_fingerprint(grid: Grid) -> bytes:
     """32-byte SHA-256 fingerprint of a grid's exact geometry.
 
-    Covers dimension count and, per dimension, the bin edges, density
-    thresholds and the uniform-resplit flag.  Two grids share a
-    fingerprint iff staged artifacts built under one are valid under
-    the other.
+    Covers dimension count and, per dimension, the fine grid
+    (``n_fine``, cuts), the bin edges, density thresholds and the
+    uniform-resplit flag.  Two grids share a fingerprint iff staged
+    artifacts built under one are valid under the other.
     """
     return _fingerprint(grid, thresholds=True)
 
 
 def edges_fingerprint(grid: Grid) -> bytes:
-    """32-byte SHA-256 fingerprint of a grid's *bin-edge geometry only*
-    (dimension count, per-dimension edges) — deliberately excluding the
-    density thresholds.
+    """32-byte SHA-256 fingerprint of a grid's *bin geometry only*
+    (dimension count, per-dimension fine grid, cuts and edges) —
+    deliberately excluding the density thresholds.
 
     Bin membership — hence every membership bitmap — depends only on
-    the edges; thresholds merely classify counts as dense.  It is the
-    grid half of every index key, and the streaming engine keys its
-    per-segment count caches on it, so a grid whose thresholds moved
-    (every ingest changes ``n_records``, scaling thresholds) but whose
-    edges did not keeps all staged tiles valid.
+    the fine grid and its cuts; thresholds merely classify counts as
+    dense.  It is the grid half of every index key, and the streaming
+    engine keys its per-segment count caches on it, so a grid whose
+    thresholds moved (every ingest changes ``n_records``, scaling
+    thresholds) but whose bins did not keeps all staged tiles valid.
     """
     return _fingerprint(grid, thresholds=False)
 
@@ -111,7 +114,9 @@ def _fingerprint(grid: Grid, *, thresholds: bool) -> bytes:
     h = hashlib.sha256()
     h.update(struct.pack("<q", grid.ndim))
     for dg in grid:
-        h.update(struct.pack("<qq?", dg.dim, dg.nbins, dg.uniform))
+        h.update(struct.pack("<qqq?", dg.dim, dg.nbins, dg.n_fine,
+                             dg.uniform))
+        h.update(np.asarray(dg.cuts, dtype="<i8").tobytes())
         h.update(np.asarray(dg.edges, dtype="<f8").tobytes())
         if thresholds:
             h.update(np.asarray(dg.thresholds, dtype="<f8").tobytes())
@@ -143,15 +148,6 @@ def _source_chunks(source: DataSource, chunk_records: int, start: int,
     for chunk in chunks:
         yield offset, chunk
         offset += chunk.shape[0]
-
-
-def _bin_column(inner_edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Contiguous ``uint8`` bin indices of one dimension's values under
-    the :meth:`~repro.types.DimensionGrid.locate` rule: below the domain
-    maps to bin 0, at or above the last inner edge to the last bin, and
-    NaN (which sorts past every edge) to the last bin too."""
-    return np.searchsorted(inner_edges, values, side="right") \
-        .astype(np.uint8)
 
 
 def _grid_nbins(grid: Grid) -> tuple[int, ...]:
@@ -326,19 +322,21 @@ def build_bitmap_index(source: DataSource, grid: Grid,
                        path: str | os.PathLike | None = None,
                        records_digest: bytes = NO_RECORDS_DIGEST,
                        retry: RetryPolicy | None = None,
-                       fault_state=None) -> BitmapIndex:
+                       fault_state=None,
+                       codes: np.ndarray | None = None) -> BitmapIndex:
     """One staging pass: pack every (dim, bin) membership bitmap for the
     rank's ``[start, stop)`` block, resident (``path`` None) or into the
     on-disk tile format (published through
     :class:`~repro.io.artifact.Publication`).
 
-    Per byte-aligned chunk of float records and per dimension, the
-    values are located into a contiguous ``uint8`` bin column
-    (:func:`_bin_column`) and all of the dimension's bitmaps are packed
-    by one one-hot comparison + one ``np.packbits``.  Chunk reads go
-    through the resilient-read loop: the rank's ``fault_state`` is
-    consulted before every read and transient failures retry under
-    ``retry``.
+    Per byte-aligned chunk and per dimension, the records' bins form a
+    contiguous ``uint8`` column — ``lut[codes]`` when ``codes`` (the
+    ``(d, n)`` fine codes the histogram pass kept for this block) are
+    given, else :meth:`~repro.types.DimensionGrid.locate` on the float
+    records — and all of the dimension's bitmaps are packed by one
+    one-hot comparison + one ``np.packbits``.  Chunk reads go through
+    the resilient-read loop: the rank's ``fault_state`` is consulted
+    before every read and transient failures retry under ``retry``.
 
     The index is stamped with the key ``edges_fingerprint(grid) +
     records_digest``; ``records_digest`` must identify exactly the
@@ -347,10 +345,6 @@ def build_bitmap_index(source: DataSource, grid: Grid,
     :func:`load_bitmap_cache`.
     """
     nbins = _grid_nbins(grid)
-    if max(nbins, default=1) > 256:
-        raise DataError(
-            f"grid has {max(nbins)} bins in one dimension; unit tables "
-            f"hold byte bins, so the bitmap index supports at most 256")
     if source.n_dims != grid.ndim:
         raise DataError(
             f"records have {source.n_dims} dimensions, grid has "
@@ -361,20 +355,31 @@ def build_bitmap_index(source: DataSource, grid: Grid,
             f"range [{start}, {stop}) out of bounds for "
             f"{source.n_records} records")
     n = stop - start
+    if codes is not None and codes.shape != (grid.ndim, n):
+        raise DataError(f"codes shape {codes.shape} does not match "
+                        f"({grid.ndim}, {n})")
     chunk = _aligned_chunk(chunk_records)
     n_pairs = sum(nbins)
     row_bytes = -(-n // 8)
     offsets = _pair_offsets(nbins)
-    inner = [np.asarray(dg.edges[1:-1], dtype=np.float64) for dg in grid]
     bin_ids = [np.arange(nb, dtype=np.uint8)[:, None] for nb in nbins]
     key = edges_fingerprint(grid) + bytes(records_digest)
 
-    def fill(data: np.ndarray) -> None:
+    def bin_columns() -> Iterator[tuple[int, list[np.ndarray]]]:
+        if codes is not None:
+            for offset in range(0, n, chunk):
+                yield offset, [dg.lut[codes[dim, offset:offset + chunk]]
+                               for dim, dg in enumerate(grid)]
+            return
         for offset, raw in _source_chunks(source, chunk, start, stop,
                                           retry, fault_state):
+            yield offset, [dg.locate(raw[:, dim])
+                           for dim, dg in enumerate(grid)]
+
+    def fill(data: np.ndarray) -> None:
+        for offset, columns in bin_columns():
             byte_lo = offset // 8
-            for dim in range(grid.ndim):
-                col = _bin_column(inner[dim], raw[:, dim])
+            for dim, col in enumerate(columns):
                 packed = np.packbits(col == bin_ids[dim], axis=1)
                 base = int(offsets[dim])
                 data[base:base + nbins[dim],
@@ -428,9 +433,12 @@ def stage_bitmap_index(source: DataSource, comm: Comm, grid: Grid,
                        chunk_records: int, start: int = 0,
                        stop: int | None = None, *,
                        budget: int = DEFAULT_BITMAP_BUDGET,
-                       retry: RetryPolicy | None = None) -> BitmapIndex:
+                       retry: RetryPolicy | None = None,
+                       codes: np.ndarray | None = None) -> BitmapIndex:
     """Stage this rank's bitmap index; ``budget`` alone decides where it
-    lives.
+    lives.  ``codes`` are the block's kept fine codes (see
+    :func:`build_bitmap_index`); without them the pass reads the
+    records.
 
     An index that fits ``budget`` bytes stays resident in RAM.  A larger
     one spills to the mmap tile format — next to the rank's staged
@@ -448,7 +456,8 @@ def stage_bitmap_index(source: DataSource, comm: Comm, grid: Grid,
     fault_state = getattr(comm, "fault_state", None)
     if index_nbytes(grid, n) <= budget:
         index = build_bitmap_index(source, grid, chunk_records, start, stop,
-                                   retry=retry, fault_state=fault_state)
+                                   retry=retry, fault_state=fault_state,
+                                   codes=codes)
     elif isinstance(source, RecordFile) \
             and (start, stop) == (0, source.n_records):
         path = bitmap_cache_path(source.path)
@@ -458,14 +467,14 @@ def stage_bitmap_index(source: DataSource, comm: Comm, grid: Grid,
             index = build_bitmap_index(source, grid, chunk_records, start,
                                        stop, path=path,
                                        records_digest=digest, retry=retry,
-                                       fault_state=fault_state)
+                                       fault_state=fault_state, codes=codes)
     else:
         fd, tmpname = tempfile.mkstemp(prefix="pmafia-rank-", suffix=".bmx")
         os.close(fd)
         try:
             index = build_bitmap_index(source, grid, chunk_records, start,
                                        stop, path=tmpname, retry=retry,
-                                       fault_state=fault_state)
+                                       fault_state=fault_state, codes=codes)
         except BaseException:
             _unlink_quiet(tmpname)
             raise

@@ -48,7 +48,9 @@ class MafiaParams:
         taking their maximum histogram value.
     uniform_split:
         Number of equal partitions an equi-distributed dimension (whose
-        bins all merged into one) is re-split into.
+        bins all merged into one) is re-split into.  Cuts snap to fine
+        intervals (cut ``k`` is ``k * fine_bins // uniform_split``), so
+        it cannot exceed ``fine_bins``.
     uniform_alpha_boost:
         Multiplier applied on top of ``alpha`` for the re-split bins of an
         equi-distributed dimension ("set a high threshold as this
@@ -159,6 +161,10 @@ class MafiaParams:
         if self.window_size > self.fine_bins:
             raise ParameterError(
                 f"window_size ({self.window_size}) cannot exceed "
+                f"fine_bins ({self.fine_bins})")
+        if self.uniform_split > self.fine_bins:
+            raise ParameterError(
+                f"uniform_split ({self.uniform_split}) cannot exceed "
                 f"fine_bins ({self.fine_bins})")
         if self.tau < 0:
             raise ParameterError(f"tau must be >= 0, got {self.tau!r}")

@@ -10,12 +10,17 @@ expression over bin intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError, GridError
+
+#: unit tables hold bin indices in one byte (see repro.core.units)
+MAX_BINS = 256
 
 
 @dataclass(frozen=True)
@@ -42,36 +47,68 @@ class BinInterval:
 
 @dataclass(frozen=True)
 class DimensionGrid:
-    """The adaptive (or uniform) binning of a single dimension."""
+    """The adaptive (or uniform) binning of a single dimension.
+
+    The domain ``[lo, hi)`` is divided into ``n_fine`` equal fine
+    intervals (the fine histogram's), and every bin is a run of them:
+    bin ``b`` spans fine intervals ``[cuts[b], cuts[b + 1])``.  A value's
+    bin is therefore ``lut[fine_code]`` — one
+    :func:`~repro.core.histogram.fine_codes` call plus a lookup — so a
+    bin counts exactly the records its fine-histogram intervals
+    counted.  ``edges`` and ``lut`` are derived from the other fields.
+    """
 
     dim: int
-    edges: tuple[float, ...]          # len == nbins + 1, strictly increasing
+    lo: float
+    hi: float
+    n_fine: int
+    cuts: tuple[int, ...]             # len == nbins + 1, 0 ... n_fine
     thresholds: tuple[float, ...]     # len == nbins
     uniform: bool = False             # True when Algorithm 1 re-split an
                                       # equi-distributed dimension
+    #: bin boundaries ``lo + cut * ((hi - lo) / n_fine)``, last == hi
+    edges: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.edges) < 2:
+        lo, hi = float(self.lo), float(self.hi)
+        n_fine = int(self.n_fine)
+        cuts = tuple(int(c) for c in self.cuts)
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise GridError(f"dimension {self.dim}: bad domain [{lo}, {hi})")
+        if len(cuts) < 2:
             raise GridError(f"dimension {self.dim}: needs at least one bin")
-        if len(self.thresholds) != len(self.edges) - 1:
+        if cuts[0] != 0 or cuts[-1] != n_fine \
+                or any(b <= a for a, b in zip(cuts, cuts[1:])):
+            raise GridError(
+                f"dimension {self.dim}: cuts {cuts} must rise from 0 to "
+                f"n_fine = {n_fine}")
+        nbins = len(cuts) - 1
+        if nbins > MAX_BINS:
+            raise GridError(f"dimension {self.dim}: {nbins} bins exceed the "
+                            f"byte limit {MAX_BINS}")
+        if len(self.thresholds) != nbins:
             raise GridError(
                 f"dimension {self.dim}: {len(self.thresholds)} thresholds for "
-                f"{len(self.edges) - 1} bins")
-        e = np.asarray(self.edges, dtype=np.float64)
-        if not np.all(np.diff(e) > 0):
-            raise GridError(f"dimension {self.dim}: edges not increasing: {self.edges}")
+                f"{nbins} bins")
+        edges = fine_edges(lo, hi, n_fine, cuts)
+        if any(b <= a for a, b in zip(edges, edges[1:])):
+            raise GridError(f"dimension {self.dim}: edges not increasing: "
+                            f"{edges}")
+        for name, value in (("lo", lo), ("hi", hi), ("n_fine", n_fine),
+                            ("cuts", cuts), ("edges", edges)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def lut(self) -> np.ndarray:
+        """Read-only ``(n_fine,)`` ``uint8`` map from fine code to bin."""
+        lut = np.repeat(np.arange(self.nbins, dtype=np.uint8),
+                        np.diff(self.cuts))
+        lut.setflags(write=False)
+        return lut
 
     @property
     def nbins(self) -> int:
-        return len(self.edges) - 1
-
-    @property
-    def low(self) -> float:
-        return self.edges[0]
-
-    @property
-    def high(self) -> float:
-        return self.edges[-1]
+        return len(self.cuts) - 1
 
     def bin(self, index: int) -> BinInterval:
         """Return bin ``index`` as a :class:`BinInterval`."""
@@ -84,15 +121,26 @@ class DimensionGrid:
             yield self.bin(i)
 
     def locate(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised bin index for each value (clipped to the domain).
+        """Vectorised ``uint8`` bin index for each value:
+        ``lut[fine_codes(values)]``.
 
-        Values below the first edge map to bin 0 and values at or above
-        the last edge map to the last bin, matching the out-of-core pass
-        where every record must land somewhere.
+        Values below the domain map to bin 0, values at or above its
+        top and NaN to the last bin, so every record lands somewhere —
+        in the bin whose fine intervals the histogram counted it in.
         """
+        from .core.histogram import fine_codes
         values = np.asarray(values, dtype=np.float64)
-        idx = np.searchsorted(np.asarray(self.edges[1:-1]), values, side="right")
-        return idx.astype(np.int64)
+        return self.lut[fine_codes(values, self.lo, self.hi - self.lo,
+                                   self.n_fine)]
+
+
+def fine_edges(lo: float, hi: float, n_fine: int,
+               cuts: Sequence[int]) -> tuple[float, ...]:
+    """Attribute coordinates of the fine-interval boundaries ``cuts``
+    (ending at ``n_fine``): ``lo + cut * ((hi - lo) / n_fine)``, with
+    the last edge pinned to ``hi`` exactly."""
+    width = (hi - lo) / n_fine
+    return (*(lo + c * width for c in cuts[:-1]), hi)
 
 
 @dataclass(frozen=True)
@@ -122,14 +170,14 @@ class Grid:
         return tuple(dg.nbins for dg in self.dims)
 
     def locate_records(self, records: np.ndarray) -> np.ndarray:
-        """Map an ``(n, d)`` record block to an ``(n, d)`` int bin-index
-        matrix, one :meth:`DimensionGrid.locate` per column."""
+        """Map an ``(n, d)`` record block to an ``(n, d)`` ``uint8``
+        bin-index matrix, one :meth:`DimensionGrid.locate` per column."""
         records = np.asarray(records, dtype=np.float64)
         if records.ndim != 2 or records.shape[1] != self.ndim:
             raise DataError(
                 f"records shape {records.shape} does not match grid with "
                 f"{self.ndim} dimensions")
-        out = np.empty(records.shape, dtype=np.int64)
+        out = np.empty(records.shape, dtype=np.uint8)
         for j, dg in enumerate(self.dims):
             out[:, j] = dg.locate(records[:, j])
         return out

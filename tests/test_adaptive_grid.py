@@ -112,7 +112,8 @@ class TestBuildDimensionGrid:
         fine = np.zeros(100)
         fine[13:77] = 40
         dg = build_dimension_grid(0, fine, (-3.0, 7.0), 100, self.params())
-        assert dg.low == -3.0 and dg.high == 7.0
+        assert dg.lo == -3.0 and dg.hi == 7.0
+        assert dg.edges[0] == -3.0 and dg.edges[-1] == 7.0
 
     def test_too_many_windows_rejected(self):
         p = MafiaParams(fine_bins=1000, window_size=1)

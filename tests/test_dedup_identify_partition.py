@@ -52,8 +52,10 @@ class TestDedup:
 def make_grid():
     """2-d grid: dim 0 has bins with thresholds (10, 50); dim 1 (30,)."""
     return Grid(dims=(
-        DimensionGrid(dim=0, edges=(0.0, 1.0, 2.0), thresholds=(10.0, 50.0)),
-        DimensionGrid(dim=1, edges=(0.0, 5.0), thresholds=(30.0,)),
+        DimensionGrid(dim=0, lo=0.0, hi=2.0, n_fine=2, cuts=(0, 1, 2),
+                      thresholds=(10.0, 50.0)),
+        DimensionGrid(dim=1, lo=0.0, hi=5.0, n_fine=1, cuts=(0, 1),
+                      thresholds=(30.0,)),
     ))
 
 

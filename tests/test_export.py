@@ -113,6 +113,18 @@ class TestValidation:
         with pytest.raises(DataError):
             result_from_dict(payload)
 
+    def test_version_1_rejected(self, result):
+        """Version 1 grids carried only float edges; a bin's fine
+        intervals cannot be recovered from them, so such files are
+        refused rather than re-binned."""
+        payload = result_to_dict(result)
+        payload["version"] = 1
+        for d in payload["grid"]["dims"]:
+            for key in ("lo", "hi", "n_fine", "cuts"):
+                del d[key]
+        with pytest.raises(DataError, match="version 1"):
+            result_from_dict(payload)
+
     def test_malformed_grid(self):
         with pytest.raises(DataError):
             grid_from_dict({"dims": [{"dim": 0}]})

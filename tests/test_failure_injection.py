@@ -387,6 +387,17 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        """Version 1 pickled grids without fine-interval cuts; such a
+        checkpoint is refused, not resumed."""
+        import pickle
+
+        from repro.io.artifact import write_framed
+        path = write_framed(checkpoint_path(tmp_path, 1), b"PMCK", 1,
+                            pickle.dumps(self.STATE))
+        with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
     def test_clear_checkpoints(self, tmp_path):
         for level in (1, 2):
             save_checkpoint(tmp_path, level, self.STATE)

@@ -116,9 +116,10 @@ class TestGrowBoxAndCover:
 class TestDnfTerms:
     def make_grid(self):
         return Grid(dims=(
-            DimensionGrid(dim=0, edges=(0., 10., 20., 30.),
+            DimensionGrid(dim=0, lo=0., hi=30., n_fine=3, cuts=(0, 1, 2, 3),
                           thresholds=(1., 1., 1.)),
-            DimensionGrid(dim=1, edges=(0., 5., 50.), thresholds=(1., 1.)),
+            DimensionGrid(dim=1, lo=0., hi=50., n_fine=10, cuts=(0, 1, 10),
+                          thresholds=(1., 1.)),
         ))
 
     def test_intervals_map_through_grid_edges(self):

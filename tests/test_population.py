@@ -16,8 +16,8 @@ from repro.types import DimensionGrid, Grid
 def uniform_grid(d, nbins, width=100.0):
     dims = []
     for j in range(d):
-        edges = tuple(np.linspace(0, width, nbins + 1))
-        dims.append(DimensionGrid(dim=j, edges=edges,
+        dims.append(DimensionGrid(dim=j, lo=0.0, hi=float(width),
+                                  n_fine=nbins, cuts=tuple(range(nbins + 1)),
                                   thresholds=(1.0,) * nbins))
     return Grid(dims=tuple(dims))
 

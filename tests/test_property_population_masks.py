@@ -20,8 +20,8 @@ from repro.types import DimensionGrid, Grid
 def uniform_grid(d: int, nbins: int) -> Grid:
     dims = []
     for j in range(d):
-        edges = tuple(np.linspace(0, 100, nbins + 1))
-        dims.append(DimensionGrid(dim=j, edges=edges,
+        dims.append(DimensionGrid(dim=j, lo=0.0, hi=100.0, n_fine=nbins,
+                                  cuts=tuple(range(nbins + 1)),
                                   thresholds=(1.0,) * nbins))
     return Grid(dims=tuple(dims))
 

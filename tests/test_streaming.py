@@ -314,8 +314,9 @@ class TestSegmentCountsFollowBinEdges:
         from repro.stream.window import WindowSegment
         from repro.types import DimensionGrid, Grid
 
-        def grid(edges):
-            return Grid(tuple(DimensionGrid(d, edges, (0.0,) * 2)
+        def grid(cuts):
+            return Grid(tuple(DimensionGrid(d, 0.0, 10.0, 10, cuts,
+                                            (0.0,) * 2)
                               for d in range(2)))
 
         records = np.array([[1.0, 1.0], [3.0, 3.0], [6.0, 6.0],
@@ -323,7 +324,7 @@ class TestSegmentCountsFollowBinEdges:
         seg = WindowSegment(0, records, 4, 0, 4)
         units = UnitTable.from_pairs([[(0, 0), (1, 0)]])
         key = b"bin 0 of both dims"
-        grid_a, grid_b = grid((0.0, 5.0, 10.0)), grid((0.0, 2.0, 10.0))
+        grid_a, grid_b = grid((0, 5, 10)), grid((0, 2, 10))
         fp_a, fp_b = edges_fingerprint(grid_a), edges_fingerprint(grid_b)
         assert seg.counts_for(units, key, grid_a, fp_a, 16).tolist() == [2]
         assert seg.counts_for(units, key, grid_b, fp_b, 16).tolist() == [1]

@@ -10,10 +10,11 @@ from repro.types import (BinInterval, Cluster, DimensionGrid, DNFTerm, Grid,
                          Subspace)
 
 
-def make_dim(dim=0, edges=(0.0, 1.0, 3.0, 10.0), thresholds=(5.0, 5.0, 5.0),
+def make_dim(dim=0, cuts=(0, 1, 3, 10), thresholds=(5.0, 5.0, 5.0),
              uniform=False):
-    return DimensionGrid(dim=dim, edges=edges, thresholds=thresholds,
-                         uniform=uniform)
+    """Ten unit-wide fine intervals over [0, 10): edges (0, 1, 3, 10)."""
+    return DimensionGrid(dim=dim, lo=0.0, hi=10.0, n_fine=10, cuts=cuts,
+                         thresholds=thresholds, uniform=uniform)
 
 
 class TestBinInterval:
@@ -34,21 +35,24 @@ class TestDimensionGrid:
     def test_basic_properties(self):
         dg = make_dim()
         assert dg.nbins == 3
-        assert dg.low == 0.0 and dg.high == 10.0
+        assert dg.edges == (0.0, 1.0, 3.0, 10.0)
+        assert dg.lut.tolist() == [0, 1, 1, 2, 2, 2, 2, 2, 2, 2]
         assert dg.bin(1) == BinInterval(1.0, 3.0, 5.0)
         assert len(list(dg.bins())) == 3
 
     def test_thresholds_length_checked(self):
         with pytest.raises(GridError):
-            DimensionGrid(dim=0, edges=(0.0, 1.0), thresholds=(1.0, 2.0))
+            make_dim(cuts=(0, 10), thresholds=(1.0, 2.0))
 
     def test_edges_must_increase(self):
         with pytest.raises(GridError):
-            DimensionGrid(dim=0, edges=(0.0, 2.0, 2.0), thresholds=(1.0, 1.0))
+            make_dim(cuts=(0, 2, 2, 10), thresholds=(1.0,) * 3)
+        with pytest.raises(GridError):      # must end at n_fine
+            make_dim(cuts=(0, 2, 9), thresholds=(1.0,) * 2)
 
     def test_single_bin_minimum(self):
         with pytest.raises(GridError):
-            DimensionGrid(dim=0, edges=(0.0,), thresholds=())
+            make_dim(cuts=(0,), thresholds=())
 
     def test_locate_maps_values_to_bins(self):
         dg = make_dim()

@@ -137,3 +137,35 @@ class TestTamperedRunsFlagged:
         report = verify_result(tampered, one_cluster_dataset.records,
                                chunk_records=2000)
         assert any("never reached" in f for f in report.findings)
+
+    def test_dnf_endpoint_off_the_grid_detected(self, result,
+                                                one_cluster_dataset):
+        cluster = result.clusters[0]
+        term = cluster.dnf[0]
+        (lo, hi), *rest = term.intervals
+        moved = replace(term, intervals=((lo, hi + 0.5), *rest))
+        tampered = ClusteringResult(
+            grid=result.grid,
+            clusters=(replace(cluster, dnf=(moved, *cluster.dnf[1:])),),
+            trace=result.trace, params=result.params,
+            n_records=result.n_records)
+        report = verify_result(tampered, one_cluster_dataset.records,
+                               chunk_records=2000)
+        assert any("not a grid edge" in f for f in report.findings)
+
+
+class TestLargeDomains:
+    def test_dnf_cells_on_a_large_domain(self):
+        """Above ~16384 an edge's ulp exceeds 1e-12, so an interval's
+        top nudged down by 1e-12 is the top edge itself and locates one
+        bin too far; endpoints are looked up among the edges exactly."""
+        rng = np.random.default_rng(0)
+        records = rng.random((20_000, 6)) * 100.0
+        records[:5000, 1:4] = rng.random((5000, 3)) * 10.0 + 40.0
+        records *= 1e5
+        result = mafia(records, MafiaParams(fine_bins=200, window_size=2,
+                                            chunk_records=5000),
+                       domains=np.array([[0.0, 1e7]] * 6))
+        assert [c.subspace.dims for c in result.clusters] == [(1, 2, 3)]
+        report = verify_result(result, records)
+        assert report.ok, report.summary()
