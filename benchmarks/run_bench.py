@@ -5,8 +5,7 @@ Runs the kernels the system's wall-clock time actually goes to —
 record location, bitmap-index staging, the indexed AND/popcount
 population pass on clustered level-N lattices (``populate_levelN_indexed``),
 histogramming, the CDU join and repeat elimination — including a bulk
-clustered-lattice join that times the pairwise sweep against the
-sub-signature hash join on > 20k raw CDUs, and a serving triple
+clustered-lattice join on > 20k raw CDUs, and a serving triple
 (``score_batch_naive`` / ``_compiled`` / ``_cached``) that scores one
 skewed hot-key batch through the per-term reference loop, the compiled
 packed-interval evaluator and a cache-warm ``ClusterServer`` — plus an
@@ -60,8 +59,7 @@ for p in (str(_REPO_ROOT), str(_REPO_ROOT / "src")):
 import numpy as np  # noqa: E402
 
 from repro.analysis.verify import verify_result  # noqa: E402
-from repro.core.candidates import (hash_join_all,  # noqa: E402
-                                   hash_join_plan, join_all)
+from repro.core.candidates import hash_join_plan, join_all  # noqa: E402
 from repro.core.histogram import fine_histogram_local  # noqa: E402
 from repro.core.mafia import mafia  # noqa: E402
 from repro.core.population import (IndexedPopulator,  # noqa: E402
@@ -104,8 +102,8 @@ def clustered_units(n_clusters: int, cluster_dim: int, level: int,
     """Level-``level`` units from embedded clusters: every ``level``-subset
     of each cluster's dimensions, at the cluster's bins.  This is the
     lattice shape MAFIA actually joins — units sharing most of their
-    tokens — so the pairwise sweep finds matches everywhere and the raw
-    CDU count is combinatorial in ``cluster_dim``."""
+    tokens — so joinable pairs are everywhere and the raw CDU count is
+    combinatorial in ``cluster_dim``."""
     from itertools import combinations
 
     rng = np.random.default_rng(seed)
@@ -203,20 +201,19 @@ def build_suite(smoke: bool, only: str | None = None):
         return only is None or any(fnmatch.fnmatch(n, only)
                                    for n in names)
 
-    # bulk join load: the hash-vs-pairwise headliner.  At full scale the
-    # 8 x C(12,3) = 1760-unit lattice emits > 20k raw CDUs, the regime
-    # where the pairwise sweep's O(Ndu^2) pivot loop dominates and the
-    # sub-signature hash join's single lexsort wins by an order of
-    # magnitude.
+    # bulk join load: at full scale the 8 x C(12,3) = 1760-unit lattice
+    # emits > 20k raw CDUs, the regime where a quadratic pivot loop
+    # would dominate and the sub-signature hash join's single lexsort
+    # does not.
     bulk = bulk_plan = bulk_raw = None
-    if wanted("cdu_join_pairwise_bulk", "cdu_join_hash_bulk",
-              "hash_join_plan_bulk", "cdu_dedup_bulk"):
+    if wanted("cdu_join_hash_bulk", "hash_join_plan_bulk",
+              "cdu_dedup_bulk"):
         if smoke:
             bulk = clustered_units(3, 8, 3, 20, nbins, seed=12)
         else:
             bulk = clustered_units(8, 12, 3, 30, nbins, seed=12)
         bulk_plan = hash_join_plan(bulk)
-        bulk_raw = hash_join_all(bulk).cdus
+        bulk_raw = join_all(bulk, plan=bulk_plan).cdus
 
     # level-N population loads: one *nested* clustered lattice — every
     # level's units extend the previous level's, the shape real level
@@ -355,8 +352,7 @@ def build_suite(smoke: bool, only: str | None = None):
             runs),
         "cdu_join": (lambda: join_all(dense), runs),
         "repeat_mask": (lambda: dup_table.repeat_mask(), runs),
-        "cdu_join_pairwise_bulk": (lambda: join_all(bulk), runs),
-        "cdu_join_hash_bulk": (lambda: hash_join_all(bulk), runs),
+        "cdu_join_hash_bulk": (lambda: join_all(bulk), runs),
         "hash_join_plan_bulk": (lambda: hash_join_plan(bulk), runs),
         "cdu_dedup_bulk": (lambda: bulk_raw.repeat_mask(), runs),
         "bitmap_index_build": (
@@ -638,16 +634,10 @@ def main(argv=None) -> int:
     def have(*names):
         return all(n in doc["kernels"] for n in names)
 
-    if join_load.get("raw_cdus") is not None \
-            and have("cdu_join_pairwise_bulk", "cdu_join_hash_bulk"):
-        pair_s = doc["kernels"]["cdu_join_pairwise_bulk"]["median_s"]
-        hash_s = doc["kernels"]["cdu_join_hash_bulk"]["median_s"]
-        doc["join"] = dict(join_load,
-                           speedup=round(pair_s / hash_s, 2)
-                           if hash_s else None)
+    if join_load and have("cdu_join_hash_bulk"):
+        doc["join"] = join_load
         print(f"  bulk join: {join_load['n_units']} units -> "
-              f"{join_load['raw_cdus']} raw CDUs, hash is "
-              f"{doc['join']['speedup']}x faster than pairwise")
+              f"{join_load['raw_cdus']} raw CDUs")
 
     if index_load is not None:
         doc["index"] = index_load

@@ -18,16 +18,13 @@ paper cites for missed dense units.
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import pytest
 
 from repro.analysis import format_table
 from repro.clique import clique
-from repro.core import mafia
 from repro.params import CliqueParams
 
-from .workloads import bench_params, clustered_dataset, domains
+from .workloads import clustered_dataset, domains
 
 N_RECORDS = 50_000
 N_DIMS = 10
@@ -71,44 +68,3 @@ def test_ablation_join_strategy(benchmark, dataset, sink):
     # the superset is strict somewhere (the missed-candidates claim)
     assert sum(any_join.cdus_per_level().values()) > \
         sum(prefix.cdus_per_level().values())
-
-
-def test_ablation_cdu_engine(benchmark, dataset, sink):
-    """The orthogonal ablation axis inside pMAFIA: the same any-(k−2)
-    join computed by two interchangeable CDU engines — pairwise scan and
-    sub-signature hash — plus the auto policy that picks between them
-    per level by dense-unit count.  All three must produce an identical
-    lattice and identical clusters; only wall time may differ."""
-    strategies = ("pairwise", "hash", "auto")
-
-    def run_all():
-        out = {}
-        for strategy in strategies:
-            t0 = perf_counter()
-            res = mafia(dataset.records,
-                        bench_params(chunk_records=12_500,
-                                     join_strategy=strategy),
-                        domains=domains(N_DIMS))
-            out[strategy] = (perf_counter() - t0, res)
-        return out
-
-    runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    baseline = runs["pairwise"][1]
-    for strategy in strategies[1:]:
-        res = runs[strategy][1]
-        assert res.cdus_per_level() == baseline.cdus_per_level(), strategy
-        assert res.dense_per_level() == baseline.dense_per_level(), strategy
-        assert res.summary() == baseline.summary(), strategy
-
-    levels = sorted(baseline.cdus_per_level())
-    rows = [[lvl, baseline.cdus_per_level()[lvl],
-             baseline.dense_per_level()[lvl]] for lvl in levels]
-    timing = [[strategy, round(runs[strategy][0], 3)]
-              for strategy in strategies]
-    sink("Ablation — CDU engine (identical lattice, three policies)",
-         format_table(["level", "Ncdu", "Ndu"], rows,
-                      title="lattice (identical under every engine)")
-         + "\n\n"
-         + format_table(["engine", "wall s"], timing,
-                        title="engine wall time, serial"))

@@ -83,46 +83,32 @@ def test_table1_and_fig4(benchmark, dataset, sink):
         assert speedup[p] > 10.0, f"speedup at p={p} only {speedup[p]:.1f}"
 
 
+#: p -> (per-rank virtual seconds, total unit-pair operations) of the
+#: Table 1 pMAFIA run, recorded from the pairwise Algorithm 3 sweep over
+#: equation (1) fences — the paper's cost model
+PINNED_SIM_COSTS = {
+    1: ([3.6530445999999985], 221),
+    4: ([0.9628573137254899, 0.962789870588235, 0.9628235921568624,
+         0.9628573137254899], 884),
+    8: ([0.4960054627450977, 0.4958031333333329, 0.4958368549019604,
+         0.49587057647058785, 0.4959042980392153, 0.4959380196078428,
+         0.49597174117647025, 0.4960054627450977], 1768),
+}
+
+
 class TestJoinCostModelGuard:
     """The sub-signature hash join must not drift the simulated cost
-    model: whatever implementation runs, ``pairs_examined`` reported to
-    the virtual clock is the paper's pairwise comparison count."""
+    model: the virtual clock is charged the paper's pairwise comparison
+    count over equation (1) fences, so per-rank virtual times, the
+    makespan and the total unit-pair operations equal the pinned
+    pairwise-sweep figures bit for bit."""
 
-    STRATEGIES = ("pairwise", "hash", "auto")
-    PARAMS = {
-        strategy: bench_params(chunk_records=15_000, join_strategy=strategy)
-        for strategy in STRATEGIES}
-
-    def run(self, dataset, strategy, p):
-        return pmafia(dataset.records, p, self.PARAMS[strategy],
-                      backend="sim", domains=domains(N_DIMS))
-
-    def test_hash_reports_paper_pairwise_comparison_count(self, dataset):
-        """Total unit-pair operations across ranks — the quantity
-        ``charge_pairs`` feeds the virtual clock — are identical under
-        every join strategy at every processor count."""
-        for p in (1, 4):
-            totals = {
-                strategy: sum(c.unit_pair_ops
-                              for c in self.run(dataset, strategy, p).counters)
-                for strategy in self.STRATEGIES}
-            assert totals["hash"] == totals["pairwise"]
-            assert totals["auto"] == totals["pairwise"]
-
-    def test_single_rank_virtual_time_identical(self, dataset):
-        """With one rank there is no fence placement to differ, so the
-        hash path's virtual makespan must equal the pairwise path's
-        exactly."""
-        times = {strategy: self.run(dataset, strategy, 1).makespan
-                 for strategy in ("pairwise", "hash")}
-        assert times["hash"] == times["pairwise"]
-
-    def test_default_policy_keeps_sim_times_bit_identical(self, dataset):
-        """``auto`` resolves to pairwise on the sim backend: per-rank
-        virtual clocks — not just the makespan — match the pairwise
-        run bit-for-bit, so the PR 2 published virtual runtimes are
-        unchanged by this PR."""
-        for p in (1, 4, 8):
-            auto = self.run(dataset, "auto", p)
-            pairwise = self.run(dataset, "pairwise", p)
-            assert auto.rank_times == pairwise.rank_times
+    @pytest.mark.parametrize("p", sorted(PINNED_SIM_COSTS))
+    def test_sim_costs_pinned(self, dataset, p):
+        run = pmafia(dataset.records, p,
+                     bench_params(chunk_records=15_000), backend="sim",
+                     domains=domains(N_DIMS))
+        rank_times, unit_pair_ops = PINNED_SIM_COSTS[p]
+        assert list(run.rank_times) == rank_times
+        assert run.makespan == max(rank_times)
+        assert sum(c.unit_pair_ops for c in run.counters) == unit_pair_ops

@@ -44,7 +44,7 @@ from .datagen.spec import ClusterSpec
 from .io.records import RecordFile, read_header, write_records
 from .obs import as_run_obs, write_chrome_trace, write_metrics_snapshot
 from .obs.manifest import MANIFEST_NAME, build_manifest, write_manifest
-from .params import JOIN_STRATEGIES, CliqueParams, MafiaParams
+from .params import CliqueParams, MafiaParams
 
 
 def _parse_cluster(text: str) -> ClusterSpec:
@@ -109,8 +109,7 @@ def _write_observability(args: argparse.Namespace, run: object,
     out = args.trace_out if args.trace_out is not None else args.metrics_out
     manifest = build_manifest(result, phases=run_obs.phase_seconds(),
                               nprocs=nprocs,
-                              virtual_seconds=getattr(run, "makespan", 0.0),
-                              join_strategies=run_obs.join_strategies())
+                              virtual_seconds=getattr(run, "makespan", 0.0))
     write_manifest(Path(out).parent / MANIFEST_NAME, manifest)
 
 
@@ -286,7 +285,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                          window_size=args.merge_window,
                          chunk_records=args.chunk,
                          report=args.report,
-                         join_strategy=args.join_strategy,
                          metrics=args.metrics_out is not None)
     cfg = {
         "path": str(args.data),
@@ -338,7 +336,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                              window_size=args.window,
                              chunk_records=args.chunk,
                              report=args.report,
-                             join_strategy=args.join_strategy,
                              bitmap_budget=args.bitmap_budget,
                              trace=args.trace_out is not None,
                              metrics=args.metrics_out is not None)
@@ -530,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--chunk", type=int, default=50_000)
     stream.add_argument("--report", choices=("merged", "paper", "maximal"),
                         default="merged")
-    stream.add_argument("--join-strategy", choices=JOIN_STRATEGIES,
-                        default="auto", dest="join_strategy")
     stream.add_argument("--metrics-out", type=Path, default=None,
                         dest="metrics_out", metavar="PATH",
                         help="write the per-rank stream.* counter "
@@ -559,13 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--report", choices=("merged", "paper", "maximal"),
                      default="merged",
                      help="cluster-reporting semantics (DESIGN.md 4.1)")
-    run.add_argument("--join-strategy", choices=JOIN_STRATEGIES,
-                     default="auto", dest="join_strategy",
-                     help="CDU join implementation: the paper's pairwise "
-                          "sweep, the sub-signature hash join, or auto "
-                          "(hash above a dense-unit threshold, pairwise "
-                          "below it and always on the sim backend); "
-                          "clusters are identical under every choice")
     run.add_argument("--bitmap-budget", type=int, default=1 << 28,
                      dest="bitmap_budget", metavar="BYTES",
                      help="byte budget shared by the per-(dim,bin) "

@@ -46,7 +46,6 @@ from ..types import Cluster, DNFTerm, Grid, Subspace
 from .cover import minimal_cover
 from .grid import uniform_grid
 from .join import apriori_prune, prefix_join_block
-from ..core.candidates import join_block as mafia_join_block
 
 
 def _level_one_units(grid: Grid) -> UnitTable:
@@ -115,10 +114,8 @@ def clique_rank(comm: Comm, data: Any, params: CliqueParams | None = None,
     indexed = IndexedPopulator(stage_bitmap_index(
         source, comm, grid, params.chunk_records, start, stop))
 
-    if params.modified_join:
-        block_join = mafia_join_block
-    else:
-        block_join = prefix_join_block
+    # the modified join is MAFIA's any-(k-2) join, the driver's default
+    block_join = None if params.modified_join else prefix_join_block
 
     def level_pass(cdus: UnitTable, raw_count: int, level: int) -> LevelTrace:
         counts = populate_global(source, comm, grid, cdus,

@@ -2,9 +2,8 @@
 adaptive grids, serial and SPMD-parallel."""
 
 from .adaptive_grid import build_dimension_grid, build_grid, merge_windows, window_maxima
-from .candidates import (HashJoinPlan, JoinResult, hash_join_all,
-                         hash_join_block, hash_join_plan, join_all,
-                         join_block)
+from .candidates import (HashJoinPlan, JoinResult, hash_join_plan,
+                         join_all, join_block)
 from .checkpoint import (CHECKPOINT_VERSION, SHARD_MANIFEST_VERSION,
                          check_compatible, checkpoint_path,
                          clear_checkpoints, latest_checkpoint,
@@ -23,7 +22,7 @@ from .mafia import (PMafiaRun, mafia, pmafia, pmafia_resumable,
                     pmafia_supervised)
 from .merge import UnionFind, face_adjacent_components
 from .partition import (even_splits, prefix_work, row_work, split_range,
-                        triangular_splits, weighted_splits)
+                        triangular_splits)
 from .pmafia import assemble_clusters, pmafia_rank
 from .population import populate_global, populate_local
 from .result import ClusteringResult, LevelTrace
@@ -60,8 +59,6 @@ __all__ = [
     "global_domains",
     "greedy_cover",
     "grow_box",
-    "hash_join_all",
-    "hash_join_block",
     "hash_join_plan",
     "join_all",
     "join_block",
@@ -95,6 +92,5 @@ __all__ = [
     "split_range",
     "triangular_splits",
     "unit_thresholds",
-    "weighted_splits",
     "window_maxima",
 ]

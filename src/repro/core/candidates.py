@@ -16,23 +16,18 @@ corresponding bins.  :func:`join_block` processes rows ``[start, stop)``
 against all later rows — the triangular workload that equation (1)
 balances across ranks (:mod:`repro.core.partition`).
 
-Two implementations produce bit-identical output:
-
-* :func:`join_block` — the paper's pairwise test, vectorised per pivot
-  row but still O(Ndu²) comparisons (Algorithm 3 verbatim).
-* :func:`hash_join_block` — a **sub-signature hash join**.  Each
-  level-``m`` unit emits its ``m`` "drop-one-token" sub-signatures
-  (packed uint64 key words, :func:`repro.core.units.pack_tokens`); one
-  vectorised sort groups entries by sub-signature, and two units join
-  iff they meet in a bucket with differing leftover dimensions.  A valid
-  pair shares exactly ``m−1`` (dim, bin) tokens, so it lands in exactly
-  one bucket — near-linear grouping plus per-bucket pairing replaces the
-  quadratic sweep.  Pairs are re-sorted by (pivot, partner) and
-  assembled with the same union/argsort kernel, so the output rows —
-  order included — match the pairwise path exactly for any row fences,
-  while ``pairs_examined`` still reports the paper's pairwise count
-  (the simulated-time cost model must not drift; see
-  ``docs/PERFORMANCE.md``).
+The pairs are found by a **sub-signature hash join**
+(:func:`hash_join_plan`).  Each level-``m`` unit emits its ``m``
+"drop-one-token" sub-signatures (packed uint64 key words,
+:func:`repro.core.units.pack_tokens`); one vectorised sort groups
+entries by sub-signature, and two units join iff they meet in a bucket
+with differing leftover dimensions.  A valid pair shares exactly
+``m−1`` (dim, bin) tokens, so it lands in exactly one bucket.  Pairs
+are sorted by (pivot, partner) — the order Algorithm 3's double loop
+visits them — so the output rows match the paper's pairwise sweep for
+any row fences, while ``pairs_examined`` still reports the paper's
+pairwise count (the simulated-time cost model charges the measured SP2
+system's work, not ours; see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -42,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from .units import MAX_DIMS, UnitTable, group_starts, pack_tokens
+from .partition import prefix_work
+from .units import UnitTable, group_starts, pack_tokens
 
 
 @dataclass(frozen=True)
@@ -70,76 +66,6 @@ class JoinResult:
     pairs_examined: int
 
 
-def join_block(dense: UnitTable, start: int = 0, stop: int | None = None
-               ) -> JoinResult:
-    """Join rows ``[start, stop)`` of ``dense`` against all later rows."""
-    n = dense.n_units
-    stop = n if stop is None else stop
-    if not 0 <= start <= stop <= n:
-        raise DataError(f"join range [{start}, {stop}) out of bounds for {n}")
-    m = dense.level
-    combined = np.zeros(n, dtype=bool)
-    pairs = sum(n - i for i in range(start, stop))
-
-    if n == 0 or stop == start:
-        return JoinResult(cdus=UnitTable.empty(m + 1), combined=combined,
-                          pairs_examined=pairs)
-
-    dims = dense.dims.astype(np.int64)
-    bins = dense.bins.astype(np.int64)
-    out_dims: list[np.ndarray] = []
-    out_bins: list[np.ndarray] = []
-
-    # bin-by-dimension lookup rebuilt per pivot row
-    bin_of = np.full(MAX_DIMS, -1, dtype=np.int64)
-    for i in range(start, stop):
-        rest_dims = dims[i + 1:]
-        if rest_dims.size == 0:
-            continue
-        rest_bins = bins[i + 1:]
-        # which dims of each later row appear in row i
-        in_i = np.isin(rest_dims, dims[i])
-        shared = in_i.sum(axis=1)
-        bin_of[dims[i]] = bins[i]
-        agree = bin_of[rest_dims] == rest_bins
-        bin_of[dims[i]] = -1
-        conflict = (in_i & ~agree).any(axis=1)
-        valid = (shared == m - 1) & ~conflict
-        if not valid.any():
-            continue
-        combined[i] = True
-        combined[i + 1:][valid] = True
-
-        new_mask = ~in_i[valid]                       # exactly one per row
-        partners_dims = rest_dims[valid]
-        partners_bins = rest_bins[valid]
-        extra_dim = partners_dims[new_mask]
-        extra_bin = partners_bins[new_mask]
-        v = extra_dim.shape[0]
-        union_dims = np.concatenate(
-            [np.tile(dims[i], (v, 1)), extra_dim[:, None]], axis=1)
-        union_bins = np.concatenate(
-            [np.tile(bins[i], (v, 1)), extra_bin[:, None]], axis=1)
-        order = np.argsort(union_dims, axis=1, kind="stable")
-        out_dims.append(np.take_along_axis(union_dims, order, axis=1))
-        out_bins.append(np.take_along_axis(union_bins, order, axis=1))
-
-    if out_dims:
-        cdus = UnitTable(dims=np.concatenate(out_dims).astype(np.uint8),
-                         bins=np.concatenate(out_bins).astype(np.uint8))
-    else:
-        cdus = UnitTable.empty(m + 1)
-    return JoinResult(cdus=cdus, combined=combined, pairs_examined=pairs)
-
-
-def join_all(dense: UnitTable) -> JoinResult:
-    """Full join over the whole table (the serial / below-τ path)."""
-    return join_block(dense, 0, dense.n_units)
-
-
-# -- sub-signature hash join --------------------------------------------------
-
-
 @dataclass(frozen=True)
 class HashJoinPlan:
     """All valid join pairs of a dense-unit table, sorted by
@@ -153,21 +79,16 @@ class HashJoinPlan:
     ----------
     left, right:
         Unit indices of each valid pair, ``left < right``, lexsorted by
-        ``(left, right)`` — the exact order the pairwise sweep visits.
+        ``(left, right)`` — the order Algorithm 3's double loop visits.
     right_token:
         The partner's leftover ``dim << 8 | bin`` token — the one entry
         of ``right`` outside the shared sub-signature, i.e. the column
         the joined CDU appends to the pivot's row.
-    row_pair_counts:
-        ``bincount(left, minlength=n)`` — realised join pairs per pivot
-        row, the weights :func:`repro.core.partition.weighted_splits`
-        balances instead of the triangular ``Ndu − i`` estimate.
     """
 
     left: np.ndarray
     right: np.ndarray
     right_token: np.ndarray
-    row_pair_counts: np.ndarray
     n_units: int
     level: int
 
@@ -180,7 +101,6 @@ def _empty_plan(n: int, m: int) -> HashJoinPlan:
     return HashJoinPlan(left=np.zeros(0, dtype=np.int64),
                         right=np.zeros(0, dtype=np.int64),
                         right_token=np.zeros(0, dtype=np.uint16),
-                        row_pair_counts=np.zeros(n, dtype=np.int64),
                         n_units=n, level=m)
 
 
@@ -241,7 +161,6 @@ def hash_join_plan(dense: UnitTable) -> HashJoinPlan:
     pair_order = np.lexsort((right, left))
     return HashJoinPlan(left=left[pair_order], right=right[pair_order],
                         right_token=right_token[pair_order],
-                        row_pair_counts=np.bincount(left, minlength=n),
                         n_units=n, level=m)
 
 
@@ -251,9 +170,8 @@ def assemble_unions(dense: UnitTable, left: np.ndarray,
     pair's leftover ``dim << 8 | bin`` token to its pivot row and
     dim-sort the union.
 
-    The hash join emits its CDU rows through this kernel; the pairwise
-    sweep builds the same union/argsort inline, which is what makes
-    their outputs comparable array-for-array.
+    The appended column lands at its dim-sorted position; a stable
+    argsort keeps the pivot's own columns in order.
     """
     extra_dim = (right_token >> np.uint16(8)).astype(np.uint8)
     extra_bin = (right_token & np.uint16(0xFF)).astype(np.uint8)
@@ -266,14 +184,15 @@ def assemble_unions(dense: UnitTable, left: np.ndarray,
                      bins=np.take_along_axis(union_bins, order, axis=1))
 
 
-def hash_join_block(dense: UnitTable, start: int = 0, stop: int | None = None,
-                    plan: HashJoinPlan | None = None) -> JoinResult:
-    """Hash-join rows ``[start, stop)`` of ``dense`` against all later
-    rows — drop-in for :func:`join_block`, bit-identical output.
+def join_block(dense: UnitTable, start: int = 0, stop: int | None = None,
+               plan: HashJoinPlan | None = None) -> JoinResult:
+    """Join rows ``[start, stop)`` of ``dense`` against all later rows.
 
-    ``pairs_examined`` still reports the paper's pairwise comparison
-    count for these rows: the simulated-time backend charges the cost
-    model of the measured SP2 system, not our implementation's.
+    One ``plan`` (built here when not given) serves every block of a
+    parallel join: a block is a ``searchsorted`` slice of its pairs.
+    ``pairs_examined`` reports the paper's pairwise comparison count for
+    these rows: the simulated-time backend charges the cost model of the
+    measured SP2 system, not our implementation's.
     """
     n = dense.n_units
     stop = n if stop is None else stop
@@ -281,29 +200,24 @@ def hash_join_block(dense: UnitTable, start: int = 0, stop: int | None = None,
         raise DataError(f"join range [{start}, {stop}) out of bounds for {n}")
     m = dense.level
     combined = np.zeros(n, dtype=bool)
-    pairs = sum(n - i for i in range(start, stop))
-    if n == 0 or stop == start:
+    pairs = prefix_work(n, stop) - prefix_work(n, start)
+    if stop == start:
         return JoinResult(cdus=UnitTable.empty(m + 1), combined=combined,
                           pairs_examined=pairs)
     if plan is None:
         plan = hash_join_plan(dense)
-
-    lo = int(np.searchsorted(plan.left, start, side="left"))
-    hi = int(np.searchsorted(plan.left, stop, side="left"))
+    lo, hi = np.searchsorted(plan.left, [start, stop])
     left = plan.left[lo:hi]
-    right = plan.right[lo:hi]
-    token = plan.right_token[lo:hi]
     if left.size == 0:
         return JoinResult(cdus=UnitTable.empty(m + 1), combined=combined,
                           pairs_examined=pairs)
     combined[left] = True
-    combined[right] = True
-
-    cdus = assemble_unions(dense, left, token)
+    combined[plan.right[lo:hi]] = True
+    cdus = assemble_unions(dense, left, plan.right_token[lo:hi])
     return JoinResult(cdus=cdus, combined=combined, pairs_examined=pairs)
 
 
-def hash_join_all(dense: UnitTable,
-                  plan: HashJoinPlan | None = None) -> JoinResult:
-    """Full hash join over the whole table."""
-    return hash_join_block(dense, 0, dense.n_units, plan=plan)
+def join_all(dense: UnitTable,
+             plan: HashJoinPlan | None = None) -> JoinResult:
+    """Full join over the whole table (the serial / below-τ path)."""
+    return join_block(dense, 0, dense.n_units, plan=plan)

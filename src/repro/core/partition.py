@@ -10,21 +10,11 @@ above quadratic equation" (§4.3).
 
 This module solves the same quadratics in closed form.  The identical
 schedule balances repeat elimination (with Ncdu substituted for Ndu).
-
-:func:`weighted_splits` generalises equation (1) to arbitrary per-row
-weights: the sub-signature hash join knows each pivot row's *realised*
-pair count (``HashJoinPlan.row_pair_counts``), so ranks are fenced by
-equalising actual bucket pairs instead of the triangular ``Ndu − i``
-upper bound.  The fences stay row fences — every rank still owns a
-contiguous ``[start, stop)`` pivot range, so concatenating rank outputs
-in rank order reproduces the serial row order bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from ..errors import ParameterError
 
@@ -76,37 +66,6 @@ def split_range(n_units: int, n_ranks: int, rank: int) -> tuple[int, int]:
         raise ParameterError(f"rank {rank} out of range for {n_ranks} ranks")
     offsets = triangular_splits(n_units, n_ranks)
     return offsets[rank], offsets[rank + 1]
-
-
-def weighted_splits(weights: "np.ndarray | list[int]",
-                    n_ranks: int) -> list[int]:
-    """Fence-post offsets balancing arbitrary non-negative per-row work.
-
-    Equation (1) with the closed-form triangular prefix replaced by the
-    cumulative sum of ``weights``: split ``i`` lands where the prefix
-    work first reaches ``i/p`` of the total.  With
-    ``weights = [n, n−1, ..., 1]`` this reproduces
-    :func:`triangular_splits` up to rounding.
-    """
-    if n_ranks <= 0:
-        raise ParameterError(f"n_ranks must be positive, got {n_ranks}")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise ParameterError(f"weights must be 1-d, got shape {w.shape}")
-    if (w < 0).any():
-        raise ParameterError("weights must be non-negative")
-    n = w.shape[0]
-    prefix = np.cumsum(w)
-    total = prefix[-1] if n else 0.0
-    offsets = [0]
-    for i in range(1, n_ranks):
-        target = total * i / n_ranks
-        cut = int(np.searchsorted(prefix, target, side="left")) + 1 \
-            if total > 0 else 0
-        cut = max(offsets[-1], min(cut, n))
-        offsets.append(cut)
-    offsets.append(n)
-    return offsets
 
 
 def even_splits(n_units: int, n_ranks: int) -> list[int]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -52,22 +53,16 @@ from .checkpoint import (check_compatible, checkpoint_path,
                          clear_checkpoints, load_checkpoint,
                          load_latest_checkpoint, load_shard_manifest,
                          save_checkpoint, save_shard_manifest)
-from .candidates import hash_join_block, hash_join_plan, join_block
+from .candidates import hash_join_plan, join_block
 from .dedup import drop_repeats, repeat_flags_block
 from .dnf import dnf_terms, maximal_mask, merged_mask
 from .histogram import code_dtype, fine_histogram_global, global_domains
 from .identify import dense_flags_block, dense_units, unit_thresholds
 from .merge import face_adjacent_components
-from .partition import (even_splits, prefix_work, triangular_splits,
-                        weighted_splits)
+from .partition import even_splits, prefix_work, triangular_splits
 from .population import IndexedPopulator, populate_global
 from .result import ClusteringResult, LevelTrace
 from .units import MAX_DIMS, UnitTable, group_sort, pack_tokens
-
-#: below this many dense units the ``auto`` join policy stays pairwise —
-#: the hash join's grouping overhead only pays off once the triangular
-#: sweep has real quadratic work to skip
-HASH_JOIN_MIN_UNITS = 256
 
 
 def _ospan(obs: RankObs | None, name: str, cat: str = "task", **attrs):
@@ -75,29 +70,6 @@ def _ospan(obs: RankObs | None, name: str, cat: str = "task", **attrs):
     if obs is None:
         return nullcontext({})
     return obs.span(name, cat=cat, **attrs)
-
-
-def resolved_join_strategy(params: MafiaParams, comm: Comm,
-                           n_dense: int) -> str:
-    """The concrete join implementation ``params.join_strategy`` selects
-    for a join over ``n_dense`` dense units.
-
-    ``auto`` resolves to pairwise on the simulated-time backend
-    (``comm.models_paper_costs``): the virtual SP2 ran the paper's
-    pairwise sweep, and keeping the default run on the same code path
-    keeps per-rank fences — hence message sizes and virtual times —
-    bit-identical to the paper's cost model.  On wall-clock backends
-    ``auto`` stays pairwise up to :data:`HASH_JOIN_MIN_UNITS` dense
-    units and picks the hash join above.  Both implementations produce
-    bit-identical CDU tables.
-    """
-    strategy = params.join_strategy
-    if strategy != "auto":
-        return strategy
-    if getattr(comm, "models_paper_costs", False) \
-            or n_dense <= HASH_JOIN_MIN_UNITS:
-        return "pairwise"
-    return "hash"
 
 
 def _local_view(comm: Comm, data: Any) -> tuple[DataSource, int, int]:
@@ -154,38 +126,27 @@ level_one_cdus = _level_one_cdus
 
 
 def _find_candidate_dense_units(comm: Comm, dense: UnitTable, tau: int,
-                                block_join=join_block, *,
-                                strategy: str = "pairwise"
+                                block_join=None
                                 ) -> tuple[UnitTable, np.ndarray]:
     """Algorithm 3: build level-(k+1) CDUs from the level-k dense units.
 
     Returns the concatenated raw CDU table (identical on every rank) and
-    the global combined-mask over the dense units.  ``block_join`` is the
-    pairwise join strategy — MAFIA's any-(k−2) join by default; CLIQUE
-    passes its prefix join.
-
-    With ``strategy="hash"`` every rank builds the sub-signature
-    :class:`~repro.core.candidates.HashJoinPlan` (replicated cheap
-    vectorised work, the same trade repeat marking makes) and the task
-    split balances the plan's *realised* per-row pair counts
-    (:func:`~repro.core.partition.weighted_splits`) instead of the
-    triangular estimate.  The fences stay contiguous pivot-row ranges,
-    so the rank-order concatenation below is bit-identical to the
-    pairwise path's.
+    the global combined-mask over the dense units.  By default every
+    rank builds the sub-signature
+    :class:`~repro.core.candidates.HashJoinPlan` once (replicated cheap
+    vectorised work, the same trade repeat marking makes) and joins its
+    share of pivot rows from it; CLIQUE passes its prefix join as
+    ``block_join``.  Above τ the ranks are fenced by equation (1)
+    (:func:`~repro.core.partition.triangular_splits`) whatever the
+    join, so per-rank ``pairs_examined``, message sizes and virtual
+    times are the paper's, and the rank-order concatenation below
+    reproduces the serial row order.
     """
     ndu = dense.n_units
-    if strategy == "hash":
-        plan = hash_join_plan(dense)
-
-        def block_join(d: UnitTable, lo: int, hi: int, _plan=plan):
-            return hash_join_block(d, lo, hi, plan=_plan)
-    else:
-        plan = None
+    if block_join is None:
+        block_join = partial(join_block, plan=hash_join_plan(dense))
     if comm.size > 1 and ndu > tau:
-        if plan is not None:
-            offsets = weighted_splits(plan.row_pair_counts, comm.size)
-        else:
-            offsets = triangular_splits(ndu, comm.size)
+        offsets = triangular_splits(ndu, comm.size)
         lo, hi = offsets[comm.rank], offsets[comm.rank + 1]
         jr = block_join(dense, lo, hi)
         comm.charge_pairs(jr.pairs_examined)
@@ -386,8 +347,7 @@ def pmafia_rank(comm: Comm, data: Any, params: MafiaParams | None = None,
         if checkpoint_dir is not None and comm.rank == 0:
             manifest = build_manifest(result, phases=obs.phase_seconds(),
                                       nprocs=comm.size,
-                                      virtual_seconds=comm.time(),
-                                      join_strategies=obs.join_strategies())
+                                      virtual_seconds=comm.time())
             write_manifest(Path(checkpoint_dir) / MANIFEST_NAME, manifest)
     return replace(result, obs=obs.export())
 
@@ -599,12 +559,8 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                     break
                 announce("join", current.level)
                 with _ospan(obs, "join", cat="phase"):
-                    strategy = resolved_join_strategy(
-                        params, comm, dense.n_units)
-                    if obs is not None:
-                        obs.join_strategy(current.level, strategy)
                     raw, combined = _find_candidate_dense_units(
-                        comm, dense, params.tau, strategy=strategy)
+                        comm, dense, params.tau)
                 # non-combinable dense units are registered as
                 # potential clusters
                 if (~combined).any():

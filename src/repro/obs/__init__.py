@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -72,7 +72,6 @@ class RankObs:
         self.tracer = RankTracer(rank, clock) if trace else None
         self.metrics = MetricsRegistry() if metrics else None
         self._collective_depth = 0
-        self._join_strategies: dict[int, str] = {}
         _trace.register_observer(self)
 
     @classmethod
@@ -206,18 +205,6 @@ class RankObs:
         if self.metrics is not None:
             self.metrics.counter(f"{stage}.pairs_examined").inc(pairs)
 
-    def join_strategy(self, level: int, strategy: str) -> None:
-        """The join implementation this level *actually ran* — the
-        resolved strategy, so ``auto`` decisions are visible in the
-        Chrome trace, the metrics and the run manifest, not just the
-        param value."""
-        self._join_strategies[level] = strategy
-        self.instant("join.strategy", cat="join", level=level,
-                     strategy=strategy)
-        if self.metrics is not None:
-            self.metrics.counter("join.strategy_levels",
-                                 strategy=strategy).inc()
-
     def level_stats(self, level: int, raw: int, cdus: int,
                     dense: int) -> None:
         """Per-level lattice sizes: CDUs as generated, after repeat
@@ -335,10 +322,6 @@ class RankObs:
         return _phase_seconds(self.tracer.spans
                               if self.tracer is not None else ())
 
-    def join_strategies(self) -> dict[int, str]:
-        """Level -> resolved join strategy recorded so far."""
-        return dict(self._join_strategies)
-
     def export(self) -> "RankObsData":
         """Freeze the buffers into a picklable per-rank record."""
         return RankObsData(
@@ -346,8 +329,7 @@ class RankObs:
             spans=tuple(self.tracer.spans)
             if self.tracer is not None else (),
             metrics=self.metrics.snapshot()
-            if self.metrics is not None else None,
-            join_strategies=dict(self._join_strategies))
+            if self.metrics is not None else None)
 
 
 @dataclass(frozen=True)
@@ -359,10 +341,6 @@ class RankObsData:
     rank: int
     spans: tuple[Span, ...]
     metrics: dict[str, dict[str, Any]] | None
-    #: level -> join strategy the level actually ran (resolved, not the
-    #: param value); defaulted so records pickled before the field
-    #: existed still load
-    join_strategies: dict[int, str] = field(default_factory=dict)
 
     def phase_seconds(self) -> dict[str, float]:
         """Wall seconds per driver phase, from this rank's spans."""
@@ -399,15 +377,6 @@ class RunObs:
         for r in self.ranks:
             for name, secs in r.phase_seconds().items():
                 out[name] = out.get(name, 0.0) + secs
-        return out
-
-    def join_strategies(self) -> dict[int, str]:
-        """Level -> resolved join strategy across the run.  Strategy
-        resolution is deterministic and identical on every rank, so
-        merging is a plain union."""
-        out: dict[int, str] = {}
-        for r in self.ranks:
-            out.update(getattr(r, "join_strategies", {}))
         return out
 
     def check(self) -> list[str]:

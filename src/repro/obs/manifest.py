@@ -6,10 +6,10 @@ bitmap index and checkpoints carry, so artifacts cross-check), data-set
 shape, the per-level lattice sizes, per-phase wall totals from the
 span buffer and the virtual completion time on the simulated backend.
 
-Schema (``pmafia-run-manifest/1``)::
+Schema (``pmafia-run-manifest/2``)::
 
     {
-      "schema": "pmafia-run-manifest/1",
+      "schema": "pmafia-run-manifest/2",
       "params": {...},                 # every MafiaParams field
       "n_records": int,
       "n_dims": int,
@@ -19,7 +19,6 @@ Schema (``pmafia-run-manifest/1``)::
       "n_clusters": int,
       "phases": {"grid": seconds, ...}, # from the writing rank's spans
       "virtual_seconds": float,         # 0.0 off the sim backend
-      "join_strategies": {"2": "pairwise", "4": "hash", ...},  # resolved
       "serve": {...}                    # optional: serve_summary() of a
     }                                   # scoring session over the result
 
@@ -36,21 +35,18 @@ from typing import Any
 
 from ..io.bitmap_index import grid_fingerprint
 
-SCHEMA = "pmafia-run-manifest/1"
+SCHEMA = "pmafia-run-manifest/2"
 MANIFEST_NAME = "run_manifest.json"
 
 
 def build_manifest(result: Any, *, phases: dict[str, float],
                    nprocs: int = 1,
                    virtual_seconds: float = 0.0,
-                   join_strategies: dict[int, str] | None = None,
                    serve: dict[str, Any] | None = None
                    ) -> dict[str, Any]:
     """Assemble the manifest dict for a finished
     :class:`~repro.core.result.ClusteringResult`.
 
-    ``join_strategies`` records the *resolved* join implementation each
-    level ran (``auto`` decisions included), keyed by level.
     ``serve`` attaches a :func:`repro.obs.serve_summary` of a scoring
     session run over the result (the CLI ``score`` subcommand's path);
     the key is omitted when ``None`` so clustering-only manifests are
@@ -72,8 +68,6 @@ def build_manifest(result: Any, *, phases: dict[str, float],
         "phases": {name: round(secs, 6)
                    for name, secs in phases.items()},
         "virtual_seconds": float(virtual_seconds),
-        "join_strategies": {str(level): strategy for level, strategy
-                            in sorted((join_strategies or {}).items())},
     }
     if serve is not None:
         manifest["serve"] = serve

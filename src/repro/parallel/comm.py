@@ -88,9 +88,8 @@ class Comm:
     #: collective wire pattern: "flat" (paper's model) or "tree"
     strategy: str = "flat"
     #: True when the backend's charges model the paper's measured SP2
-    #: (the simulated-time backend): policy code keyed off this — e.g.
-    #: ``join_strategy="auto"`` — must preserve the paper's cost model
-    #: instead of optimising wall clock
+    #: (the simulated-time backend): an injected delay is then charged
+    #: to the virtual clock instead of slept on the wall clock
     models_paper_costs: bool = False
     #: the rank's observer (:class:`repro.obs.RankObs`) while a traced
     #: or metered run is active; ``None`` keeps collectives on the

@@ -277,8 +277,8 @@ class FaultyComm(Comm):
         self.size = inner.size
         self.strategy = inner.strategy
         # class attributes shadow __getattr__ delegation, so the flag
-        # must be copied for policy code keyed off it (join strategy,
-        # delay charging) to see the wrapped backend's value
+        # must be copied for delay charging (below) to see the wrapped
+        # backend's value
         self.models_paper_costs = inner.models_paper_costs
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:

@@ -22,11 +22,12 @@ Charging policy for engine variants
 -----------------------------------
 The virtual machine models the *paper's* implementation: per-record
 scans that re-read 8-byte records on every pass.  Faster engines in
-this codebase (the persistent bitmap index, the hash join — which
-the sim backend keeps pairwise) must therefore **charge what the
-modelled machine would have paid, not what they actually did**: level
-passes charge float-width I/O per chunk and the naive per-CDU cell
-cost in the same order and amounts as a record scan — the bitmap-index
+this codebase (the persistent bitmap index, the hash join) must
+therefore **charge what the modelled machine would have paid, not what
+they actually did**: the join charges the paper's triangular pair
+count over equation (1) fences, and level passes charge float-width
+I/O per chunk and the naive per-CDU cell cost in the same order and
+amounts as a record scan — the bitmap-index
 engine performs zero reads yet *replays* the identical
 ``charge_io``/``charge_cells`` sequence over the same chunk
 boundaries.  Charges are plain float additions, so an identical call
@@ -75,6 +76,7 @@ def payload_nbytes(obj: Any) -> int:
 class TimedComm(Comm):
     """A communicator that also runs a virtual clock for its rank."""
 
+    #: every charge is the paper's SP2 cost model (see ``Comm``)
     models_paper_costs = True
 
     def __init__(self, inner: Comm, machine: MachineSpec) -> None:

@@ -20,12 +20,6 @@ def _check_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be > 0, got {value!r}")
 
 
-#: the full CDU join strategy set — the single source for
-#: ``MafiaParams.join_strategy`` validation and the CLI
-#: ``--join-strategy`` choices
-JOIN_STRATEGIES = ("auto", "pairwise", "hash")
-
-
 @dataclass(frozen=True)
 class MafiaParams:
     """Parameters of the (p)MAFIA algorithm.
@@ -82,15 +76,6 @@ class MafiaParams:
         Algorithm 3 rule.  ``"maximal"`` reports every dense unit that
         is not a projection of a dense unit one level up (strictly
         lossless, may surface marginal boundary leftovers).
-    join_strategy:
-        How CDUs are generated from the dense units of the level below.
-        ``"pairwise"`` runs the paper's O(Ndu²) triangular sweep
-        (Algorithm 3 verbatim); ``"hash"`` runs the sub-signature hash
-        join (near-linear grouping, bit-identical output); ``"auto"``
-        (default) runs pairwise up to a small-Ndu threshold and hash
-        above it — and always pairwise on the simulated-time backend,
-        so virtual SP2 runtimes keep the paper's cost model.  Clusters
-        are identical under all values.
     bitmap_budget:
         Byte budget (per rank) shared by the bitmap index and the
         memoized prefix-AND cache on top of it.  Right after the
@@ -127,7 +112,6 @@ class MafiaParams:
     max_dimensionality: int = 64
     min_bin_points: int = 0
     report: str = "merged"
-    join_strategy: str = "auto"
     bitmap_budget: int = 1 << 28
     trace: bool = False
     metrics: bool = False
@@ -137,11 +121,6 @@ class MafiaParams:
             raise ParameterError(
                 f"report must be 'merged', 'paper' or 'maximal', "
                 f"got {self.report!r}")
-        if self.join_strategy not in JOIN_STRATEGIES:
-            choices = ", ".join(repr(s) for s in JOIN_STRATEGIES)
-            raise ParameterError(
-                f"join_strategy must be one of {choices}, "
-                f"got {self.join_strategy!r}")
         if not isinstance(self.bitmap_budget, int) or self.bitmap_budget <= 0:
             raise ParameterError(f"bitmap_budget must be a positive int, "
                                  f"got {self.bitmap_budget!r}")

@@ -62,7 +62,7 @@ from ..core.identify import dense_units
 from ..core.pmafia import (_eliminate_repeat_cdus,
                            _find_candidate_dense_units, _identify_dense,
                            assemble_clusters, level_one_cdus,
-                           registrations_for_report, resolved_join_strategy)
+                           registrations_for_report)
 from ..core.result import ClusteringResult, LevelTrace
 from ..core.units import UnitTable
 from ..errors import DataError, StreamError
@@ -497,14 +497,14 @@ class StreamingSession:
         if self.obs is not None:
             self.obs.stream_quarantine(path)
 
-    def _join(self, dense: UnitTable, level: int, strategy: str,
+    def _join(self, dense: UnitTable, level: int,
               obs: RankObs | None) -> tuple[UnitTable, np.ndarray]:
         """The level join, served from the session cache when this
-        exact (strategy, dense table) was joined before.  A hit replays
+        exact dense table was joined before.  A hit replays
         the measured per-rank pair charge, so the virtual clock and the
         ``join.pairs_examined`` metric advance exactly as the live call
         would."""
-        key = (strategy, level, dense.tobytes())
+        key = (level, dense.tobytes())
         hit = self._join_cache.get(key)
         if hit is not None:
             full_bytes, combined_bytes, pairs = hit
@@ -517,7 +517,7 @@ class StreamingSession:
         self._snap_misses += 1
         tally = _PairsTally(self.comm)
         raw, combined = _find_candidate_dense_units(
-            tally, dense, self.params.tau, strategy=strategy)
+            tally, dense, self.params.tau)
         self._join_cache[key] = (raw.tobytes(),
                                  np.ascontiguousarray(combined).tobytes(),
                                  tally.pairs)
@@ -569,10 +569,7 @@ class StreamingSession:
             if current.level >= params.max_dimensionality:
                 registered.append((dense, dense_counts))
                 break
-            strategy = resolved_join_strategy(params, comm, dense.n_units)
-            if obs is not None:
-                obs.join_strategy(current.level, strategy)
-            raw, combined = self._join(dense, current.level, strategy, obs)
+            raw, combined = self._join(dense, current.level, obs)
             if (~combined).any():
                 registered.append((dense.select(~combined),
                                    dense_counts[~combined]))

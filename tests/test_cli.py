@@ -138,6 +138,14 @@ class TestParser:
         assert exc.value.code == 2
         assert "--rebalance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "stream"])
+    def test_join_strategy_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [command, "data.bin", "--join-strategy", "hash"])
+        assert exc.value.code == 2
+        assert "--join-strategy" in capsys.readouterr().err
+
 
 class TestVerifyFlag:
     def test_run_with_verify_passes(self, record_file, capsys):

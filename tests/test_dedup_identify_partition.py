@@ -165,20 +165,15 @@ class TestTriangularPartition:
 
 
 class TestSplitProperties:
-    """Property-based invariants for the weighted fence builders: every
-    output must be a valid fence-post vector (monotone, spanning
-    [0, n]) for *any* non-negative weights, and the generalisation
-    chain even -> triangular -> weighted must close."""
+    """Property-based invariants for equation (1)'s fences: every output
+    must be a valid fence-post vector (monotone, spanning [0, n]) and
+    balance the triangular work to within one row's worth."""
 
     hyp = pytest.importorskip("hypothesis")
 
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    weights_st = st.lists(
-        st.floats(min_value=0.0, max_value=1e12, allow_nan=False,
-                  allow_infinity=False),
-        min_size=0, max_size=200)
     ranks_st = st.integers(min_value=1, max_value=32)
 
     @staticmethod
@@ -188,67 +183,29 @@ class TestSplitProperties:
         assert all(a <= b for a, b in zip(offsets, offsets[1:]))
         assert all(isinstance(o, int) for o in offsets)
 
-    @given(weights=weights_st, n_ranks=ranks_st)
-    @settings(max_examples=200, deadline=None)
-    def test_weighted_splits_always_valid_fences(self, weights, n_ranks):
-        from repro.core.partition import weighted_splits
-        offsets = weighted_splits(weights, n_ranks)
-        self._check_fences(offsets, len(weights), n_ranks)
-
-    @given(weights=weights_st, n_ranks=ranks_st)
-    @settings(max_examples=100, deadline=None)
-    def test_weighted_splits_balance_bound(self, weights, n_ranks):
-        """No rank's share of the total work may exceed the ideal
-        1/p share by more than one row's worth of weight."""
-        from repro.core.partition import weighted_splits
-        w = np.asarray(weights, dtype=np.float64)
-        offsets = weighted_splits(weights, n_ranks)
-        total = float(w.sum())
-        if total == 0:
-            return
-        ideal = total / n_ranks
-        heaviest = float(w.max())
-        for lo, hi in zip(offsets, offsets[1:]):
-            assert float(w[lo:hi].sum()) <= ideal + heaviest + 1e-6
-
     @given(n=st.integers(min_value=0, max_value=500), n_ranks=ranks_st)
     @settings(max_examples=100, deadline=None)
     def test_triangular_weights_match_triangular_splits(self, n, n_ranks):
-        """weights = [n, n-1, ..., 1] reproduces the closed form."""
-        from repro.core.partition import weighted_splits
+        """Rows weighted [n, n-1, ..., 1] (each row's comparisons) are
+        balanced by the closed form to within one row."""
         weights = np.arange(n, 0, -1, dtype=np.float64)
-        got = weighted_splits(weights, n_ranks)
-        want = triangular_splits(n, n_ranks)
-        # both balance identical prefix work; demand equal imbalance
-        # rather than equal cuts (rounding may differ by one row)
+        fences = triangular_splits(n, n_ranks)
+        self._check_fences(fences, n, n_ranks)
         tri = n * (n + 1) / 2
-        for fences in (got, want):
-            self._check_fences(fences, n, n_ranks)
-            for lo, hi in zip(fences, fences[1:]):
-                work = float(weights[lo:hi].sum())
-                assert work <= tri / n_ranks + n + 1e-6
-
-    def test_weighted_splits_validation(self):
-        from repro.core.partition import weighted_splits
-        with pytest.raises(ParameterError):
-            weighted_splits([1.0, 2.0], 0)
-        with pytest.raises(ParameterError):
-            weighted_splits([[1.0], [2.0]], 1)
-        with pytest.raises(ParameterError):
-            weighted_splits([-1.0], 1)
+        for lo, hi in zip(fences, fences[1:]):
+            assert float(weights[lo:hi].sum()) == prefix_work(n, hi) \
+                - prefix_work(n, lo)
+            assert float(weights[lo:hi].sum()) <= tri / n_ranks + n + 1e-6
 
     def test_more_ranks_than_units(self):
         """16 ranks over a 3-row lattice: trailing ranks get empty but
         valid ranges."""
-        from repro.core.partition import weighted_splits
-        offsets = weighted_splits([5.0, 3.0, 1.0], 16)
+        offsets = triangular_splits(3, 16)
         self._check_fences(offsets, 3, 16)
 
     def test_single_unit_lattice(self):
-        """One row: exactly one rank gets it, whichever rank's fence
-        covers the first positive prefix target."""
-        from repro.core.partition import weighted_splits
-        offsets = weighted_splits([7.0], 4)
+        """One row: exactly one rank gets it."""
+        offsets = triangular_splits(1, 4)
         self._check_fences(offsets, 1, 4)
         widths = [b - a for a, b in zip(offsets, offsets[1:])]
         assert sum(widths) == 1 and max(widths) == 1

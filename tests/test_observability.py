@@ -213,13 +213,12 @@ class TestMetricsAgainstGroundTruth:
 
     def test_pairs_examined_closed_form_serial(self, one_cluster_dataset,
                                                small_params):
-        """On one rank the paper's pairwise sweep examines exactly
+        """On one rank the join is charged the paper's pairwise sweep:
         ``ndu*(ndu+1)/2`` pairs per joined level and ``n_cdus_raw``
         dedup comparisons per level >= 2 — both recomputable from the
         result's own trace."""
         result = mafia(one_cluster_dataset.records,
-                       small_params.with_(metrics=True,
-                                          join_strategy="pairwise"),
+                       small_params.with_(metrics=True),
                        domains=DOMAINS_10D)
         m = result.obs.metrics
         want_join = sum(t.n_dense * (t.n_dense + 1) // 2
@@ -228,20 +227,6 @@ class TestMetricsAgainstGroundTruth:
                          if t.level >= 2)
         assert m["join.pairs_examined"]["value"] == want_join
         assert m["dedup.pairs_examined"]["value"] == want_dedup
-
-    def test_pairs_metric_strategy_invariant(self, one_cluster_dataset,
-                                             small_params):
-        """The hash join reports the paper's pairwise comparison count
-        (the cost-model guard), so the metric must not drift between
-        join strategies."""
-        totals = {}
-        for strategy in ("pairwise", "hash"):
-            res = mafia(one_cluster_dataset.records,
-                        small_params.with_(metrics=True,
-                                           join_strategy=strategy),
-                        domains=DOMAINS_10D)
-            totals[strategy] = res.obs.metrics["join.pairs_examined"]["value"]
-        assert totals["pairwise"] == totals["hash"]
 
     def test_collective_bytes_match_payload_sizes(self):
         """Every collective's byte counter equals ``payload_nbytes`` of
@@ -463,7 +448,8 @@ class TestExports:
                                   phases=traced_run.obs.phase_seconds(),
                                   nprocs=2,
                                   virtual_seconds=traced_run.makespan)
-        assert manifest["schema"] == SCHEMA
+        assert manifest["schema"] == SCHEMA == "pmafia-run-manifest/2"
+        assert "join_strategies" not in manifest
         assert manifest["grid_fingerprint"] == \
             grid_fingerprint(result.grid).hex()
         assert manifest["n_records"] == result.n_records

@@ -235,26 +235,3 @@ class TestInjectedDelayAccounting:
         for r in results:
             assert r.value >= 30.0
         assert wall < 5.0
-
-
-class TestJoinStrategySimNeutrality:
-    """Explicit join strategies must not move the virtual clock: every
-    engine reports the paper's pairwise comparison count through
-    ``charge_pairs``, so simulated SP2 runtimes are a property of the
-    algorithm, not of which join implementation computed the lattice."""
-
-    @pytest.mark.parametrize("strategy", ["hash"])
-    def test_virtual_times_match_pairwise(self, one_cluster_dataset,
-                                          small_params, strategy):
-        from repro import pmafia
-        from tests.conftest import DOMAINS_10D
-
-        def times(join_strategy):
-            run = pmafia(one_cluster_dataset.records, 2,
-                         small_params.with_(tau=1,
-                                            join_strategy=join_strategy),
-                         backend="sim", domains=DOMAINS_10D)
-            return run.makespan, run.rank_times
-
-        base = times("pairwise")
-        assert times(strategy) == base

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.candidates import join_all, join_block
+from repro.core.candidates import hash_join_plan, join_all, join_block
 from repro.core.dedup import repeat_flags_block
 from repro.core.partition import prefix_work, triangular_splits
 from repro.core.units import UnitTable
@@ -143,32 +143,72 @@ class TestRowAlgebraOracles:
         assert got.tolist() == [key in mine for key in _row_tuples(b)]
 
 
+def algorithm3(t: UnitTable, start: int, stop: int):
+    """The paper's Algorithm 3 for pivot rows ``[start, stop)``, written
+    as the literal double loop: compare each pivot with itself and every
+    later unit (the paper's ``Ndu - i`` comparisons per row), and emit
+    the dim-sorted union of each joinable pair in ``(i, j)`` visit
+    order."""
+    units = [dict(u) for u in t]
+    k = t.level
+    dims, bins = [], []
+    combined = np.zeros(len(units), dtype=bool)
+    pairs = 0
+    for i in range(start, stop):
+        for j in range(i, len(units)):
+            pairs += 1
+            u, v = units[i], units[j]
+            shared = set(u) & set(v)
+            if len(shared) != k - 1 or any(u[d] != v[d] for d in shared):
+                continue
+            merged = sorted({**u, **v}.items())
+            dims.append([d for d, _ in merged])
+            bins.append([b for _, b in merged])
+            combined[i] = combined[j] = True
+    shape = (len(dims), k + 1)
+    return (np.asarray(dims, dtype=np.uint8).reshape(shape),
+            np.asarray(bins, dtype=np.uint8).reshape(shape),
+            combined, pairs)
+
+
+def assert_matches_algorithm3(t: UnitTable, start: int, stop: int,
+                              jr) -> None:
+    dims, bins, combined, pairs = algorithm3(t, start, stop)
+    assert np.array_equal(jr.cdus.dims, dims)
+    assert np.array_equal(jr.cdus.bins, bins)
+    assert np.array_equal(jr.combined, combined)
+    assert jr.pairs_examined == pairs
+
+
 class TestJoinProperties:
-    @given(unit_tables(max_units=18, max_level=3))
-    @settings(max_examples=40, deadline=None)
-    def test_join_semantics_match_pairwise_definition(self, t):
-        """Every emitted CDU comes from a pair sharing exactly k−2 dims
-        with agreeing bins, and every such pair is represented."""
+    @given(unit_tables(max_units=40, max_level=6, max_dim=10, max_bin=3),
+           st.integers(1, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_join_semantics_match_pairwise_definition(self, t, p):
+        """Every rank's block equals the double loop over its pivot rows
+        array for array: rows in visit order, the combined mask and the
+        paper's comparison count.  Few bins per dimension force heavy
+        sub-signature bucket collisions."""
         t = t.unique()
-        jr = join_all(t)
-        k = t.level
-        expected = set()
-        combinable = set()
-        units = list(t)
-        for i in range(len(units)):
-            for j in range(i + 1, len(units)):
-                u, v = dict(units[i]), dict(units[j])
-                shared = set(u) & set(v)
-                if len(shared) != k - 1:
-                    continue
-                if any(u[d] != v[d] for d in shared):
-                    continue
-                merged = tuple(sorted({**u, **v}.items()))
-                expected.add(merged)
-                combinable |= {i, j}
-        got = set(jr.cdus.unique()) if jr.cdus.n_units else set()
-        assert got == expected
-        assert set(np.flatnonzero(jr.combined).tolist()) == combinable
+        plan = hash_join_plan(t)
+        assert_matches_algorithm3(t, 0, t.n_units, join_all(t))
+        offsets = triangular_splits(t.n_units, p)
+        for lo, hi in zip(offsets, offsets[1:]):
+            assert_matches_algorithm3(t, lo, hi,
+                                      join_block(t, lo, hi, plan=plan))
+
+    def test_empty_and_tiny_tables(self):
+        """0-, 1- and 2-unit tables: joinable, same dimension, shared
+        bin, conflicting bin — for the full range and empty blocks."""
+        for t in (UnitTable.empty(1), UnitTable.empty(3),
+                  UnitTable.from_pairs([[(0, 1)]]),
+                  UnitTable.from_pairs([[(0, 1), (2, 0)]]),
+                  UnitTable.from_pairs([[(0, 1)], [(2, 0)]]),
+                  UnitTable.from_pairs([[(0, 1)], [(0, 2)]]),
+                  UnitTable.from_pairs([[(0, 1), (2, 0)], [(2, 0), (3, 4)]]),
+                  UnitTable.from_pairs([[(0, 1), (2, 0)], [(2, 1), (3, 4)]])):
+            for lo, hi in ((0, t.n_units), (0, 0), (t.n_units, t.n_units)):
+                assert_matches_algorithm3(t, lo, hi, join_block(t, lo, hi))
 
     @given(unit_tables(max_units=20, max_level=3),
            st.integers(1, 5))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from repro.serve import (BatchScores, ClusterServer, CompiledModel,
                          score_batch_naive)
 from repro.types import Cluster, DNFTerm, Subspace
 from tests.conftest import DOMAINS_10D
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_cluster(dims, terms_intervals):
@@ -363,6 +366,23 @@ class TestModelExport:
             model_from_dict({**payload, "version": 99})
         with pytest.raises(DataError):
             model_from_json("{broken")
+
+    def test_result_with_retired_join_strategy_still_serves(self,
+                                                            clustered):
+        """A result exported while ``MafiaParams`` still had a
+        ``join_strategy`` field (this one carries ``"auto"``) loads and
+        scores exactly like a fresh compile of the same clustering."""
+        result, records = clustered
+        text = (DATA / "result_join_strategy_auto.json").read_text()
+        assert json.loads(text)["params"]["join_strategy"] == "auto"
+        legacy = ClusterServer.from_json(text)
+        fresh = ClusterServer(result)
+        membership = fresh.score_batch(records).membership
+        assert membership.any()
+        np.testing.assert_array_equal(
+            legacy.score_batch(records).membership, membership)
+        assert legacy.model.subspaces == fresh.model.subspaces
+        assert legacy.model.point_counts == fresh.model.point_counts
 
 
 # -- the CLI front door --------------------------------------------------
