@@ -218,10 +218,8 @@ def build_suite(smoke: bool, only: str | None = None):
     # level-N population loads: one *nested* clustered lattice — every
     # level's units extend the previous level's, the shape real level
     # passes count — timed on the bitmap index.  One populator is
-    # shared across levels
-    # and pre-warmed bottom-up, exactly as the driver runs it: by the
-    # time level k counts, level k-1's leaves seed the prefix memo and
-    # each unit costs one AND + its share of a batched popcount.
+    # shared across levels, exactly as `mafia()` runs it, and passed
+    # over every level once first so the index tiles are warm.
     index = indexed_pop = None
     level_units = {}
     if wanted("bitmap_index_build",
@@ -238,7 +236,7 @@ def build_suite(smoke: bool, only: str | None = None):
         for lvu in level_units.values():
             populate_local(source, comm, grid, lvu, chunk,
                            indexed=indexed_pop)
-        del level_units[1]      # level 1 only seeds the memo
+        del level_units[1]      # level 1 only warms the index
 
     # serving load: a skewed hot-key trace — every record in the batch
     # is one of ``pool_n`` distinct rows, the shape of production
@@ -385,8 +383,6 @@ def build_suite(smoke: bool, only: str | None = None):
                                 for lv, u in level_units.items()},
             "index_nbytes": int(index.nbytes),
             "resident": bool(index.resident),
-            "memo_entries": len(indexed_pop.memo),
-            "memo_nbytes": int(indexed_pop.memo.nbytes),
         }
 
     join_load = {}
@@ -642,7 +638,7 @@ def main(argv=None) -> int:
     if index_load is not None:
         doc["index"] = index_load
         print(f"  bitmap index: {index_load['index_nbytes'] / 1e6:.2f} MB "
-              f"resident, {index_load['memo_entries']} memo entries")
+              f"resident")
 
     if serve_load is not None and have("score_batch_naive",
                                        "score_batch_compiled",

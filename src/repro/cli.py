@@ -556,11 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cluster-reporting semantics (DESIGN.md 4.1)")
     run.add_argument("--bitmap-budget", type=int, default=1 << 28,
                      dest="bitmap_budget", metavar="BYTES",
-                     help="byte budget shared by the per-(dim,bin) "
-                          "bitmap index and its prefix-AND memo: the "
-                          "index stays in RAM when it fits and spills "
-                          "to an mmap tile file otherwise; results are "
-                          "identical either way (default 256 MiB)")
+                     help="byte budget for the per-(dim,bin) bitmap "
+                          "index: it stays in RAM when it fits and "
+                          "spills to an mmap tile file otherwise; "
+                          "results are identical either way (default "
+                          "256 MiB)")
     run.add_argument("--collectives", choices=("flat", "tree"),
                      default="flat",
                      help="collective wire pattern for parallel runs")

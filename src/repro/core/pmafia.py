@@ -480,9 +480,7 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                                    budget=params.bitmap_budget, retry=retry,
                                    codes=codes)
     del codes
-    # one populator for the whole run: its prefix-AND memo spans level
-    # passes (level-(k+1) CDUs extend level-k dense units)
-    indexed = IndexedPopulator(index, budget=params.bitmap_budget)
+    indexed = IndexedPopulator(index)
 
     # each rank records what its shard is made of next to the level
     # checkpoints; a future replacement verifies the witness against the

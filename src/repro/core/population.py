@@ -12,9 +12,11 @@ records — one packed membership bitmap per (dim, bin) pair — and a CDU's
 count is the popcount of the AND of its k bitmaps.  :func:`count_units`
 visits the CDUs in lexicographic subspace order so the accumulator for
 ``(d0..dk)`` reuses the AND for ``(d0..dk-1)`` (a prefix stack within
-the pass); an :class:`IndexedPopulator` adds an LRU prefix memo across
-passes — level-(k+1) CDUs extend level-k dense units, so the previous
-pass's leaves are this pass's prefixes.
+the pass).  Every AND writes into a buffer the pass allocated up front:
+interior prefixes into one row per depth, leaves straight into a
+zero-padded batch that is popcounted through its ``uint64`` view.  A
+pass holds a fixed number of bytes whatever its CDU count, and keeps
+nothing for the next.
 
 The simulated-time backend is charged the naive per-CDU cost (what the
 paper's per-record scan on the SP2 paid) and float-width I/O per chunk:
@@ -25,102 +27,34 @@ runtimes faithful to the measured system.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from ..errors import DataError
-from ..io.bitmap_index import (DEFAULT_BITMAP_BUDGET, RECORD_ITEMSIZE,
-                               BitmapIndex, build_bitmap_index,
-                               edges_fingerprint)
+from ..io.bitmap_index import (RECORD_ITEMSIZE, BitmapIndex,
+                               build_bitmap_index, edges_fingerprint)
 from ..io.chunks import DataSource
 from ..io.resilient import RetryPolicy
 from ..parallel.comm import Comm
 from ..types import Grid
 from .units import UnitTable
 
-#: leaf accumulators popcounted per batch — one vectorised count over
-#: ``(batch, row_bytes)`` replaces a per-unit ufunc round trip
-_UNIT_BATCH = 512
-
-_POPCOUNT8 = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-
-# numpy >= 2.0 has a native popcount ufunc; resolve the dispatch once
-# at import instead of per AND/popcount batch
-if hasattr(np, "bitwise_count"):
-    def _popcount_rows(acc: np.ndarray) -> np.ndarray:
-        """Per-row popcounts of a ``(rows, nbytes)`` packed matrix."""
-        nbytes = acc.shape[-1]
-        if nbytes and nbytes % 8 == 0 and acc.flags.c_contiguous:
-            # 8x fewer elements for the sum's uint->int64 promotion
-            return np.bitwise_count(acc.view(np.uint64)) \
-                .sum(axis=1, dtype=np.int64)
-        return np.bitwise_count(acc).sum(axis=1, dtype=np.int64)
-else:
-    def _popcount_rows(acc: np.ndarray) -> np.ndarray:
-        """Per-row popcounts of a ``(rows, nbytes)`` packed matrix."""
-        return _POPCOUNT8[acc].sum(axis=1, dtype=np.int64)
-
-
-class _PrefixMemo:
-    """Byte-bounded LRU of prefix AND accumulators, keyed by the tuple
-    of flat (dim, bin) pair ids along a lexicographic subspace prefix.
-
-    Kept across level passes by an :class:`IndexedPopulator` — a
-    level-(k+1) CDU's k-prefix is a level-k dense unit whose
-    accumulator the previous pass cached.  Entries are immutable
-    (readers AND them into fresh arrays).
-    """
-
-    def __init__(self, byte_budget: int) -> None:
-        self.byte_budget = max(0, int(byte_budget))
-        self._entries: OrderedDict[tuple[int, ...], np.ndarray] = \
-            OrderedDict()
-        self._nbytes = 0
-
-    @property
-    def nbytes(self) -> int:
-        return self._nbytes
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple[int, ...]) -> np.ndarray | None:
-        acc = self._entries.get(key)
-        if acc is not None:
-            self._entries.move_to_end(key)
-        return acc
-
-    def put(self, key: tuple[int, ...], acc: np.ndarray) -> None:
-        if acc.nbytes > self.byte_budget:
-            return
-        acc.setflags(write=False)
-        prev = self._entries.pop(key, None)
-        if prev is not None:
-            self._nbytes -= prev.nbytes
-        self._entries[key] = acc
-        self._nbytes += acc.nbytes
-        while self._nbytes > self.byte_budget:
-            _, old = self._entries.popitem(last=False)
-            self._nbytes -= old.nbytes
+#: bytes of leaf ANDs popcounted per batch: one ``np.bitwise_count``
+#: over a ``(rows, 8-byte-padded row)`` uint64 view replaces a ufunc
+#: round trip per CDU (7 rows at 1.1M records, 800-plus at 10k)
+_BATCH_BYTES = 1 << 20
 
 
 class _PassStats:
-    """Tally of one :func:`count_units` walk: memo probes that hit and
-    missed, and bitmap ANDs actually executed."""
+    """Tally of one :func:`count_units` walk: bitmap ANDs executed."""
 
-    __slots__ = ("hits", "misses", "and_ops")
+    __slots__ = ("and_ops",)
 
     def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
         self.and_ops = 0
 
 
 def count_units(index: BitmapIndex, units: UnitTable,
                 out: np.ndarray | None = None, *,
-                memo: _PrefixMemo | None = None,
                 order: np.ndarray | None = None,
                 stats: _PassStats | None = None) -> np.ndarray:
     """Exact per-unit record counts straight off a bitmap index.
@@ -128,12 +62,12 @@ def count_units(index: BitmapIndex, units: UnitTable,
     CDUs are visited in lexicographic pair order (``order`` may pass
     that permutation precomputed; pair ids are monotone in the (dim,
     bin) tokens, so the dedup phase's token sort agrees row for row).
-    ``stack_accs[j]`` is the AND of the bitmaps along the current
-    path's first ``j + 1`` pairs — or ``None`` when a ``memo`` seed
-    jumped straight to a deeper prefix and the intermediate
-    accumulators were never materialised (holes are recomputed only if
-    a later truncation exposes them).  With a ``memo`` every leaf is
-    also cached as a prefix of the next level's CDUs.
+    ``accs[j]`` is the AND of the bitmaps along the current path's
+    first ``j + 1`` pairs: depth 0 is a read-only index view, deeper
+    interior depths are rows of one preallocated buffer.  Each leaf AND
+    is written straight into its row of a zero-padded batch whose
+    ``uint64`` view is popcounted when full.  A pass allocates those
+    fixed buffers and keeps nothing.
 
     Counts are pure popcounts, additive over any row partition: the
     streaming engine sums per-segment counts and equals one count over
@@ -144,71 +78,59 @@ def count_units(index: BitmapIndex, units: UnitTable,
         counts[:] = 0
     if units.n_units == 0:
         return counts
-    stats = _PassStats() if stats is None else stats
     pairs = index.pair_ids(units.dims, units.bins)
+    row_bytes = index.row_bytes
+    if row_bytes == 0:
+        return counts
+    stats = _PassStats() if stats is None else stats
     k = pairs.shape[1]
     if order is None:
         order = np.lexsort(tuple(pairs[:, j] for j in range(k - 1, -1, -1)))
-    stack_pairs: list[int] = []
-    stack_accs: list[np.ndarray | None] = []
-    batch = max(1, min(_UNIT_BATCH, units.n_units))
-    scratch = np.empty((batch, index.row_bytes), dtype=np.uint8)
+    width = -(-row_bytes // 8) * 8
+    batch = max(1, min(_BATCH_BYTES // width, units.n_units))
+    # padding bytes past row_bytes are never written, so they stay zero
+    leaves = np.zeros((batch, width), dtype=np.uint8)
+    leaf_rows = list(leaves[:, :row_bytes])
+    words = leaves.view(np.uint64)
+    bits = np.empty(words.shape, dtype=np.uint8)
     pend_rows = np.empty(batch, dtype=np.int64)
+    # depth 0 is a read-only index view; depths 1..k-2 are buffer rows
+    accs = [None, *np.empty((max(k - 2, 0), row_bytes), dtype=np.uint8)]
+    path: list[int] = []
     n_pend = 0
+    and_ops = 0
     for row_i in order:
         row = pairs[row_i].tolist()     # plain ints: one C call
         keep = 0
-        limit = len(stack_pairs)
-        while keep < limit and stack_pairs[keep] == row[keep]:
+        limit = len(path)
+        while keep < limit and path[keep] == row[keep]:
             keep += 1
-        del stack_pairs[keep:], stack_accs[keep:]
-        # deepest kept depth whose accumulator is materialised
-        best = keep
-        while best > 0 and stack_accs[best - 1] is None:
-            best -= 1
-        # probe the memo for a prefix deeper than anything on the
-        # stack (depth-1 "prefixes" are raw index rows, never cached)
-        probes = range(k - 1, max(best, 1), -1) if memo is not None \
-            else ()
-        for plen in probes:
-            cached = memo.get(tuple(row[:plen]))
-            if cached is None:
-                stats.misses += 1
-                continue
-            stats.hits += 1
-            while len(stack_pairs) < plen:
-                stack_pairs.append(row[len(stack_pairs)])
-                stack_accs.append(None)
-            stack_accs[plen - 1] = cached
-            best = plen
-            break
-        acc = stack_accs[best - 1] if best else None
-        for j in range(best, k):
-            pair = row[j]
-            bitmap = index.bitmap(pair)
-            if acc is None:
-                acc = bitmap       # depth 1: a read-only index view
+        del path[keep:]
+        for j in range(keep, k - 1):
+            if j == 0:
+                accs[0] = index.bitmap(row[0])
             else:
-                acc = acc & bitmap
-                stats.and_ops += 1
-            if j < len(stack_pairs):
-                stack_pairs[j] = pair
-                stack_accs[j] = acc
-            else:
-                stack_pairs.append(pair)
-                stack_accs.append(acc)
-        if n_pend == batch:
-            counts[pend_rows] = _popcount_rows(scratch)
-            n_pend = 0
-        scratch[n_pend] = acc
+                np.bitwise_and(accs[j - 1], index.bitmap(row[j]),
+                               out=accs[j])
+                and_ops += 1
+            path.append(row[j])
+        if k == 1:
+            leaf_rows[n_pend][:] = index.bitmap(row[0])
+        else:
+            np.bitwise_and(accs[k - 2], index.bitmap(row[k - 1]),
+                           out=leaf_rows[n_pend])
+            and_ops += 1
         pend_rows[n_pend] = row_i
         n_pend += 1
-        if memo is not None and k >= 2:
-            # the leaf is the next level's prefix (level-(k+1) CDUs
-            # extend level-k dense units)
-            memo.put(tuple(row), acc)
+        if n_pend == batch:
+            np.bitwise_count(words, out=bits)
+            counts[pend_rows] = bits.sum(axis=1, dtype=np.int64)
+            n_pend = 0
     if n_pend:
-        counts[pend_rows[:n_pend]] = _popcount_rows(scratch[:n_pend])
+        np.bitwise_count(words[:n_pend], out=bits[:n_pend])
+        counts[pend_rows[:n_pend]] = bits[:n_pend].sum(axis=1,
+                                                       dtype=np.int64)
+    stats.and_ops += and_ops
     return counts
 
 
@@ -216,18 +138,12 @@ class IndexedPopulator:
     """Population served from a persistent bitmap index: every pass is
     AND + popcount over cached bitmaps, no data reads at all.
 
-    One instance lives for the whole run so its prefix memo spans level
-    passes.  ``counts`` are exact integer popcounts of deterministic
-    AND chains, so they are bit-identical for any memo state.
+    One instance lives for the whole run; a pass keeps nothing between
+    calls, so it holds the index plus one pass's fixed buffers.
     """
 
-    def __init__(self, index: BitmapIndex, *,
-                 budget: int = DEFAULT_BITMAP_BUDGET) -> None:
+    def __init__(self, index: BitmapIndex) -> None:
         self.index = index
-        # the resident index and the memo share one byte budget; a
-        # spilled (mmap) index leaves the whole budget to the memo
-        memo_budget = budget - (index.nbytes if index.resident else 0)
-        self.memo = _PrefixMemo(memo_budget)
         self._grid_ok: bool = False
 
     def _check_grid(self, grid: Grid) -> None:
@@ -266,11 +182,9 @@ class IndexedPopulator:
                 obs.io_chunk(rows, nbytes, kind="indexed")
             comm.charge_cells(rows * per_record_cost)
         stats = _PassStats()
-        counts = count_units(index, units, memo=self.memo, order=order,
-                             stats=stats)
+        counts = count_units(index, units, order=order, stats=stats)
         if obs is not None:
-            obs.indexed_pass(units.n_units, stats.hits, stats.misses,
-                             stats.and_ops, self.memo.nbytes)
+            obs.indexed_pass(units.n_units, stats.and_ops)
         return counts
 
 
@@ -283,7 +197,8 @@ def populate_local(source: DataSource | None, comm: Comm, grid: Grid,
     """Counts of this rank's local records per CDU (one data pass).
 
     ``start``/``stop`` select the rank's block when the source holds the
-    full data set (in-memory SPMD); a staged local file is passed whole.
+    full data set (an array every SPMD rank sees); a staged local file is
+    passed whole.
     ``indexed`` serves the pass from the run's staged index (which must
     cover exactly this block); without one a resident index is staged
     from the source for this call alone.

@@ -12,11 +12,12 @@ when they fit the budget beside the index (no float is read); otherwise
 they are recomputed from the records with the same
 :func:`~repro.core.histogram.fine_codes`.  Every later population pass
 is then pure AND + popcount over cached bitmaps with zero data reads (see
-:class:`repro.core.population.IndexedPopulator` for the memoized prefix
-AND walk that consumes this index).
+:func:`repro.core.population.count_units` for the prefix AND walk that
+consumes this index, in fixed buffers of its own).
 
-Residency is governed by one byte budget (``MafiaParams.bitmap_budget``):
-an index of ``sum(nbins) * ceil(n/8)`` bytes lives in RAM when it fits
+Residency is governed by one byte budget (``MafiaParams.bitmap_budget``,
+which also decides whether the histogram pass's codes are kept): an
+index of ``sum(nbins) * ceil(n/8)`` bytes lives in RAM when it fits
 and otherwise *spills* to an mmap-tiled on-disk format — each pair's
 bitmap is one contiguous tile, mapped read-only and CRC-verified lazily
 on first touch.  A spilled index is stamped with a 64-byte **key**: the
@@ -75,7 +76,7 @@ _CRC_ITEM = struct.Struct("<I")
 #: (resident, or spilled to an anonymous temp file): never reloaded
 NO_RECORDS_DIGEST = bytes(32)
 
-#: default residency budget for the index plus the prefix-AND memo
+#: default residency budget for the index plus the kept fine codes
 DEFAULT_BITMAP_BUDGET = 1 << 28
 
 #: bytes a level pass is charged per record cell on the virtual clock —
@@ -163,7 +164,7 @@ def _pair_offsets(nbins: tuple[int, ...]) -> np.ndarray:
 def index_nbytes(grid: Grid, n_records: int) -> int:
     """Bytes a :class:`BitmapIndex` over this grid and record count
     occupies (one ``ceil(n/8)``-byte tile per (dim, bin) pair) — what
-    the ``auto`` policy weighs against ``bitmap_budget``."""
+    staging weighs against ``bitmap_budget``."""
     return sum(_grid_nbins(grid)) * (-(-n_records // 8))
 
 
@@ -177,8 +178,8 @@ class BitmapIndex:
 
     Bitmaps live either in a resident ``(n_pairs, row_bytes)`` uint8
     matrix or as mmap tiles of the on-disk format.  Rows are read-only:
-    consumers AND them into fresh accumulators, so cached prefix ANDs
-    may alias rows safely.  ``key`` is the 64-byte key the index was
+    consumers AND them into buffers of their own, and a depth-1 prefix
+    is the row itself.  ``key`` is the 64-byte key the index was
     built under (see the module docstring).
     """
 

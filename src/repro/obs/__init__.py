@@ -179,23 +179,12 @@ class RankObs:
             if not resident:
                 self.metrics.counter("index.spills").inc()
 
-    def indexed_pass(self, units: int, hits: int, misses: int,
-                     and_ops: int, memo_bytes: int) -> None:
-        """One level pass served from the bitmap index: CDUs counted,
-        prefix-AND memo hits/misses (plus the run-cumulative hit rate
-        as an ``index.memo_hit_rate`` gauge), bitmap ANDs actually
-        executed and the memo's resident size after the pass."""
+    def indexed_pass(self, units: int, and_ops: int) -> None:
+        """One level pass served from the bitmap index: CDUs counted
+        and bitmap ANDs executed."""
         if self.metrics is not None:
             self.metrics.counter("index.units_counted").inc(units)
-            hit_c = self.metrics.counter("index.memo_hits")
-            miss_c = self.metrics.counter("index.memo_misses")
-            hit_c.inc(hits)
-            miss_c.inc(misses)
-            probes = hit_c.value + miss_c.value
-            self.metrics.gauge("index.memo_hit_rate").set(
-                hit_c.value / probes if probes else 0.0)
             self.metrics.counter("index.and_ops").inc(and_ops)
-            self.metrics.gauge("index.memo_bytes").set(memo_bytes)
 
     # -- lattice hooks ---------------------------------------------------
     def add_pairs(self, stage: str, pairs: float) -> None:

@@ -77,11 +77,13 @@ class MafiaParams:
         is not a projection of a dense unit one level up (strictly
         lossless, may surface marginal boundary leftovers).
     bitmap_budget:
-        Byte budget (per rank) shared by the bitmap index and the
-        memoized prefix-AND cache on top of it.  Right after the
+        Byte budget (per rank) for the bitmap index plus the fine codes
+        the histogram pass keeps to stage it.  Right after the
         adaptive grid is fixed each rank packs one membership bitmap
         per (dim, bin) pair of its local records; every level pass is
-        then AND + popcount over those bitmaps.  The index stays
+        then AND + popcount over those bitmaps, in a fixed set of
+        buffers (about 1 MiB plus a few bitmap rows) that the pass
+        frees when it returns.  The index stays
         resident in RAM when it fits this budget and spills to an
         mmap-tiled on-disk format (CRC-checked,
         grid-fingerprint-invalidated) otherwise.  Clusters, CDU counts

@@ -1,14 +1,17 @@
-"""The persistent bitmap index and the memoized prefix-AND engine.
+"""The persistent bitmap index and the prefix-AND population engine.
 
 The load-bearing property: a population pass served from a
-:class:`~repro.io.bitmap_index.BitmapIndex` — resident or spilled,
-memo warm or cold, and on every backend — produces exactly the counts
-of a brute-force recount, and clusters and simulated virtual times that
-do not depend on where the index lives.  The index is a pure cache; any
-observable difference is a bug.
+:class:`~repro.io.bitmap_index.BitmapIndex` — resident or spilled, at
+any row width and popcount batch size, and on every backend — produces
+exactly the counts of a brute-force recount, and clusters and simulated
+virtual times that do not depend on where the index lives.  The index
+is a pure cache; any observable difference is a bug.  A pass runs in
+fixed memory and keeps nothing between passes.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import verify_result
 from repro.core.mafia import mafia, pmafia, pmafia_resumable
+from repro.core import population
 from repro.core.population import (IndexedPopulator, count_units,
                                    populate_global, populate_local)
 from repro.core.units import UnitTable
@@ -69,7 +73,7 @@ def expected_bitmap(records, grid, dim, bin_):
 def make_populator(source, grid, chunk=64, *, budget=1 << 24, comm=None):
     index = stage_bitmap_index(source, comm or SerialComm(), grid, chunk,
                                budget=budget)
-    return IndexedPopulator(index, budget=budget)
+    return IndexedPopulator(index)
 
 
 class TestIndexFormat:
@@ -288,8 +292,8 @@ class TestSpillPolicy:
                                              small_params):
         records = one_cluster_dataset.records
         baseline = mafia(records, small_params, domains=DOMAINS_10D)
-        # one byte of budget: the index must spill and the memo stays
-        # empty, yet the result is unchanged and recounts clean
+        # one byte of budget: the index must spill, yet the result is
+        # unchanged and recounts clean
         spilled = mafia(records, small_params.with_(bitmap_budget=1),
                         domains=DOMAINS_10D)
         assert cluster_signature(spilled) == cluster_signature(baseline)
@@ -337,8 +341,8 @@ class TestIndexedCountsIdentical:
         source = ArraySource(records)
         comm = SerialComm()
         ref = brute_force_counts(records, grid, units)
-        # a per-call staged index, then a run-long populator whose memo
-        # is warm on the second pass (identical, not additive)
+        # a per-call staged index, then a run-long populator passed
+        # twice over the same units (identical, not additive)
         assert np.array_equal(
             populate_local(source, comm, grid, units, chunk), ref)
         pop = make_populator(source, grid, chunk)
@@ -385,8 +389,8 @@ class TestIndexedCountsIdentical:
                 brute_force_counts(records, grid, units))
 
     def test_many_units_match_brute_force(self):
-        """200 level-3 units over 3000 records: more than one popcount
-        batch, shared prefixes, and a warm memo on the second pass."""
+        """200 level-3 units over 3000 records: shared prefixes, and a
+        second pass that counts exactly like the first."""
         rng = np.random.default_rng(13)
         records = rng.random((3000, 5)) * 100.0
         grid = uniform_grid(5, 6)
@@ -400,20 +404,69 @@ class TestIndexedCountsIdentical:
                 populate_local(source, comm, grid, units, 512,
                                indexed=pop), ref)
 
-    def test_memo_budget_bounds_resident_bytes(self):
+    @pytest.mark.parametrize("batch_rows", [None, 1, 3],
+                             ids=["default-batch", "one-row-batch",
+                                  "three-row-batch"])
+    @pytest.mark.parametrize("spilled", [False, True],
+                             ids=["resident", "spilled"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 127, 1000,
+                                   4097])
+    def test_awkward_widths_match_brute_force(self, tmp_path, monkeypatch,
+                                              n, spilled, batch_rows):
+        """Row widths around every byte and 8-byte boundary (the
+        popcount batch pads rows to whole ``uint64`` words), empty and
+        single-record shards, levels 1-4, and batches that flush after
+        every leaf or leave a partial batch at the end of the pass."""
+        if batch_rows is not None:
+            padded_row = -(-n // 64) * 8
+            monkeypatch.setattr(population, "_BATCH_BYTES",
+                                batch_rows * padded_row)
+        rng = np.random.default_rng(n)
+        records = rng.random((n, 5)) * 100.0
+        grid = uniform_grid(5, 3)
+        path = tmp_path / "index.bmx" if spilled else None
+        index = build_bitmap_index(ArraySource(records), grid, 64,
+                                   path=path)
+        assert index.resident == (path is None or n == 0)
+        for level in (1, 2, 3, 4):
+            units = random_units(rng, 5, 3, level, 40)
+            assert np.array_equal(count_units(index, units),
+                                  brute_force_counts(records, grid, units))
+
+    def test_pass_memory_is_fixed(self):
+        """A run-long populator holds no array between passes, and a
+        pass peaks at the popcount batch, its per-word popcounts and a
+        few row widths however many CDUs it counts."""
         rng = np.random.default_rng(14)
-        records = rng.random((4000, 5)) * 100.0
-        grid = uniform_grid(5, 6)
-        units = random_units(rng, 5, 6, 3, 300)
+        n = 200_000
+        records = rng.random((n, 8)) * 100.0
+        grid = uniform_grid(8, 10)
         source = ArraySource(records)
         comm = SerialComm()
-        row_bytes = -(-4000 // 8)
-        budget = index_nbytes(grid, 4000) + 3 * row_bytes
-        pop = make_populator(source, grid, 512, budget=budget)
-        populate_local(source, comm, grid, units, 512, indexed=pop)
-        assert pop.memo.nbytes <= pop.memo.byte_budget
-        assert pop.memo.byte_budget == 3 * row_bytes
-        assert len(pop.memo) <= 3
+        pop = make_populator(source, grid, 50_000)
+        del records, source
+        row_bytes = -(-n // 8)
+        tables = [random_units(rng, 8, 10, level, 1500)
+                  for level in (2, 3, 4) for _ in range(2)]
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+        def array_bytes() -> int:
+            snap = tracemalloc.take_snapshot().filter_traces(arrays)
+            return sum(trace.size for trace in snap.traces)
+
+        tracemalloc.start()
+        try:
+            for units in tables:
+                held = array_bytes()
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                pop.populate_local(comm, grid, units, 50_000)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert array_bytes() == held
+                assert peak - before <= population._BATCH_BYTES * 9 // 8 \
+                    + 10 * row_bytes
+        finally:
+            tracemalloc.stop()
 
     def test_stale_grid_rejected(self):
         rng = np.random.default_rng(15)

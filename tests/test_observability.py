@@ -321,22 +321,31 @@ class TestMetricsAgainstGroundTruth:
         key = metric_key("io.records_read", {"kind": "indexed"})
         assert m[key]["value"] == levels * n
 
-    def test_memo_hit_rate_gauge(self, one_cluster_dataset, small_params):
-        """The indexed engine publishes its prefix-memo hit rate as a
-        gauge reconciling exactly with the hit/miss counters."""
+    def test_and_ops_counts_distinct_prefixes(self, one_cluster_dataset,
+                                              small_params, monkeypatch):
+        """``index.and_ops`` equals an independent count over the CDU
+        tables the level passes counted: per level k >= 2, one AND per
+        distinct j-prefix of the (dim, bin) tokens, j = 2..k."""
+        from repro.core import population
+
+        tables = []
+        engine = population.count_units
+
+        def spy(index, units, *args, **kwargs):
+            tables.append(np.stack([units.dims, units.bins], axis=-1))
+            return engine(index, units, *args, **kwargs)
+
+        monkeypatch.setattr(population, "count_units", spy)
         result = mafia(one_cluster_dataset.records,
                        small_params.with_(metrics=True),
                        domains=DOMAINS_10D)
-        m = result.obs.metrics
-        assert m["index.memo_hit_rate"]["kind"] == "gauge"
-        hits = m["index.memo_hits"]["value"]
-        misses = m["index.memo_misses"]["value"]
-        rate = m["index.memo_hit_rate"]["value"]
-        if hits + misses:
-            assert rate == hits / (hits + misses)
-        else:
-            assert rate == 0.0
-        assert 0.0 <= rate <= 1.0
+        expected = 0
+        for tokens in tables:
+            k = tokens.shape[1]
+            for j in range(2, k + 1):
+                expected += len({row[:j].tobytes() for row in tokens})
+        assert any(t.shape[1] >= 3 for t in tables)
+        assert result.obs.metrics["index.and_ops"]["value"] == expected
 
     def test_lattice_counters_match_trace(self, one_cluster_dataset,
                                           small_params):
