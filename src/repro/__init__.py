@@ -17,7 +17,7 @@ Public API highlights:
 """
 
 from .core import (ClusteringResult, PMafiaRun, mafia, pmafia,
-                   pmafia_resumable, pmafia_supervised)
+                   pmafia_resumable)
 from .errors import (CheckpointError, ChecksumError, CommAborted, CommError,
                      CommTimeoutError, DataError, GridError, ParameterError,
                      RecordFileError, ReproError)
@@ -25,7 +25,7 @@ from .obs import (RankObsData, RunObs, as_run_obs, write_chrome_trace,
                   write_metrics_snapshot)
 from .params import CliqueParams, MafiaParams
 from .parallel import (CrashPoint, FaultPlan, MachineSpec, MessageFault,
-                       ReadFault, RecoveryReport, SupervisePolicy, run_spmd)
+                       ReadFault, run_spmd)
 from .types import Cluster, DimensionGrid, DNFTerm, Grid, Subspace
 
 __version__ = "1.0.0"
@@ -54,17 +54,14 @@ __all__ = [
     "RankObsData",
     "ReadFault",
     "RecordFileError",
-    "RecoveryReport",
     "ReproError",
     "RunObs",
     "Subspace",
-    "SupervisePolicy",
     "__version__",
     "as_run_obs",
     "mafia",
     "pmafia",
     "pmafia_resumable",
-    "pmafia_supervised",
     "run_spmd",
     "write_chrome_trace",
     "write_metrics_snapshot",

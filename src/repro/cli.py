@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .core.export import result_to_json
-from .core.mafia import mafia, pmafia, pmafia_resumable, pmafia_supervised
+from .core.mafia import mafia, pmafia, pmafia_resumable
 from .errors import ReproError
 from .datagen.generator import generate
 from .datagen.spec import ClusterSpec
@@ -349,47 +349,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"chaos scenario {scenario.name!r}: "
                   f"{scenario.description}", file=sys.stderr)
         run = None
-        if scenario is not None:
-            from dataclasses import replace as _dc_replace
-            if scenario.params:
-                params = _dc_replace(params, **scenario.params)
-            if scenario.recovery == "supervised":
-                run = pmafia_supervised(data, args.procs, params,
-                                        checkpoint_dir=args.checkpoint_dir,
-                                        collectives=args.collectives,
-                                        resume=args.resume,
-                                        recv_timeout=scenario.recv_timeout,
-                                        retry=scenario.retry,
-                                        faults=scenario.faults,
-                                        policy=scenario.supervise)
-            else:
-                run = pmafia_resumable(
-                    data, args.procs, params,
-                    checkpoint_dir=args.checkpoint_dir,
-                    backend=args.backend, collectives=args.collectives,
-                    resume=args.resume,
-                    recv_timeout=scenario.recv_timeout,
-                    retry=scenario.retry, faults=scenario.faults,
-                    max_restarts=(scenario.max_restarts
-                                  if scenario.recovery == "restart" else 0))
-            result = run.result
-            report = getattr(run, "recovery", None)
-            if report is not None and report.replacements:
-                print(f"recovered from {report.replacements} rank "
-                      f"loss(es); worst RTO {report.worst_rto:.2f}s",
-                      file=sys.stderr)
-        elif args.supervised:
-            run = pmafia_supervised(data, args.procs, params,
-                                    checkpoint_dir=args.checkpoint_dir,
-                                    collectives=args.collectives,
-                                    resume=args.resume)
-            result = run.result
-        elif args.checkpoint_dir is not None:
+        if args.checkpoint_dir is not None:
+            # --chaos-scenario implies --checkpoint-dir (checked in main)
+            chaos: dict = {}
+            if scenario is not None:
+                from dataclasses import replace as _dc_replace
+                if scenario.params:
+                    params = _dc_replace(params, **scenario.params)
+                chaos = dict(recv_timeout=scenario.recv_timeout,
+                             retry=scenario.retry, faults=scenario.faults,
+                             max_restarts=(scenario.max_restarts
+                                           if scenario.recovery == "restart"
+                                           else 0))
             run = pmafia_resumable(data, args.procs, params,
                                    checkpoint_dir=args.checkpoint_dir,
                                    backend=args.backend,
                                    collectives=args.collectives,
-                                   resume=args.resume)
+                                   resume=args.resume, **chaos)
             result = run.result
         elif args.procs == 1:
             result = mafia(data, params)
@@ -571,11 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--resume", action="store_true",
                      help="restart from the newest checkpoint in "
                           "--checkpoint-dir instead of starting fresh")
-    run.add_argument("--supervised", action="store_true",
-                     help="MAFIA only: run under the rank-recovery "
-                          "supervisor (process backend) so a lost or "
-                          "hung rank is replaced mid-run instead of "
-                          "failing the job; requires --checkpoint-dir")
     run.add_argument("--chaos-scenario", type=Path, default=None,
                      dest="chaos_scenario", metavar="PATH",
                      help="MAFIA only: inject the named chaos scenario "
@@ -620,18 +591,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "run":
         if args.resume and args.checkpoint_dir is None:
             parser.error("--resume requires --checkpoint-dir")
-        if args.supervised or args.chaos_scenario is not None:
+        if args.chaos_scenario is not None:
             if args.checkpoint_dir is None:
-                parser.error("--supervised/--chaos-scenario require "
-                             "--checkpoint-dir (replacements boot from "
-                             "its checkpoints and shard manifests)")
+                parser.error("--chaos-scenario requires --checkpoint-dir "
+                             "(a restart resumes from its checkpoints)")
             if args.backend != "process":
-                parser.error("--supervised/--chaos-scenario require "
-                             "--backend process — only OS processes can "
-                             "be killed and respawned independently")
+                parser.error("--chaos-scenario requires --backend process "
+                             "— only OS processes can be killed "
+                             "independently")
             if args.algorithm == "clique":
-                parser.error("--supervised/--chaos-scenario are not "
-                             "supported with --algorithm clique")
+                parser.error("--chaos-scenario is not supported with "
+                             "--algorithm clique")
         if args.checkpoint_dir is not None and args.algorithm == "clique":
             parser.error("--checkpoint-dir is not supported with "
                          "--algorithm clique")

@@ -4,12 +4,10 @@ adaptive grids, serial and SPMD-parallel."""
 from .adaptive_grid import build_dimension_grid, build_grid, merge_windows, window_maxima
 from .candidates import (HashJoinPlan, JoinResult, hash_join_plan,
                          join_all, join_block)
-from .checkpoint import (CHECKPOINT_VERSION, SHARD_MANIFEST_VERSION,
-                         check_compatible, checkpoint_path,
-                         clear_checkpoints, latest_checkpoint,
-                         load_checkpoint, load_latest_checkpoint,
-                         load_shard_manifest, save_checkpoint,
-                         save_shard_manifest, shard_manifest_path)
+from .checkpoint import (CHECKPOINT_VERSION, check_compatible,
+                         checkpoint_path, clear_checkpoints,
+                         latest_checkpoint, load_checkpoint,
+                         load_latest_checkpoint, save_checkpoint)
 from .dedup import drop_repeats, repeat_flags_block
 from .dnf import (dnf_terms, greedy_cover, grow_box, maximal_mask,
                   merged_mask, projections)
@@ -18,8 +16,7 @@ from .histogram import (fine_histogram_global, fine_histogram_local,
 from .identify import dense_flags_block, dense_units, unit_thresholds
 from .export import (result_from_dict, result_from_json, result_to_dict,
                      result_to_json)
-from .mafia import (PMafiaRun, mafia, pmafia, pmafia_resumable,
-                    pmafia_supervised)
+from .mafia import PMafiaRun, mafia, pmafia, pmafia_resumable
 from .merge import UnionFind, face_adjacent_components
 from .partition import (even_splits, prefix_work, row_work, split_range,
                         triangular_splits)
@@ -31,7 +28,6 @@ from .units import (MAX_BINS, MAX_DIMS, UnitTable, first_occurrence,
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "SHARD_MANIFEST_VERSION",
     "ClusteringResult",
     "HashJoinPlan",
     "JoinResult",
@@ -65,7 +61,6 @@ __all__ = [
     "latest_checkpoint",
     "load_checkpoint",
     "load_latest_checkpoint",
-    "load_shard_manifest",
     "local_domains",
     "mafia",
     "maximal_mask",
@@ -79,10 +74,7 @@ __all__ = [
     "pmafia",
     "pmafia_rank",
     "pmafia_resumable",
-    "pmafia_supervised",
     "save_checkpoint",
-    "save_shard_manifest",
-    "shard_manifest_path",
     "populate_global",
     "populate_local",
     "prefix_work",

@@ -15,13 +15,11 @@ around a pickled state dict.  Files are published atomically, so a
 crash mid-checkpoint leaves the previous level's file intact; the CRC
 makes a torn or bit-rotten checkpoint fail with
 :class:`~repro.errors.CheckpointError` instead of resuming from
-garbage.  Shard manifests use the same frame (magic ``"PMSH"``) around
-a JSON object.
+garbage.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import re
@@ -36,9 +34,6 @@ _MAGIC = b"PMCK"
 #: pickled grid defines its bins by fine-interval cuts)
 CHECKPOINT_VERSION = 2
 _LEVEL_RE = re.compile(r"^level(\d{4})\.ckpt$")
-_SHARD_MAGIC = b"PMSH"
-#: bump when the shard-manifest schema changes incompatibly
-SHARD_MANIFEST_VERSION = 1
 
 
 def checkpoint_path(directory: str | os.PathLike, level: int) -> Path:
@@ -122,47 +117,6 @@ def clear_checkpoints(directory: str | os.PathLike) -> int:
             entry.unlink(missing_ok=True)
             removed += 1
     return removed
-
-
-def shard_manifest_path(directory: str | os.PathLike, rank: int) -> Path:
-    """The manifest describing rank ``rank``'s shard of the run."""
-    return Path(directory) / f"shard{rank:04d}.json"
-
-
-def save_shard_manifest(directory: str | os.PathLike, rank: int,
-                        manifest: dict[str, Any]) -> Path:
-    """Atomically write one rank's shard manifest next to the level
-    checkpoints.
-
-    The manifest records what a *replacement* for this rank needs in
-    order to rebuild only the lost shard: the record range the rank
-    owns, the staged artifact paths (local record copy, PMBI ``.bmx``
-    bitmap index) and the grid fingerprint those artifacts
-    were staged under.  Every rank writes its own file (distinct names,
-    no contention); the supervisor hands the file to the replacement so
-    it can reuse the on-disk caches instead of re-deriving them, after
-    verifying the fingerprint still matches the checkpointed grid.
-    """
-    Path(directory).mkdir(parents=True, exist_ok=True)
-    payload = dict(manifest)
-    payload.setdefault("rank", rank)
-    return write_framed(shard_manifest_path(directory, rank), _SHARD_MAGIC,
-                        SHARD_MANIFEST_VERSION,
-                        json.dumps(payload, sort_keys=True).encode())
-
-
-def load_shard_manifest(directory: str | os.PathLike,
-                        rank: int) -> dict[str, Any] | None:
-    """Read one rank's shard manifest; ``None`` when absent or
-    unreadable (the replacement then re-stages from scratch — manifests
-    are an optimisation witness, never load-bearing state)."""
-    try:
-        manifest = json.loads(read_framed(
-            shard_manifest_path(directory, rank), _SHARD_MAGIC,
-            SHARD_MANIFEST_VERSION, CheckpointError, "shard manifest"))
-    except (CheckpointError, ValueError):
-        return None
-    return manifest if isinstance(manifest, dict) else None
 
 
 def check_compatible(state: dict[str, Any], params: Any,

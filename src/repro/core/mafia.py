@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -17,8 +17,6 @@ from ..parallel.faults import FaultPlan
 from ..parallel.machine import MachineSpec, WorkCounters
 from ..parallel.serial import SerialComm
 from ..parallel.spmd import RankResult, run_spmd
-from ..parallel.supervisor import (RecoveryReport, SupervisePolicy,
-                                   run_supervised)
 from .pmafia import pmafia_rank
 from .result import ClusteringResult
 
@@ -43,11 +41,7 @@ class PMafiaRun:
     ``obs`` bundles every rank's observability export into a
     :class:`repro.obs.RunObs` when the run was traced or metered
     (``None`` otherwise); like ``ClusteringResult.obs`` it does not
-    participate in equality.  ``recovery`` carries the supervisor's
-    :class:`~repro.parallel.supervisor.RecoveryReport` on runs launched
-    through :func:`pmafia_supervised` (``None`` elsewhere) and is
-    likewise excluded from equality — a run that survived a rank loss
-    *equals* the fault-free run, which is the whole point.
+    participate in equality.
     """
 
     result: ClusteringResult
@@ -56,7 +50,6 @@ class PMafiaRun:
     rank_times: tuple[float, ...]
     counters: tuple[WorkCounters | None, ...]
     obs: RunObs | None = field(default=None, compare=False)
-    recovery: RecoveryReport | None = field(default=None, compare=False)
 
     @property
     def makespan(self) -> float:
@@ -155,45 +148,3 @@ def pmafia_resumable(data: Any, nprocs: int,
         else:
             return _collect_run(ranks, nprocs, backend)
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-def pmafia_supervised(data: Any, nprocs: int,
-                      params: MafiaParams | None = None, *,
-                      checkpoint_dir: str | os.PathLike,
-                      collectives: str = "flat",
-                      domains: np.ndarray | None = None,
-                      resume: bool = True,
-                      recv_timeout: float | None = None,
-                      retry: RetryPolicy | None = None,
-                      faults: FaultPlan | None = None,
-                      policy: SupervisePolicy | None = None) -> PMafiaRun:
-    """Self-healing pMAFIA on the process backend: rank loss is repaired
-    *mid-run* instead of restarting the whole program.
-
-    A supervisor watches every rank process (heartbeats layered on the
-    recv deadline plus OS-level liveness).  When a rank dies or stalls,
-    the survivors are parked at their next safe point, a replacement
-    process is spawned that rebuilds **only the lost shard's state** —
-    from the shared record file, the staged per-rank artifacts named in
-    its shard manifest and the last per-level checkpoint — and the world
-    resumes from the highest level every rank can restore.  Because each
-    later pass is a deterministic function of that state, the final
-    clustering is **bit-identical** to a fault-free run; see
-    ``docs/ROBUSTNESS.md`` for the protocol and its limits.
-
-    ``checkpoint_dir`` is mandatory: it holds the level checkpoints and
-    shard manifests a replacement boots from.  ``faults`` injects a
-    deterministic failure plan for rehearsal (replacements always run
-    fault-free).  ``policy`` tunes detection and recovery budgets; the
-    returned run's ``recovery`` field reports every recovery round and
-    its realised RTO.
-    """
-    values, report = run_supervised(
-        pmafia_rank, nprocs, collectives=collectives,
-        recv_timeout=recv_timeout, faults=faults, policy=policy,
-        args=(data, params, domains),
-        kwargs={"checkpoint_dir": os.fspath(checkpoint_dir),
-                "resume": resume, "retry": retry})
-    ranks = [RankResult(rank=r, value=v) for r, v in enumerate(values)]
-    run = _collect_run(ranks, nprocs, "process")
-    return replace(run, recovery=report)

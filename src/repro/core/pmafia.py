@@ -33,12 +33,11 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import CheckpointError, DataError
+from ..errors import DataError
 from ..io.bitmap_index import (grid_fingerprint, index_nbytes,
                                stage_bitmap_index)
 from ..io.chunks import DataSource, as_source
 from ..io.partition import block_range
-from ..io.records import RecordFile
 from ..io.resilient import RetryPolicy
 from ..io.staging import stage_local
 from ..obs import RankObs
@@ -46,13 +45,10 @@ from ..obs.manifest import MANIFEST_NAME, build_manifest, write_manifest
 from ..params import MafiaParams
 from ..parallel.comm import Comm
 from ..parallel.faults import fault_site
-from ..parallel.supervisor import RecoveryInterrupt
 from ..types import Cluster, Grid, Subspace
 from .adaptive_grid import build_grid
-from .checkpoint import (check_compatible, checkpoint_path,
-                         clear_checkpoints, load_checkpoint,
-                         load_latest_checkpoint, load_shard_manifest,
-                         save_checkpoint, save_shard_manifest)
+from .checkpoint import (check_compatible, clear_checkpoints,
+                         load_latest_checkpoint, save_checkpoint)
 from .candidates import hash_join_plan, join_block
 from .dedup import drop_repeats, repeat_flags_block
 from .dnf import dnf_terms, maximal_mask, merged_mask
@@ -86,25 +82,6 @@ def _local_view(comm: Comm, data: Any) -> tuple[DataSource, int, int]:
     source = as_source(data)
     start, stop = block_range(source.n_records, comm.size, comm.rank)
     return source, start, stop
-
-
-def _solo_record_count(data: Any) -> int:
-    """The global record count, derived without collectives.
-
-    A replacement rank boots while every survivor is parked mid-run, so
-    the usual sum-allreduce over local counts would deadlock.  For a
-    shared record file the header carries the global count; for an
-    in-memory array every rank sees the whole thing anyway.
-    """
-    if isinstance(data, (str, os.PathLike)):
-        return RecordFile(Path(data)).n_records
-    return as_source(data).n_records
-
-
-def _artifact_path(obj: Any) -> str | None:
-    """The on-disk path of a staged artifact, if it has one."""
-    path = getattr(obj, "path", None)
-    return None if path is None else os.fspath(path)
 
 
 def _level_one_cdus(grid: Grid) -> UnitTable:
@@ -358,67 +335,30 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                  obs: RankObs | None) -> ClusteringResult:
     """The actual per-rank driver; ``obs`` is this rank's observer (or
     ``None``, making every hook a plain ``is None`` check)."""
-    recovery = getattr(comm, "recovery", None)
-    boot = recovery.boot if recovery is not None else None
-
-    def announce(site: str, level: int | None = None) -> None:
-        # a safe point between passes: inject any planned fault, then
-        # act on a pending park directive before entering the next
-        # collective sequence
-        fault_site(comm, site, level)
-        if recovery is not None:
-            recovery.poll()
-
     fault_site(comm, "start")
     source, start, stop = _local_view(comm, data)
     n_local = stop - start
 
+    n_records = int(comm.allreduce(np.array([n_local], dtype=np.int64),
+                                   op="sum")[0])
+    if n_records == 0:
+        raise DataError("cannot cluster an empty data set")
     state = None
-    prior_manifest = None
-    if boot is not None:
-        # replacement rank: every survivor is parked deep in the run, so
-        # nothing on this path may enter a collective — derive the
-        # global count solo and load the agreed restore-level checkpoint
-        # straight from disk.
-        if checkpoint_dir is None:
-            raise CheckpointError(
-                "a replacement rank needs a checkpoint directory")
-        n_records = _solo_record_count(data)
-        if n_records == 0:
-            raise DataError("cannot cluster an empty data set")
-        with _ospan(obs, "recovery.rebuild", cat="recovery",
-                    level=boot.level, epoch=boot.epoch):
-            state = load_checkpoint(checkpoint_path(checkpoint_dir,
-                                                    boot.level))
-            check_compatible(state, params, n_records)
-            prior_manifest = load_shard_manifest(checkpoint_dir, comm.rank)
-        if obs is not None:
-            obs.recovery_event("rebuilt", level=boot.level,
-                               epoch=boot.epoch)
-    else:
-        n_records = int(comm.allreduce(np.array([n_local], dtype=np.int64),
-                                       op="sum")[0])
-        if n_records == 0:
-            raise DataError("cannot cluster an empty data set")
-        if checkpoint_dir is not None and resume:
-            with _ospan(obs, "checkpoint_restore", cat="checkpoint") as sp:
-                if comm.rank == 0:
-                    state = load_latest_checkpoint(checkpoint_dir)
-                state = comm.bcast(state, root=0)
-                if state is not None:
-                    check_compatible(state, params, n_records)
-                    if sp is not None:
-                        sp["level"] = state["level"]
-                    if obs is not None:
-                        obs.checkpoint_restored(state["level"])
+    if checkpoint_dir is not None and resume:
+        with _ospan(obs, "checkpoint_restore", cat="checkpoint") as sp:
+            if comm.rank == 0:
+                state = load_latest_checkpoint(checkpoint_dir)
+            state = comm.bcast(state, root=0)
+            if state is not None:
+                check_compatible(state, params, n_records)
+                if sp is not None:
+                    sp["level"] = state["level"]
+                if obs is not None:
+                    obs.checkpoint_restored(state["level"])
 
     def save_level(level: int, trace: list[LevelTrace],
                    registered: Registered, grid: Grid,
                    domains: np.ndarray) -> None:
-        if recovery is not None:
-            # every rank keeps the frontier in memory so a *survivor*
-            # can unwind to any agreed restore level without disk I/O
-            recovery.snapshot(level, trace, registered)
         if checkpoint_dir is None or comm.rank != 0:
             return
         with _ospan(obs, "checkpoint_save", cat="checkpoint", level=level):
@@ -482,33 +422,9 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
     del codes
     indexed = IndexedPopulator(index)
 
-    # each rank records what its shard is made of next to the level
-    # checkpoints; a future replacement verifies the witness against the
-    # checkpointed grid before trusting the staged on-disk artifacts
-    if checkpoint_dir is not None:
-        ghash = grid_fingerprint(grid).hex()
-        if boot is not None and obs is not None:
-            reused = (prior_manifest is not None
-                      and prior_manifest.get("size") == comm.size
-                      and prior_manifest.get("grid_hash") == ghash
-                      and prior_manifest.get("record_range")
-                      == [int(start), int(stop)])
-            obs.recovery_event("shard_manifest", rank=comm.rank,
-                               reused=bool(reused))
-        save_shard_manifest(checkpoint_dir, comm.rank, {
-            "size": comm.size,
-            "record_range": [int(start), int(stop)],
-            "n_records": int(n_records),
-            "grid_hash": ghash,
-            "data_path": os.fspath(data)
-            if isinstance(data, (str, os.PathLike)) else None,
-            "staged_path": _artifact_path(source),
-            "bitmap_path": _artifact_path(index),
-        })
-
     def level_pass(cdus: UnitTable, raw_count: int, level: int,
                    order: np.ndarray | None = None) -> LevelTrace:
-        announce("populate", level)
+        fault_site(comm, "populate", level)
         with _ospan(obs, "level", cat="level", level=level) as sp:
             with _ospan(obs, "population", cat="phase"):
                 counts = populate_global(source, comm, grid, cdus,
@@ -532,76 +448,52 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
         if checkpoint_dir is not None and comm.rank == 0:
             clear_checkpoints(checkpoint_dir)
         # the level-0 checkpoint (grid + domains, empty frontier)
-        # makes even a rank lost during the *first* level pass
-        # recoverable without replaying grid construction
+        # lets a restart after a loss during the *first* level pass
+        # skip grid construction
         save_level(0, trace, registered, grid, domains)
-    elif recovery is not None:
-        recovery.snapshot(state["level"], trace, registered)
-    if recovery is not None:
-        recovery.arm()
-    # the retry loop of the recovery protocol: a RecoveryInterrupt
-    # unwinds this rank to the restore level the supervisor agreed
-    # on, then the level loop replays from there — deterministically,
-    # so the final result is bit-identical to a fault-free run
-    while True:
-        try:
-            if not trace:
-                cdus = _level_one_cdus(grid)
-                trace.append(level_pass(cdus, cdus.n_units, 1))
-                save_level(1, trace, registered, grid, domains)
-            current = trace[-1]
-            while current.n_dense > 0:
-                dense, dense_counts = current.dense, current.dense_counts
-                if current.level >= params.max_dimensionality:
-                    registered.append((dense, dense_counts))
-                    break
-                announce("join", current.level)
-                with _ospan(obs, "join", cat="phase"):
-                    raw, combined = _find_candidate_dense_units(
-                        comm, dense, params.tau)
-                # non-combinable dense units are registered as
-                # potential clusters
-                if (~combined).any():
-                    registered.append((dense.select(~combined),
-                                       dense_counts[~combined]))
-                if raw.n_units == 0:
-                    if combined.any():
-                        registered.append((dense.select(combined),
-                                           dense_counts[combined]))
-                    break
-                announce("dedup", current.level)
-                with _ospan(obs, "dedup", cat="phase"):
-                    cdus, pop_order = _eliminate_repeat_cdus(
-                        comm, raw, params.tau, want_order=True)
-                nxt = level_pass(cdus, raw.n_units, current.level + 1,
-                                 order=pop_order)
-                trace.append(nxt)
-                if nxt.n_dense == 0 and combined.any():
-                    # the combinable units were the top of the
-                    # lattice after all
-                    registered.append((dense.select(combined),
-                                       dense_counts[combined]))
-                current = nxt
-                save_level(current.level, trace, registered, grid, domains)
-            reg = registrations_for_report(tuple(trace), registered,
-                                           params.report)
-            with _ospan(obs, "assembly", cat="phase"):
-                if comm.rank == 0:
-                    clusters = assemble_clusters(grid, reg)
-                else:
-                    clusters = None
-                clusters = comm.bcast(clusters, root=0)
+    if not trace:
+        cdus = _level_one_cdus(grid)
+        trace.append(level_pass(cdus, cdus.n_units, 1))
+        save_level(1, trace, registered, grid, domains)
+    current = trace[-1]
+    while current.n_dense > 0:
+        dense, dense_counts = current.dense, current.dense_counts
+        if current.level >= params.max_dimensionality:
+            registered.append((dense, dense_counts))
             break
-        except RecoveryInterrupt as intr:
-            if recovery is None:
-                raise
-            with _ospan(obs, "recovery.park", cat="recovery",
-                        epoch=intr.epoch):
-                level, trace_t, reg_t = recovery.park_and_await(intr)
-            trace = list(trace_t)
-            registered = list(reg_t)
-            if obs is not None:
-                obs.recovery_event("resumed", level=level)
+        fault_site(comm, "join", current.level)
+        with _ospan(obs, "join", cat="phase"):
+            raw, combined = _find_candidate_dense_units(comm, dense,
+                                                        params.tau)
+        # non-combinable dense units are registered as potential clusters
+        if (~combined).any():
+            registered.append((dense.select(~combined),
+                               dense_counts[~combined]))
+        if raw.n_units == 0:
+            if combined.any():
+                registered.append((dense.select(combined),
+                                   dense_counts[combined]))
+            break
+        fault_site(comm, "dedup", current.level)
+        with _ospan(obs, "dedup", cat="phase"):
+            cdus, pop_order = _eliminate_repeat_cdus(comm, raw, params.tau,
+                                                     want_order=True)
+        nxt = level_pass(cdus, raw.n_units, current.level + 1,
+                         order=pop_order)
+        trace.append(nxt)
+        if nxt.n_dense == 0 and combined.any():
+            # the combinable units were the top of the lattice after all
+            registered.append((dense.select(combined),
+                               dense_counts[combined]))
+        current = nxt
+        save_level(current.level, trace, registered, grid, domains)
+    reg = registrations_for_report(tuple(trace), registered, params.report)
+    with _ospan(obs, "assembly", cat="phase"):
+        if comm.rank == 0:
+            clusters = assemble_clusters(grid, reg)
+        else:
+            clusters = None
+        clusters = comm.bcast(clusters, root=0)
 
     return ClusteringResult(grid=grid, clusters=clusters,
                             trace=tuple(trace), params=params,

@@ -7,12 +7,8 @@ budget.  The runner executes every scenario on the process backend,
 demands the final clustering be **bit-identical** to a fault-free
 reference run, and fails loudly when recovery blows its budget.
 
-Three recovery modes map onto the repo's fault-tolerance layers:
+Two recovery modes map onto the repo's fault-tolerance layers:
 
-``supervised``
-    :func:`repro.core.mafia.pmafia_supervised` — the rank-recovery
-    supervisor repairs the loss *mid-run*; the budget is checked
-    against the supervisor's realised worst RTO (detection → resume).
 ``restart``
     :func:`repro.core.mafia.pmafia_resumable` with ``max_restarts`` —
     the whole world restarts from the last per-level checkpoint; the
@@ -20,7 +16,7 @@ Three recovery modes map onto the repo's fault-tolerance layers:
 ``none``
     The fault plan must be absorbed below the recovery layer (e.g. a
     transient-EIO storm swallowed by the resilient reader's retries);
-    the budget is checked against wall-clock time.
+    no recovery time is charged against the budget.
 
 Run the suite from the command line::
 
@@ -44,18 +40,17 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .core.mafia import pmafia_resumable, pmafia_supervised
+from .core.mafia import pmafia_resumable
 from .core.result import ClusteringResult
 from .datagen.generator import generate
 from .errors import ParameterError, ReproError
 from .io.resilient import RetryPolicy
 from .params import MafiaParams
 from .parallel.faults import FaultPlan
-from .parallel.supervisor import SupervisePolicy
 
 SCENARIO_VERSION = 1
 
-_RECOVERY_MODES = ("supervised", "restart", "none")
+_RECOVERY_MODES = ("restart", "none")
 
 
 @dataclass(frozen=True)
@@ -67,11 +62,10 @@ class ChaosScenario:
     description: str = ""
     nprocs: int = 3
     #: which fault-tolerance layer is expected to absorb the plan
-    recovery: str = "supervised"
+    recovery: str = "restart"
     #: seconds the recovery may take before the scenario fails
     rto_budget_seconds: float = 60.0
     faults: FaultPlan | None = None
-    supervise: SupervisePolicy | None = None
     recv_timeout: float | None = 60.0
     #: restart mode only: in-process restart budget
     max_restarts: int = 1
@@ -101,7 +95,6 @@ class ChaosScenario:
                 f"scenario version {version} not supported "
                 f"(this build reads version {SCENARIO_VERSION})")
         faults = spec.pop("faults", None)
-        supervise = spec.pop("supervise", None)
         retry = spec.pop("retry", None)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(spec) - known
@@ -111,8 +104,6 @@ class ChaosScenario:
                 f"{sorted(unknown)}")
         return cls(
             faults=None if faults is None else FaultPlan.from_dict(faults),
-            supervise=(None if supervise is None
-                       else SupervisePolicy(**supervise)),
             retry=None if retry is None else RetryPolicy(**retry),
             **spec)
 
@@ -158,8 +149,6 @@ class GamedayResult:
     #: seconds charged against the scenario's RTO budget
     recovery_seconds: float
     wall_seconds: float
-    #: supervised mode: one dict per recovery round (RecoveryEvent.to_dict)
-    events: tuple[dict[str, Any], ...] = ()
     error: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
@@ -172,7 +161,6 @@ class GamedayResult:
             "recovery_seconds": self.recovery_seconds,
             "rto_budget_seconds": self.scenario.rto_budget_seconds,
             "wall_seconds": self.wall_seconds,
-            "events": list(self.events),
             "error": self.error,
         }
 
@@ -207,42 +195,26 @@ def run_gameday(scenario: ChaosScenario, data: Any,
     run_params = (replace(params, **scenario.params)
                   if scenario.params else params)
     start = time.perf_counter()
-    events: tuple[dict[str, Any], ...] = ()
     try:
-        if scenario.recovery == "supervised":
-            run = pmafia_supervised(
-                data, scenario.nprocs, run_params,
-                checkpoint_dir=checkpoint_dir, domains=domains,
-                recv_timeout=scenario.recv_timeout,
-                retry=scenario.retry, faults=scenario.faults,
-                policy=scenario.supervise)
-            report = run.recovery
-            assert report is not None
-            recovery_seconds = report.worst_rto
-            events = tuple(e.to_dict() for e in report.events)
-            result = run.result
-        else:
-            run = pmafia_resumable(
-                data, scenario.nprocs, run_params,
-                checkpoint_dir=checkpoint_dir, domains=domains,
-                backend="process", recv_timeout=scenario.recv_timeout,
-                retry=scenario.retry, faults=scenario.faults,
-                max_restarts=(scenario.max_restarts
-                              if scenario.recovery == "restart" else 0))
-            result = run.result
-            recovery_seconds = (time.perf_counter() - start
-                                if scenario.recovery == "restart" else 0.0)
+        result = pmafia_resumable(
+            data, scenario.nprocs, run_params,
+            checkpoint_dir=checkpoint_dir, domains=domains,
+            backend="process", recv_timeout=scenario.recv_timeout,
+            retry=scenario.retry, faults=scenario.faults,
+            max_restarts=(scenario.max_restarts
+                          if scenario.recovery == "restart" else 0)).result
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         wall = time.perf_counter() - start
         return GamedayResult(scenario=scenario, ok=False, identical=False,
                              recovery_seconds=wall, wall_seconds=wall,
                              error=f"{type(exc).__name__}: {exc}")
     wall = time.perf_counter() - start
+    recovery_seconds = wall if scenario.recovery == "restart" else 0.0
     identical = results_identical(result, baseline)
     ok = identical and recovery_seconds <= scenario.rto_budget_seconds
     return GamedayResult(scenario=scenario, ok=ok, identical=identical,
                          recovery_seconds=recovery_seconds,
-                         wall_seconds=wall, events=events)
+                         wall_seconds=wall)
 
 
 def write_recovery_trace(path: str | os.PathLike,

@@ -1,9 +1,9 @@
 """Staged artifacts: the one publish / verify / quarantine path.
 
 Every file the program stages — record files, the PMBI bitmap index,
-PMCK level checkpoints, shard manifests and the stream manifest — is
-written, checked and set aside through this module and nowhere else, so
-each fails closed the same way:
+PMCK level checkpoints and the stream manifest — is written, checked
+and set aside through this module and nowhere else, so each fails
+closed the same way:
 
 - :class:`Publication` writes a temp sibling, flushes and ``fsync`` s it,
   then ``os.replace`` s it over the final name: a reader sees the old

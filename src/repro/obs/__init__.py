@@ -295,16 +295,6 @@ class RankObs:
         if self.metrics is not None:
             self.metrics.counter("stream.tile_quarantines").inc()
 
-    # -- recovery hooks --------------------------------------------------
-    def recovery_event(self, kind: str, **attrs: Any) -> None:
-        """One step of a shard-recovery round seen from this rank:
-        ``resumed`` on a survivor restored to an earlier level,
-        ``rebuilt`` on a replacement that restaged the lost shard,
-        ``shard_manifest`` when staged-artifact reuse was verified."""
-        self.instant(f"recovery.{kind}", cat="recovery", **attrs)
-        if self.metrics is not None:
-            self.metrics.counter("recovery.events", kind=kind).inc()
-
     # -- export ----------------------------------------------------------
     def phase_seconds(self) -> dict[str, float]:
         """Wall seconds per driver phase, from this rank's spans."""

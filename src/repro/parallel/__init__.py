@@ -11,9 +11,6 @@ from .process import ProcessComm, run_processes
 from .serial import SerialComm
 from .simtime import TimedComm, payload_nbytes
 from .spmd import BACKENDS, RankResult, run_spmd
-from .supervisor import (RecoveryBoot, RecoveryEvent, RecoveryInterrupt,
-                         RecoveryReport, SupervisePolicy, SupervisedComm,
-                         run_supervised)
 from .threads import ThreadComm, ThreadWorld
 
 __all__ = [
@@ -28,15 +25,9 @@ __all__ = [
     "ProcessComm",
     "RankFaults",
     "RankResult",
-    "RecoveryBoot",
-    "RecoveryEvent",
-    "RecoveryInterrupt",
-    "RecoveryReport",
     "REDUCE_OPS",
     "ReadFault",
     "SerialComm",
-    "SupervisePolicy",
-    "SupervisedComm",
     "ThreadComm",
     "ThreadWorld",
     "TimedComm",
@@ -45,5 +36,4 @@ __all__ = [
     "payload_nbytes",
     "run_processes",
     "run_spmd",
-    "run_supervised",
 ]

@@ -49,10 +49,11 @@ class CrashPoint:
 
     ``None`` fields are wildcards; ``CrashPoint(rank=1)`` kills rank 1
     at the first site it announces.  ``hard=True`` exits the process
-    with ``os._exit`` instead of raising — a SIGKILL / OOM-killer
+    with ``os._exit(137)`` instead of raising — a SIGKILL / OOM-killer
     surrogate that leaves no chance to report an error, so only the
-    supervisor's liveness checks can notice it (process backend only;
-    on in-process backends a hard crash degrades to the raised form).
+    exit watch in :func:`~repro.parallel.process.run_processes` can
+    notice it.  Process backend only: on an in-process backend the
+    exit would end the calling program itself.
     """
 
     rank: int

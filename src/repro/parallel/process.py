@@ -23,18 +23,27 @@ without ever being pickled, at any nesting depth the collectives use
 path serves flat and tree strategies).  ``Comm.serialized_arrays``
 counts ndarrays that still went through the pickler, as a test hook.
 
-Failure semantics: a rank blocked in ``recv`` past its deadline raises
+Failure semantics: any child failure makes the parent terminate the
+surviving processes and raise.  A child that raises reports its error
+through the result queue.  A child that dies without a word (SIGKILL,
+the OOM killer, ``os._exit``) is caught by the parent's exit watch:
+between result reads it checks every unfinished child's exit code and
+aborts the world with :class:`~repro.errors.CommError` naming the rank
+and its code, instead of leaving the survivors to wait out their recv
+deadline.  A rank blocked in ``recv`` past that deadline raises
 :class:`~repro.errors.CommTimeoutError` (re-raised as such on the
-parent), so a dead or partitioned peer surfaces as a prompt abort
-instead of a hang; any child failure makes the parent terminate the
-surviving processes.  A :class:`~repro.parallel.faults.FaultPlan` can
-be threaded through to rehearse exactly these scenarios.
+parent), so a partitioned or livelocked peer still ends in an abort,
+not a hang.  Recovery is a whole-world restart from the last level
+checkpoint (:func:`repro.core.mafia.pmafia_resumable`).  A
+:class:`~repro.parallel.faults.FaultPlan` can be threaded through to
+rehearse exactly these scenarios.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import queue as queue_mod
+import time
 import traceback
 from collections import deque
 from multiprocessing import resource_tracker, shared_memory
@@ -47,8 +56,10 @@ from .comm import Comm
 
 #: default seconds a blocked recv waits before declaring the peer lost
 RECV_TIMEOUT = 300.0
-#: seconds the parent waits for each rank's result
+#: seconds the parent waits for every rank's result
 RESULT_TIMEOUT = 3600.0
+#: seconds between the parent's checks for a child that exited silently
+_EXIT_POLL = 0.1
 
 #: ndarrays at least this large ship as shared-memory segments instead
 #: of pickles; below it the segment setup costs more than the pickle
@@ -246,7 +257,8 @@ def run_processes(fn: Callable, nprocs: int, *, collectives: str = "flat",
     The first failing rank's error is re-raised after every process has
     been terminated — as :class:`~repro.errors.CommTimeoutError` when
     the child hit its recv deadline, otherwise as
-    :class:`~repro.errors.CommError` carrying the child traceback.
+    :class:`~repro.errors.CommError` carrying the child traceback, or
+    naming the exit code of a child that exited without reporting.
     ``faults`` (a picklable :class:`~repro.parallel.faults.FaultPlan`)
     is re-instantiated per rank inside each child.
     """
@@ -267,20 +279,41 @@ def run_processes(fn: Callable, nprocs: int, *, collectives: str = "flat",
         proc.start()
 
     values: list[Any] = [None] * nprocs
-    failure: tuple[int, str, str] | None = None
+    pending = set(range(nprocs))
+    failure: CommError | None = None
+    deadline = time.monotonic() + RESULT_TIMEOUT
     try:
-        for _ in range(nprocs):
+        while pending:
             try:
-                rank, status, payload = result_queue.get(
-                    timeout=RESULT_TIMEOUT)
+                report = result_queue.get(timeout=_EXIT_POLL)
             except queue_mod.Empty:
-                failure = (-1, "", "timed out waiting for rank results")
-                break
+                exited = [r for r in sorted(pending)
+                          if processes[r].exitcode is not None]
+                if not exited:
+                    if time.monotonic() > deadline:
+                        failure = CommError(
+                            "timed out waiting for rank results")
+                        break
+                    continue
+                # a child's final put can race its exit, so give the
+                # queue one more read before declaring the rank lost
+                try:
+                    report = result_queue.get(timeout=_EXIT_POLL)
+                except queue_mod.Empty:
+                    rank = exited[0]
+                    failure = CommError(
+                        f"rank {rank} exited with code "
+                        f"{processes[rank].exitcode} without reporting")
+                    break
+            rank, status, payload = report
             if status == "error":
                 exc_name, message = payload
-                failure = (rank, exc_name, message)
+                error = (CommTimeoutError if exc_name == "CommTimeoutError"
+                         else CommError)
+                failure = error(f"rank {rank} failed:\n{message}")
                 break
             values[rank] = payload
+            pending.discard(rank)
     finally:
         if failure is not None:
             for proc in processes:
@@ -301,8 +334,5 @@ def run_processes(fn: Callable, nprocs: int, *, collectives: str = "flat",
         result_queue.cancel_join_thread()
 
     if failure is not None:
-        rank, exc_name, message = failure
-        if exc_name == "CommTimeoutError":
-            raise CommTimeoutError(f"rank {rank} failed:\n{message}")
-        raise CommError(f"rank {rank} failed:\n{message}")
+        raise failure
     return values

@@ -56,7 +56,6 @@ def run_spmd(
     collectives: str = "flat",
     recv_timeout: float | None = None,
     faults: FaultPlan | None = None,
-    supervise: Any = None,
     args: Sequence[Any] = (),
     kwargs: dict[str, Any] | None = None,
 ) -> list[RankResult]:
@@ -71,13 +70,6 @@ def run_spmd(
     :class:`~repro.parallel.faults.FaultPlan` through every rank's
     communicator for failure rehearsal.
 
-    ``supervise`` (a :class:`~repro.parallel.supervisor.SupervisePolicy`)
-    runs the program under the rank-recovery supervisor — process
-    backend only, since only OS processes can die independently and be
-    respawned.  The recovery report is discarded here; call
-    :func:`~repro.parallel.supervisor.run_supervised` (or
-    :func:`repro.core.mafia.pmafia_supervised`) directly to inspect it.
-
     Returns one :class:`RankResult` per rank, in rank order.  If any
     rank raises, the program is aborted on all ranks and the root-cause
     exception is re-raised on the caller's thread.
@@ -91,9 +83,6 @@ def run_spmd(
     if collectives not in ("flat", "tree"):
         raise CommError(
             f"collectives must be 'flat' or 'tree', got {collectives!r}")
-    if supervise is not None and backend != "process":
-        raise CommError("supervise requires backend='process' — threads "
-                        "cannot be killed and respawned independently")
     kwargs = dict(kwargs or {})
 
     if backend == "serial":
@@ -108,17 +97,10 @@ def run_spmd(
         return [RankResult(rank=0, value=value)]
 
     if backend == "process":
-        if supervise is not None:
-            from .supervisor import run_supervised
-            values, _report = run_supervised(
-                fn, nprocs, collectives=collectives,
-                recv_timeout=recv_timeout, faults=faults,
-                policy=supervise, args=args, kwargs=kwargs)
-        else:
-            from .process import run_processes
-            values = run_processes(fn, nprocs, collectives=collectives,
-                                   recv_timeout=recv_timeout, faults=faults,
-                                   args=args, kwargs=kwargs)
+        from .process import run_processes
+        values = run_processes(fn, nprocs, collectives=collectives,
+                               recv_timeout=recv_timeout, faults=faults,
+                               args=args, kwargs=kwargs)
         return [RankResult(rank=r, value=v) for r, v in enumerate(values)]
 
     if backend == "sim" and machine is None:

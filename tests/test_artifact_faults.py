@@ -2,7 +2,7 @@
 
 Each kind is one on-disk format published and checked through
 :mod:`repro.io.artifact` — record file, spilled bitmap index (PMBI
-sibling), level checkpoint (PMCK), shard manifest and stream manifest.
+sibling), level checkpoint (PMCK) and stream manifest.
 Each fault damages the file the way a disk or a crash would: truncate
 it, flip a payload byte, flip the magic, crash inside the publish of a
 newer version, or (where the kind has a key) make it stale by
@@ -11,7 +11,7 @@ rewriting the records it was built from.
 One expected behaviour for every cell: **rebuild or raise, never a
 wrong count**.  The consumer either raises the format's own error or
 returns exactly what it returns for the undamaged file (or a documented
-fallback: the previous checkpoint, a re-staged shard).  A crash inside
+fallback: the previous checkpoint).  A crash inside
 publish leaves the old file intact and no temp file behind.
 """
 
@@ -26,9 +26,7 @@ import pytest
 import repro
 from repro import mafia
 from repro.analysis import verify_result
-from repro.core.checkpoint import (load_latest_checkpoint,
-                                   load_shard_manifest, save_checkpoint,
-                                   save_shard_manifest, shard_manifest_path)
+from repro.core.checkpoint import load_latest_checkpoint, save_checkpoint
 from repro.core.population import count_units
 from repro.core.units import UnitTable
 from repro.errors import CheckpointError, RecordFileError, StreamError
@@ -158,34 +156,6 @@ class CheckpointKind:
         save_checkpoint(self.dir, 2, self._state(7))
 
 
-class ShardManifestKind:
-    errors = (CheckpointError,)
-    MANIFEST = {"size": 3, "record_range": [0, 1667],
-                "grid_hash": "ab" * 32}
-
-    def __init__(self, tmp):
-        self.dir = tmp
-        save_shard_manifest(self.dir, 0, self.MANIFEST)
-
-    def target(self):
-        return shard_manifest_path(self.dir, 0)
-
-    def payload_offset(self):
-        # "1667" -> "1767": still valid JSON, a different record range
-        return self.target().read_bytes().find(b"1667") + 1
-
-    def consume(self):
-        return load_shard_manifest(self.dir, 0)
-
-    def allowed(self, expected):
-        # an unreadable manifest reads as absent: the rank re-stages
-        return [expected, None]
-
-    def republish(self):
-        save_shard_manifest(self.dir, 0, dict(self.MANIFEST,
-                                              record_range=[0, 1]))
-
-
 class StreamManifestKind:
     errors = (StreamError,)
 
@@ -221,8 +191,7 @@ class StreamManifestKind:
 
 
 KINDS = {"record": RecordKind, "pmbi": BitmapKind,
-         "pmck": CheckpointKind, "shard_manifest": ShardManifestKind,
-         "stream_manifest": StreamManifestKind}
+         "pmck": CheckpointKind, "stream_manifest": StreamManifestKind}
 DAMAGE = ("truncate", "flip_payload", "flip_magic")
 CELLS = ([(kind, fault) for kind in KINDS
           for fault in (*DAMAGE, "crash_in_publish")]

@@ -146,6 +146,12 @@ class TestParser:
         assert exc.value.code == 2
         assert "--join-strategy" in capsys.readouterr().err
 
+    def test_supervised_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "data.bin", "--supervised"])
+        assert exc.value.code == 2
+        assert "--supervised" in capsys.readouterr().err
+
 
 class TestVerifyFlag:
     def test_run_with_verify_passes(self, record_file, capsys):

@@ -7,6 +7,7 @@ must reject malformed data before it poisons a multi-hour run.
 
 from __future__ import annotations
 
+import importlib
 import time
 
 import numpy as np
@@ -28,8 +29,14 @@ from repro.obs import obs_session
 from repro.obs.metrics import merge_snapshots, metric_key
 from repro.obs.trace import check_spans_by_rank
 from repro.parallel import run_spmd
-from repro.parallel.faults import InjectedFailure
+from repro.parallel.faults import InjectedFailure, fault_site
 from tests.conftest import DOMAINS_10D
+
+
+def _allreduce_after_start(comm):
+    """Announce the start site, then block in a collective."""
+    fault_site(comm, "start")
+    comm.allreduce(np.zeros(4))
 
 
 class TestCrashingRanks:
@@ -176,6 +183,20 @@ class TestCommTimeout:
 
         results = run_spmd(prog, 2, recv_timeout=5.0)
         assert results[1].value == "late"
+
+    def test_silent_exit_detected_at_once(self):
+        """A hard-killed child leaves no error report.  The parent's
+        exit watch must abort the world at once instead of letting the
+        survivors wait out their 60 s recv deadline."""
+        plan = FaultPlan(crashes=(CrashPoint(rank=1, site="start",
+                                             hard=True),))
+        start = time.monotonic()
+        with pytest.raises(CommError,
+                           match="rank 1 exited with code 137 "
+                                 "without reporting"):
+            run_spmd(_allreduce_after_start, 3, backend="process",
+                     recv_timeout=60.0, faults=plan)
+        assert time.monotonic() - start < 10
 
 
 class TestFaultHarness:
@@ -445,41 +466,6 @@ class TestCheckpointFiles:
         assert load_latest_checkpoint(tmp_path) is None
         assert load_latest_checkpoint(tmp_path / "absent") is None
 
-    def test_shard_manifest_roundtrip(self, tmp_path):
-        from repro.core.checkpoint import (load_shard_manifest,
-                                           save_shard_manifest,
-                                           shard_manifest_path)
-        manifest = {"size": 3, "record_range": [0, 1667],
-                    "grid_hash": "ab" * 32, "data_path": "/tmp/d.bin"}
-        path = save_shard_manifest(tmp_path, 1, manifest)
-        assert path == shard_manifest_path(tmp_path, 1)
-        got = load_shard_manifest(tmp_path, 1)
-        assert got["record_range"] == [0, 1667]
-        assert got["rank"] == 1  # stamped on write
-        assert load_shard_manifest(tmp_path, 2) is None
-
-    def test_shard_manifest_never_load_bearing(self, tmp_path):
-        """Garbage or wrong-version manifests read as absent — the
-        replacement then restages from scratch instead of failing."""
-        from repro.core.checkpoint import (load_shard_manifest,
-                                           shard_manifest_path)
-        shard_manifest_path(tmp_path, 0).write_text("{not json")
-        assert load_shard_manifest(tmp_path, 0) is None
-        shard_manifest_path(tmp_path, 0).write_text(
-            '{"version": 999, "rank": 0}')
-        assert load_shard_manifest(tmp_path, 0) is None
-
-    def test_clear_checkpoints_keeps_shard_manifests(self, tmp_path):
-        """A fresh run clears stale level checkpoints but must keep the
-        shard manifests: the staged artifacts they describe remain
-        valid for the new run's identical partition."""
-        from repro.core.checkpoint import (load_shard_manifest,
-                                           save_shard_manifest)
-        save_checkpoint(tmp_path, 1, self.STATE)
-        save_shard_manifest(tmp_path, 0, {"size": 3})
-        assert clear_checkpoints(tmp_path) == 1
-        assert load_shard_manifest(tmp_path, 0) is not None
-
 
 @pytest.fixture(scope="module")
 def baseline(one_cluster_dataset, small_params):
@@ -610,6 +596,75 @@ class TestCheckpointResume:
                              MafiaParams(fine_bins=100, window_size=2,
                                          chunk_records=2000),
                              checkpoint_dir=tmp_path, domains=DOMAINS_10D)
+
+
+@pytest.mark.fault
+class TestRestartKillMatrix:
+    """Lose any rank at any level on the process backend: one
+    ``pmafia_resumable(max_restarts=1)`` call restarts the whole world
+    from the last level checkpoint and finishes bit-identical."""
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    @pytest.mark.parametrize("level", [1, 2, 4])
+    def test_kill_any_rank_any_level(self, tmp_path, rank, level, baseline,
+                                     one_cluster_dataset, small_params):
+        if level > len(baseline.trace):
+            pytest.skip(f"run has only {len(baseline.trace)} levels")
+        plan = FaultPlan(crashes=(
+            CrashPoint(rank=rank, site="populate", level=level),))
+        run = pmafia_resumable(one_cluster_dataset.records, 3, small_params,
+                               checkpoint_dir=tmp_path, domains=DOMAINS_10D,
+                               backend="process", faults=plan,
+                               max_restarts=1, recv_timeout=60.0)
+        _assert_identical(run.result, baseline)
+
+    def test_hard_kill_restarts_in_one_call(self, tmp_path, baseline,
+                                            one_cluster_dataset,
+                                            small_params):
+        """os._exit leaves no error report; the exit watch notices it
+        and the restart still finishes bit-identical, well inside the
+        60 s recv deadline the survivors would otherwise wait out."""
+        plan = FaultPlan(crashes=(
+            CrashPoint(rank=2, site="dedup", level=2, hard=True),))
+        start = time.monotonic()
+        run = pmafia_resumable(one_cluster_dataset.records, 3, small_params,
+                               checkpoint_dir=tmp_path, domains=DOMAINS_10D,
+                               backend="process", faults=plan,
+                               max_restarts=1, recv_timeout=60.0)
+        assert time.monotonic() - start < 30
+        _assert_identical(run.result, baseline)
+
+    def test_restart_budget_exhaustion_aborts(self, tmp_path,
+                                              one_cluster_dataset,
+                                              small_params):
+        """With no restarts left a loss fails loudly, naming the rank."""
+        plan = FaultPlan(crashes=(
+            CrashPoint(rank=1, site="populate", level=2),))
+        with pytest.raises(CommError, match="rank 1 failed"):
+            pmafia_resumable(one_cluster_dataset.records, 3, small_params,
+                             checkpoint_dir=tmp_path, domains=DOMAINS_10D,
+                             backend="process", faults=plan,
+                             max_restarts=0, recv_timeout=60.0)
+
+    def test_no_fault_no_restart(self, tmp_path, baseline, monkeypatch,
+                                 one_cluster_dataset, small_params):
+        """A fault-free run with a restart to spare uses none: the exit
+        watch must not take a child that reported and exited for a
+        lost rank."""
+        # repro.core re-exports the function mafia over the submodule
+        mafia_module = importlib.import_module("repro.core.mafia")
+        attempts = []
+
+        def counted(*args, **kwargs):
+            attempts.append(kwargs["backend"])
+            return run_spmd(*args, **kwargs)
+
+        monkeypatch.setattr(mafia_module, "run_spmd", counted)
+        run = pmafia_resumable(one_cluster_dataset.records, 3, small_params,
+                               checkpoint_dir=tmp_path, domains=DOMAINS_10D,
+                               backend="process", max_restarts=1)
+        _assert_identical(run.result, baseline)
+        assert attempts == ["process"]
 
 
 @pytest.mark.fault
