@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..types import Cluster, DNFTerm, Grid, Subspace
-from .units import UnitTable
+from .units import UnitTable, group_sort, group_starts
 
 
 def grow_box(cells: set[tuple[int, ...]], seed: tuple[int, ...]
@@ -175,62 +175,64 @@ def projections(units: UnitTable) -> UnitTable:
     k = units.level
     if k < 2:
         raise DataError("cannot project level-1 units")
-    if units.n_units == 0:
-        return UnitTable.empty(k - 1)
-    dims_parts = []
-    bins_parts = []
-    for drop in range(k):
-        keep = [j for j in range(k) if j != drop]
-        dims_parts.append(units.dims[:, keep])
-        bins_parts.append(units.bins[:, keep])
-    return UnitTable(dims=np.concatenate(dims_parts),
-                     bins=np.concatenate(bins_parts))
+    keeps = [[j for j in range(k) if j != drop] for drop in range(k)]
+    return UnitTable(dims=np.concatenate([units.dims[:, c] for c in keeps]),
+                     bins=np.concatenate([units.bins[:, c] for c in keeps]))
+
+
+#: candidate (lower unit, projection) pairs tested per batch, so the
+#: report join's memory never scales with the pairs one subspace holds
+_PAIR_BATCH = 1 << 16
+
+
+def _near_projections(lower: UnitTable, higher: UnitTable | None,
+                      reach: int) -> np.ndarray:
+    """True for each unit of ``lower`` (level k−1) in the subspace of a
+    projection of some ``higher`` (level k) unit with every bin within
+    ``reach`` of it — one exact join at every lattice size.
+
+    Both sides are grouped on their packed dims key; inside a subspace
+    a lower unit meets only the projections whose first bin is within
+    ±``reach`` (clipped to the byte range, so the band never spills into
+    the next subspace), and each candidate pair is tested on every
+    coordinate, ``_PAIR_BATCH`` pairs at a time."""
+    near = np.zeros(lower.n_units, dtype=bool)
+    if higher is None or higher.n_units == 0:
+        return near
+    if higher.level != lower.level + 1:
+        raise DataError(
+            f"level mismatch: lower {lower.level}, higher {higher.level}")
+    proj = projections(higher).unique()
+    words = np.concatenate([proj._row_words(dims_only=True),
+                            lower._row_words(dims_only=True)])
+    order = group_sort(words)
+    group = np.empty(len(words), dtype=np.int64)
+    group[order] = np.cumsum(group_starts(words[order])) - 1
+    # unique() leaves the projections in (dims, bins) order, so their
+    # (subspace, first bin) keys are already sorted
+    proj_key = group[:proj.n_units] * 256 + proj.bins[:, 0]
+    lower_key = group[proj.n_units:] * 256
+    first = lower.bins[:, 0].astype(np.int64)
+    lo = np.searchsorted(proj_key, lower_key + np.maximum(first - reach, 0))
+    hi = np.searchsorted(proj_key, lower_key + np.minimum(first + reach, 255),
+                         "right")
+    ends = np.cumsum(hi - lo)
+    proj_bins = proj.bins.astype(np.int16)
+    lower_bins = lower.bins.astype(np.int16)
+    n_pairs = int(ends[-1]) if lower.n_units else 0
+    for start in range(0, n_pairs, _PAIR_BATCH):
+        pair = np.arange(start, min(start + _PAIR_BATCH, n_pairs))
+        li = np.searchsorted(ends, pair, "right")
+        pi = hi[li] - (ends[li] - pair)
+        close = (np.abs(proj_bins[pi] - lower_bins[li]) <= reach).all(axis=1)
+        near[li[close]] = True
+    return near
 
 
 def maximal_mask(lower: UnitTable, higher: UnitTable | None) -> np.ndarray:
     """True for each unit of ``lower`` (level k−1) that is *not* a
     projection of any unit of ``higher`` (level k)."""
-    if higher is None or higher.n_units == 0:
-        return np.ones(lower.n_units, dtype=bool)
-    if higher.level != lower.level + 1:
-        raise DataError(
-            f"level mismatch: lower {lower.level}, higher {higher.level}")
-    proj = projections(higher).unique()
-    return ~proj.contains_rows(lower)
-
-
-#: give up on the exact Chebyshev ball beyond this many expanded rows
-#: and fall back to axis-only neighbours
-_NEIGHBOUR_LIMIT = 2_000_000
-
-
-def _with_neighbours(units: UnitTable) -> UnitTable:
-    """Every unit plus its Chebyshev-distance-1 neighbourhood (each bin
-    index independently shifted by -1/0/+1, clipped at byte range).
-
-    Built by expanding one coordinate at a time with dedup in between,
-    so the blow-up is bounded by the real neighbourhood size rather than
-    3^k.  Beyond ``_NEIGHBOUR_LIMIT`` rows the expansion degrades to the
-    already-accumulated set (axis-partial), which only makes suppression
-    more conservative.
-    """
-    current = units
-    k = units.level
-    for j in range(k):
-        tables = [current]
-        bins16 = current.bins.astype(np.int16)
-        for delta in (-1, 1):
-            shifted = bins16.copy()
-            shifted[:, j] += delta
-            keep = (shifted[:, j] >= 0) & (shifted[:, j] <= 255)
-            if keep.any():
-                tables.append(UnitTable(dims=current.dims[keep],
-                                        bins=shifted[keep].astype(np.uint8)))
-        expanded = UnitTable.concat_all(tables).unique()
-        if expanded.n_units > _NEIGHBOUR_LIMIT:
-            break
-        current = expanded
-    return current
+    return ~_near_projections(lower, higher, reach=0)
 
 
 def merged_mask(lower: UnitTable, higher: UnitTable | None) -> np.ndarray:
@@ -245,10 +247,4 @@ def merged_mask(lower: UnitTable, higher: UnitTable | None) -> np.ndarray:
     outputs, while genuinely separate lower-dimensional clusters share
     no boundary with anything above and survive.
     """
-    if higher is None or higher.n_units == 0:
-        return np.ones(lower.n_units, dtype=bool)
-    if higher.level != lower.level + 1:
-        raise DataError(
-            f"level mismatch: lower {lower.level}, higher {higher.level}")
-    proj = projections(higher).unique()
-    return ~_with_neighbours(proj).contains_rows(lower)
+    return ~_near_projections(lower, higher, reach=1)

@@ -273,8 +273,7 @@ def assemble_clusters(grid: Grid, registered: Registered
             bins = table.bins[rows].astype(np.int64)
             labels = face_adjacent_components(bins)
             for label in range(int(labels.max()) + 1):
-                members = rows[labels == label]
-                member_bins = table.bins[members].astype(np.int64)
+                member_bins = bins[labels == label]
                 clusters.append(Cluster(
                     subspace=subspace,
                     units_bins=member_bins,
@@ -487,12 +486,12 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                                dense_counts[combined]))
         current = nxt
         save_level(current.level, trace, registered, grid, domains)
-    reg = registrations_for_report(tuple(trace), registered, params.report)
     with _ospan(obs, "assembly", cat="phase"):
+        clusters = None
         if comm.rank == 0:
+            reg = registrations_for_report(tuple(trace), registered,
+                                           params.report)
             clusters = assemble_clusters(grid, reg)
-        else:
-            clusters = None
         clusters = comm.bcast(clusters, root=0)
 
     return ClusteringResult(grid=grid, clusters=clusters,

@@ -22,7 +22,8 @@ uint64 words:
 * a unit's flat ``dims ‖ bins`` row, zero-padded and read big-endian,
   packs into ``ceil(2k/8)`` words whose order is the canonical
   (dims, bins) order — the keys of :meth:`UnitTable.sort`,
-  :meth:`UnitTable.unique` and :meth:`UnitTable.contains_rows`.
+  :meth:`UnitTable.unique` and :meth:`UnitTable.contains_rows` (the
+  dims alone pack into the subspace key the same way).
 
 Equal units ⇔ equal words either way, so grouping, ordering and
 membership all reduce to one vectorised sort over a few integer
@@ -165,10 +166,11 @@ class UnitTable:
             out = out.concat(t)
         return out
 
-    def _row_words(self) -> np.ndarray:
+    def _row_words(self, dims_only: bool = False) -> np.ndarray:
         """``(n, ceil(2k/8))`` uint64 key words of the combined rows
         (dims then bins), each row zero-padded to whole words and read
-        big-endian.
+        big-endian; with ``dims_only``, the ``ceil(k/8)`` words of the
+        dims rows alone (equal words ⇔ same subspace).
 
         Big-endian words compare like the bytes they hold, so the
         lexicographic order of the word rows is the lexicographic
@@ -177,11 +179,10 @@ class UnitTable:
         :meth:`contains_rows` all sort these few integer columns
         instead of 2k byte columns or void keys.
         """
-        n, k = self.dims.shape
-        packed = np.zeros((n, max(1, -(-2 * k // 8))), dtype=">u8")
-        raw = packed.view(np.uint8)
-        raw[:, :k] = self.dims
-        raw[:, k:2 * k] = self.bins
+        rows = self.dims if dims_only else np.hstack([self.dims, self.bins])
+        n, width = rows.shape
+        packed = np.zeros((n, max(1, -(-width // 8))), dtype=">u8")
+        packed.view(np.uint8)[:, :width] = rows
         return packed.astype(np.uint64)
 
     def canonical_order(self) -> np.ndarray:
@@ -232,11 +233,12 @@ class UnitTable:
     # -- grouping ------------------------------------------------------------
     def group_by_subspace(self) -> dict[tuple[int, ...], np.ndarray]:
         """Map each distinct subspace (dims tuple) to the row indices of
-        the units living in it."""
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i in range(self.n_units):
-            groups.setdefault(tuple(self.dims[i].tolist()), []).append(i)
-        return {k: np.asarray(v, dtype=np.int64) for k, v in groups.items()}
+        the units living in it, subspaces in first-appearance order."""
+        first = first_occurrence(self._row_words(dims_only=True))
+        order = np.argsort(first, kind="stable")
+        heads, starts = np.unique(first[order], return_index=True)
+        return {tuple(self.dims[head].tolist()): rows
+                for head, rows in zip(heads, np.split(order, starts[1:]))}
 
     def subspaces(self) -> list[tuple[int, ...]]:
         """Distinct subspaces present, in first-appearance order."""

@@ -67,8 +67,8 @@ class MafiaParams:
         Which dense units seed reported clusters.  ``"merged"``
         (default) reports maximal dense units except boundary slivers
         within Chebyshev distance 1 of a higher cluster's projection
-        (every bin within ±1, diagonals included; see
-        :func:`repro.core.dnf.merged_mask`) — matching the
+        (every bin within ±1, diagonals included; exact at every lattice
+        size, see :func:`repro.core.dnf.merged_mask`) — matching the
         paper's printed outputs (subset clusters eliminated, no edge
         artefacts) while keeping clusters that stop extending early.
         ``"paper"`` registers a unit only when it combined with no other

@@ -61,7 +61,7 @@ from ..core.histogram import block_histogram, check_domains
 from ..core.identify import dense_units
 from ..core.pmafia import (_eliminate_repeat_cdus,
                            _find_candidate_dense_units, _identify_dense,
-                           assemble_clusters, level_one_cdus,
+                           _ospan, assemble_clusters, level_one_cdus,
                            registrations_for_report)
 from ..core.result import ClusteringResult, LevelTrace
 from ..core.units import UnitTable
@@ -586,13 +586,13 @@ class StreamingSession:
                                    dense_counts[combined]))
             current = nxt
 
-        reg = registrations_for_report(tuple(trace), registered,
-                                       params.report)
-        if comm.rank == 0:
-            clusters = assemble_clusters(grid, reg)
-        else:
+        with _ospan(obs, "assembly", cat="phase"):
             clusters = None
-        clusters = comm.bcast(clusters, root=0)
+            if comm.rank == 0:
+                reg = registrations_for_report(tuple(trace), registered,
+                                               params.report)
+                clusters = assemble_clusters(grid, reg)
+            clusters = comm.bcast(clusters, root=0)
         return ClusteringResult(grid=grid, clusters=clusters,
                                 trace=tuple(trace), params=params,
                                 n_records=n_live)

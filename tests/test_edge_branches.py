@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import dnf as dnf_mod
-from repro.core.dnf import merged_mask
 from repro.core.units import UnitTable
 from repro.datagen import ICG
 from repro.errors import CommError, DataError, ParameterError
@@ -82,18 +80,6 @@ class TestIcgEdges:
         it = iter(gen)
         values = [next(it) for _ in range(5)]
         assert all(0 <= v < 1 for v in values)
-
-
-class TestMergedMaskFallback:
-    def test_neighbour_limit_degrades_gracefully(self, monkeypatch):
-        """Beyond the expansion budget, suppression becomes axis-partial
-        (more conservative) but never marks projections as maximal."""
-        monkeypatch.setattr(dnf_mod, "_NEIGHBOUR_LIMIT", 1)
-        higher = UnitTable.from_pairs([[(0, 3), (1, 3), (2, 3)]])
-        from repro.core.dnf import projections
-        lower = projections(higher).unique()
-        mask = merged_mask(lower, higher)
-        assert not mask.any()  # exact projections always suppressed
 
 
 class TestRunSpmdEdges:

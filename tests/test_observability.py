@@ -11,7 +11,10 @@ the fault plan's injection counts).
 
 from __future__ import annotations
 
+import importlib
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -32,9 +35,15 @@ from repro.obs.trace import (COMPLETE, INSTANT, RankTracer, Span,
 from repro.parallel import FaultPlan, ReadFault, run_spmd
 from repro.parallel.serial import SerialComm
 from repro.parallel.simtime import payload_nbytes
+from repro.stream import StreamingSession
+from repro.stream import engine as stream_engine
 from repro.core.pmafia import pmafia_rank
 from repro.io.resilient import RetryPolicy
 from tests.conftest import DOMAINS_10D
+
+# the driver module itself: ``repro.core``'s ``pmafia`` function
+# shadows it as a package attribute
+pmafia_module = importlib.import_module("repro.core.pmafia")
 
 PARAMS = MafiaParams(fine_bins=100, window_size=2, chunk_records=1000)
 OBS_PARAMS = PARAMS.with_(trace=True, metrics=True)
@@ -149,6 +158,42 @@ class TestSpanIntegrity:
         # the driver phases all appear
         names = {s.name for s in spans if s.cat == "phase"}
         assert {"grid", "population", "assembly"} <= names
+
+    @staticmethod
+    def _slow_reports(monkeypatch, module):
+        """Make ``module``'s report masks take 50 ms; returns the list of
+        thread names that called them."""
+        real = module.registrations_for_report
+        callers = []
+
+        def slow(*args):
+            callers.append(threading.current_thread().name)
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(module, "registrations_for_report", slow)
+        return callers
+
+    def test_report_masks_timed_in_assembly_on_rank_zero(
+            self, monkeypatch, one_cluster_dataset, small_params):
+        """The report masks are assembly work: they run inside the
+        ``assembly`` phase span, on the root rank alone."""
+        callers = self._slow_reports(monkeypatch, pmafia_module)
+        run = pmafia(one_cluster_dataset.records, 2,
+                     small_params.with_(trace=True), backend="thread",
+                     domains=DOMAINS_10D)
+        assert callers == ["spmd-rank-0"]
+        assert run.obs.ranks[0].phase_seconds()["assembly"] >= 0.05
+
+    def test_stream_report_masks_timed_in_assembly(
+            self, monkeypatch, one_cluster_dataset, small_params):
+        callers = self._slow_reports(monkeypatch, stream_engine)
+        with StreamingSession(small_params.with_(trace=True),
+                              domains=DOMAINS_10D) as session:
+            session.ingest(one_cluster_dataset.records)
+            snap = session.snapshot()
+        assert len(callers) == 1
+        assert snap.obs.phase_seconds()["assembly"] >= 0.05
 
     def test_checker_flags_backwards_clock(self):
         good = Span(name="a", cat="task", rank=0, begin=1.0, end=2.0,

@@ -3,6 +3,8 @@ and the cluster-report masks (maximal / merged)."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,13 @@ from hypothesis import strategies as st
 
 from repro.clique.join import prefix_join_all
 from repro.core.dnf import maximal_mask, merged_mask, projections
+from repro.core.mafia import mafia
+from repro.core.pmafia import registrations_for_report
 from repro.core.population import populate_local
 from repro.core.units import UnitTable
+from repro.datagen import ClusterSpec, generate
 from repro.io import ArraySource
+from repro.params import MafiaParams
 from repro.parallel import SerialComm
 from repro.types import DimensionGrid, Grid
 
@@ -165,21 +171,29 @@ def naive_report_mask(lower: UnitTable, higher: UnitTable,
 @st.composite
 def report_mask_cases(draw, level):
     """``(lower, higher)``: ``higher`` at ``level`` over a few subspaces
-    with bins at both byte edges; ``lower`` mixes the higher table's
+    (or one, all units sharing their first bin) with bins at both byte
+    edges; ``lower`` mixes the higher table's
     projections shifted by −2..+2 per bin (clipped to the byte range)
     with unrelated units."""
     n_dims = level + 2
     subspace = st.lists(st.integers(0, n_dims - 1), min_size=level,
                         max_size=level, unique=True).map(sorted)
     edge_bins = st.sampled_from([0, 1, 2, 127, 128, 253, 254, 255])
-    subspaces = draw(st.lists(subspace, min_size=1, max_size=3))
-    n = draw(st.integers(1, 8))
+    # some draws put every higher unit in one subspace with one shared
+    # first bin, so the join's first-bin band holds the whole subspace
+    one_band = draw(st.booleans())
+    subspaces = draw(st.lists(subspace, min_size=1,
+                              max_size=1 if one_band else 3))
+    n = draw(st.integers(1, 12 if one_band else 8))
+    bins = np.array([draw(st.lists(edge_bins, min_size=level,
+                                   max_size=level)) for _ in range(n)],
+                    dtype=np.uint8)
+    if one_band:
+        bins[:, 0] = draw(edge_bins)
     higher = UnitTable(
         dims=np.array([draw(st.sampled_from(subspaces)) for _ in range(n)],
                       dtype=np.uint8),
-        bins=np.array([draw(st.lists(edge_bins, min_size=level,
-                                     max_size=level)) for _ in range(n)],
-                      dtype=np.uint8)).unique()
+        bins=bins).unique()
     proj = projections(higher)
     picks = draw(st.lists(st.integers(0, proj.n_units - 1), max_size=16))
     shifts = draw(st.lists(
@@ -207,7 +221,7 @@ def report_mask_cases(draw, level):
 class TestReportMasksAgainstNaiveOracle:
     """``maximal_mask``/``merged_mask`` against :func:`naive_report_mask`
     for higher levels 2–6, with bins at 0 and 255 so the byte-range
-    clipping of the neighbour expansion runs."""
+    clipping of the join's first-bin band runs."""
 
     @pytest.mark.parametrize("level", range(2, 7))
     @given(data=st.data())
@@ -224,3 +238,112 @@ class TestReportMasksAgainstNaiveOracle:
         lower, higher = data.draw(report_mask_cases(level))
         assert merged_mask(lower, higher).tolist() == naive_report_mask(
             lower, higher, reach=1)
+
+    def test_merged_mask_exact_past_old_expansion_limit(self):
+        """A level-12 unit's Chebyshev ball has 3^11 cells per
+        projection, past the 2M rows where a neighbour expansion once
+        stopped early and kept units whose last bin was one off."""
+        higher = UnitTable(dims=np.arange(12, dtype=np.uint8)[None, :],
+                           bins=np.full((1, 12), 100, dtype=np.uint8))
+        proj = projections(higher)
+        bins = proj.bins.copy()
+        bins[:, -1] += 1
+        lower = UnitTable(dims=proj.dims, bins=bins)
+        assert naive_report_mask(lower, higher, reach=1) == [False] * 12
+        assert merged_mask(lower, higher).tolist() == [False] * 12
+        assert maximal_mask(lower, higher).tolist() == naive_report_mask(
+            lower, higher, reach=0) == [True] * 12
+
+
+def _grid_report_mask(lower: UnitTable, higher: UnitTable,
+                      reach: int) -> np.ndarray:
+    """Report mask for level-2 ``lower`` units: mark each subspace's
+    projections in a dense 256 x 256 grid, dilate it by ``reach`` and
+    look every lower unit up."""
+    marked: dict[tuple[int, ...], np.ndarray] = {}
+    for drop in range(higher.level):
+        keep = [j for j in range(higher.level) if j != drop]
+        for dims, bins in zip(higher.dims[:, keep].tolist(),
+                              higher.bins[:, keep].tolist()):
+            grid = marked.setdefault(tuple(dims),
+                                     np.zeros((256, 256), dtype=bool))
+            grid[tuple(bins)] = True
+    keep = np.ones(lower.n_units, dtype=bool)
+    for dims, grid in marked.items():
+        padded = np.pad(grid, reach)
+        near = np.zeros_like(grid)
+        for di in range(2 * reach + 1):
+            for dj in range(2 * reach + 1):
+                near |= padded[di:di + 256, dj:dj + 256]
+        rows = (lower.dims == np.asarray(dims, dtype=np.uint8)).all(axis=1)
+        keep[rows] = ~near[lower.bins[rows, 0], lower.bins[rows, 1]]
+    return keep
+
+
+class TestReportMaskJoinBounds:
+    def test_wide_single_subspace(self):
+        """20k level-3 units in one subspace, all on first bin 100: two
+        projected subspaces hold one first bin each, the third 20k
+        cells.  Every cell of the three subspaces is a lower unit, so
+        the first-bin bands hold millions of candidate pairs; the join
+        must stay exact and compare them in bounded memory."""
+        rng = np.random.default_rng(0)
+        cells = rng.choice(256 * 256, size=20_000, replace=False)
+        higher = UnitTable(
+            dims=np.tile(np.array([3, 7, 9], dtype=np.uint8), (20_000, 1)),
+            bins=np.column_stack([np.full(20_000, 100), cells // 256,
+                                  cells % 256]).astype(np.uint8))
+        every = np.arange(256 * 256)
+        square = np.column_stack([every // 256, every % 256])
+        lower = UnitTable.concat_all([
+            UnitTable(dims=np.tile(np.array(dims, dtype=np.uint8),
+                                   (len(square), 1)), bins=square)
+            for dims in ((3, 7), (3, 9), (7, 9))])
+        for mask_fn, reach in ((maximal_mask, 0), (merged_mask, 1)):
+            tracemalloc.start()
+            try:
+                got = mask_fn(lower, higher)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(
+                got, _grid_report_mask(lower, higher, reach))
+            assert peak <= 64 << 20
+
+    def test_deep_planted_lattice(self):
+        """An eight-level lattice from a planted 8-d cluster: the
+        registrations of both report policies equal the ones rebuilt
+        level by level from the naive oracle."""
+        spec = ClusterSpec.box(
+            [0, 2, 3, 5, 6, 8, 9, 11],
+            [(10.3 + 10 * i, 20.6 + 10 * i + i % 3) for i in range(8)])
+        side = ClusterSpec.box([1, 4, 7, 10], [(30.2, 45.1), (5.4, 17.3),
+                                               (60.1, 74.7), (40.8, 52.2)])
+        data = generate(30_000, 12, [spec, side], seed=0)
+        trace = mafia(data.records,
+                      MafiaParams(fine_bins=200, window_size=2,
+                                  chunk_records=5000),
+                      domains=np.array([[0.0, 100.0]] * 12)).trace
+        assert len(trace) == 8
+        got = {}
+        for report, reach in (("maximal", 0), ("merged", 1)):
+            expected = []
+            for i, level in enumerate(trace):
+                if level.n_dense == 0:
+                    continue
+                keep = (np.asarray(naive_report_mask(
+                    level.dense, trace[i + 1].dense, reach), dtype=bool)
+                    if i + 1 < len(trace)
+                    else np.ones(level.n_dense, dtype=bool))
+                if keep.any():
+                    expected.append((level.dense.select(keep),
+                                     level.dense_counts[keep]))
+            got[report] = registrations_for_report(trace, [], report)
+            assert len(got[report]) == len(expected)
+            for (table, counts), (want, want_counts) in zip(got[report],
+                                                            expected):
+                assert table == want
+                np.testing.assert_array_equal(counts, want_counts)
+        # a level-1 sliver beside the 8-d cluster: the policies differ
+        assert (sum(t.n_units for t, _ in got["maximal"])
+                > sum(t.n_units for t, _ in got["merged"]))

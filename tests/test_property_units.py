@@ -142,6 +142,21 @@ class TestRowAlgebraOracles:
         assert got.dtype == bool
         assert got.tolist() == [key in mine for key in _row_tuples(b)]
 
+    @_LEVELS
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_group_by_subspace_matches_dict_reference(self, level, data):
+        """Same groups, rows ascending, subspaces in first-appearance
+        order as a dict built row by row (level 9 spans two dims
+        words)."""
+        t = data.draw(byte_tables(level))
+        expected: dict[tuple, list[int]] = {}
+        for i, dims in enumerate(t.dims.tolist()):
+            expected.setdefault(tuple(dims), []).append(i)
+        got = t.group_by_subspace()
+        assert list(got) == list(expected)
+        assert {k: v.tolist() for k, v in got.items()} == expected
+
 
 def algorithm3(t: UnitTable, start: int, stop: int):
     """The paper's Algorithm 3 for pivot rows ``[start, stop)``, written
