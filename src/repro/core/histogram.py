@@ -104,16 +104,22 @@ def code_histogram(codes: np.ndarray, fine_bins: int) -> np.ndarray:
 
 
 def block_histogram(block: np.ndarray, domains: np.ndarray,
-                    fine_bins: int) -> np.ndarray:
+                    fine_bins: int, *,
+                    codes: np.ndarray | None = None) -> np.ndarray:
     """``(d, fine_bins)`` histogram of one record block — the exact
     per-block operation of the batch pass, factored out so the
     streaming engine bins deltas **identically** (the same
     :func:`fine_codes`).  Integer counts are additive over any block
     partition, which is what makes the maintained streaming histogram
-    bit-equal to a cold pass over the live records.
+    bit-equal to a cold pass over the live records.  With ``codes`` —
+    a ``(d, n)`` buffer — the block's fine codes are also kept there,
+    as :func:`fine_histogram_local` keeps them.
     """
     domains = np.asarray(domains, dtype=np.float64)
-    return code_histogram(block_codes(block, domains, fine_bins), fine_bins)
+    binned = block_codes(block, domains, fine_bins)
+    if codes is not None:
+        codes[...] = binned
+    return code_histogram(binned, fine_bins)
 
 
 def fine_histogram_local(source: DataSource, comm: Comm, domains: np.ndarray,

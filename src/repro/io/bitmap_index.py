@@ -2,14 +2,22 @@
 
 Every population pass after grid construction needs only each record's
 bin membership per dimension.  A :class:`BitmapIndex` stages that once:
-immediately after the adaptive grid is fixed, one per-chunk pass maps
-every record's fine-interval code through the dimension's lookup table
-(the :meth:`~repro.types.DimensionGrid.locate` rule, ``lut[code]``) and
-packs **one membership bitmap per (dim, bin) pair of the grid** — bit
-``r`` of bitmap ``(d, b)`` is set iff record ``r`` falls in bin ``b`` of
-dimension ``d``.  The codes are the ones the fine-histogram pass kept
-when they fit the budget beside the index (no float is read); otherwise
-they are recomputed from the records with the same
+immediately after the adaptive grid is fixed, one per-chunk pass packs
+**one membership bitmap per (dim, bin) pair of the grid** — bit ``r``
+of bitmap ``(d, b)`` is set iff record ``r`` falls in bin ``b`` of
+dimension ``d``.
+
+Bin ``b`` of a dimension is the run of fine intervals
+``[cuts[b], cuts[b + 1])``, so its bitmap is a range comparison of the
+records' fine codes — the *range encoding* of Chan & Ioannidis
+("Bitmap Index Design and Evaluation", SIGMOD 1998).  Per chunk and
+dimension the pass packs one comparison, ``below[b] = codes <
+cuts[b + 1]``; bin 0 is ``below[0]`` and bin ``b`` is ``below[b] &
+~below[b - 1]``.  The top cut is ``n_fine``, which every code is below,
+so the last row packs with zero padding and needs no tail mask.  The
+codes are the ones the fine-histogram pass kept when they fit the
+budget beside the index (no float is read); otherwise they are
+recomputed chunk by chunk from the records with the same
 :func:`~repro.core.histogram.fine_codes`.  Every later population pass
 is then pure AND + popcount over cached bitmaps with zero data reads (see
 :func:`repro.core.population.count_units` for the prefix AND walk that
@@ -54,10 +62,11 @@ import struct
 import tempfile
 import weakref
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..core.histogram import fine_codes
 from ..errors import ChecksumError, DataError, RecordFileError
 from ..parallel.comm import Comm
 from ..types import Grid
@@ -317,7 +326,7 @@ def _aligned_chunk(chunk_records: int) -> int:
     return max(8, chunk_records - (chunk_records % 8))
 
 
-def build_bitmap_index(source: DataSource, grid: Grid,
+def build_bitmap_index(source: DataSource | None, grid: Grid,
                        chunk_records: int, start: int = 0,
                        stop: int | None = None, *,
                        path: str | os.PathLike | None = None,
@@ -330,32 +339,41 @@ def build_bitmap_index(source: DataSource, grid: Grid,
     on-disk tile format (published through
     :class:`~repro.io.artifact.Publication`).
 
-    Per byte-aligned chunk and per dimension, the records' bins form a
-    contiguous ``uint8`` column — ``lut[codes]`` when ``codes`` (the
-    ``(d, n)`` fine codes the histogram pass kept for this block) are
-    given, else :meth:`~repro.types.DimensionGrid.locate` on the float
-    records — and all of the dimension's bitmaps are packed by one
-    one-hot comparison + one ``np.packbits``.  Chunk reads go through
-    the resilient-read loop: the rank's ``fault_state`` is consulted
-    before every read and transient failures retry under ``retry``.
+    Per byte-aligned chunk and per dimension, one comparison of the
+    chunk's fine codes against the dimension's upper cuts is packed,
+    and each bin's bitmap is one byte-wise and-not of two adjacent
+    packed rows (the range encoding of the module docstring).  The
+    codes are ``codes`` — the ``(d, n)`` fine codes the histogram pass
+    kept for this block — when given; ``source`` may then be ``None``
+    and the block's size is taken from the codes.  Otherwise each chunk
+    is read from ``source`` through the resilient-read loop (the rank's
+    ``fault_state`` is consulted before every read and transient
+    failures retry under ``retry``) and its codes are computed with
+    :func:`~repro.core.histogram.fine_codes` under every dimension's
+    ``lo``/``hi``/``n_fine``.
 
     The index is stamped with the key ``edges_fingerprint(grid) +
     records_digest``; ``records_digest`` must identify exactly the
-    records the pass reads (:meth:`~repro.io.records.RecordFileInfo.digest`)
-    whenever the file is meant to be reloaded by
-    :func:`load_bitmap_cache`.
+    records the codes belong to
+    (:meth:`~repro.io.records.RecordFileInfo.digest`) whenever the file
+    is meant to be reloaded by :func:`load_bitmap_cache`.
     """
     nbins = _grid_nbins(grid)
-    if source.n_dims != grid.ndim:
-        raise DataError(
-            f"records have {source.n_dims} dimensions, grid has "
-            f"{grid.ndim}")
-    stop = source.n_records if stop is None else stop
-    if not 0 <= start <= stop <= source.n_records:
-        raise DataError(
-            f"range [{start}, {stop}) out of bounds for "
-            f"{source.n_records} records")
-    n = stop - start
+    if source is None:
+        if codes is None:
+            raise DataError("build_bitmap_index needs records or codes")
+        n = codes.shape[-1]
+    else:
+        if source.n_dims != grid.ndim:
+            raise DataError(
+                f"records have {source.n_dims} dimensions, grid has "
+                f"{grid.ndim}")
+        stop = source.n_records if stop is None else stop
+        if not 0 <= start <= stop <= source.n_records:
+            raise DataError(
+                f"range [{start}, {stop}) out of bounds for "
+                f"{source.n_records} records")
+        n = stop - start
     if codes is not None and codes.shape != (grid.ndim, n):
         raise DataError(f"codes shape {codes.shape} does not match "
                         f"({grid.ndim}, {n})")
@@ -363,28 +381,32 @@ def build_bitmap_index(source: DataSource, grid: Grid,
     n_pairs = sum(nbins)
     row_bytes = -(-n // 8)
     offsets = _pair_offsets(nbins)
-    bin_ids = [np.arange(nb, dtype=np.uint8)[:, None] for nb in nbins]
+    # the cuts keep their own dtype: at n_fine = 256 the codes are
+    # uint8 and the top cut would wrap to 0 in it
+    upper = [np.asarray(dg.cuts[1:], np.min_scalar_type(dg.n_fine))[:, None]
+             for dg in grid]
     key = edges_fingerprint(grid) + bytes(records_digest)
 
-    def bin_columns() -> Iterator[tuple[int, list[np.ndarray]]]:
+    def code_chunks() -> Iterator[tuple[int, Sequence[np.ndarray]]]:
         if codes is not None:
             for offset in range(0, n, chunk):
-                yield offset, [dg.lut[codes[dim, offset:offset + chunk]]
-                               for dim, dg in enumerate(grid)]
+                yield offset, codes[:, offset:offset + chunk]
             return
         for offset, raw in _source_chunks(source, chunk, start, stop,
                                           retry, fault_state):
-            yield offset, [dg.locate(raw[:, dim])
+            yield offset, [fine_codes(raw[:, dim], dg.lo, dg.hi - dg.lo,
+                                      dg.n_fine)
                            for dim, dg in enumerate(grid)]
 
     def fill(data: np.ndarray) -> None:
-        for offset, columns in bin_columns():
+        for offset, columns in code_chunks():
             byte_lo = offset // 8
             for dim, col in enumerate(columns):
-                packed = np.packbits(col == bin_ids[dim], axis=1)
-                base = int(offsets[dim])
-                data[base:base + nbins[dim],
-                     byte_lo:byte_lo + packed.shape[1]] = packed
+                below = np.packbits(col < upper[dim], axis=1)
+                rows = data[offsets[dim]:offsets[dim + 1],
+                            byte_lo:byte_lo + below.shape[1]]
+                rows[0] = below[0]
+                np.bitwise_and(below[1:], ~below[:-1], out=rows[1:])
 
     if path is None or n == 0:
         data = np.empty((n_pairs, row_bytes), dtype=np.uint8)

@@ -2,10 +2,14 @@
 
 A session is a long-running, incrementally maintained clustering over a
 sliding window of records.  ``ingest`` applies one ordered delta:
-broadcast to every rank, sliced into per-rank shares, folded into the
-maintained global fine histogram (exact integer adds), appended as a
-:class:`~repro.stream.window.WindowSegment`, and aged-out head records
-expired (exact integer subtracts).  ``snapshot`` then runs the pMAFIA
+broadcast to every rank, sliced into per-rank shares, binned once into
+fine codes by :func:`~repro.core.histogram.block_histogram` (which
+keeps the codes), folded into the maintained global fine histogram
+(exact integer adds), appended as a
+:class:`~repro.stream.window.WindowSegment` holding those codes, and
+aged-out head records expired (exact integer subtracts of the dropped
+codes' histogram).  The float records are not kept: every later
+artifact is packed from the codes.  ``snapshot`` then runs the pMAFIA
 lattice over the live window using the *same* core passes as the cold
 batch driver — join, repeat elimination, dense identification, cluster
 assembly — with population served from per-segment bitmap indexes and
@@ -15,9 +19,10 @@ caches.
 batch run over exactly the live records, including ``pairs_examined``:
 
 - the fine histogram is maintained by per-block integer adds and
-  subtracts (:func:`~repro.core.histogram.block_histogram`), which are
-  exact over any block partition, so it always equals a cold pass over
-  the live records;
+  subtracts (:func:`~repro.core.histogram.code_histogram` of the
+  blocks' codes, which are the cold pass's own codes), which are exact
+  over any block partition, so it always equals a cold pass over the
+  live records;
 - the adaptive grid is rebuilt from that histogram at every snapshot
   by the deterministic :func:`~repro.core.adaptive_grid.build_grid` —
   cheap, ``O(d x fine_bins)``;
@@ -38,10 +43,13 @@ depends on when (or whether) that eager rebuild runs.
 A ``spill_dir`` (single-rank sessions only) makes the session
 resumable: each delta's records are staged to disk before the
 manifest commit, segment bitmap indexes persist as ``.bmx`` siblings
-keyed on the exact records they cover, and ``resume=True`` rebuilds
-the exact live window from the manifest — re-ingesting an already
-applied sequence number is a no-op, so producers replay their last
-delta after a crash without double-counting.
+keyed on the exact records they cover, a compaction reads its parents'
+live rows back from their record files to write the merged one, and
+``resume=True`` rebuilds the exact live window from the manifest,
+computing each segment's codes from the records it reads.
+Re-ingesting an already applied sequence number is a no-op, so
+producers replay their last delta after a crash without
+double-counting.
 """
 
 from __future__ import annotations
@@ -57,7 +65,8 @@ from typing import Any
 import numpy as np
 
 from ..core.adaptive_grid import build_grid, histogram_drift
-from ..core.histogram import block_histogram, check_domains
+from ..core.histogram import (block_codes, block_histogram, check_domains,
+                              code_dtype, code_histogram)
 from ..core.identify import dense_units
 from ..core.pmafia import (_eliminate_repeat_cdus,
                            _find_candidate_dense_units, _identify_dense,
@@ -113,6 +122,15 @@ def _unlink_quiet(path: Path | None) -> None:
         os.unlink(path)
     except OSError:
         pass
+
+
+def _live_records(seg: WindowSegment) -> np.ndarray:
+    """A spilled segment's live rows, read back from its record file
+    (an empty segment has no file)."""
+    if seg.rec_path is None:
+        return np.empty((0, seg.codes.shape[0]))
+    return RecordFile(seg.rec_path).read_block(
+        seg.local_dropped, seg.local_dropped + seg.n_local)
 
 
 class StreamingSession:
@@ -266,15 +284,19 @@ class StreamingSession:
         lo, hi = block_range(g_n, self.comm.size, self.comm.rank)
         local = np.ascontiguousarray(block[lo:hi])
 
-        delta_hist = block_histogram(local, self.domains,
-                                     self.params.fine_bins)
-        incremental_allreduce(self.comm, delta_hist, self._hist)
-
+        # stage a spilled delta before any state changes: a block the
+        # record file refuses (NaN, inf) must leave the session as it was
         rec_path = None
         if self.spill_dir is not None and local.shape[0]:
             rec_path = self.spill_dir / f"seg-{seq:08d}.rec"
             write_records(rec_path, local)
-        self._window.append(WindowSegment(seq, local, g_n, lo, hi,
+
+        codes = np.empty((self.n_dims, local.shape[0]),
+                         dtype=code_dtype(self.params.fine_bins))
+        delta_hist = block_histogram(local, self.domains,
+                                     self.params.fine_bins, codes=codes)
+        incremental_allreduce(self.comm, delta_hist, self._hist)
+        self._window.append(WindowSegment(seq, codes, g_n, lo, hi,
                                           rec_path))
         self._last_seq = seq
 
@@ -298,7 +320,7 @@ class StreamingSession:
     def _expire(self, k_global: int) -> int:
         """Collectively age out the oldest ``k_global`` records,
         keeping the maintained histogram exact (integer subtraction of
-        the dropped rows' histogram)."""
+        the dropped rows' code histogram)."""
         reaped = [seg for seg in self._window.segments
                   if seg.rec_path is not None]
         dropped, total = self._window.expire(k_global)
@@ -306,9 +328,8 @@ class StreamingSession:
         if total == 0:
             return 0
         drop_hist = np.zeros_like(self._hist)
-        for rows in dropped:
-            drop_hist += block_histogram(rows, self.domains,
-                                         self.params.fine_bins)
+        for codes in dropped:
+            drop_hist += code_histogram(codes, self.params.fine_bins)
         incremental_allreduce(self.comm, -drop_hist, self._hist)
         for seg in reaped:
             if id(seg) not in live:       # fully expired spilled segment
@@ -353,23 +374,25 @@ class StreamingSession:
     def _compact(self) -> None:
         """Merge the two oldest segments until the count is back under
         ``compact_segments`` (single-rank sessions).  The merged segment
-        carries over the parents' count caches, summed for keys both
-        hold; its bitmap index is rebuilt lazily by
-        :meth:`WindowSegment.ensure_index`, the path any stale segment
-        takes."""
+        concatenates its parents' live codes and carries over their
+        count caches, summed for keys both hold; its bitmap index is
+        rebuilt lazily by :meth:`WindowSegment.ensure_index`, the path
+        any stale segment takes.  A spilled merge reads the parents'
+        live rows back from their record files to write the merged
+        segment's file."""
         while len(self._window.segments) > self.compact_segments:
             a, b = self._window.segments[0], self._window.segments[1]
             self._window.segments[:2] = [self._merge(a, b)]
 
     def _merge(self, a: WindowSegment, b: WindowSegment) -> WindowSegment:
-        records = np.ascontiguousarray(
-            np.concatenate([a.records, b.records], axis=0))
+        codes = np.concatenate([a.codes, b.codes], axis=1)
         g_size = a.g_live + b.g_live
         rec_path = None
         if self.spill_dir is not None:
             rec_path = self.spill_dir / f"seg-{b.seq:08d}c.rec"
-            write_records(rec_path, records)
-        merged = WindowSegment(b.seq, records, g_size, 0, g_size, rec_path)
+            write_records(rec_path, np.concatenate(
+                [_live_records(seg) for seg in (a, b)], axis=0))
+        merged = WindowSegment(b.seq, codes, g_size, 0, g_size, rec_path)
         fp = self._edges_fp
         if fp is not None:
             b_cache = b.cached_counts(fp)
@@ -430,14 +453,14 @@ class StreamingSession:
             if entry["file"] is None:
                 continue
             rec_path = self.spill_dir / entry["file"]
-            records = RecordFile(rec_path).read_all()
-            records = np.ascontiguousarray(records, dtype=np.float64)
-            seg = WindowSegment(entry["seq"], records, entry["g_size"],
+            codes = block_codes(RecordFile(rec_path).read_all(),
+                                self.domains, self.params.fine_bins)
+            seg = WindowSegment(entry["seq"], codes, entry["g_size"],
                                 0, entry["g_size"], rec_path)
             seg.drop_head_global(entry["g_dropped"])
             if seg.g_live:
-                self._hist += block_histogram(seg.records, self.domains,
-                                              self.params.fine_bins)
+                self._hist += code_histogram(seg.codes,
+                                             self.params.fine_bins)
                 self._window.append(seg)
         self._last_seq = int(manifest["last_seq"])
 

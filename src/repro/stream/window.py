@@ -1,15 +1,20 @@
 """Sliding-window segments: the unit of incremental state.
 
 Each ingested delta becomes one :class:`WindowSegment` holding the
-rank's local slice of the delta's records plus two lazily built,
-reusable artifacts: a per-(dim, bin) bitmap index over the slice and a
-cache of per-CDU popcounts.  Both depend only on the grid's *bin
+fine codes of the rank's local slice of the delta's records — a
+``(d, n)`` matrix of ``code_dtype(fine_bins)``, the only per-record
+state the session keeps in memory (the float records are binned once,
+at ingest) — plus two lazily built, reusable artifacts: a per-(dim,
+bin) bitmap index packed from those codes and a cache of per-CDU
+popcounts.  Both depend only on the grid's *bin
 edges* (:func:`repro.io.bitmap_index.edges_fingerprint`), so they
 survive threshold-only grid changes — the common case under steady
 traffic, where new deltas shift density thresholds every ingest but
 leave the merged bin structure alone.  A spilled segment's index is
 keyed on those edges plus the digest of exactly its live records
-(the tail of its record file left after head drops).
+(the tail of its record file left after head drops); the record file
+is read back only on resume and when a spilled compaction writes the
+merged segment's file.
 
 Window expiry is head-drop in *global* record order: the window tracks
 each segment's global size and each rank's global sub-range, so every
@@ -33,7 +38,6 @@ from ..io.artifact import quarantine
 from ..io.bitmap_index import (NO_RECORDS_DIGEST, BitmapIndex,
                                bitmap_cache_path, build_bitmap_index,
                                load_bitmap_cache)
-from ..io.chunks import ArraySource
 from ..io.records import read_header
 from ..types import Grid
 
@@ -41,7 +45,9 @@ from ..types import Grid
 class WindowSegment:
     """One delta's live slice on this rank, with cached artifacts.
 
-    ``g_size`` is the delta's *global* record count and ``[g_lo, g_hi)``
+    ``codes`` is the ``(d, n_local)`` fine-code matrix of the live
+    local records (:func:`~repro.core.histogram.block_codes` under the
+    session's domains); the segment holds no float records.  ``g_size`` is the delta's *global* record count and ``[g_lo, g_hi)``
     the global positions this rank's slice covered at ingest time;
     ``g_dropped`` counts globally expired head records and
     ``local_dropped`` the rows of them this rank held, so the live
@@ -52,19 +58,20 @@ class WindowSegment:
     changes.
     """
 
-    def __init__(self, seq: int, records: np.ndarray, g_size: int,
+    def __init__(self, seq: int, codes: np.ndarray, g_size: int,
                  g_lo: int, g_hi: int,
                  rec_path: str | os.PathLike | None = None) -> None:
-        records = np.ascontiguousarray(records, dtype=np.float64)
-        if records.ndim != 2:
-            raise DataError(f"segment records must be 2-D, got "
-                            f"{records.ndim}-D")
-        if not 0 <= g_lo <= g_hi <= g_size or g_hi - g_lo != len(records):
+        codes = np.ascontiguousarray(codes)
+        if codes.ndim != 2:
+            raise DataError(f"segment codes must be 2-D, got "
+                            f"{codes.ndim}-D")
+        if not 0 <= g_lo <= g_hi <= g_size \
+                or g_hi - g_lo != codes.shape[1]:
             raise DataError(
                 f"segment range [{g_lo}, {g_hi}) inconsistent with "
-                f"{len(records)} local records of {g_size} global")
+                f"{codes.shape[1]} local records of {g_size} global")
         self.seq = int(seq)
-        self.records = records
+        self.codes = codes
         self.g_size = int(g_size)
         self.g_lo = int(g_lo)
         self.g_hi = int(g_hi)
@@ -78,7 +85,7 @@ class WindowSegment:
     # -- bookkeeping ------------------------------------------------------
     @property
     def n_local(self) -> int:
-        return self.records.shape[0]
+        return self.codes.shape[1]
 
     @property
     def g_live(self) -> int:
@@ -86,18 +93,19 @@ class WindowSegment:
 
     # -- expiry -----------------------------------------------------------
     def drop_head_global(self, k: int) -> np.ndarray:
-        """Expire ``k`` more *global* head records; returns this rank's
-        dropped rows (for histogram subtraction) and invalidates the
-        segment's artifacts when any local row went."""
+        """Expire ``k`` more *global* head records; returns the
+        ``(d, n_drop)`` codes of this rank's dropped rows (for histogram
+        subtraction) and invalidates the segment's artifacts when any
+        local row went."""
         k = min(int(k), self.g_live)
         lo = max(self.g_lo, self.g_dropped)          # first live local pos
         hi = min(self.g_hi, self.g_dropped + k)      # end of dropped range
         n_drop = max(0, hi - lo)
         self.g_dropped += k
+        dropped = self.codes[:, :n_drop]
         if n_drop == 0:
-            return self.records[:0]
-        dropped = self.records[:n_drop].copy()
-        self.records = np.ascontiguousarray(self.records[n_drop:])
+            return dropped
+        self.codes = np.ascontiguousarray(self.codes[:, n_drop:])
         self.local_dropped += n_drop
         self.invalidate()
         return dropped
@@ -153,9 +161,9 @@ class WindowSegment:
                 self.local_dropped, self.local_dropped + self.n_local)
             index = load_bitmap_cache(path, grid, digest)
         if index is None:
-            index = build_bitmap_index(
-                ArraySource(self.records), grid, chunk_records,
-                path=path, records_digest=digest)
+            index = build_bitmap_index(None, grid, chunk_records,
+                                       path=path, records_digest=digest,
+                                       codes=self.codes)
         if self._edges_fp != edges_fp:
             self._counts.clear()
         self._index = index
@@ -171,7 +179,7 @@ class WindowSegment:
 
         A spilled tile failing its CRC on first touch is quarantined
         (:func:`repro.io.artifact.quarantine`, like a corrupt
-        checkpoint) and the index rebuilt from the segment's records —
+        checkpoint) and the index rebuilt from the segment's codes —
         corruption costs a rebuild, never a wrong count.
         """
         cached = self.cached_counts(edges_fp).get(units_key)
@@ -216,9 +224,10 @@ class SlidingWindow:
     def expire(self, k_global: int) -> tuple[list[np.ndarray], int]:
         """Expire the oldest ``k_global`` global records.
 
-        Returns ``(dropped_blocks, n_dropped_global)`` — this rank's
-        dropped row blocks in stream order (for exact histogram
-        subtraction) and the global count actually dropped.  Segments
+        Returns ``(dropped_blocks, n_dropped_global)`` — the
+        ``(d, n)`` codes of this rank's dropped rows, one block per
+        touched segment in stream order (for exact histogram
+        subtraction), and the global count actually dropped.  Segments
         whose last live record expired are removed (their spilled
         files are left for the caller's spill manager to reap).
         """
@@ -229,9 +238,9 @@ class SlidingWindow:
             if remaining <= 0:
                 break
             take = min(remaining, seg.g_live)
-            rows = seg.drop_head_global(take)
-            if rows.shape[0]:
-                dropped.append(rows)
+            codes = seg.drop_head_global(take)
+            if codes.shape[1]:
+                dropped.append(codes)
             remaining -= take
         self.segments = [s for s in self.segments if s.g_live > 0]
         return dropped, total

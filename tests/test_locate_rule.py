@@ -1,14 +1,17 @@
 """The one locate rule: a record's bin is ``lut[fine_code]``.
 
 Every bin is a run of fine histogram intervals, so bin membership and
-the fine histogram are one computation.  The load-bearing invariant is
-exact and needs no second implementation to compare against: each
-level-1 bitmap's popcount equals the sum of its bin's fine-histogram
-counts — for records on edges, outside the domain, infinite or NaN.
+the fine histogram are one computation.  Staging packs the bitmaps by
+range comparison of the fine codes against the cuts, with no lookup
+table; two oracles hold it to the rule — each level-1 bitmap's popcount
+equals the sum of its bin's fine-histogram counts, and every bit of
+every bitmap equals ``DimensionGrid.locate(x) == b`` — for records on
+edges, outside the domain, infinite or NaN.
 """
 
 from __future__ import annotations
 
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -20,8 +23,7 @@ from hypothesis import strategies as st
 import repro
 from repro import MafiaParams, mafia
 from repro.core.adaptive_grid import build_dimension_grid
-from repro.core.histogram import (block_codes, block_histogram, code_dtype,
-                                  fine_codes)
+from repro.core.histogram import block_histogram, code_dtype, fine_codes
 from repro.errors import ParameterError
 from repro.io import ArraySource
 from repro.io.bitmap_index import build_bitmap_index, index_nbytes
@@ -48,12 +50,17 @@ def grids_and_records(draw):
     edges, their float neighbours, the specials and values in and
     around the domain."""
     d = draw(st.integers(1, 3))
+    # production grids share one n_fine (so one code dtype); mixed
+    # widths stress per-dimension cut dtypes
+    shared = draw(st.one_of(st.none(), st.sampled_from(FINE_BINS)))
     dims = []
     for j in range(d):
         lo, hi = draw(st.sampled_from(DOMAINS))
-        n_fine = draw(st.sampled_from(FINE_BINS))
-        inner = draw(st.sets(st.integers(1, max(1, n_fine - 1)),
-                             max_size=min(12, n_fine - 1)))
+        n_fine = shared or draw(st.sampled_from(FINE_BINS))
+        one_bin = draw(st.integers(0, 3)) == 0
+        inner = set() if one_bin else draw(
+            st.sets(st.integers(1, max(1, n_fine - 1)),
+                    max_size=min(12, n_fine - 1)))
         cuts = (0, *sorted(inner), n_fine)
         dims.append(DimensionGrid(dim=j, lo=lo, hi=hi, n_fine=n_fine,
                                   cuts=cuts,
@@ -68,7 +75,7 @@ def grids_and_records(draw):
                      st.sampled_from(edges.tolist()),
                      st.sampled_from(near.tolist()),
                      st.floats(low, low + span * 1.2, allow_nan=False))
-    n = draw(st.sampled_from([0, 1, 7, 9, 23, 64, 130]))
+    n = draw(st.sampled_from([0, 1, 7, 8, 9, 23, 64, 130]))
     records = np.array(
         draw(st.lists(st.lists(pool, min_size=d, max_size=d),
                       min_size=n, max_size=n)),
@@ -92,11 +99,7 @@ class TestInvariant:
     def test_level1_popcount_is_fine_histogram_sum(self, case):
         grid, records, chunk = case
         n = len(records)
-        codes = np.empty((grid.ndim, n), dtype=np.uint16)
-        for dg in grid:
-            codes[dg.dim] = block_codes(records[:, [dg.dim]],
-                                        np.array([[dg.lo, dg.hi]]),
-                                        dg.n_fine)[0]
+        codes = kept_codes(grid, records)
         source = ArraySource(records)
         from_records = build_bitmap_index(source, grid, chunk)
         from_codes = build_bitmap_index(source, grid, chunk, codes=codes)
@@ -110,6 +113,75 @@ class TestInvariant:
                     (dg.dim, b)
                 assert np.array_equal(from_codes.bitmap(pair),
                                       from_records.bitmap(pair)), (dg.dim, b)
+
+
+def kept_codes(grid: Grid, records: np.ndarray) -> np.ndarray:
+    """The ``(d, n)`` codes the histogram pass keeps, in its dtype
+    (``code_dtype`` of the widest dimension: ``uint8`` up to 256 fine
+    intervals)."""
+    dtype = code_dtype(max(dg.n_fine for dg in grid))
+    codes = np.empty((grid.ndim, len(records)), dtype=dtype)
+    for dg in grid:
+        codes[dg.dim] = fine_codes(records[:, dg.dim], dg.lo,
+                                   dg.hi - dg.lo, dg.n_fine)
+    return codes
+
+
+def assert_bits_follow_locate(index, grid: Grid, records: np.ndarray,
+                              what: str) -> None:
+    """Every bit of every (dim, bin) bitmap — padding included — is
+    ``locate(x) == b``."""
+    assert index.n_records == len(records)
+    for dg in grid:
+        located = dg.locate(records[:, dg.dim])
+        for b in range(dg.nbins):
+            expected = np.packbits(located == b)
+            got = np.asarray(index.bitmap(index.pair_id(dg.dim, b)))
+            assert np.array_equal(got, expected), (what, dg.dim, b)
+
+
+class TestBitLevelOracle:
+    @given(grids_and_records())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_every_bit_is_the_locate_rule(self, case):
+        """Kept codes in the production dtype, codes-only staging (no
+        record source) and codes recomputed from the floats, each
+        resident and spilled, at chunk sizes off the byte grid."""
+        grid, records, chunk = case
+        codes = kept_codes(grid, records)
+        source = ArraySource(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            for spilled in (False, True):
+                path = Path(tmp) / "index.bmx" if spilled else None
+                for what, kwargs in (
+                        ("kept", dict(source=source, codes=codes)),
+                        ("codes-only", dict(source=None, codes=codes)),
+                        ("recomputed", dict(source=source))):
+                    index = build_bitmap_index(
+                        grid=grid, chunk_records=chunk, path=path,
+                        **kwargs)
+                    assert index.resident == (not spilled or not records.size)
+                    assert_bits_follow_locate(index, grid, records,
+                                              (what, spilled))
+                    del index
+
+    def test_top_cut_does_not_wrap_in_uint8_codes(self):
+        """At 256 fine intervals the codes are ``uint8`` and the top
+        cut (256) does not fit them: the last bin must still hold every
+        record at or above its lower cut."""
+        grid = Grid(dims=(DimensionGrid(dim=0, lo=0.0, hi=256.0,
+                                        n_fine=256, cuts=(0, 255, 256),
+                                        thresholds=(1.0, 1.0)),))
+        records = np.array([[0.0], [254.9], [255.0], [255.5], [256.0],
+                            [np.inf], [np.nan], [-1.0], [300.0]])
+        codes = kept_codes(grid, records)
+        assert codes.dtype == np.uint8
+        index = build_bitmap_index(None, grid, 8, codes=codes)
+        assert_bits_follow_locate(index, grid, records, "uint8")
+        assert np.unpackbits(index.bitmap(1))[:9].tolist() == \
+            [0, 0, 1, 1, 1, 1, 1, 0, 1]
 
 
 class TestFineCodes:
@@ -193,14 +265,19 @@ class TestUniformResplit:
 
 
 def test_no_float_search_in_the_locate_path():
-    """Bins are found by fine code and lookup table only; a
-    ``searchsorted`` over float edges is a second rule that can
-    disagree with the histogram near an edge."""
+    """Bins are found by fine code only; a ``searchsorted`` over float
+    edges is a second rule that can disagree with the histogram near
+    an edge.  Staging has one rule, codes against cuts: the bitmap
+    index and the stream engine use neither the lookup table nor
+    ``locate``, which stay the oracle (and serve's rule)."""
     package = Path(repro.__file__).parent
-    sources = [package / "types.py", package / "core" / "histogram.py",
-               package / "core" / "adaptive_grid.py",
-               package / "io" / "bitmap_index.py",
+    staging = [package / "io" / "bitmap_index.py",
                *sorted((package / "stream").rglob("*.py"))]
+    sources = [package / "types.py", package / "core" / "histogram.py",
+               package / "core" / "adaptive_grid.py", *staging]
     for source in sources:
         assert "searchsorted" not in source.read_text(encoding="utf-8"), \
             source
+    for source in staging:
+        text = source.read_text(encoding="utf-8")
+        assert ".lut" not in text and "locate(" not in text, source

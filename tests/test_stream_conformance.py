@@ -13,14 +13,19 @@ repetition) really don't.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MafiaParams, mafia
+from repro.core.histogram import block_codes, block_histogram, code_dtype
 from repro.core.pmafia import pmafia_rank
 from repro.errors import DataError
+from repro.io import RecordFile
 from repro.parallel.spmd import run_spmd
 from repro.stream import StreamingSession
 from repro.stream.soak import pairs_examined, result_fingerprint
@@ -206,3 +211,84 @@ class TestBackendConformance:
                 if not (np.isnan(stream_pairs)
                         and np.isnan(cold_pairs)):
                     assert stream_pairs == cold_pairs
+
+
+class TestSegmentsHoldCodes:
+    """A segment's only per-record state is its fine codes: after
+    ingests, head drops and compaction — spilled or not, and after a
+    resume from the manifest — every live segment's codes are
+    ``block_codes`` of its live records and the maintained histogram is
+    a cold one of the live window."""
+
+    SIZES = [37, 50, 23, 64, 41, 9, 55, 30, 48, 12, 61]
+    WINDOW = 150
+
+    def assert_codes_invariants(self, session, live) -> None:
+        offset = 0
+        for seg in session._window.segments:
+            rows = live[offset:offset + seg.n_local]
+            assert seg.codes.dtype == code_dtype(PARAMS.fine_bins)
+            assert np.array_equal(
+                seg.codes, block_codes(rows, DOMAINS, PARAMS.fine_bins))
+            if seg.rec_path is not None:
+                on_disk = RecordFile(seg.rec_path).read_block(
+                    seg.local_dropped, seg.local_dropped + seg.n_local)
+                assert np.array_equal(on_disk, rows)
+            offset += seg.n_local
+        assert offset == len(live)
+        assert np.array_equal(
+            session._hist,
+            block_histogram(live, DOMAINS, PARAMS.fine_bins))
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_ingest_expire_compact_resume(self, tmp_path, spill):
+        blocks = drifting_blocks(23, self.SIZES)
+        kw = dict(window_records=self.WINDOW, compact_segments=3,
+                  drift_threshold=0.0)
+        session = StreamingSession(PARAMS, domains=DOMAINS,
+                                   spill_dir=tmp_path if spill else None,
+                                   **kw)
+        merged = False
+        for i, block in enumerate(blocks):
+            session.ingest(block)
+            live = live_window(blocks[:i + 1], self.WINDOW)
+            self.assert_codes_invariants(session, live)
+            merged |= any(seg.g_size != self.SIZES[seg.seq]
+                          for seg in session._window.segments)
+            if i % 4 == 3:
+                assert_equivalent(session.snapshot(),
+                                  mafia(live, PARAMS, domains=DOMAINS))
+        assert merged
+        session.close()
+        if spill:
+            resumed = StreamingSession(PARAMS, domains=DOMAINS,
+                                       spill_dir=tmp_path, resume=True,
+                                       **kw)
+            self.assert_codes_invariants(resumed, live)
+            assert_equivalent(resumed.snapshot(),
+                              mafia(live, PARAMS, domains=DOMAINS))
+            resumed.close()
+
+    def test_window_holds_code_bytes_not_floats(self):
+        """A W-record, d-dim window keeps about W*d bytes of ``uint8``
+        codes once its segment artifacts are dropped; float records
+        would be 8*W*d."""
+        window, d = 40_000, 6
+        params = MafiaParams(fine_bins=200, window_size=2,
+                             chunk_records=4096)
+        domains = np.array([[0.0, 1.0]] * d)
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            session = StreamingSession(params, domains=domains,
+                                       window_records=window)
+            for _ in range(10):   # each block is freed unless kept
+                session.ingest(rng.random((5_000, d)))
+            for seg in session._window.segments:
+                seg.invalidate()
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert session.n_live == window
+        assert window * d <= held < 2 * window * d, held

@@ -9,8 +9,10 @@ retry, a rebuild) but never a wrong snapshot —
 - **transient reads** — delta sources absorb transient ``OSError`` s
   under a :class:`~repro.io.resilient.RetryPolicy`;
 - **corrupt tiles** — a spilled bitmap tile failing its CRC is
-  quarantined and rebuilt from the segment's records (stale keys and
-  the other per-format faults live in ``test_artifact_faults.py``).
+  quarantined and rebuilt from the segment's codes (stale keys and
+  the other per-format faults live in ``test_artifact_faults.py``);
+- **refused deltas** — a delta the spill record file refuses leaves
+  the session unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import MafiaParams, mafia
-from repro.errors import StreamError
+from repro.errors import DataError, StreamError
 from repro.io.bitmap_index import BitmapIndex
 from repro.io.records import write_records
 from repro.io.resilient import RetryPolicy
@@ -39,6 +41,29 @@ def spilled_session(tmp_path, **kw):
     return StreamingSession(PARAMS, domains=DOMAINS,
                             window_records=WINDOW, spill_dir=tmp_path,
                             **kw)
+
+
+class TestRefusedDelta:
+    def test_unstageable_delta_leaves_session_unchanged(self, tmp_path):
+        """A spilled session refuses a NaN record (record files hold
+        finite values only) before touching its histogram, so the next
+        snapshot still equals the cold run over the live window."""
+        blocks = drifting_blocks(31, [60, 70, 80])
+        session = spilled_session(tmp_path)
+        session.ingest(blocks[0])
+        hist = session._hist.copy()
+        bad = blocks[1].copy()
+        bad[5, 1] = np.nan
+        with pytest.raises(DataError):
+            session.ingest(bad)
+        assert session.last_seq == 0
+        assert np.array_equal(session._hist, hist)
+        for block in blocks[1:]:
+            session.ingest(block)
+        assert_equivalent(session.snapshot(),
+                          mafia(live_window(blocks, WINDOW), PARAMS,
+                                domains=DOMAINS))
+        session.close()
 
 
 class TestKillResume:

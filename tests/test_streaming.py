@@ -309,6 +309,7 @@ class TestSegmentCountsFollowBinEdges:
     grid is re-binned, so they must be recounted, never served."""
 
     def test_same_units_recount_under_new_edges(self):
+        from repro.core.histogram import block_codes
         from repro.core.units import UnitTable
         from repro.io.bitmap_index import edges_fingerprint
         from repro.stream.window import WindowSegment
@@ -321,7 +322,8 @@ class TestSegmentCountsFollowBinEdges:
 
         records = np.array([[1.0, 1.0], [3.0, 3.0], [6.0, 6.0],
                             [9.0, 9.0]])
-        seg = WindowSegment(0, records, 4, 0, 4)
+        codes = block_codes(records, np.array([[0.0, 10.0]] * 2), 10)
+        seg = WindowSegment(0, codes, 4, 0, 4)
         units = UnitTable.from_pairs([[(0, 0), (1, 0)]])
         key = b"bin 0 of both dims"
         grid_a, grid_b = grid((0, 5, 10)), grid((0, 2, 10))
