@@ -26,10 +26,11 @@ from typing import Any
 import numpy as np
 
 from ..core.identify import dense_units
-from ..core.mafia import PMafiaRun
+from ..core.mafia import PMafiaRun, _collect_run
 from ..core.pmafia import (Registered, _eliminate_repeat_cdus,
                            _find_candidate_dense_units, _identify_dense,
-                           _local_view, _maximal_registrations)
+                           _level_one_cdus, _local_view,
+                           _maximal_registrations)
 from ..core.population import IndexedPopulator, populate_global
 from ..core.result import ClusteringResult, LevelTrace
 from ..core.units import UnitTable
@@ -46,16 +47,6 @@ from ..types import Cluster, DNFTerm, Grid, Subspace
 from .cover import minimal_cover
 from .grid import uniform_grid
 from .join import apriori_prune, prefix_join_block
-
-
-def _level_one_units(grid: Grid) -> UnitTable:
-    dims = []
-    bins = []
-    for dg in grid:
-        dims.extend([dg.dim] * dg.nbins)
-        bins.extend(range(dg.nbins))
-    return UnitTable(dims=np.asarray(dims, dtype=np.uint8)[:, None],
-                     bins=np.asarray(bins, dtype=np.uint8)[:, None])
 
 
 def clique_clusters(grid: Grid, registered: Registered
@@ -132,7 +123,7 @@ def clique_rank(comm: Comm, data: Any, params: CliqueParams | None = None,
                           n_cdus=cdus.n_units, n_dense=ndu,
                           dense=dense, dense_counts=dense_counts)
 
-    cdus = _level_one_units(grid)
+    cdus = _level_one_cdus(grid)
     trace: list[LevelTrace] = [level_pass(cdus, cdus.n_units, 1)]
     current = trace[-1]
     while current.n_dense > 0 and current.level < params.max_dimensionality:
@@ -180,13 +171,4 @@ def pclique(data: Any, nprocs: int, params: CliqueParams | None = None,
         backend = "serial"
     ranks = run_spmd(clique_rank, nprocs, backend=backend, machine=machine,
                      collectives=collectives, args=(data, params, domains))
-    results = [r.value for r in ranks]
-    first = results[0]
-    for other in results[1:]:
-        if (other.cdus_per_level() != first.cdus_per_level()
-                or other.dense_per_level() != first.dense_per_level()
-                or len(other.clusters) != len(first.clusters)):
-            raise DataError("ranks disagree on the clustering result")
-    return PMafiaRun(result=first, nprocs=nprocs, backend=backend,
-                     rank_times=tuple(r.time for r in ranks),
-                     counters=tuple(r.counters for r in ranks))
+    return _collect_run(ranks, nprocs, backend)

@@ -19,7 +19,8 @@ Per level the driver performs, exactly as Algorithms 2-6 prescribe:
 
 The loop terminates when no dense units remain; the parent then
 assembles clusters from the maximal dense units of every level and
-broadcasts the result (print-clusters()).
+broadcasts the result (print-clusters()).  That loop is
+:func:`walk_lattice`, which the streaming snapshot runs too.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -96,10 +97,6 @@ def _level_one_cdus(grid: Grid) -> UnitTable:
         bins.extend(range(dg.nbins))
     return UnitTable(dims=np.asarray(dims, dtype=np.uint8)[:, None],
                      bins=np.asarray(bins, dtype=np.uint8)[:, None])
-
-
-#: public alias — the streaming engine seeds its level loop here too
-level_one_cdus = _level_one_cdus
 
 
 def _find_candidate_dense_units(comm: Comm, dense: UnitTable, tau: int,
@@ -249,8 +246,6 @@ def registrations_for_report(trace: tuple[LevelTrace, ...],
 
     ``"paper"`` reports the units registered during the level loop
     verbatim; ``"maximal"`` / ``"merged"`` re-derive them from the
-    trace.  Shared by the batch driver and the streaming snapshot so
-    both assemble clusters from the same registrations for the same
     trace.
     """
     if report == "maximal":
@@ -283,6 +278,97 @@ def assemble_clusters(grid: Grid, registered: Registered
     clusters.sort(key=lambda c: (-c.dimensionality, c.subspace.dims,
                                  c.units_bins.tolist()))
     return tuple(clusters)
+
+
+def walk_lattice(comm: Comm, grid: Grid, params: MafiaParams,
+                 count: Callable[[UnitTable, np.ndarray | None],
+                                 np.ndarray],
+                 obs: RankObs | None,
+                 trace: list[LevelTrace], registered: Registered,
+                 on_level: Callable[[int], None] | None = None
+                 ) -> tuple[tuple[LevelTrace, ...], tuple[Cluster, ...]]:
+    """Algorithm 2's level loop over a fixed grid, then print-clusters().
+
+    Per level: join the dense units (Algorithm 3), register the
+    non-combinable ones, drop repeats (Algorithm 4), populate through
+    ``count`` and identify the dense units (Algorithm 5).  The walk
+    continues from ``trace`` / ``registered`` (both extended in place;
+    empty for a fresh walk) and calls ``on_level(level)`` after each
+    completed level.  Rank 0 then assembles the clusters under
+    ``params.report`` and broadcasts them.
+
+    ``count(cdus, order)`` returns one level's global per-CDU counts;
+    ``order`` is the CDUs' lexicographic permutation, which the dedup
+    computes anyway (``None`` at level 1).  It is the only part that
+    differs between the batch driver (``populate_global`` over the
+    staged index) and the streaming snapshot (per-segment counts).
+    """
+    def level_pass(cdus: UnitTable, raw_count: int, level: int,
+                   order: np.ndarray | None = None) -> LevelTrace:
+        fault_site(comm, "populate", level)
+        with _ospan(obs, "level", cat="level", level=level) as sp:
+            with _ospan(obs, "population", cat="phase"):
+                counts = count(cdus, order)
+            mask, ndu = _identify_dense(comm, cdus, counts, grid,
+                                        params.tau, params.min_bin_points)
+            if sp is not None:
+                sp["n_cdus"] = cdus.n_units
+                sp["n_dense"] = ndu
+            if obs is not None:
+                obs.level_stats(level, raw_count, cdus.n_units, ndu)
+            dense, dense_counts = dense_units(cdus, counts, mask)
+            return LevelTrace(level=level, n_cdus_raw=raw_count,
+                              n_cdus=cdus.n_units, n_dense=ndu,
+                              dense=dense, dense_counts=dense_counts)
+
+    def completed(level: int) -> None:
+        if on_level is not None:
+            on_level(level)
+
+    if not trace:
+        cdus = _level_one_cdus(grid)
+        trace.append(level_pass(cdus, cdus.n_units, 1))
+        completed(1)
+    current = trace[-1]
+    while current.n_dense > 0:
+        dense, dense_counts = current.dense, current.dense_counts
+        if current.level >= params.max_dimensionality:
+            registered.append((dense, dense_counts))
+            break
+        fault_site(comm, "join", current.level)
+        with _ospan(obs, "join", cat="phase"):
+            raw, combined = _find_candidate_dense_units(comm, dense,
+                                                        params.tau)
+        # non-combinable dense units are registered as potential clusters
+        if (~combined).any():
+            registered.append((dense.select(~combined),
+                               dense_counts[~combined]))
+        if raw.n_units == 0:
+            if combined.any():
+                registered.append((dense.select(combined),
+                                   dense_counts[combined]))
+            break
+        fault_site(comm, "dedup", current.level)
+        with _ospan(obs, "dedup", cat="phase"):
+            cdus, pop_order = _eliminate_repeat_cdus(comm, raw, params.tau,
+                                                     want_order=True)
+        nxt = level_pass(cdus, raw.n_units, current.level + 1,
+                         order=pop_order)
+        trace.append(nxt)
+        if nxt.n_dense == 0 and combined.any():
+            # the combinable units were the top of the lattice after all
+            registered.append((dense.select(combined),
+                               dense_counts[combined]))
+        current = nxt
+        completed(current.level)
+    with _ospan(obs, "assembly", cat="phase"):
+        clusters = None
+        if comm.rank == 0:
+            reg = registrations_for_report(tuple(trace), registered,
+                                           params.report)
+            clusters = assemble_clusters(grid, reg)
+        clusters = comm.bcast(clusters, root=0)
+    return tuple(trace), clusters
 
 
 def pmafia_rank(comm: Comm, data: Any, params: MafiaParams | None = None,
@@ -355,9 +441,7 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
                 if obs is not None:
                     obs.checkpoint_restored(state["level"])
 
-    def save_level(level: int, trace: list[LevelTrace],
-                   registered: Registered, grid: Grid,
-                   domains: np.ndarray) -> None:
+    def save_level(level: int) -> None:
         if checkpoint_dir is None or comm.rank != 0:
             return
         with _ospan(obs, "checkpoint_save", cat="checkpoint", level=level):
@@ -421,25 +505,10 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
     del codes
     indexed = IndexedPopulator(index)
 
-    def level_pass(cdus: UnitTable, raw_count: int, level: int,
-                   order: np.ndarray | None = None) -> LevelTrace:
-        fault_site(comm, "populate", level)
-        with _ospan(obs, "level", cat="level", level=level) as sp:
-            with _ospan(obs, "population", cat="phase"):
-                counts = populate_global(source, comm, grid, cdus,
-                                         params.chunk_records, start, stop,
-                                         retry, indexed=indexed, order=order)
-            mask, ndu = _identify_dense(comm, cdus, counts, grid,
-                                        params.tau, params.min_bin_points)
-            if sp is not None:
-                sp["n_cdus"] = cdus.n_units
-                sp["n_dense"] = ndu
-            if obs is not None:
-                obs.level_stats(level, raw_count, cdus.n_units, ndu)
-            dense, dense_counts = dense_units(cdus, counts, mask)
-            return LevelTrace(level=level, n_cdus_raw=raw_count,
-                              n_cdus=cdus.n_units, n_dense=ndu,
-                              dense=dense, dense_counts=dense_counts)
+    def count(cdus: UnitTable, order: np.ndarray | None) -> np.ndarray:
+        return populate_global(source, comm, grid, cdus,
+                               params.chunk_records, start, stop, retry,
+                               indexed=indexed, order=order)
 
     if state is None:
         # a fresh checkpointed run must not leave stale higher-level
@@ -449,51 +518,9 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
         # the level-0 checkpoint (grid + domains, empty frontier)
         # lets a restart after a loss during the *first* level pass
         # skip grid construction
-        save_level(0, trace, registered, grid, domains)
-    if not trace:
-        cdus = _level_one_cdus(grid)
-        trace.append(level_pass(cdus, cdus.n_units, 1))
-        save_level(1, trace, registered, grid, domains)
-    current = trace[-1]
-    while current.n_dense > 0:
-        dense, dense_counts = current.dense, current.dense_counts
-        if current.level >= params.max_dimensionality:
-            registered.append((dense, dense_counts))
-            break
-        fault_site(comm, "join", current.level)
-        with _ospan(obs, "join", cat="phase"):
-            raw, combined = _find_candidate_dense_units(comm, dense,
-                                                        params.tau)
-        # non-combinable dense units are registered as potential clusters
-        if (~combined).any():
-            registered.append((dense.select(~combined),
-                               dense_counts[~combined]))
-        if raw.n_units == 0:
-            if combined.any():
-                registered.append((dense.select(combined),
-                                   dense_counts[combined]))
-            break
-        fault_site(comm, "dedup", current.level)
-        with _ospan(obs, "dedup", cat="phase"):
-            cdus, pop_order = _eliminate_repeat_cdus(comm, raw, params.tau,
-                                                     want_order=True)
-        nxt = level_pass(cdus, raw.n_units, current.level + 1,
-                         order=pop_order)
-        trace.append(nxt)
-        if nxt.n_dense == 0 and combined.any():
-            # the combinable units were the top of the lattice after all
-            registered.append((dense.select(combined),
-                               dense_counts[combined]))
-        current = nxt
-        save_level(current.level, trace, registered, grid, domains)
-    with _ospan(obs, "assembly", cat="phase"):
-        clusters = None
-        if comm.rank == 0:
-            reg = registrations_for_report(tuple(trace), registered,
-                                           params.report)
-            clusters = assemble_clusters(grid, reg)
-        clusters = comm.bcast(clusters, root=0)
-
+        save_level(0)
+    walked, clusters = walk_lattice(comm, grid, params, count, obs, trace,
+                                    registered, on_level=save_level)
     return ClusteringResult(grid=grid, clusters=clusters,
-                            trace=tuple(trace), params=params,
+                            trace=walked, params=params,
                             n_records=n_records)

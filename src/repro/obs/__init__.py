@@ -277,7 +277,8 @@ class RankObs:
                         levels: int, cache_hits: int,
                         cache_misses: int) -> None:
         """One window snapshot: live records clustered, lattice levels
-        walked, and join/dedup cache traffic for the walk."""
+        walked, and per-segment count-cache hits/misses for the walk
+        (joins and dedups always run live)."""
         if self.metrics is None:
             return
         self.metrics.counter("stream.snapshots").inc()

@@ -9,11 +9,11 @@ keeps the codes), folded into the maintained global fine histogram
 :class:`~repro.stream.window.WindowSegment` holding those codes, and
 aged-out head records expired (exact integer subtracts of the dropped
 codes' histogram).  The float records are not kept: every later
-artifact is packed from the codes.  ``snapshot`` then runs the pMAFIA
-lattice over the live window using the *same* core passes as the cold
-batch driver — join, repeat elimination, dense identification, cluster
-assembly — with population served from per-segment bitmap indexes and
-caches.
+artifact is packed from the codes.  ``snapshot`` then runs the batch
+driver's own level loop, :func:`~repro.core.pmafia.walk_lattice`, over
+the live window — join, repeat elimination, dense identification,
+registration, cluster assembly — with population served from
+per-segment bitmap indexes and count caches.
 
 **Correctness anchor** — ``snapshot()`` is bit-identical to a cold
 batch run over exactly the live records, including ``pairs_examined``:
@@ -29,9 +29,9 @@ batch run over exactly the live records, including ``pairs_examined``:
 - per-CDU counts are exact popcounts summed over segments
   (:func:`~repro.core.population.count_units`), and popcounts are
   additive over any row partition;
-- the lattice walk calls the batch driver's own join / dedup /
-  identify / assembly functions, replaying each level's *measured*
-  pair charges when a join or dedup result is served from cache.
+- the lattice walk *is* the batch driver's walk: every join and dedup
+  runs live, so its pair charges and collectives are the cold
+  run's.
 
 The drift threshold therefore tunes **latency only**: expensive
 per-segment artifacts (bitmap indexes, count caches) depend only on
@@ -60,19 +60,14 @@ import os
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
 from ..core.adaptive_grid import build_grid, histogram_drift
 from ..core.histogram import (block_codes, block_histogram, check_domains,
                               code_dtype, code_histogram)
-from ..core.identify import dense_units
-from ..core.pmafia import (_eliminate_repeat_cdus,
-                           _find_candidate_dense_units, _identify_dense,
-                           _ospan, assemble_clusters, level_one_cdus,
-                           registrations_for_report)
-from ..core.result import ClusteringResult, LevelTrace
+from ..core.pmafia import walk_lattice
+from ..core.result import ClusteringResult
 from ..core.units import UnitTable
 from ..errors import DataError, StreamError
 from ..io.artifact import read_framed, write_framed
@@ -92,27 +87,6 @@ _MANIFEST_VERSION = 1
 
 #: default segment-count ceiling before adjacent segments are merged
 DEFAULT_COMPACT_SEGMENTS = 64
-
-
-class _PairsTally:
-    """Comm proxy that measures the pair charges of one join/dedup call.
-
-    Charges pass through to the wrapped communicator unchanged (the
-    virtual clock and metrics see the live call exactly as the batch
-    driver's); the measured total is stored with the cached result so a
-    later cache hit replays the identical per-rank charge.
-    """
-
-    def __init__(self, comm: Comm) -> None:
-        self._comm = comm
-        self.pairs = 0.0
-
-    def charge_pairs(self, pairs: float) -> None:
-        self.pairs += pairs
-        self._comm.charge_pairs(pairs)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._comm, name)
 
 
 def _unlink_quiet(path: Path | None) -> None:
@@ -213,8 +187,6 @@ class StreamingSession:
         self._last_seq = -1
         self._edges_fp: bytes | None = None
         self._grid_hist: np.ndarray | None = None
-        self._join_cache: dict[tuple, tuple[bytes, bytes, float]] = {}
-        self._dedup_cache: dict[bytes, tuple[bytes, float]] = {}
         self._closed = False
         self.obs = RankObs.create(self.params, self.comm)
 
@@ -263,7 +235,10 @@ class StreamingSession:
         The root rank passes the ``(n, d)`` record block (other ranks
         may pass ``None``); ``seq`` defaults to ``last_seq + 1`` and
         must otherwise be exactly the next number — gaps mean lost
-        deltas and raise :class:`~repro.errors.StreamError`.
+        deltas and raise :class:`~repro.errors.StreamError`.  A delta
+        holding a NaN or infinite value raises
+        :class:`~repro.errors.DataError` on every rank and changes
+        nothing, spilled or not.
         """
         self._check_open("ingest")
         t0 = time.perf_counter()
@@ -272,6 +247,10 @@ class StreamingSession:
             raise DataError(
                 f"delta has {block.shape[1]} dimensions, session has "
                 f"{self.n_dims}")
+        # one ingest rule for every session kind: a spilled session's
+        # record file could not hold such a delta, so none takes it
+        if not np.isfinite(block).all():
+            raise DataError("delta contains NaN or infinite values")
         if seq is None:
             seq = self._last_seq + 1
         seq = int(seq)
@@ -285,7 +264,7 @@ class StreamingSession:
         local = np.ascontiguousarray(block[lo:hi])
 
         # stage a spilled delta before any state changes: a block the
-        # record file refuses (NaN, inf) must leave the session as it was
+        # record file refuses must leave the session as it was
         rec_path = None
         if self.spill_dir is not None and local.shape[0]:
             rec_path = self.spill_dir / f"seg-{seq:08d}.rec"
@@ -470,34 +449,51 @@ class StreamingSession:
         over exactly the live records (same params, same domains, same
         communicator size), including per-rank ``pairs_examined``.
 
-        With ``params.trace`` / ``params.metrics`` set, the result
-        carries a fresh per-snapshot observability export in ``.obs``,
-        directly comparable to the cold run's.
+        The lattice walk is the batch driver's
+        :func:`~repro.core.pmafia.walk_lattice`, with population served
+        from the segments (:meth:`_populate`).  With ``params.trace`` /
+        ``params.metrics`` set, the result carries a fresh per-snapshot
+        observability export in ``.obs``, directly comparable to the
+        cold run's.
         """
         self._check_open("snapshot")
         t0 = time.perf_counter()
+        self._snap_hits = 0
+        self._snap_misses = 0
         obs = RankObs.create(self.params, self.comm)
+
+        def walk() -> ClusteringResult:
+            grid = self._current_grid()
+            trace, clusters = walk_lattice(
+                self.comm, grid, self.params,
+                lambda cdus, order: self._populate(cdus, grid, order),
+                obs, [], [])
+            return ClusteringResult(grid=grid, clusters=clusters,
+                                    trace=trace, params=self.params,
+                                    n_records=self._window.g_live)
+
         if obs is None:
-            result = self._snapshot_inner(None)
+            result = walk()
         else:
             with obs.activate(self.comm):
                 with obs.span("snapshot", cat="run", rank=self.comm.rank,
                               size=self.comm.size):
-                    result = self._snapshot_inner(obs)
+                    result = walk()
             result = replace(result, obs=obs.export())
         if self.obs is not None:
-            hits = self._snap_hits
-            misses = self._snap_misses
             self.obs.stream_snapshot(
                 result.n_records, time.perf_counter() - t0,
-                levels=len(result.trace), cache_hits=hits,
-                cache_misses=misses)
+                levels=len(result.trace), cache_hits=self._snap_hits,
+                cache_misses=self._snap_misses)
         return result
 
-    def _populate(self, cdus: UnitTable, grid) -> np.ndarray:
+    def _populate(self, cdus: UnitTable, grid,
+                  order: np.ndarray | None) -> np.ndarray:
         """Global per-CDU counts of the live window: exact per-segment
         popcounts summed locally, then one sum-allreduce — identical to
-        the batch pass over the concatenated live records."""
+        the batch pass over the concatenated live records.  ``order``
+        is the CDUs' lexicographic permutation, shared by every
+        segment's count."""
         local = np.zeros(cdus.n_units, dtype=np.int64)
         if cdus.n_units:
             key = hashlib.sha256(cdus.tobytes()).digest()
@@ -510,7 +506,7 @@ class StreamingSession:
                     self._snap_misses += 1
                 local += seg.counts_for(
                     cdus, key, grid, self._edges_fp,
-                    self.params.chunk_records,
+                    self.params.chunk_records, order=order,
                     on_quarantine=self._on_quarantine)
         if self.comm.size == 1:
             return local
@@ -519,103 +515,3 @@ class StreamingSession:
     def _on_quarantine(self, path: str) -> None:
         if self.obs is not None:
             self.obs.stream_quarantine(path)
-
-    def _join(self, dense: UnitTable, level: int,
-              obs: RankObs | None) -> tuple[UnitTable, np.ndarray]:
-        """The level join, served from the session cache when this
-        exact dense table was joined before.  A hit replays
-        the measured per-rank pair charge, so the virtual clock and the
-        ``join.pairs_examined`` metric advance exactly as the live call
-        would."""
-        key = (level, dense.tobytes())
-        hit = self._join_cache.get(key)
-        if hit is not None:
-            full_bytes, combined_bytes, pairs = hit
-            self._snap_hits += 1
-            self.comm.charge_pairs(pairs)
-            if obs is not None:
-                obs.add_pairs("join", pairs)
-            return (UnitTable.frombytes(full_bytes),
-                    np.frombuffer(combined_bytes, dtype=bool).copy())
-        self._snap_misses += 1
-        tally = _PairsTally(self.comm)
-        raw, combined = _find_candidate_dense_units(
-            tally, dense, self.params.tau)
-        self._join_cache[key] = (raw.tobytes(),
-                                 np.ascontiguousarray(combined).tobytes(),
-                                 tally.pairs)
-        return raw, combined
-
-    def _dedup(self, raw: UnitTable, obs: RankObs | None) -> UnitTable:
-        """Repeat elimination, cached like :meth:`_join`."""
-        key = raw.tobytes()
-        hit = self._dedup_cache.get(key)
-        if hit is not None:
-            cdus_bytes, pairs = hit
-            self._snap_hits += 1
-            self.comm.charge_pairs(pairs)
-            if obs is not None:
-                obs.add_pairs("dedup", pairs)
-            return UnitTable.frombytes(cdus_bytes)
-        self._snap_misses += 1
-        tally = _PairsTally(self.comm)
-        cdus, _ = _eliminate_repeat_cdus(tally, raw, self.params.tau)
-        self._dedup_cache[key] = (cdus.tobytes(), tally.pairs)
-        return cdus
-
-    def _snapshot_inner(self, obs: RankObs | None) -> ClusteringResult:
-        self._snap_hits = 0
-        self._snap_misses = 0
-        comm, params = self.comm, self.params
-        grid = self._current_grid()
-        n_live = self._window.g_live
-
-        def level_pass(cdus: UnitTable, raw_count: int, level: int
-                       ) -> LevelTrace:
-            counts = self._populate(cdus, grid)
-            mask, ndu = _identify_dense(comm, cdus, counts, grid,
-                                        params.tau, params.min_bin_points)
-            if obs is not None:
-                obs.level_stats(level, raw_count, cdus.n_units, ndu)
-            dense, dense_counts = dense_units(cdus, counts, mask)
-            return LevelTrace(level=level, n_cdus_raw=raw_count,
-                              n_cdus=cdus.n_units, n_dense=ndu,
-                              dense=dense, dense_counts=dense_counts)
-
-        trace: list[LevelTrace] = []
-        registered: list = []
-        cdus = level_one_cdus(grid)
-        trace.append(level_pass(cdus, cdus.n_units, 1))
-        current = trace[-1]
-        while current.n_dense > 0:
-            dense, dense_counts = current.dense, current.dense_counts
-            if current.level >= params.max_dimensionality:
-                registered.append((dense, dense_counts))
-                break
-            raw, combined = self._join(dense, current.level, obs)
-            if (~combined).any():
-                registered.append((dense.select(~combined),
-                                   dense_counts[~combined]))
-            if raw.n_units == 0:
-                if combined.any():
-                    registered.append((dense.select(combined),
-                                       dense_counts[combined]))
-                break
-            cdus = self._dedup(raw, obs)
-            nxt = level_pass(cdus, raw.n_units, current.level + 1)
-            trace.append(nxt)
-            if nxt.n_dense == 0 and combined.any():
-                registered.append((dense.select(combined),
-                                   dense_counts[combined]))
-            current = nxt
-
-        with _ospan(obs, "assembly", cat="phase"):
-            clusters = None
-            if comm.rank == 0:
-                reg = registrations_for_report(tuple(trace), registered,
-                                               params.report)
-                clusters = assemble_clusters(grid, reg)
-            clusters = comm.bcast(clusters, root=0)
-        return ClusteringResult(grid=grid, clusters=clusters,
-                                trace=tuple(trace), params=params,
-                                n_records=n_live)

@@ -172,10 +172,13 @@ class WindowSegment:
 
     def counts_for(self, units, units_key: bytes, grid: Grid,
                    edges_fp: bytes, chunk_records: int, *,
+                   order: np.ndarray | None = None,
                    on_quarantine: Callable[[str], None] | None = None
                    ) -> np.ndarray:
         """Exact per-unit counts of this segment's live local records,
-        cached per (edges, unit-table) pair.
+        cached per (edges, unit-table) pair.  ``order`` forwards the
+        units' precomputed lexicographic permutation to
+        :func:`~repro.core.population.count_units`.
 
         A spilled tile failing its CRC on first touch is quarantined
         (:func:`repro.io.artifact.quarantine`, like a corrupt
@@ -187,7 +190,7 @@ class WindowSegment:
             return cached
         index = self.ensure_index(grid, edges_fp, chunk_records)
         try:
-            counts = count_units(index, units)
+            counts = count_units(index, units, order=order)
         except ChecksumError:
             path = self._index_path()
             if path is None or not path.exists():
@@ -197,7 +200,7 @@ class WindowSegment:
                 on_quarantine(str(quarantined))
             self.invalidate()
             index = self.ensure_index(grid, edges_fp, chunk_records)
-            counts = count_units(index, units)
+            counts = count_units(index, units, order=order)
         self._counts[units_key] = counts
         return counts
 

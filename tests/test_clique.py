@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.clique import (apriori_prune, clique, pclique, prefix_join_all,
                           uniform_grid)
 from repro.core.candidates import join_all
 from repro.core.units import UnitTable
-from repro.errors import GridError
+from repro.errors import DataError, GridError
 from repro.params import CliqueParams
 from tests.conftest import DOMAINS_10D
 
@@ -158,6 +160,42 @@ class TestCliqueEndToEnd:
                                    chunk_records=5000), domains=DOMAINS_10D)
         assert sum(low.dense_per_level().values()) > \
             sum(high.dense_per_level().values())
+
+
+class TestSharedDriverHelpers:
+    def test_too_many_dimensions_is_a_data_error(self):
+        """CLIQUE seeds its lattice with the driver's level-one CDUs, so
+        past the byte-array dimension limit it refuses the data the way
+        ``mafia()`` does, not with a raw numpy overflow."""
+        records = np.random.default_rng(3).random((64, 260))
+        for run in (lambda: clique(records, CliqueParams(bins=4)),
+                    lambda: mafia(records)):
+            with pytest.raises(DataError, match="260 dimensions"):
+                run()
+
+    def test_pclique_rejects_disagreeing_ranks(self, monkeypatch,
+                                               two_cluster_dataset):
+        """``pclique`` bundles its ranks through the driver's
+        cross-check, which refuses ranks that disagree."""
+        # ``repro.clique``'s ``clique`` function shadows the module
+        clique_module = importlib.import_module("repro.clique.clique")
+        real = clique_module.clique_rank
+
+        def skewed(comm, *args):
+            result = real(comm, *args)
+            if comm.rank == 1:
+                result = result.__class__(
+                    grid=result.grid, clusters=result.clusters[1:],
+                    trace=result.trace, params=result.params,
+                    n_records=result.n_records)
+            return result
+
+        monkeypatch.setattr(clique_module, "clique_rank", skewed)
+        with pytest.raises(DataError, match="disagree"):
+            pclique(two_cluster_dataset.records, 2,
+                    CliqueParams(bins=8, threshold=0.01,
+                                 chunk_records=5000),
+                    domains=DOMAINS_10D)
 
 
 class TestParallelClique:

@@ -11,10 +11,12 @@ the fault plan's injection counts).
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,13 +189,42 @@ class TestSpanIntegrity:
 
     def test_stream_report_masks_timed_in_assembly(
             self, monkeypatch, one_cluster_dataset, small_params):
-        callers = self._slow_reports(monkeypatch, stream_engine)
+        # a snapshot assembles through the driver's walk, so the masks
+        # it calls are the driver module's
+        callers = self._slow_reports(monkeypatch, pmafia_module)
         with StreamingSession(small_params.with_(trace=True),
                               domains=DOMAINS_10D) as session:
             session.ingest(one_cluster_dataset.records)
             snap = session.snapshot()
         assert len(callers) == 1
         assert snap.obs.phase_seconds()["assembly"] >= 0.05
+
+    def test_stream_snapshot_records_the_driver_phases(
+            self, one_cluster_dataset, small_params):
+        """A traced snapshot walks the lattice through the batch
+        driver's loop, so it records the same level and phase spans as
+        a traced cold run — every phase but ``grid``, which a session
+        maintains at ingest."""
+        params = small_params.with_(trace=True)
+        with StreamingSession(params, domains=DOMAINS_10D) as session:
+            session.ingest(one_cluster_dataset.records)
+            snap = session.snapshot()
+        cold = mafia(one_cluster_dataset.records, params,
+                     domains=DOMAINS_10D)
+
+        def walked(result):
+            spans = result.obs.spans
+            phases = {s.name for s in spans if s.cat == "phase"}
+            levels = [s.attrs["level"] for s in spans if s.cat == "level"]
+            return phases, levels
+
+        snap_phases, snap_levels = walked(snap)
+        cold_phases, cold_levels = walked(cold)
+        assert {"population", "join", "dedup", "assembly"} <= snap_phases
+        assert snap_phases == cold_phases - {"grid"}
+        assert snap_levels == cold_levels == \
+            list(range(1, len(cold.trace) + 1))
+        assert len(cold.trace) >= 2
 
     def test_checker_flags_backwards_clock(self):
         good = Span(name="a", cat="task", rank=0, begin=1.0, end=2.0,
@@ -677,3 +708,27 @@ class TestZeroCostDisabled:
                              small_params.with_(metrics=True),
                              domains=DOMAINS_10D)
         assert metrics_only.obs.metrics and metrics_only.obs.spans == ()
+
+
+class TestOneLatticeWalk:
+    #: the level loop's building blocks: only ``walk_lattice`` may call
+    #: them, so a second copy of the loop cannot creep back
+    LOOP_FUNCTIONS = {"_find_candidate_dense_units", "_eliminate_repeat_cdus",
+                      "_identify_dense", "dense_units",
+                      "registrations_for_report", "assemble_clusters"}
+
+    def test_stream_package_names_no_loop_function(self):
+        stream_dir = Path(stream_engine.__file__).parent
+        sources = sorted(stream_dir.glob("*.py"))
+        assert any(p.name == "engine.py" for p in sources)
+        for path in sources:
+            named = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.alias):
+                    named.add(node.name.rsplit(".", 1)[-1])
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    named.add(node.id)
+            assert not named & self.LOOP_FUNCTIONS, \
+                (path.name, sorted(named & self.LOOP_FUNCTIONS))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import MafiaParams, mafia
+from repro import MafiaParams, mafia, pmafia
 from repro.core.histogram import block_codes, block_histogram, code_dtype
 from repro.core.pmafia import pmafia_rank
 from repro.errors import DataError
@@ -116,7 +116,8 @@ class TestSerialConformance:
 
     def test_repeat_snapshot_is_a_cache_replay(self):
         """A second snapshot with no ingest between replays every
-        cached join/dedup/count and still matches bit for bit."""
+        segment's cached counts (joins and dedups run live) and still
+        matches bit for bit."""
         blocks = drifting_blocks(13, [90, 100, 80])
         session = StreamingSession(PARAMS, domains=DOMAINS,
                                    window_records=200)
@@ -211,6 +212,48 @@ class TestBackendConformance:
                 if not (np.isnan(stream_pairs)
                         and np.isnan(cold_pairs)):
                     assert stream_pairs == cold_pairs
+
+
+def _repeat_snapshot_rank(comm, cfg):
+    """SPMD body: fill a window, then take three back-to-back
+    snapshots; per snapshot, this rank's virtual-clock advance and its
+    join + dedup pairs."""
+    session = StreamingSession(cfg["params"], comm=comm, domains=DOMAINS,
+                               window_records=cfg["window"])
+    for block in drifting_blocks(cfg["seed"], cfg["sizes"]):
+        session.ingest(block)
+    steps = []
+    for _ in range(3):
+        t0 = comm.time()
+        snap = session.snapshot()
+        steps.append((comm.time() - t0, pairs_examined(snap)))
+    session.close()
+    return steps
+
+
+class TestSimClock:
+    def test_repeat_snapshots_charge_the_same_virtual_time(self):
+        """With τ=0 every join and dedup is task-partitioned over the
+        two ranks, so each one's collectives cost virtual time.  A
+        snapshot repeated with no ingest between must charge exactly
+        what the first did — no result may be served from a memo that
+        skips those collectives — and its per-rank pairs must be a
+        cold sim run's."""
+        params = PARAMS.with_(tau=0)
+        cfg = {"params": params, "seed": 41, "window": 220,
+               "sizes": [60, 80, 50, 70]}
+        ranks = run_spmd(_repeat_snapshot_rank, 2, backend="sim",
+                         args=(cfg,))
+        live = live_window(drifting_blocks(41, cfg["sizes"]), 220)
+        cold = pmafia(live, 2, params, backend="sim", domains=DOMAINS)
+        for rank, rank_obs in zip(ranks, cold.obs.ranks):
+            charges = [dt for dt, _ in rank.value]
+            assert charges[0] > 0
+            assert charges == pytest.approx([charges[0]] * 3, rel=1e-12)
+            cold_pairs = sum(rank_obs.metrics[name]["value"]
+                             for name in ("join.pairs_examined",
+                                          "dedup.pairs_examined"))
+            assert [p for _, p in rank.value] == [cold_pairs] * 3
 
 
 class TestSegmentsHoldCodes:

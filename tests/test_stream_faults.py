@@ -11,8 +11,8 @@ retry, a rebuild) but never a wrong snapshot —
 - **corrupt tiles** — a spilled bitmap tile failing its CRC is
   quarantined and rebuilt from the segment's codes (stale keys and
   the other per-format faults live in ``test_artifact_faults.py``);
-- **refused deltas** — a delta the spill record file refuses leaves
-  the session unchanged.
+- **refused deltas** — a delta holding a NaN or infinite value is
+  refused by every session kind and leaves the session unchanged.
 """
 
 from __future__ import annotations
@@ -43,27 +43,53 @@ def spilled_session(tmp_path, **kw):
                             **kw)
 
 
+def _refused_everywhere_rank(comm, block):
+    """SPMD body: ingest a non-finite delta from the root; True when
+    this rank refused it and kept nothing."""
+    session = StreamingSession(PARAMS, comm=comm, domains=DOMAINS,
+                               window_records=WINDOW)
+    try:
+        session.ingest(block if comm.rank == 0 else None)
+    except DataError:
+        return session.last_seq == -1 and session.n_live == 0
+    return False
+
+
 class TestRefusedDelta:
-    def test_unstageable_delta_leaves_session_unchanged(self, tmp_path):
-        """A spilled session refuses a NaN record (record files hold
-        finite values only) before touching its histogram, so the next
-        snapshot still equals the cold run over the live window."""
+    @pytest.mark.parametrize("spill", [True, False],
+                             ids=["spilled", "unspilled"])
+    def test_unstageable_delta_leaves_session_unchanged(self, tmp_path,
+                                                        spill):
+        """Every session kind refuses a NaN or infinite record (a
+        spilled session's record file could not hold it) before
+        touching its histogram or window, so the next snapshot still
+        equals the cold run over the live window."""
         blocks = drifting_blocks(31, [60, 70, 80])
-        session = spilled_session(tmp_path)
+        session = spilled_session(tmp_path) if spill else \
+            StreamingSession(PARAMS, domains=DOMAINS, window_records=WINDOW)
         session.ingest(blocks[0])
         hist = session._hist.copy()
-        bad = blocks[1].copy()
-        bad[5, 1] = np.nan
-        with pytest.raises(DataError):
-            session.ingest(bad)
-        assert session.last_seq == 0
-        assert np.array_equal(session._hist, hist)
+        for value in (np.nan, np.inf, -np.inf):
+            bad = blocks[1].copy()
+            bad[5, 1] = value
+            with pytest.raises(DataError):
+                session.ingest(bad)
+            assert session.last_seq == 0
+            assert session.n_live == len(blocks[0])
+            assert np.array_equal(session._hist, hist)
         for block in blocks[1:]:
             session.ingest(block)
         assert_equivalent(session.snapshot(),
                           mafia(live_window(blocks, WINDOW), PARAMS,
                                 domains=DOMAINS))
         session.close()
+
+    def test_every_rank_refuses(self):
+        bad = drifting_blocks(37, [40])[0]
+        bad[3, 0] = np.inf
+        ranks = run_spmd(_refused_everywhere_rank, 2, backend="thread",
+                         args=(bad,))
+        assert [r.value for r in ranks] == [True, True]
 
 
 class TestKillResume:
