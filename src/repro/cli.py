@@ -252,7 +252,6 @@ def _stream_rank(comm: object, cfg: dict) -> dict:
     session = StreamingSession(
         cfg["params"], comm=comm, domains=cfg["domains"],
         window_records=cfg["window"],
-        drift_threshold=cfg["drift_threshold"],
         spill_dir=cfg["spill_dir"], resume=cfg["resume"])
     result = None
     applied = 0
@@ -290,7 +289,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         "path": str(args.data),
         "delta_records": args.delta_records,
         "window": args.window,
-        "drift_threshold": args.drift_threshold,
         "snapshot_every": args.snapshot_every,
         "spill_dir": (None if args.spill_dir is None
                       else str(args.spill_dir)),
@@ -469,12 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--window", type=int, default=None,
                         help="sliding-window size in records (default: "
                              "unbounded — no expiry)")
-    stream.add_argument("--drift-threshold", type=float, default=0.25,
-                        dest="drift_threshold",
-                        help="normalized histogram-drift level that "
-                             "triggers an eager index rebuild (latency "
-                             "knob only; snapshots are exact at any "
-                             "value — docs/STREAMING.md)")
     stream.add_argument("--snapshot-every", type=int, default=0,
                         dest="snapshot_every", metavar="N",
                         help="take a snapshot every N applied deltas "

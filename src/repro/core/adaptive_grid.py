@@ -128,27 +128,3 @@ def build_grid(fine_counts: np.ndarray, domains: np.ndarray, n_records: int,
                              n_records, params)
         for j in range(d)))
 
-
-def histogram_drift(current: np.ndarray, reference: np.ndarray) -> float:
-    """Normalised L1 distance between two fine histograms — the
-    streaming engine's drift metric.
-
-    ``sum(|current - reference|)`` counts every record added, expired
-    or moved since ``reference`` was taken (each mover contributes
-    twice), normalised by the reference mass so a threshold reads as
-    "fraction of the window turned over".  Purely advisory: it decides
-    *when* the session re-merges adaptive bins eagerly, never *whether*
-    a snapshot is exact (snapshots always rebuild the grid from the
-    maintained histogram and compare fingerprints).
-    """
-    current = np.asarray(current, dtype=np.int64)
-    reference = np.asarray(reference, dtype=np.int64)
-    if current.shape != reference.shape:
-        raise GridError(
-            f"histogram shapes differ: {current.shape} vs {reference.shape}")
-    moved = np.abs(current - reference).sum()
-    # every dimension's histogram counts each record once; normalise by
-    # per-dimension mass, not total cells
-    d = max(1, current.shape[0]) if current.ndim == 2 else 1
-    mass = max(1, int(reference.sum()) // d)
-    return float(moved) / d / mass

@@ -8,6 +8,8 @@ same kind of chunked local pass + Reduce when not supplied by the user.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import DataError
@@ -105,7 +107,8 @@ def code_histogram(codes: np.ndarray, fine_bins: int) -> np.ndarray:
 
 def block_histogram(block: np.ndarray, domains: np.ndarray,
                     fine_bins: int, *,
-                    codes: np.ndarray | None = None) -> np.ndarray:
+                    codes: np.ndarray | None = None,
+                    expired: Sequence[np.ndarray] = ()) -> np.ndarray:
     """``(d, fine_bins)`` histogram of one record block — the exact
     per-block operation of the batch pass, factored out so the
     streaming engine bins deltas **identically** (the same
@@ -113,13 +116,19 @@ def block_histogram(block: np.ndarray, domains: np.ndarray,
     partition, which is what makes the maintained streaming histogram
     bit-equal to a cold pass over the live records.  With ``codes`` —
     a ``(d, n)`` buffer — the block's fine codes are also kept there,
-    as :func:`fine_histogram_local` keeps them.
+    as :func:`fine_histogram_local` keeps them.  ``expired`` are the
+    ``(d, m)`` codes of records leaving a streaming window; their
+    counts are subtracted, so the result is the window histogram's
+    exact change.
     """
     domains = np.asarray(domains, dtype=np.float64)
     binned = block_codes(block, domains, fine_bins)
     if codes is not None:
         codes[...] = binned
-    return code_histogram(binned, fine_bins)
+    counts = code_histogram(binned, fine_bins)
+    for old in expired:
+        counts -= code_histogram(old, fine_bins)
+    return counts
 
 
 def fine_histogram_local(source: DataSource, comm: Comm, domains: np.ndarray,

@@ -281,34 +281,31 @@ def assemble_clusters(grid: Grid, registered: Registered
 
 
 def walk_lattice(comm: Comm, grid: Grid, params: MafiaParams,
-                 count: Callable[[UnitTable, np.ndarray | None],
-                                 np.ndarray],
-                 obs: RankObs | None,
+                 indexed: IndexedPopulator, obs: RankObs | None,
                  trace: list[LevelTrace], registered: Registered,
                  on_level: Callable[[int], None] | None = None
                  ) -> tuple[tuple[LevelTrace, ...], tuple[Cluster, ...]]:
     """Algorithm 2's level loop over a fixed grid, then print-clusters().
 
     Per level: join the dense units (Algorithm 3), register the
-    non-combinable ones, drop repeats (Algorithm 4), populate through
-    ``count`` and identify the dense units (Algorithm 5).  The walk
+    non-combinable ones, drop repeats (Algorithm 4), populate from the
+    rank's staged bitmap index ``indexed`` (:func:`populate_global`,
+    handed the CDUs' lexicographic order, which the dedup computes
+    anyway) and identify the dense units (Algorithm 5).  The walk
     continues from ``trace`` / ``registered`` (both extended in place;
     empty for a fresh walk) and calls ``on_level(level)`` after each
     completed level.  Rank 0 then assembles the clusters under
-    ``params.report`` and broadcasts them.
-
-    ``count(cdus, order)`` returns one level's global per-CDU counts;
-    ``order`` is the CDUs' lexicographic permutation, which the dedup
-    computes anyway (``None`` at level 1).  It is the only part that
-    differs between the batch driver (``populate_global`` over the
-    staged index) and the streaming snapshot (per-segment counts).
+    ``params.report`` and broadcasts them.  A batch run and a stream
+    snapshot differ only in the records ``indexed`` covers.
     """
     def level_pass(cdus: UnitTable, raw_count: int, level: int,
                    order: np.ndarray | None = None) -> LevelTrace:
         fault_site(comm, "populate", level)
         with _ospan(obs, "level", cat="level", level=level) as sp:
             with _ospan(obs, "population", cat="phase"):
-                counts = count(cdus, order)
+                counts = populate_global(None, comm, grid, cdus,
+                                         params.chunk_records,
+                                         indexed=indexed, order=order)
             mask, ndu = _identify_dense(comm, cdus, counts, grid,
                                         params.tau, params.min_bin_points)
             if sp is not None:
@@ -505,11 +502,6 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
     del codes
     indexed = IndexedPopulator(index)
 
-    def count(cdus: UnitTable, order: np.ndarray | None) -> np.ndarray:
-        return populate_global(source, comm, grid, cdus,
-                               params.chunk_records, start, stop, retry,
-                               indexed=indexed, order=order)
-
     if state is None:
         # a fresh checkpointed run must not leave stale higher-level
         # files behind for a later resume to pick up
@@ -519,8 +511,8 @@ def _pmafia_rank(comm: Comm, data: Any, params: MafiaParams,
         # lets a restart after a loss during the *first* level pass
         # skip grid construction
         save_level(0)
-    walked, clusters = walk_lattice(comm, grid, params, count, obs, trace,
-                                    registered, on_level=save_level)
+    walked, clusters = walk_lattice(comm, grid, params, indexed, obs,
+                                    trace, registered, on_level=save_level)
     return ClusteringResult(grid=grid, clusters=clusters,
                             trace=walked, params=params,
                             n_records=n_records)

@@ -69,9 +69,9 @@ def count_units(index: BitmapIndex, units: UnitTable,
     ``uint64`` view is popcounted when full.  A pass allocates those
     fixed buffers and keeps nothing.
 
-    Counts are pure popcounts, additive over any row partition: the
-    streaming engine sums per-segment counts and equals one count over
-    the concatenated records.
+    Counts are pure popcounts, independent of record order: a stream
+    snapshot counts its ring of live codes in ring order and equals one
+    count over the live records in stream order.
     """
     counts = np.zeros(units.n_units, dtype=np.int64) if out is None else out
     if out is not None:

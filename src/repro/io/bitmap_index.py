@@ -112,10 +112,9 @@ def edges_fingerprint(grid: Grid) -> bytes:
 
     Bin membership — hence every membership bitmap — depends only on
     the fine grid and its cuts; thresholds merely classify counts as
-    dense.  It is the grid half of every index key, and the streaming
-    engine keys its per-segment count caches on it, so a grid whose
-    thresholds moved (every ingest changes ``n_records``, scaling
-    thresholds) but whose bins did not keeps all staged tiles valid.
+    dense.  It is the grid half of every index key, so a grid whose
+    thresholds moved but whose bins did not keeps a spilled index
+    file valid.
     """
     return _fingerprint(grid, thresholds=False)
 
@@ -326,6 +325,34 @@ def _aligned_chunk(chunk_records: int) -> int:
     return max(8, chunk_records - (chunk_records % 8))
 
 
+def _block_chunks(blocks: Sequence[np.ndarray], chunk: int
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    """``(offset, codes)`` chunks of ``chunk`` records (the last may be
+    shorter) over the concatenation of ``(d, n_i)`` code blocks; only a
+    chunk straddling two blocks is copied."""
+    offset = 0
+    pending: list[np.ndarray] = []
+    n_pending = 0
+    for block in blocks:
+        pos = 0
+        while pos < block.shape[1]:
+            take = min(chunk - n_pending, block.shape[1] - pos)
+            piece = block[:, pos:pos + take]
+            pos += take
+            if take == chunk:
+                yield offset, piece
+                offset += chunk
+                continue
+            pending.append(piece)
+            n_pending += take
+            if n_pending == chunk:
+                yield offset, np.concatenate(pending, axis=1)
+                offset += chunk
+                pending, n_pending = [], 0
+    if pending:
+        yield offset, np.concatenate(pending, axis=1)
+
+
 def build_bitmap_index(source: DataSource | None, grid: Grid,
                        chunk_records: int, start: int = 0,
                        stop: int | None = None, *,
@@ -333,7 +360,8 @@ def build_bitmap_index(source: DataSource | None, grid: Grid,
                        records_digest: bytes = NO_RECORDS_DIGEST,
                        retry: RetryPolicy | None = None,
                        fault_state=None,
-                       codes: np.ndarray | None = None) -> BitmapIndex:
+                       codes: np.ndarray | Sequence[np.ndarray] | None = None
+                       ) -> BitmapIndex:
     """One staging pass: pack every (dim, bin) membership bitmap for the
     rank's ``[start, stop)`` block, resident (``path`` None) or into the
     on-disk tile format (published through
@@ -344,8 +372,10 @@ def build_bitmap_index(source: DataSource | None, grid: Grid,
     and each bin's bitmap is one byte-wise and-not of two adjacent
     packed rows (the range encoding of the module docstring).  The
     codes are ``codes`` — the ``(d, n)`` fine codes the histogram pass
-    kept for this block — when given; ``source`` may then be ``None``
-    and the block's size is taken from the codes.  Otherwise each chunk
+    kept for this block, or a sequence of ``(d, n_i)`` blocks whose
+    concatenation they are (a stream window's wrapped ring) — when
+    given; ``source`` may then be ``None`` and the block's size is
+    taken from the codes.  Otherwise each chunk
     is read from ``source`` through the resilient-read loop (the rank's
     ``fault_state`` is consulted before every read and transient
     failures retry under ``retry``) and its codes are computed with
@@ -359,10 +389,13 @@ def build_bitmap_index(source: DataSource | None, grid: Grid,
     is meant to be reloaded by :func:`load_bitmap_cache`.
     """
     nbins = _grid_nbins(grid)
+    blocks = None
+    if codes is not None:
+        blocks = [codes] if isinstance(codes, np.ndarray) else list(codes)
     if source is None:
-        if codes is None:
+        if blocks is None:
             raise DataError("build_bitmap_index needs records or codes")
-        n = codes.shape[-1]
+        n = sum(block.shape[-1] for block in blocks)
     else:
         if source.n_dims != grid.ndim:
             raise DataError(
@@ -374,9 +407,12 @@ def build_bitmap_index(source: DataSource | None, grid: Grid,
                 f"range [{start}, {stop}) out of bounds for "
                 f"{source.n_records} records")
         n = stop - start
-    if codes is not None and codes.shape != (grid.ndim, n):
-        raise DataError(f"codes shape {codes.shape} does not match "
-                        f"({grid.ndim}, {n})")
+    if blocks is not None and (
+            sum(block.shape[-1] for block in blocks) != n
+            or any(block.ndim != 2 or block.shape[0] != grid.ndim
+                   for block in blocks)):
+        raise DataError(f"codes shapes {[b.shape for b in blocks]} do "
+                        f"not match ({grid.ndim}, {n})")
     chunk = _aligned_chunk(chunk_records)
     n_pairs = sum(nbins)
     row_bytes = -(-n // 8)
@@ -388,9 +424,8 @@ def build_bitmap_index(source: DataSource | None, grid: Grid,
     key = edges_fingerprint(grid) + bytes(records_digest)
 
     def code_chunks() -> Iterator[tuple[int, Sequence[np.ndarray]]]:
-        if codes is not None:
-            for offset in range(0, n, chunk):
-                yield offset, codes[:, offset:offset + chunk]
+        if blocks is not None:
+            yield from _block_chunks(blocks, chunk)
             return
         for offset, raw in _source_chunks(source, chunk, start, stop,
                                           retry, fault_state):

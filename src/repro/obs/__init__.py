@@ -251,7 +251,7 @@ class RankObs:
                       seconds: float) -> None:
         """One delta applied to a streaming session: records appended,
         the sequence number it carried, and the wall time of the apply
-        (bin + histogram update + segment build)."""
+        (bin + expiry + histogram update)."""
         if self.metrics is None:
             return
         self.metrics.counter("stream.deltas").inc()
@@ -265,36 +265,15 @@ class RankObs:
         if self.metrics is not None:
             self.metrics.counter("stream.records_expired").inc(n_records)
 
-    def stream_rebin(self, drift: float) -> None:
-        """Histogram drift crossed the threshold: adaptive bins were
-        re-merged and the per-segment indexes rebuilt eagerly."""
-        self.instant("stream.rebin", cat="stream", drift=drift)
-        if self.metrics is not None:
-            self.metrics.counter("stream.rebins").inc()
-            self.metrics.gauge("stream.last_drift").set(drift)
-
-    def stream_snapshot(self, n_live: int, seconds: float, *,
-                        levels: int, cache_hits: int,
-                        cache_misses: int) -> None:
-        """One window snapshot: live records clustered, lattice levels
-        walked, and per-segment count-cache hits/misses for the walk
-        (joins and dedups always run live)."""
+    def stream_snapshot(self, n_live: int, seconds: float) -> None:
+        """One window snapshot: live records clustered and its wall
+        time."""
         if self.metrics is None:
             return
         self.metrics.counter("stream.snapshots").inc()
-        self.metrics.counter("stream.snapshot_cache_hits").inc(cache_hits)
-        self.metrics.counter("stream.snapshot_cache_misses").inc(
-            cache_misses)
         self.metrics.gauge("stream.live_records").set(n_live)
         self.metrics.histogram("stream.snapshot_latency_us").observe(
             seconds * 1e6)
-
-    def stream_quarantine(self, path: str) -> None:
-        """A spilled segment tile failed its CRC check and was renamed
-        aside; the segment was rebuilt from its record file."""
-        self.instant("stream.quarantine", cat="stream", path=path)
-        if self.metrics is not None:
-            self.metrics.counter("stream.tile_quarantines").inc()
 
     # -- export ----------------------------------------------------------
     def phase_seconds(self) -> dict[str, float]:

@@ -2,8 +2,8 @@
 
 The package turns the cold batch pipeline into a long-running service:
 :class:`~repro.stream.engine.StreamingSession` ingests ordered record
-deltas, maintains the per-dimension fine histogram and per-segment
-bitmap indexes in place, expires aged-out records, and serves
+deltas, maintains the per-dimension fine histogram and a ring of the
+live records' fine codes in place, expires aged-out records, and serves
 :meth:`~repro.stream.engine.StreamingSession.snapshot` — a clustering
 of the live window that is **bit-identical** to a cold batch run over
 exactly the live records (the differential oracle enforced by

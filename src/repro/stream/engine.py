@@ -4,16 +4,15 @@ A session is a long-running, incrementally maintained clustering over a
 sliding window of records.  ``ingest`` applies one ordered delta:
 broadcast to every rank, sliced into per-rank shares, binned once into
 fine codes by :func:`~repro.core.histogram.block_histogram` (which
-keeps the codes), folded into the maintained global fine histogram
-(exact integer adds), appended as a
-:class:`~repro.stream.window.WindowSegment` holding those codes, and
-aged-out head records expired (exact integer subtracts of the dropped
-codes' histogram).  The float records are not kept: every later
-artifact is packed from the codes.  ``snapshot`` then runs the batch
-driver's own level loop, :func:`~repro.core.pmafia.walk_lattice`, over
-the live window — join, repeat elimination, dense identification,
-registration, cluster assembly — with population served from
-per-segment bitmap indexes and count caches.
+keeps the codes, and subtracts the counts of the aged-out head
+records' codes, expired first) and appended to the rank's code ring as
+one :class:`~repro.stream.window.WindowSegment`; one sum-allreduce of
+that histogram change maintains the global fine histogram.  The float
+records are not kept.  ``snapshot`` stages one transient bitmap index
+of the rank's whole live ring and runs the batch run's own level loop,
+:func:`~repro.core.pmafia.walk_lattice`, over it — join, repeat
+elimination, population, dense identification, registration, cluster
+assembly — exactly as a cold run over its staged index does.
 
 **Correctness anchor** — ``snapshot()`` is bit-identical to a cold
 batch run over exactly the live records, including ``pairs_examined``:
@@ -26,52 +25,43 @@ batch run over exactly the live records, including ``pairs_examined``:
 - the adaptive grid is rebuilt from that histogram at every snapshot
   by the deterministic :func:`~repro.core.adaptive_grid.build_grid` —
   cheap, ``O(d x fine_bins)``;
-- per-CDU counts are exact popcounts summed over segments
-  (:func:`~repro.core.population.count_units`), and popcounts are
-  additive over any row partition;
-- the lattice walk *is* the batch driver's walk: every join and dedup
-  runs live, so its pair charges and collectives are the cold
-  run's.
-
-The drift threshold therefore tunes **latency only**: expensive
-per-segment artifacts (bitmap indexes, count caches) depend only on
-the grid's bin *edges* and are rebuilt eagerly when histogram drift
-(:func:`~repro.core.adaptive_grid.histogram_drift`) crosses the
-threshold, keeping them warm for the next snapshot.  Exactness never
-depends on when (or whether) that eager rebuild runs.
+- per-CDU counts are exact popcounts over the rank's live records,
+  whatever their order in the ring, then summed across ranks by the
+  batch populate's allreduce;
+- the lattice walk *is* the batch run's walk: every join, dedup and
+  population runs live, so its pair charges, simulated I/O and cell
+  costs and collectives are the cold run's.
 
 A ``spill_dir`` (single-rank sessions only) makes the session
 resumable: each delta's records are staged to disk before the
-manifest commit, segment bitmap indexes persist as ``.bmx`` siblings
-keyed on the exact records they cover, a compaction reads its parents'
-live rows back from their record files to write the merged one, and
-``resume=True`` rebuilds the exact live window from the manifest,
-computing each segment's codes from the records it reads.
-Re-ingesting an already applied sequence number is a no-op, so
-producers replay their last delta after a crash without
+manifest commit, a compaction (which bounds the number of record
+files) reads its parents' live rows back from their record files to
+write the merged one, and ``resume=True`` rebuilds the exact live
+window from the manifest, computing the codes from the records it
+reads.  Re-ingesting an already applied sequence number is a no-op,
+so producers replay their last delta after a crash without
 double-counting.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from ..core.adaptive_grid import build_grid, histogram_drift
+from ..core.adaptive_grid import build_grid
 from ..core.histogram import (block_codes, block_histogram, check_domains,
                               code_dtype, code_histogram)
 from ..core.pmafia import walk_lattice
+from ..core.population import IndexedPopulator
 from ..core.result import ClusteringResult
-from ..core.units import UnitTable
 from ..errors import DataError, StreamError
 from ..io.artifact import read_framed, write_framed
-from ..io.bitmap_index import bitmap_cache_path, edges_fingerprint
 from ..io.partition import block_range
 from ..io.records import RecordFile, write_records
 from ..obs import RankObs
@@ -85,7 +75,8 @@ _MANIFEST_NAME = "stream_manifest.json"
 _MANIFEST_MAGIC = b"PMST"
 _MANIFEST_VERSION = 1
 
-#: default segment-count ceiling before adjacent segments are merged
+#: default segment-count ceiling before a spilled session merges its
+#: two oldest segments' record files
 DEFAULT_COMPACT_SEGMENTS = 64
 
 
@@ -98,13 +89,13 @@ def _unlink_quiet(path: Path | None) -> None:
         pass
 
 
-def _live_records(seg: WindowSegment) -> np.ndarray:
+def _live_records(seg: WindowSegment, n_dims: int) -> np.ndarray:
     """A spilled segment's live rows, read back from its record file
     (an empty segment has no file)."""
     if seg.rec_path is None:
-        return np.empty((0, seg.codes.shape[0]))
-    return RecordFile(seg.rec_path).read_block(
-        seg.local_dropped, seg.local_dropped + seg.n_local)
+        return np.empty((0, n_dims))
+    return RecordFile(seg.rec_path).read_block(seg.g_lo,
+                                               seg.g_lo + seg.length)
 
 
 class StreamingSession:
@@ -130,17 +121,17 @@ class StreamingSession:
     window_records:
         Sliding-window capacity in records; ``None`` keeps everything.
     drift_threshold:
-        Normalised histogram-drift level above which the adaptive bins
-        are eagerly re-merged and segment artifacts rebuilt at ingest
-        time (latency knob; see the module docstring).
+        Accepted and ignored: a snapshot keeps no per-segment artifact
+        for an eager rebuild to refresh.  It must be ``>= 0``.  The
+        frozen e2e benchmark still passes it; ROADMAP.md item 1 drops
+        it there, and then it goes from here.
     spill_dir:
         Directory for delta staging + resumable state (single-rank
         sessions only).
     compact_segments:
-        Merge the two oldest segments whenever the live segment count
-        exceeds this (bounds per-snapshot segment overhead); the merged
-        segment keeps its parents' summed count caches and rebuilds its
-        bitmap index lazily.
+        In a spilled session, merge the two oldest segments' record
+        files whenever the live segment count exceeds this (bounds the
+        number of files); an unspilled session never merges.
     resume:
         Rebuild the live window from ``spill_dir``'s manifest (which
         must exist) instead of starting empty.
@@ -168,7 +159,6 @@ class StreamingSession:
         if drift_threshold < 0:
             raise DataError(
                 f"drift_threshold must be >= 0, got {drift_threshold}")
-        self.drift_threshold = float(drift_threshold)
         if compact_segments < 2:
             raise DataError(
                 f"compact_segments must be >= 2, got {compact_segments}")
@@ -183,10 +173,10 @@ class StreamingSession:
 
         self._hist = np.zeros((self.n_dims, self.params.fine_bins),
                               dtype=np.int64)
-        self._window = SlidingWindow()
+        self._window = SlidingWindow(self.n_dims,
+                                     code_dtype(self.params.fine_bins),
+                                     window_records)
         self._last_seq = -1
-        self._edges_fp: bytes | None = None
-        self._grid_hist: np.ndarray | None = None
         self._closed = False
         self.obs = RankObs.create(self.params, self.comm)
 
@@ -270,24 +260,28 @@ class StreamingSession:
             rec_path = self.spill_dir / f"seg-{seq:08d}.rec"
             write_records(rec_path, local)
 
+        n_expired = 0
+        if self.window_records is not None:
+            n_expired = max(0, self._window.g_live + g_n
+                            - self.window_records)
+        # expire the old records first, so the ring never holds more
+        # than the window; the histogram change is the delta's counts
+        # minus the dropped rows' (ring views, read before the append)
+        n_old = min(n_expired, self._window.g_live)
+        dropped = self._expire(n_old)
         codes = np.empty((self.n_dims, local.shape[0]),
                          dtype=code_dtype(self.params.fine_bins))
         delta_hist = block_histogram(local, self.domains,
-                                     self.params.fine_bins, codes=codes)
+                                     self.params.fine_bins, codes=codes,
+                                     expired=dropped)
+        self._window.append(seq, codes, g_n, lo, rec_path)
+        if n_expired > n_old:     # a delta larger than the window
+            for old in self._expire(n_expired - n_old):
+                delta_hist -= code_histogram(old, self.params.fine_bins)
         incremental_allreduce(self.comm, delta_hist, self._hist)
-        self._window.append(WindowSegment(seq, codes, g_n, lo, hi,
-                                          rec_path))
         self._last_seq = seq
-
-        n_expired = 0
-        if self.window_records is not None \
-                and self._window.g_live > self.window_records:
-            n_expired = self._expire(self._window.g_live
-                                     - self.window_records)
-        if self.comm.size == 1 \
-                and len(self._window.segments) > self.compact_segments:
+        if self.spill_dir is not None:
             self._compact()
-        self._maybe_rebin()
         self._write_manifest()
 
         if self.obs is not None:
@@ -296,94 +290,36 @@ class StreamingSession:
                 self.obs.stream_expired(n_expired)
         return True
 
-    def _expire(self, k_global: int) -> int:
-        """Collectively age out the oldest ``k_global`` records,
-        keeping the maintained histogram exact (integer subtraction of
-        the dropped rows' code histogram)."""
-        reaped = [seg for seg in self._window.segments
-                  if seg.rec_path is not None]
-        dropped, total = self._window.expire(k_global)
-        live = {id(seg) for seg in self._window.segments}
-        if total == 0:
-            return 0
-        drop_hist = np.zeros_like(self._hist)
-        for codes in dropped:
-            drop_hist += code_histogram(codes, self.params.fine_bins)
-        incremental_allreduce(self.comm, -drop_hist, self._hist)
-        for seg in reaped:
-            if id(seg) not in live:       # fully expired spilled segment
-                _unlink_quiet(seg.rec_path)
-                _unlink_quiet(bitmap_cache_path(seg.rec_path))
-        return total
-
-    # -- grid maintenance -------------------------------------------------
-    def _current_grid(self):
-        """The adaptive grid of the live window — deterministic
-        function of (histogram, domains, live count, params), exactly
-        what a cold run would build."""
-        if self._window.g_live == 0:
-            raise DataError("cannot cluster an empty data set")
-        grid = build_grid(self._hist, self.domains, self._window.g_live,
-                          self.params)
-        self._edges_fp = edges_fingerprint(grid)
-        return grid
-
-    def _maybe_rebin(self) -> None:
-        """Eagerly re-merge bins and rebuild segment artifacts when
-        histogram drift since the last rebuild crosses the threshold —
-        a latency optimisation, never a correctness requirement."""
-        if self._window.g_live == 0:
-            return
-        if self._grid_hist is not None:
-            drift = histogram_drift(self._hist, self._grid_hist)
-            if drift <= self.drift_threshold:
-                return
-        else:
-            drift = float("inf")
-        grid = self._current_grid()
-        for seg in self._window.segments:
-            if seg.n_local:
-                seg.ensure_index(grid, self._edges_fp,
-                                 self.params.chunk_records)
-        self._grid_hist = self._hist.copy()
-        if self.obs is not None and np.isfinite(drift):
-            self.obs.stream_rebin(drift)
+    def _expire(self, k_global: int) -> list[np.ndarray]:
+        """Age out the oldest ``k_global`` global records; returns ring
+        views of this rank's dropped codes (valid until the next
+        append) and unlinks the record files of spilled segments that
+        expired whole."""
+        dropped, removed = self._window.expire(k_global)
+        for seg in removed:
+            _unlink_quiet(seg.rec_path)
+        return dropped
 
     # -- compaction -------------------------------------------------------
     def _compact(self) -> None:
-        """Merge the two oldest segments until the count is back under
-        ``compact_segments`` (single-rank sessions).  The merged segment
-        concatenates its parents' live codes and carries over their
-        count caches, summed for keys both hold; its bitmap index is
-        rebuilt lazily by :meth:`WindowSegment.ensure_index`, the path
-        any stale segment takes.  A spilled merge reads the parents'
-        live rows back from their record files to write the merged
-        segment's file."""
-        while len(self._window.segments) > self.compact_segments:
-            a, b = self._window.segments[0], self._window.segments[1]
-            self._window.segments[:2] = [self._merge(a, b)]
-
-    def _merge(self, a: WindowSegment, b: WindowSegment) -> WindowSegment:
-        codes = np.concatenate([a.codes, b.codes], axis=1)
-        g_size = a.g_live + b.g_live
-        rec_path = None
-        if self.spill_dir is not None:
+        """Merge the two oldest spilled segments until the count is back
+        under ``compact_segments``: the parents' live rows are read back
+        from their record files and written to the merged
+        ``seg-<seq>c.rec``.  Their codes are already adjacent in the
+        ring, so only the metadata changes."""
+        segments = self._window.segments
+        while len(segments) > self.compact_segments:
+            a, b = segments[0], segments[1]
             rec_path = self.spill_dir / f"seg-{b.seq:08d}c.rec"
             write_records(rec_path, np.concatenate(
-                [_live_records(seg) for seg in (a, b)], axis=0))
-        merged = WindowSegment(b.seq, codes, g_size, 0, g_size, rec_path)
-        fp = self._edges_fp
-        if fp is not None:
-            b_cache = b.cached_counts(fp)
-            merged.seed_counts(fp, {
-                key: a_counts + b_cache[key]
-                for key, a_counts in a.cached_counts(fp).items()
-                if key in b_cache})
-        for old in (a, b):
-            if old.rec_path is not None:
-                _unlink_quiet(old.rec_path)
-                _unlink_quiet(bitmap_cache_path(old.rec_path))
-        return merged
+                [_live_records(seg, self.n_dims) for seg in (a, b)]))
+            segments.popleft()
+            segments.popleft()
+            segments.appendleft(WindowSegment(
+                b.seq, a.offset, a.length + b.length, a.g_live + b.g_live,
+                0, rec_path))
+            _unlink_quiet(a.rec_path)
+            _unlink_quiet(b.rec_path)
 
     # -- spill manifest ---------------------------------------------------
     def _write_manifest(self) -> None:
@@ -430,17 +366,17 @@ class StreamingSession:
                 f"{self.params.fine_bins}")
         for entry in manifest["segments"]:
             if entry["file"] is None:
-                continue
+                continue              # an empty delta holds no records
             rec_path = self.spill_dir / entry["file"]
             codes = block_codes(RecordFile(rec_path).read_all(),
                                 self.domains, self.params.fine_bins)
-            seg = WindowSegment(entry["seq"], codes, entry["g_size"],
-                                0, entry["g_size"], rec_path)
-            seg.drop_head_global(entry["g_dropped"])
-            if seg.g_live:
-                self._hist += code_histogram(seg.codes,
-                                             self.params.fine_bins)
-                self._window.append(seg)
+            self._window.append(entry["seq"], codes, entry["g_size"], 0,
+                                rec_path)
+        # only the oldest segment is ever partly expired
+        self._window.expire(sum(e["g_dropped"]
+                                for e in manifest["segments"]))
+        self._hist = code_histogram(self._window.live_codes(),
+                                    self.params.fine_bins)
         self._last_seq = int(manifest["last_seq"])
 
     # -- snapshot ---------------------------------------------------------
@@ -449,25 +385,30 @@ class StreamingSession:
         over exactly the live records (same params, same domains, same
         communicator size), including per-rank ``pairs_examined``.
 
-        The lattice walk is the batch driver's
-        :func:`~repro.core.pmafia.walk_lattice`, with population served
-        from the segments (:meth:`_populate`).  With ``params.trace`` /
-        ``params.metrics`` set, the result carries a fresh per-snapshot
-        observability export in ``.obs``, directly comparable to the
-        cold run's.
+        The grid is built from the maintained histogram, one bitmap
+        index of the rank's live codes is staged
+        (:meth:`~repro.stream.window.SlidingWindow.stage_index`), and
+        the batch run's :func:`~repro.core.pmafia.walk_lattice` runs
+        over it; the index is dropped when the snapshot returns.  With
+        ``params.trace`` / ``params.metrics`` set, the result carries a
+        fresh per-snapshot observability export in ``.obs``, directly
+        comparable to the cold run's.
         """
         self._check_open("snapshot")
         t0 = time.perf_counter()
-        self._snap_hits = 0
-        self._snap_misses = 0
+        if self._window.g_live == 0:
+            raise DataError("cannot cluster an empty data set")
         obs = RankObs.create(self.params, self.comm)
 
         def walk() -> ClusteringResult:
-            grid = self._current_grid()
-            trace, clusters = walk_lattice(
-                self.comm, grid, self.params,
-                lambda cdus, order: self._populate(cdus, grid, order),
-                obs, [], [])
+            grid = build_grid(self._hist, self.domains,
+                              self._window.g_live, self.params)
+            with nullcontext() if obs is None else \
+                    obs.span("stage_bitmap_index", cat="io"):
+                indexed = IndexedPopulator(self._window.stage_index(
+                    grid, self.params.chunk_records))
+            trace, clusters = walk_lattice(self.comm, grid, self.params,
+                                           indexed, obs, [], [])
             return ClusteringResult(grid=grid, clusters=clusters,
                                     trace=trace, params=self.params,
                                     n_records=self._window.g_live)
@@ -481,37 +422,6 @@ class StreamingSession:
                     result = walk()
             result = replace(result, obs=obs.export())
         if self.obs is not None:
-            self.obs.stream_snapshot(
-                result.n_records, time.perf_counter() - t0,
-                levels=len(result.trace), cache_hits=self._snap_hits,
-                cache_misses=self._snap_misses)
+            self.obs.stream_snapshot(result.n_records,
+                                     time.perf_counter() - t0)
         return result
-
-    def _populate(self, cdus: UnitTable, grid,
-                  order: np.ndarray | None) -> np.ndarray:
-        """Global per-CDU counts of the live window: exact per-segment
-        popcounts summed locally, then one sum-allreduce — identical to
-        the batch pass over the concatenated live records.  ``order``
-        is the CDUs' lexicographic permutation, shared by every
-        segment's count."""
-        local = np.zeros(cdus.n_units, dtype=np.int64)
-        if cdus.n_units:
-            key = hashlib.sha256(cdus.tobytes()).digest()
-            for seg in self._window.segments:
-                if not seg.n_local:
-                    continue
-                if seg.has_counts(key, self._edges_fp):
-                    self._snap_hits += 1
-                else:
-                    self._snap_misses += 1
-                local += seg.counts_for(
-                    cdus, key, grid, self._edges_fp,
-                    self.params.chunk_records, order=order,
-                    on_quarantine=self._on_quarantine)
-        if self.comm.size == 1:
-            return local
-        return self.comm.allreduce(local, op="sum")
-
-    def _on_quarantine(self, path: str) -> None:
-        if self.obs is not None:
-            self.obs.stream_quarantine(path)

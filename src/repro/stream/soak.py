@@ -73,7 +73,7 @@ def _drifting_block(rng: np.random.Generator, step: int, n: int,
                     d: int) -> np.ndarray:
     """One delta of a slowly drifting workload: a 3-d embedded cluster
     whose center wanders across the domain plus uniform noise, so the
-    histogram drifts and the rebin path is genuinely exercised."""
+    histogram, and with it the bin edges, drift."""
     block = rng.uniform(0.0, 100.0, size=(n, d))
     center = 20.0 + 55.0 * (0.5 + 0.5 * np.sin(step / 17.0))
     n_cluster = (2 * n) // 3
@@ -96,7 +96,6 @@ def _soak_rank(comm: Comm, cfg: dict) -> dict:
     session = StreamingSession(
         params, comm=comm, domains=domains,
         window_records=cfg["window_records"],
-        drift_threshold=cfg["drift_threshold"],
         spill_dir=spill_dir,
         compact_segments=cfg["compact_segments"])
 
@@ -157,7 +156,7 @@ def run_soak(*, seed: int = 20260807, nprocs: int = 2,
              snapshot_every: int = 4, oracle_every: int = 8,
              target_virtual: float = 1800.0, max_deltas: int = 200,
              staleness_budget: float = 10.0,
-             drift_threshold: float = 0.25, compact_segments: int = 16,
+             compact_segments: int = 16,
              spill_dir: str | None = None,
              params: MafiaParams | None = None) -> dict:
     """Run the soak and evaluate its gates; returns the JSON report."""
@@ -168,7 +167,6 @@ def run_soak(*, seed: int = 20260807, nprocs: int = 2,
         "window_records": window_records,
         "snapshot_every": snapshot_every, "oracle_every": oracle_every,
         "target_virtual": target_virtual, "max_deltas": max_deltas,
-        "drift_threshold": drift_threshold,
         "compact_segments": compact_segments,
         "spill_dir": spill_dir, "params": params,
     }
@@ -224,7 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-deltas", type=int, default=200)
     parser.add_argument("--staleness-budget", type=float, default=10.0,
                         help="p95 snapshot wall-latency gate, seconds")
-    parser.add_argument("--drift-threshold", type=float, default=0.25)
     parser.add_argument("--spill", action="store_true",
                         help="stage deltas in a temp spill dir "
                         "(nprocs=1 only)")
@@ -247,7 +244,6 @@ def main(argv: list[str] | None = None) -> int:
             target_virtual=args.target_virtual,
             max_deltas=args.max_deltas,
             staleness_budget=args.staleness_budget,
-            drift_threshold=args.drift_threshold,
             spill_dir=spill_dir)
     finally:
         if tmp is not None:

@@ -269,8 +269,9 @@ class TestStaleIndexKeys:
 
     def test_reused_spill_dir_rebuilds_segment_indexes(self, tmp_path):
         """A fresh session in a spill directory that still holds another
-        session's ``seg-*`` files rewrites the records; the old ``.bmx``
-        siblings must not be served for them."""
+        session's ``seg-*`` files rewrites the records; its snapshot
+        counts the new records, and no session leaves an index file
+        beside its record files."""
         rng = np.random.default_rng(11)
         blocks = []
         for _ in range(3):     # a stationary 2-d cluster on dims (0, 2)
@@ -283,7 +284,8 @@ class TestStaleIndexKeys:
             first.ingest(block)
         first.snapshot()
         first.close()
-        assert len(list(tmp_path.glob("seg-*.bmx"))) == len(blocks)
+        assert len(list(tmp_path.glob("seg-*.rec"))) == len(blocks)
+        assert not list(tmp_path.glob("seg-*.bmx"))
 
         rewritten = [_permute_column(b, 2, seed=i)
                      for i, b in enumerate(blocks)]

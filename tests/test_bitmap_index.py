@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.analysis import verify_result
 from repro.core.mafia import mafia, pmafia, pmafia_resumable
 from repro.core import population
+from repro.core.histogram import block_codes
 from repro.core.population import (IndexedPopulator, count_units,
                                    populate_global, populate_local)
 from repro.core.units import UnitTable
@@ -172,6 +173,25 @@ class TestIndexFormat:
                                    start=5, stop=5)
         assert index.n_records == 0 and index.row_bytes == 0
         assert index.bitmap(0).shape == (0,)
+
+    @pytest.mark.parametrize("chunk", [8, 16, 40])
+    @pytest.mark.parametrize("cuts", [(), (0,), (1,), (7, 8), (9, 9, 70),
+                                      (16, 33), (100,)])
+    def test_code_blocks_stage_as_their_concatenation(self, chunk, cuts):
+        """A stream window's wrapped ring stages from its two slices:
+        the index built from any split of the codes into blocks (empty
+        ones included) is byte-identical to the unsplit one."""
+        rng = np.random.default_rng(8)
+        records = rng.random((100, 3)) * 100.0
+        grid = uniform_grid(3, 5)
+        codes = block_codes(records, np.array([[0.0, 100.0]] * 3), 5)
+        whole = build_bitmap_index(None, grid, chunk, codes=codes)
+        blocks = np.split(codes, list(cuts), axis=1)
+        split = build_bitmap_index(None, grid, chunk, codes=blocks)
+        assert split.n_records == 100
+        assert np.array_equal(split._data, whole._data)
+        with pytest.raises(DataError):
+            build_bitmap_index(None, grid, chunk, codes=[codes[:2]])
 
     def test_validation_errors(self):
         rng = np.random.default_rng(6)

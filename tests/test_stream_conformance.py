@@ -114,10 +114,25 @@ class TestSerialConformance:
                               mafia(live_window(blocks, None), PARAMS,
                                     domains=DOMAINS))
 
-    def test_repeat_snapshot_is_a_cache_replay(self):
-        """A second snapshot with no ingest between replays every
-        segment's cached counts (joins and dedups run live) and still
-        matches bit for bit."""
+    def test_delta_larger_than_the_window_expires_its_own_head(self):
+        """Expiry runs before the append, so a delta longer than the
+        whole window also drops its own oldest records; the ring then
+        holds exactly the window."""
+        blocks = drifting_blocks(3, [120, 10, 200, 5])
+        session = StreamingSession(PARAMS, domains=DOMAINS,
+                                   window_records=80)
+        for i, block in enumerate(blocks):
+            session.ingest(block)
+            assert session._window.n_local == session.n_live == 80
+            assert_equivalent(session.snapshot(),
+                              mafia(live_window(blocks[:i + 1], 80),
+                                    PARAMS, domains=DOMAINS))
+        session.close()
+
+    def test_repeat_snapshot_matches_the_first(self):
+        """A second snapshot with no ingest between restages and
+        recounts everything, and matches the first and the cold run
+        bit for bit."""
         blocks = drifting_blocks(13, [90, 100, 80])
         session = StreamingSession(PARAMS, domains=DOMAINS,
                                    window_records=200)
@@ -126,15 +141,14 @@ class TestSerialConformance:
         first = session.snapshot()
         second = session.snapshot()
         assert_equivalent(second, first)
-        metrics = session.obs.export().metrics
-        assert metrics["stream.snapshot_cache_hits"]["value"] > 0
+        assert_equivalent(second, mafia(live_window(blocks, 200), PARAMS,
+                                        domains=DOMAINS))
         session.close()
 
     @pytest.mark.parametrize("drift", [0.0, 1e9])
-    def test_drift_threshold_is_latency_only(self, drift):
-        """Rebuild eagerly on every ingest (0.0) or never eagerly
-        (1e9): snapshots are exact either way — the threshold tunes
-        *when* indexes rebuild, never *what* a snapshot returns."""
+    def test_drift_threshold_is_ignored(self, drift):
+        """``drift_threshold`` is still accepted (and validated) but
+        tunes nothing: snapshots are exact at any value."""
         blocks = drifting_blocks(17, [70, 90, 60, 80])
         session = StreamingSession(PARAMS, domains=DOMAINS,
                                    window_records=180,
@@ -145,6 +159,27 @@ class TestSerialConformance:
                           mafia(live_window(blocks, 180), PARAMS,
                                 domains=DOMAINS))
         session.close()
+        with pytest.raises(DataError):
+            StreamingSession(PARAMS, domains=DOMAINS, drift_threshold=-1.0)
+
+    def test_default_session_is_exact_while_edges_move(self):
+        """A session on default settings, fed 36 drifting deltas whose
+        bin edges move, equals a cold ``mafia()`` at every snapshot."""
+        window = 600
+        blocks = drifting_blocks(53, [150] * 36)
+        session = StreamingSession(PARAMS, domains=DOMAINS,
+                                   window_records=window)
+        edges = []
+        for i, block in enumerate(blocks):
+            session.ingest(block)
+            snap = session.snapshot()
+            cold = mafia(live_window(blocks[:i + 1], window), PARAMS,
+                         domains=DOMAINS)
+            assert_equivalent(snap, cold)
+            edges.append([dg.cuts for dg in snap.grid])
+        session.close()
+        moved = sum(a != b for a, b in zip(edges, edges[1:]))
+        assert moved >= len(blocks) // 2, moved
 
     def test_spilled_session_matches_resident(self, tmp_path):
         blocks = drifting_blocks(19, [50, 60, 70, 80, 90])
@@ -231,7 +266,42 @@ def _repeat_snapshot_rank(comm, cfg):
     return steps
 
 
+def _snapshot_charge_rank(comm, cfg):
+    """SPMD body: fill a window, then this rank's record-cell and I/O
+    counters across one snapshot and its live record count."""
+    session = StreamingSession(cfg["params"], comm=comm, domains=DOMAINS,
+                               window_records=cfg["window"])
+    for block in drifting_blocks(cfg["seed"], cfg["sizes"]):
+        session.ingest(block)
+    before = (comm.counters.record_cell_ops, comm.counters.io_bytes)
+    session.snapshot()
+    after = (comm.counters.record_cell_ops, comm.counters.io_bytes)
+    n_local = session._window.n_local
+    session.close()
+    return after[0] - before[0], after[1] - before[1], n_local
+
+
 class TestSimClock:
+    def test_snapshot_charges_the_batch_populate(self):
+        """A snapshot populates through the batch run's path, so the
+        sim clock sees a cold run's per-level I/O and cell charges —
+        everything the cold run charges but its histogram pass
+        (``n_local·d`` cells and the read of its records).  The window
+        expires whole deltas of even size, so each rank's share of the
+        live window is the cold run's block."""
+        cfg = {"params": PARAMS, "seed": 43, "window": 200,
+               "sizes": [60, 80, 50, 70]}
+        ranks = run_spmd(_snapshot_charge_rank, 2, backend="sim",
+                         args=(cfg,))
+        live = live_window(drifting_blocks(43, cfg["sizes"]), 200)
+        cold = pmafia(live, 2, PARAMS, backend="sim", domains=DOMAINS)
+        for rank, counters in zip(ranks, cold.counters):
+            cells, io_bytes, n_local = rank.value
+            assert n_local == 100
+            assert cells > 0
+            assert cells == counters.record_cell_ops - n_local * DIMS
+            assert io_bytes == counters.io_bytes - n_local * DIMS * 8
+
     def test_repeat_snapshots_charge_the_same_virtual_time(self):
         """With τ=0 every join and dedup is task-partitioned over the
         two ranks, so each one's collectives cost virtual time.  A
@@ -257,28 +327,32 @@ class TestSimClock:
 
 
 class TestSegmentsHoldCodes:
-    """A segment's only per-record state is its fine codes: after
-    ingests, head drops and compaction — spilled or not, and after a
-    resume from the manifest — every live segment's codes are
-    ``block_codes`` of its live records and the maintained histogram is
-    a cold one of the live window."""
+    """A session's only per-record state is the fine codes in its
+    ring: after ingests, head drops and compaction — spilled or not,
+    and after a resume from the manifest — every live segment's ring
+    rows are ``block_codes`` of its live records and the maintained
+    histogram is a cold one of the live window."""
 
     SIZES = [37, 50, 23, 64, 41, 9, 55, 30, 48, 12, 61]
     WINDOW = 150
 
     def assert_codes_invariants(self, session, live) -> None:
+        window = session._window
         offset = 0
-        for seg in session._window.segments:
-            rows = live[offset:offset + seg.n_local]
-            assert seg.codes.dtype == code_dtype(PARAMS.fine_bins)
+        for seg in window.segments:
+            rows = live[offset:offset + seg.length]
+            codes = window.codes(seg.offset, seg.offset + seg.length)
+            assert codes.dtype == code_dtype(PARAMS.fine_bins)
             assert np.array_equal(
-                seg.codes, block_codes(rows, DOMAINS, PARAMS.fine_bins))
+                codes, block_codes(rows, DOMAINS, PARAMS.fine_bins))
             if seg.rec_path is not None:
                 on_disk = RecordFile(seg.rec_path).read_block(
-                    seg.local_dropped, seg.local_dropped + seg.n_local)
+                    seg.g_lo, seg.g_lo + seg.length)
                 assert np.array_equal(on_disk, rows)
-            offset += seg.n_local
-        assert offset == len(live)
+            offset += seg.length
+        assert offset == len(live) == window.n_local
+        assert np.array_equal(window.live_codes(),
+                              block_codes(live, DOMAINS, PARAMS.fine_bins))
         assert np.array_equal(
             session._hist,
             block_histogram(live, DOMAINS, PARAMS.fine_bins))
@@ -286,8 +360,7 @@ class TestSegmentsHoldCodes:
     @pytest.mark.parametrize("spill", [False, True])
     def test_ingest_expire_compact_resume(self, tmp_path, spill):
         blocks = drifting_blocks(23, self.SIZES)
-        kw = dict(window_records=self.WINDOW, compact_segments=3,
-                  drift_threshold=0.0)
+        kw = dict(window_records=self.WINDOW, compact_segments=3)
         session = StreamingSession(PARAMS, domains=DOMAINS,
                                    spill_dir=tmp_path if spill else None,
                                    **kw)
@@ -301,8 +374,17 @@ class TestSegmentsHoldCodes:
             if i % 4 == 3:
                 assert_equivalent(session.snapshot(),
                                   mafia(live, PARAMS, domains=DOMAINS))
-        assert merged
+        # only a spilled session merges segments, to bound its files
+        assert merged == spill
         session.close()
+        if spill:
+            # snapshots leave nothing on disk: one record file per
+            # live segment, plus the manifest
+            names = sorted(p.name for p in tmp_path.iterdir())
+            assert names == sorted(
+                [seg.rec_path.name for seg in session._window.segments]
+                + ["stream_manifest.json"])
+            assert all(n.endswith(".rec") for n in names[:-1])
         if spill:
             resumed = StreamingSession(PARAMS, domains=DOMAINS,
                                        spill_dir=tmp_path, resume=True,
@@ -314,8 +396,7 @@ class TestSegmentsHoldCodes:
 
     def test_window_holds_code_bytes_not_floats(self):
         """A W-record, d-dim window keeps about W*d bytes of ``uint8``
-        codes once its segment artifacts are dropped; float records
-        would be 8*W*d."""
+        codes in its ring; float records would be 8*W*d."""
         window, d = 40_000, 6
         params = MafiaParams(fine_bins=200, window_size=2,
                              chunk_records=4096)
@@ -327,8 +408,6 @@ class TestSegmentsHoldCodes:
                                        window_records=window)
             for _ in range(10):   # each block is freed unless kept
                 session.ingest(rng.random((5_000, d)))
-            for seg in session._window.segments:
-                seg.invalidate()
             gc.collect()
             held, _ = tracemalloc.get_traced_memory()
         finally:

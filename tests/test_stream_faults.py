@@ -1,18 +1,18 @@
 """Fault injection for the streaming engine.
 
 Three failure families, one invariant: a fault may cost latency (a
-retry, a rebuild) but never a wrong snapshot —
+retry) but never a wrong snapshot —
 
 - **kill/resume** — a session that dies mid-stream resumes from its
   spill manifest; the crashed producer replays deltas from the start
   and already-applied sequence numbers land as no-ops;
 - **transient reads** — delta sources absorb transient ``OSError`` s
   under a :class:`~repro.io.resilient.RetryPolicy`;
-- **corrupt tiles** — a spilled bitmap tile failing its CRC is
-  quarantined and rebuilt from the segment's codes (stale keys and
-  the other per-format faults live in ``test_artifact_faults.py``);
 - **refused deltas** — a delta holding a NaN or infinite value is
   refused by every session kind and leaves the session unchanged.
+
+The per-format faults of the spill files live in
+``test_artifact_faults.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pytest
 
 from repro import MafiaParams, mafia
 from repro.errors import DataError, StreamError
-from repro.io.bitmap_index import BitmapIndex
 from repro.io.records import write_records
 from repro.io.resilient import RetryPolicy
 from repro.parallel.spmd import run_spmd
@@ -188,41 +187,6 @@ class TestTransientReads:
         with pytest.raises(OSError):
             list(source)
         assert len(retries) == 2  # max_attempts=3 -> 2 retries, then up
-
-
-class TestTileFaults:
-    def _spill_and_kill(self, tmp_path, seed=43):
-        """A spilled session that snapshotted (so .bmx siblings exist
-        on disk) and then died without close."""
-        blocks = drifting_blocks(seed, [70, 80, 90])
-        session = spilled_session(tmp_path)
-        for block in blocks:
-            session.ingest(block)
-        session.snapshot()
-        del session
-        paths = sorted(tmp_path.glob("seg-*.bmx"))
-        assert paths
-        return blocks, paths
-
-    def test_corrupt_tile_quarantined_then_exact(self, tmp_path):
-        blocks, bmx_paths = self._spill_and_kill(tmp_path)
-        victim = bmx_paths[-1]
-        index = BitmapIndex.open(victim)
-        raw = bytearray(victim.read_bytes())
-        lo = index._data_offset
-        hi = lo + index.n_pairs * index.row_bytes
-        for pos in range(lo, hi):  # every tile fails its CRC
-            raw[pos] ^= 0xFF
-        victim.write_bytes(bytes(raw))
-
-        resumed = spilled_session(tmp_path, resume=True)
-        snap = resumed.snapshot()
-        assert victim.with_suffix(".bmx.corrupt").exists()
-        metrics = resumed.obs.export().metrics
-        assert metrics["stream.tile_quarantines"]["value"] >= 1
-        assert_equivalent(snap, mafia(live_window(blocks, WINDOW),
-                                      PARAMS, domains=DOMAINS))
-        resumed.close()
 
 
 def _spill_multirank_rank(comm, spill):

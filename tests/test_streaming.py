@@ -304,15 +304,16 @@ class TestDeltaQueue:
 
 
 class TestSegmentCountsFollowBinEdges:
-    """A segment's count cache is valid only under the bin edges it was
-    counted with: the same unit bytes name different cells once the
-    grid is re-binned, so they must be recounted, never served."""
+    """Counts follow the bin edges of the grid they are taken under:
+    the same unit bytes name different cells once the grid is
+    re-binned, and a snapshot stages its window index afresh under
+    every grid."""
 
     def test_same_units_recount_under_new_edges(self):
         from repro.core.histogram import block_codes
+        from repro.core.population import count_units
         from repro.core.units import UnitTable
-        from repro.io.bitmap_index import edges_fingerprint
-        from repro.stream.window import WindowSegment
+        from repro.stream.window import SlidingWindow
         from repro.types import DimensionGrid, Grid
 
         def grid(cuts):
@@ -323,20 +324,20 @@ class TestSegmentCountsFollowBinEdges:
         records = np.array([[1.0, 1.0], [3.0, 3.0], [6.0, 6.0],
                             [9.0, 9.0]])
         codes = block_codes(records, np.array([[0.0, 10.0]] * 2), 10)
-        seg = WindowSegment(0, codes, 4, 0, 4)
+        window = SlidingWindow(2, codes.dtype)
+        window.append(0, codes, 4)
         units = UnitTable.from_pairs([[(0, 0), (1, 0)]])
-        key = b"bin 0 of both dims"
         grid_a, grid_b = grid((0, 5, 10)), grid((0, 2, 10))
-        fp_a, fp_b = edges_fingerprint(grid_a), edges_fingerprint(grid_b)
-        assert seg.counts_for(units, key, grid_a, fp_a, 16).tolist() == [2]
-        assert seg.counts_for(units, key, grid_b, fp_b, 16).tolist() == [1]
-        assert seg.has_counts(key, fp_b) and not seg.has_counts(key, fp_a)
+        assert count_units(window.stage_index(grid_a, 16),
+                           units).tolist() == [2]
+        assert count_units(window.stage_index(grid_b, 16),
+                           units).tolist() == [1]
 
     def test_drifting_window_snapshot_matches_cold_run(self):
-        """The benchmark's drifting stream under the default drift
-        threshold: the ingest after the first snapshot moves bin edges
-        without an eager rebuild, and the next snapshot must still
-        equal a cold batch run over the live window."""
+        """The benchmark's drifting stream on default settings: the
+        ingest after the first snapshot moves bin edges, and the next
+        snapshot must still equal a cold batch run over the live
+        window."""
         from benchmarks.e2e.inputs import DriftStream, domains
         from repro.stream.soak import result_fingerprint
 
