@@ -146,9 +146,10 @@ class TestSerialConformance:
         session.close()
 
     @pytest.mark.parametrize("drift", [0.0, 1e9])
-    def test_drift_threshold_is_ignored(self, drift):
+    def test_drift_threshold_is_latency_only(self, drift):
         """``drift_threshold`` is still accepted (and validated) but
-        tunes nothing: snapshots are exact at any value."""
+        never changes what a snapshot returns: snapshots are exact at
+        any value."""
         blocks = drifting_blocks(17, [70, 90, 60, 80])
         session = StreamingSession(PARAMS, domains=DOMAINS,
                                    window_records=180,
