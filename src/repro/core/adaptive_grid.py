@@ -57,18 +57,20 @@ def merge_windows(values: np.ndarray, beta: float) -> list[tuple[int, int]]:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise GridError("cannot merge zero windows")
+    # Python floats compare and take maxima exactly as the doubles do,
+    # without a NumPy scalar per step
+    values = values.tolist()
     ranges: list[tuple[int, int]] = []
     start = 0
     current = values[0]
-    for i in range(1, values.size):
-        v = values[i]
+    for i, v in enumerate(values[1:], 1):
         scale = max(current, v)
         if scale <= 0 or abs(current - v) < beta * scale:
             current = max(current, v)
             continue
         ranges.append((start, i))
         start, current = i, v
-    ranges.append((start, values.size))
+    ranges.append((start, len(values)))
     return ranges
 
 

@@ -68,6 +68,28 @@ def code_dtype(fine_bins: int) -> np.dtype:
     return np.min_scalar_type(max(0, fine_bins - 1))
 
 
+#: values (records × dimensions) per cache block of :func:`block_codes`:
+#: a block's float buffer and its tiled ``lo``/``width`` (3 × 256 KiB)
+#: stay cache-resident across the five passes of the locate rule
+#: (docs/PERFORMANCE.md has the block-size sweep)
+BLOCK_VALUES = 32_768
+
+
+def _scale_clip(values, lo, width, fine_bins: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The float half of the locate rule, written into ``out`` (a new
+    array when ``None``): ``(values - lo) / width * fine_bins`` (in that
+    order), then ``fmin(fine_bins - 1)`` and ``fmax(0)``.  Truncating
+    the result to an integer dtype gives the codes."""
+    with np.errstate(over="ignore"):        # huge values clip anyway
+        out = np.subtract(values, lo, out=out)
+        out /= width
+        out *= fine_bins
+    np.fmin(out, fine_bins - 1, out=out)
+    np.fmax(out, 0, out=out)
+    return out
+
+
 def fine_codes(values: np.ndarray, lo, width, fine_bins: int) -> np.ndarray:
     """The fine-interval code of every value — the one locate rule of
     the clustering path.
@@ -76,25 +98,44 @@ def fine_codes(values: np.ndarray, lo, width, fine_bins: int) -> np.ndarray:
     ``[0, fine_bins - 1]`` and truncated.  Values below the domain get
     code 0; values at or above its top, ``+inf`` and NaN get the last
     code (``np.fmin`` returns its non-NaN operand, so NaN needs no
-    extra pass).  ``lo``/``width`` are scalars for one column or
-    ``(d,)`` arrays for an ``(n, d)`` block.
+    extra pass).  ``lo``/``width`` are scalars for one column;
+    :func:`block_codes` applies the same steps to a record block.
     """
-    with np.errstate(over="ignore"):        # huge values clip anyway
-        scaled = np.subtract(values, lo)
-        scaled /= width
-        scaled *= fine_bins
-    np.fmin(scaled, fine_bins - 1, out=scaled)
-    np.fmax(scaled, 0, out=scaled)
+    scaled = _scale_clip(values, lo, width, fine_bins)
     return scaled.astype(code_dtype(fine_bins))
 
 
-def block_codes(block: np.ndarray, domains: np.ndarray,
-                fine_bins: int) -> np.ndarray:
-    """Contiguous ``(d, n)`` :func:`fine_codes` of an ``(n, d)`` record
-    block under ``(d, 2)`` domains."""
+def block_codes(block: np.ndarray, domains: np.ndarray, fine_bins: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """``(d, n)`` fine codes of an ``(n, d)`` record block under
+    ``(d, 2)`` domains — :func:`fine_codes`' rule, value for value.
+
+    The block is walked in runs of ``BLOCK_VALUES // d`` records; each
+    run goes through one reused float buffer against ``lo``/``width``
+    tiled to the run's shape (so a C-ordered run is one flat pass per
+    step, not a broadcast over an inner axis ``d`` long) and is cast
+    straight into its columns of ``out``.  ``out`` — a ``(d, n)``
+    integer array or view, e.g. the caller's slice of a kept-code
+    buffer — is allocated in :func:`code_dtype` when not given.
+    """
+    block = np.asarray(block)
+    n, d = block.shape
+    if out is None:
+        out = np.empty((d, n), dtype=code_dtype(fine_bins))
+    elif out.shape != (d, n):
+        raise DataError(f"codes buffer shape {out.shape} != ({d}, {n})")
     lo = domains[:, 0]
     width = domains[:, 1] - domains[:, 0]
-    return np.ascontiguousarray(fine_codes(block, lo, width, fine_bins).T)
+    step = max(1, min(n, BLOCK_VALUES // max(d, 1)))
+    lo_run = np.tile(lo, (step, 1))
+    width_run = np.tile(width, (step, 1))
+    buf = np.empty((step, d), dtype=np.result_type(block, lo))
+    for r0 in range(0, n, step):
+        m = min(step, n - r0)
+        scaled = _scale_clip(block[r0:r0 + m], lo_run[:m], width_run[:m],
+                             fine_bins, buf[:m])
+        np.copyto(out[:, r0:r0 + m], scaled.T, casting="unsafe")
+    return out
 
 
 def code_histogram(codes: np.ndarray, fine_bins: int) -> np.ndarray:
@@ -122,9 +163,7 @@ def block_histogram(block: np.ndarray, domains: np.ndarray,
     exact change.
     """
     domains = np.asarray(domains, dtype=np.float64)
-    binned = block_codes(block, domains, fine_bins)
-    if codes is not None:
-        codes[...] = binned
+    binned = block_codes(block, domains, fine_bins, out=codes)
     counts = code_histogram(binned, fine_bins)
     for old in expired:
         counts -= code_histogram(old, fine_bins)
@@ -154,10 +193,9 @@ def fine_histogram_local(source: DataSource, comm: Comm, domains: np.ndarray,
     for chunk in charged_chunks(source, comm, chunk_records, start, stop,
                                 retry=retry):
         comm.charge_cells(chunk.shape[0] * d)
-        chunk_codes = block_codes(chunk, domains, fine_bins)
-        counts += code_histogram(chunk_codes, fine_bins)
-        if codes is not None:
-            codes[:, offset:offset + len(chunk)] = chunk_codes
+        out = None if codes is None else codes[:, offset:offset + len(chunk)]
+        counts += code_histogram(block_codes(chunk, domains, fine_bins, out),
+                                 fine_bins)
         offset += len(chunk)
     return counts
 

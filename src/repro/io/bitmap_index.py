@@ -114,9 +114,9 @@ def edges_fingerprint(grid: Grid) -> bytes:
     the fine grid and its cuts; thresholds merely classify counts as
     dense.  It is the grid half of every index key, so a grid whose
     thresholds moved but whose bins did not keeps a spilled index
-    file valid.
+    file valid.  Hashed once per grid (:attr:`Grid.edges_fingerprint`).
     """
-    return _fingerprint(grid, thresholds=False)
+    return grid.edges_fingerprint
 
 
 def _fingerprint(grid: Grid, *, thresholds: bool) -> bytes:

@@ -169,6 +169,14 @@ class Grid:
         """Bin count per dimension."""
         return tuple(dg.nbins for dg in self.dims)
 
+    @cached_property
+    def edges_fingerprint(self) -> bytes:
+        """:func:`~repro.io.bitmap_index.edges_fingerprint` of this grid,
+        hashed once: the staged index's key and the populator's check
+        read the same digest."""
+        from .io.bitmap_index import _fingerprint
+        return _fingerprint(self, thresholds=False)
+
     def locate_records(self, records: np.ndarray) -> np.ndarray:
         """Map an ``(n, d)`` record block to an ``(n, d)`` ``uint8``
         bin-index matrix, one :meth:`DimensionGrid.locate` per column."""

@@ -15,6 +15,25 @@ from repro.parallel import run_spmd
 from repro.parallel.simtime import payload_nbytes
 
 
+def merge_windows_reference(values, beta):
+    """``merge_windows`` as it was written over NumPy scalars, kept
+    verbatim as the oracle of the Python-float loop."""
+    values = np.asarray(values, dtype=np.float64)
+    ranges = []
+    start = 0
+    current = values[0]
+    for i in range(1, values.size):
+        v = values[i]
+        scale = max(current, v)
+        if scale <= 0 or abs(current - v) < beta * scale:
+            current = max(current, v)
+            continue
+        ranges.append((start, i))
+        start, current = i, v
+    ranges.append((start, values.size))
+    return ranges
+
+
 class TestGridProperties:
     @given(hnp.arrays(np.int64, st.integers(10, 120),
                       elements=st.integers(0, 10_000)),
@@ -54,6 +73,20 @@ class TestGridProperties:
         assert ranges[0][0] == 0 and ranges[-1][1] == len(values)
         for (a, b), (c, d) in zip(ranges, ranges[1:]):
             assert b == c and a < b
+
+    @given(st.one_of(
+               # few distinct values: zero runs and exact ties
+               hnp.arrays(np.int64, st.integers(1, 60),
+                          elements=st.integers(0, 3)),
+               hnp.arrays(np.int64, st.integers(1, 60),
+                          elements=st.integers(0, 10_000)),
+               hnp.arrays(np.float64, st.integers(1, 60),
+                          elements=st.floats(0, 1e6))),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_merge_equals_the_numpy_scalar_loop(self, values, beta):
+        assert merge_windows(values, beta) == \
+            merge_windows_reference(values, beta)
 
     @given(hnp.arrays(np.int64, st.integers(1, 100),
                       elements=st.integers(0, 1000)),

@@ -25,7 +25,7 @@ from repro import MafiaParams, mafia, pmafia
 from repro.core.histogram import block_codes, block_histogram, code_dtype
 from repro.core.pmafia import pmafia_rank
 from repro.errors import DataError
-from repro.io import RecordFile
+from repro.io import RecordFile, bitmap_index
 from repro.parallel.spmd import run_spmd
 from repro.stream import StreamingSession
 from repro.stream.soak import pairs_examined, result_fingerprint
@@ -415,3 +415,27 @@ class TestSegmentsHoldCodes:
             tracemalloc.stop()
         assert session.n_live == window
         assert window * d <= held < 2 * window * d, held
+
+
+class TestGridHashedOnce:
+    def test_snapshot_hashes_its_grid_edges_once(self, monkeypatch):
+        """The staged index's key and the populator's grid check read
+        one cached digest: a snapshot hashes its grid's edges once."""
+        real = bitmap_index._fingerprint
+        calls = []
+
+        def counting(grid, *, thresholds):
+            calls.append(thresholds)
+            return real(grid, thresholds=thresholds)
+
+        monkeypatch.setattr(bitmap_index, "_fingerprint", counting)
+        session = StreamingSession(PARAMS, domains=DOMAINS,
+                                   window_records=200)
+        history = drifting_blocks(31, [60, 80, 70])
+        for i, block in enumerate(history):
+            session.ingest(block)
+            calls.clear()
+            snap = session.snapshot()
+            assert calls == [False], i
+            assert_equivalent(snap, mafia(live_window(history[:i + 1], 200),
+                                          PARAMS, domains=DOMAINS))
