@@ -7,12 +7,13 @@ population pass on clustered level-N lattices (``populate_levelN_indexed``),
 histogramming, the CDU join and repeat elimination — including a bulk
 clustered-lattice join on > 20k raw CDUs, and a serving triple
 (``score_batch_naive`` / ``_compiled`` / ``_cached``) that scores one
-skewed hot-key batch through the per-term reference loop, the compiled
-packed-interval evaluator and a cache-warm ``ClusterServer`` — plus an
-end-to-end 5-level pMAFIA run with the bitmap index resident and
-spilled, and writes one JSON document (kernel → median seconds, machine
-info, e2e times).  Kernels are for diagnosis; the end-to-end numbers
-that judge a change come from ``python -m benchmarks.e2e``.
+skewed hot-key batch through the reference scorer (locate plus a unit
+lookup), the compiled packed-interval evaluator and a cache-warm
+``ClusterServer`` — plus an end-to-end 5-level pMAFIA run with the
+bitmap index resident and spilled, and writes one JSON document
+(kernel → median seconds, machine info, e2e times).  Kernels are for
+diagnosis; the end-to-end numbers that judge a change come from
+``python -m benchmarks.e2e``.
 
 Usage::
 
@@ -117,32 +118,47 @@ def clustered_units(n_clusters: int, cluster_dim: int, level: int,
     return UnitTable.from_pairs(units).unique()
 
 
-def dnf_clusters(n_clusters: int, n_dims: int, seed: int
-                 ) -> list[Cluster]:
-    """Synthetic serving clusters shaped like MAFIA output: a few
-    subspace dims each, 1-6 DNF terms per cluster, interval endpoints
-    drawn from a shared per-dimension edge pool (real DNFs reuse grid
-    bin edges, which is what makes the packed-interval tables small)."""
+def serving_grid(n_dims: int, nbins: int, seed: int) -> Grid:
+    """Adaptive-grid-shaped serving grid: ``nbins`` bins per dim over
+    [0, 100) at random cuts of 1000 fine intervals."""
     rng = np.random.default_rng(seed)
-    edge_pool = {d: np.sort(rng.uniform(0.0, 100.0, size=12))
-                 for d in range(n_dims)}
+    dims = []
+    for j in range(n_dims):
+        inner = np.sort(rng.choice(np.arange(1, 1000), size=nbins - 1,
+                                   replace=False))
+        dims.append(DimensionGrid(dim=j, lo=0.0, hi=100.0, n_fine=1000,
+                                  cuts=(0, *inner.tolist(), 1000),
+                                  thresholds=(1.0,) * nbins))
+    return Grid(dims=tuple(dims))
+
+
+def dnf_clusters(grid: Grid, n_clusters: int, seed: int) -> list[Cluster]:
+    """Synthetic serving clusters shaped like MAFIA output over
+    ``grid``: a few subspace dims each, 2-10 DNF terms per cluster,
+    each term a box of 1-4 bins per dim whose bounds are grid edges;
+    a cluster's units are every cell of its boxes' union."""
+    from itertools import product
+
+    rng = np.random.default_rng(seed)
     clusters = []
     for _ in range(n_clusters):
         k = int(rng.integers(3, 6))
-        dims = sorted(rng.choice(n_dims, size=k, replace=False).tolist())
+        dims = sorted(rng.choice(grid.ndim, size=k, replace=False).tolist())
         sub = Subspace(tuple(dims))
+        cells = set()
         terms = []
         for _ in range(int(rng.integers(2, 11))):
-            intervals = []
+            box = []
             for d in dims:
-                a, b = rng.choice(len(edge_pool[d]), size=2,
-                                  replace=False)
-                lo, hi = sorted((edge_pool[d][a], edge_pool[d][b]))
-                intervals.append((float(lo), float(hi)))
-            terms.append(DNFTerm(subspace=sub,
-                                 intervals=tuple(intervals)))
+                first = int(rng.integers(0, grid[d].nbins))
+                stop = min(grid[d].nbins, first + int(rng.integers(1, 5)))
+                box.append((first, stop))
+            cells.update(product(*(range(a, b) for a, b in box)))
+            terms.append(DNFTerm(subspace=sub, intervals=tuple(
+                (grid[d].edges[a], grid[d].edges[b])
+                for d, (a, b) in zip(dims, box))))
         clusters.append(Cluster(
-            subspace=sub, units_bins=np.zeros((1, k), dtype=np.int64),
+            subspace=sub, units_bins=np.array(sorted(cells)),
             dnf=tuple(terms), point_count=1))
     return clusters
 
@@ -241,12 +257,13 @@ def build_suite(smoke: bool, only: str | None = None):
     # serving load: a skewed hot-key trace — every record in the batch
     # is one of ``pool_n`` distinct rows, the shape of production
     # scoring traffic — so all three engines score the *same* batch:
-    # the per-term reference loop, the compiled packed-interval
+    # the reference scorer, the compiled packed-interval
     # evaluator, and a cache-warm server answering from signatures.
     # same model shape at both scales (the 4-word mask is what makes
     # the evaluator worth caching); smoke just shrinks the batch
     serve_load = None
-    serve_cls = serve_model = serve_server = serve_records = None
+    serve_grid = serve_cls = serve_model = serve_server = None
+    serve_records = None
     if wanted("score_batch_naive", "score_batch_compiled",
               "score_batch_cached"):
         serve_dims, serve_n_clusters = 12, 32
@@ -254,8 +271,9 @@ def build_suite(smoke: bool, only: str | None = None):
             serve_batch, serve_pool = 100_000, 1_000
         else:
             serve_batch, serve_pool = 1_000_000, 4_000
-        serve_cls = dnf_clusters(serve_n_clusters, serve_dims, seed=31)
-        serve_model = compile_clusters(serve_cls, serve_dims)
+        serve_grid = serving_grid(serve_dims, 12, seed=30)
+        serve_cls = dnf_clusters(serve_grid, serve_n_clusters, seed=31)
+        serve_model = compile_clusters(serve_grid, serve_cls)
         rng31 = np.random.default_rng(32)
         pool = rng31.uniform(0.0, 100.0, size=(serve_pool, serve_dims))
         serve_records = pool[rng31.integers(0, serve_pool,
@@ -264,7 +282,7 @@ def build_suite(smoke: bool, only: str | None = None):
         serve_server.score_batch(serve_records)       # warm the cache
         serve_identical = bool(np.array_equal(
             serve_model.score(serve_records),
-            score_batch_naive(serve_cls, serve_records)))
+            score_batch_naive(serve_grid, serve_cls, serve_records)))
         serve_load = {
             "n_clusters": int(serve_model.n_clusters),
             "n_terms": int(serve_model.n_terms),
@@ -356,7 +374,8 @@ def build_suite(smoke: bool, only: str | None = None):
         "bitmap_index_build": (
             lambda: stage_bitmap_index(source, comm, grid, chunk), runs),
         "score_batch_naive": (
-            lambda: score_batch_naive(serve_cls, serve_records), runs),
+            lambda: score_batch_naive(serve_grid, serve_cls,
+                                      serve_records), runs),
         "score_batch_compiled": (
             lambda: serve_model.score(serve_records), runs),
         "score_batch_cached": (
@@ -594,7 +613,7 @@ def main(argv=None) -> int:
                          "than the baseline (default 3.0)")
     ap.add_argument("--min-serve-speedup", type=float, default=0.0,
                     help="fail unless the compiled serving evaluator "
-                         "beats the naive per-term scorer by this "
+                         "beats the reference scorer by this "
                          "factor (or the engines disagree on any "
                          "record)")
     ap.add_argument("--skip-e2e", action="store_true",
@@ -716,7 +735,7 @@ def main(argv=None) -> int:
         rc = compare(doc, args.compare, args.fail_over)
     if "serve" in doc and not doc["serve"]["identical"]:
         print("FAIL: compiled serving evaluator disagrees with the "
-              "naive per-term scorer")
+              "reference scorer")
         rc = 1
     if args.min_serve_speedup and \
             (doc.get("serve", {}).get("compiled_speedup")

@@ -14,9 +14,10 @@ results stay one-third the pretty-printed size), and
 file instead of materialising one giant string.
 
 The serving layer's compiled models have their own versioned format
-(``pmafia-compiled-model``/1): :func:`model_to_dict` /
-:func:`model_from_dict` carry the flat DNF condition table plus
-cluster metadata, so a model exported today recompiles identically on
+(``pmafia-compiled-model``/2): :func:`model_to_dict` /
+:func:`model_from_dict` carry the flat DNF condition table, cluster
+metadata and the grid (``lo``/``hi``/``n_fine``/``cuts``) of every
+serving dimension, so a model exported today recompiles identically on
 load without shipping the full clustering result.
 """
 
@@ -28,7 +29,7 @@ from typing import Any, IO
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, GridError
 from ..params import MafiaParams
 from ..types import Cluster, DimensionGrid, DNFTerm, Grid, Subspace
 from .result import ClusteringResult, LevelTrace
@@ -42,25 +43,30 @@ RESULT_VERSION = 2
 
 def grid_to_dict(grid: Grid) -> dict[str, Any]:
     """The grid's defining fields (its edges are derived from them)."""
-    return {
-        "dims": [
-            {"dim": dg.dim, "lo": dg.lo, "hi": dg.hi, "n_fine": dg.n_fine,
-             "cuts": list(dg.cuts),
-             "thresholds": list(dg.thresholds), "uniform": dg.uniform}
-            for dg in grid
-        ]
-    }
+    return {"dims": dims_to_list(grid)}
+
+
+def dims_to_list(dims) -> list[dict[str, Any]]:
+    """Each :class:`DimensionGrid`'s defining fields."""
+    return [{"dim": dg.dim, "lo": dg.lo, "hi": dg.hi, "n_fine": dg.n_fine,
+             "cuts": list(dg.cuts), "thresholds": list(dg.thresholds),
+             "uniform": dg.uniform} for dg in dims]
+
+
+def dims_from_list(entries) -> tuple[DimensionGrid, ...]:
+    """Inverse of :func:`dims_to_list`."""
+    return tuple(
+        DimensionGrid(dim=int(d["dim"]), lo=float(d["lo"]),
+                      hi=float(d["hi"]), n_fine=int(d["n_fine"]),
+                      cuts=tuple(int(c) for c in d["cuts"]),
+                      thresholds=tuple(float(t) for t in d["thresholds"]),
+                      uniform=bool(d["uniform"]))
+        for d in entries)
 
 
 def grid_from_dict(payload: dict[str, Any]) -> Grid:
     try:
-        dims = tuple(
-            DimensionGrid(dim=int(d["dim"]), lo=float(d["lo"]),
-                          hi=float(d["hi"]), n_fine=int(d["n_fine"]),
-                          cuts=tuple(int(c) for c in d["cuts"]),
-                          thresholds=tuple(float(t) for t in d["thresholds"]),
-                          uniform=bool(d["uniform"]))
-            for d in payload["dims"])
+        dims = dims_from_list(payload["dims"])
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed grid payload: {exc}") from exc
     return Grid(dims=dims)
@@ -218,17 +224,19 @@ def result_from_json(text: str) -> ClusteringResult:
 # -- compiled serving models --------------------------------------------
 
 MODEL_FORMAT = "pmafia-compiled-model"
-MODEL_VERSION = 1
+#: version 2 carries each serving dimension's grid
+MODEL_VERSION = 2
 
 
 def model_to_dict(model: Any) -> dict[str, Any]:
     """A compiled serving model as a versioned JSON-compatible dict.
 
     The payload carries the flat DNF condition table
-    (:class:`repro.core.dnf.TermArrays`) plus cluster metadata — the
-    exact inputs of :func:`repro.serve.compile.compile_arrays` — so
-    importing rebuilds a bit-identical evaluator without needing the
-    original clustering result or its grid.
+    (:class:`repro.core.dnf.TermArrays`), cluster metadata and each
+    serving dimension's grid (:func:`dims_to_list`) — the exact inputs of
+    :func:`repro.serve.compile.compile_arrays` — so importing rebuilds
+    a bit-identical evaluator without needing the original clustering
+    result.
     """
     terms = model.terms
     return {
@@ -239,8 +247,9 @@ def model_to_dict(model: Any) -> dict[str, Any]:
             {"subspace": list(dims), "point_count": int(count)}
             for dims, count in zip(model.subspaces, model.point_counts)
         ],
+        "grids": dims_to_list(model.grids),
         "terms": {
-            "term_cluster": model.terms.term_cluster.tolist(),
+            "term_cluster": terms.term_cluster.tolist(),
             "cond_term": terms.cond_term.tolist(),
             "cond_dim": terms.cond_dim.tolist(),
             "cond_lo": terms.cond_lo.tolist(),
@@ -256,9 +265,11 @@ def model_from_dict(payload: dict[str, Any]) -> Any:
 
     if payload.get("format") != MODEL_FORMAT:
         raise DataError("not a pmafia-compiled-model payload")
-    if payload.get("version") != MODEL_VERSION:
+    if payload.get("version") != MODEL_VERSION:     # 1 had no grids
         raise DataError(
-            f"unsupported compiled-model version {payload.get('version')}")
+            f"unsupported compiled-model version {payload.get('version')}; "
+            f"re-export it from the result JSON (pmafia score RESULT.json "
+            f"DATA --export-model MODEL.json)")
     try:
         t = payload["terms"]
         terms = TermArrays(
@@ -273,9 +284,10 @@ def model_from_dict(payload: dict[str, Any]) -> Any:
         counts = [int(c.get("point_count", 0))
                   for c in payload["clusters"]]
         ndim = int(payload["ndim"])
-    except (KeyError, TypeError) as exc:
+        grids = dims_from_list(payload["grids"])
+    except (KeyError, TypeError, GridError) as exc:
         raise DataError(f"malformed compiled-model payload: {exc}") from exc
-    return compile_arrays(terms, ndim, subspaces=subspaces,
+    return compile_arrays(terms, ndim, grids=grids, subspaces=subspaces,
                           point_counts=counts)
 
 

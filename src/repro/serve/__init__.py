@@ -4,7 +4,9 @@ The millions-of-users front door over a finished clustering.  Compile
 a :class:`~repro.core.result.ClusteringResult`'s minimal DNF cluster
 descriptions once (:func:`compile_result`), then answer "which clusters
 does this record belong to, in which subspaces" for whole record
-batches via vectorized packed-interval evaluation — with an LRU result
+batches via vectorized packed-interval evaluation — a record is in a
+cluster when training would locate it in one of the cluster's cells —
+with an LRU result
 cache keyed by per-record bin signature so hot traffic skips
 evaluation entirely.
 
@@ -15,9 +17,10 @@ Entry points
   (:meth:`~ClusterServer.ascore_batch`), optionally metered through a
   :class:`repro.obs.RankObs` (``serve.*`` metrics + spans).
 * :func:`compile_result` / :func:`compile_clusters` — build the
-  reusable :class:`CompiledModel` directly.
-* :func:`score_batch_naive` — the per-term reference scorer the
-  compiled engine is property-tested and benchmarked against.
+  reusable :class:`CompiledModel` directly, over the clustering's grid.
+* :func:`score_batch_naive` — the reference scorer (training's locate
+  rule plus a unit lookup) the compiled engine is property-tested and
+  benchmarked against.
 * ``repro.core.export.model_to_json`` / ``model_from_json`` — the
   versioned compiled-model interchange format.
 

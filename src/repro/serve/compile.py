@@ -1,19 +1,21 @@
 """Compile minimal DNF cluster descriptions into a vectorized evaluator.
 
 A clustering's end product is a set of DNF expressions — per cluster, a
-union of hyper-rectangles over adaptive-grid bin boundaries.  Serving
-them naively walks every term of every cluster per record; this module
-compiles the whole cluster set once into a *packed-interval* evaluator
-so a batch of records is scored with a handful of array operations:
+union of hyper-rectangles over adaptive-grid bins.  A record belongs to
+a cluster when the histogram pass would put it in one of the cluster's
+cells (§3.6).  This module compiles the whole cluster set once, in
+bin-index space, into a *packed-interval* evaluator so a batch of
+records is scored with a handful of array operations:
 
-1.  **Digitize** — per serving dimension (the union of all cluster
-    subspace dims), the distinct term boundary values form one sorted
-    edge array; ``np.searchsorted(edges, col, side="right")`` maps each
-    record to a small integer *serve bin* per dimension, exactly once
-    per batch.  Because the edges are the terms' own ``lo``/``hi``
-    floats, bin membership reproduces the direct comparisons
-    ``lo <= x < hi`` bit for bit — including records sitting exactly on
-    a bin edge (property-tested in ``tests/test_serve.py``).
+1.  **Digitize** — every serving dimension (the union of all cluster
+    subspace dims) carries its training grid.  Fine codes come from
+    :func:`repro.types.fine_codes_matrix`, the path
+    :meth:`~repro.types.Grid.locate_records` takes, and one
+    ``(n_fine,)`` table per dimension maps a code to its *serve bin*:
+    the run of grid bins between two consecutive term cuts.  Every term
+    bound must be a grid edge, so each record is served by the cell
+    training located it in — on-edge, infinite, out-of-domain and NaN
+    values included.
 2.  **Interval masks** — every DNF term owns one bit of a packed uint64
     mask; per serving dimension a small lookup table maps each serve
     bin to the mask of terms whose interval on that dimension contains
@@ -34,6 +36,7 @@ evaluation entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
@@ -41,13 +44,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..core.dnf import TermArrays, term_arrays
+from ..core.histogram import code_dtype
 from ..errors import DataError
 from ..core.units import pack_tokens
-from ..types import Cluster
-
-#: serve bins are packed as uint16 tokens, so a dimension may have at
-#: most this many distinct term boundaries (adaptive grids give <= 257)
-MAX_BOUNDARIES = 65_534
+from ..types import Cluster, DimensionGrid, Grid, fine_codes_matrix
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -72,8 +72,10 @@ class CompiledModel:
     terms: TermArrays
     #: (s,) sorted dims that actually appear in any term
     serve_dims: np.ndarray
-    #: per serve dim, sorted unique term boundary values
-    boundaries: tuple[np.ndarray, ...]
+    #: per serve dim, its training grid: the locate rule of serving
+    grids: tuple[DimensionGrid, ...]
+    #: per serve dim, the (n_fine,) uint8 map from fine code to serve bin
+    bin_luts: tuple[np.ndarray, ...]
     #: per serve dim, (n_bins, n_words) uint64 term-mask lookup table
     luts: tuple[np.ndarray, ...]
     #: packed term-mask words per record after the AND-reduction
@@ -95,50 +97,37 @@ class CompiledModel:
     def n_serve_dims(self) -> int:
         return int(len(self.serve_dims))
 
-    @property
-    def signature_words(self) -> int:
-        """uint64 words per record bin signature (>= 1)."""
-        return max(1, -(-self.n_serve_dims // 4))
+    @cached_property
+    def n_bins(self) -> tuple[int, ...]:
+        """Serve-bin count per serve dim."""
+        return tuple(len(lut) for lut in self.luts)
 
     @cached_property
-    def _radix_strides(self) -> np.ndarray | None:
-        """Mixed-radix strides collapsing a serve-bin row to ONE uint64
-        grouping key, or ``None`` when the bin-count product overflows
-        a word (then grouping falls back to the packed signature rows).
-        Adaptive-grid DNFs have a handful of boundaries per dim, so the
-        single-word key is the overwhelmingly common case — and sorting
-        uint64 keys is several times faster than sorting byte rows."""
-        total = 1
-        for edges in self.boundaries:
-            total *= len(edges) + 1
-        if total > (1 << 64):
-            return None
-        strides = np.empty(self.n_serve_dims, dtype=np.uint64)
-        acc = 1
-        for j in range(self.n_serve_dims - 1, -1, -1):
-            strides[j] = acc
-            acc *= len(self.boundaries[j]) + 1
-        return strides
+    def _one_word_keys(self) -> bool:
+        """Whether a serve-bin row collapses to ONE uint64 mixed-radix
+        grouping key (the serve-bin count product fits a word); else
+        grouping falls back to the packed signature rows.  Adaptive-grid
+        DNFs cut a handful of serve bins per dim, so the single-word key
+        is the overwhelmingly common case — and sorting uint64 keys is
+        several times faster than sorting byte rows."""
+        return math.prod(self.n_bins) <= 1 << 64
 
     # -- evaluation ------------------------------------------------------
     def digitize(self, records: np.ndarray) -> np.ndarray:
-        """Map an ``(n, ndim)`` record block to its ``(n, s)`` uint16
-        serve-bin matrix — one ``searchsorted`` per serving dimension,
-        the only place record values are read.  The result is
-        column-major so each dimension's bins stay contiguous for the
-        gathers downstream; columns are searched on a contiguous copy
-        (``searchsorted`` on a strided column is ~3x slower)."""
+        """Map an ``(n, ndim)`` record block to its column-major ``(n,
+        s)`` serve-bin matrix — the only place record values are read:
+        the fine codes are written into it, then mapped in place through
+        each column's table."""
         records = np.atleast_2d(np.asarray(records, dtype=np.float64))
         if records.ndim != 2 or records.shape[1] != self.ndim:
             raise DataError(
                 f"records shape {records.shape} does not match model "
                 f"with {self.ndim} dimensions")
-        idx = np.empty((records.shape[0], self.n_serve_dims),
-                       dtype=np.uint16, order="F")
-        for j, dim in enumerate(self.serve_dims):
-            col = np.ascontiguousarray(records[:, dim])
-            idx[:, j] = np.searchsorted(self.boundaries[j], col,
-                                        side="right")
+        idx = np.empty((len(records), self.n_serve_dims), order="F",
+                       dtype=np.result_type(np.uint8, *self.bin_luts))
+        fine_codes_matrix(records, self.grids, out=idx.T)
+        for j, lut in enumerate(self.bin_luts):
+            np.take(lut, idx[:, j], out=idx[:, j])
         return idx
 
     def signatures(self, idx: np.ndarray) -> np.ndarray:
@@ -152,15 +141,13 @@ class CompiledModel:
         equal keys provably score identically.  A ``(n,)`` uint64 array
         via the mixed-radix collapse when it fits, else the packed
         signature rows as an opaque void view."""
-        strides = self._radix_strides
-        if strides is None:
+        if not self._one_word_keys:
             from ..core.units import row_keys
             return row_keys(self.signatures(idx))
         n = idx.shape[0]
         key = np.zeros(n, dtype=np.uint64)
         for j in range(self.n_serve_dims):
-            np.multiply(key, np.uint64(len(self.boundaries[j]) + 1),
-                        out=key)
+            np.multiply(key, np.uint64(self.n_bins[j]), out=key)
             np.add(key, idx[:, j], out=key, casting="unsafe")
         return key
 
@@ -197,19 +184,15 @@ class CompiledModel:
         """Digitize + evaluate in one call: ``(n, n_clusters)`` bool."""
         return self.eval_idx(self.digitize(records))
 
-    # -- introspection ---------------------------------------------------
-    def describe(self) -> str:
-        return (f"CompiledModel({self.n_clusters} clusters, "
-                f"{self.n_terms} terms, {self.terms.n_conditions} "
-                f"conditions over {self.n_serve_dims} of {self.ndim} "
-                f"dims, {self.n_words} mask word(s))")
 
-
-def compile_clusters(clusters: Sequence[Cluster], ndim: int
+def compile_clusters(grid: Grid, clusters: Sequence[Cluster]
                      ) -> CompiledModel:
-    """Compile a cluster sequence (e.g. ``result.clusters``) for
-    serving against ``ndim``-dimensional records."""
-    return compile_arrays(term_arrays(clusters), ndim,
+    """Compile a cluster sequence (e.g. ``result.clusters``) found on
+    ``grid`` for serving against ``grid.ndim``-dimensional records."""
+    if not isinstance(grid, Grid):
+        raise DataError(f"compile_clusters needs a Grid, not {grid!r:.40}")
+    return compile_arrays(term_arrays(clusters), grid.ndim,
+                          grids=grid.dims,
                           subspaces=tuple(c.subspace.dims
                                           for c in clusters),
                           point_counts=tuple(int(c.point_count)
@@ -222,16 +205,17 @@ def compile_result(result: Any) -> CompiledModel:
     if isinstance(result, dict):
         from ..core.export import result_from_dict
         result = result_from_dict(result)
-    return compile_clusters(result.clusters, result.grid.ndim)
+    return compile_clusters(result.grid, result.clusters)
 
 
 def compile_arrays(terms: TermArrays, ndim: int, *,
+                   grids: Sequence[DimensionGrid],
                    subspaces: Sequence[Sequence[int]],
                    point_counts: Sequence[int] | None = None
                    ) -> CompiledModel:
-    """Build the evaluator from a flat condition table (the import path
-    of the versioned model export, and the core of the compilers above).
-    """
+    """Build the evaluator from a flat condition table and the grids
+    (``DimensionGrid``s, keyed by ``dim``) of its condition dims; a term
+    bound that is not an edge of its grid is refused."""
     if len(subspaces) != terms.n_clusters:
         raise DataError(f"{len(subspaces)} subspaces for "
                         f"{terms.n_clusters} clusters")
@@ -246,66 +230,65 @@ def compile_arrays(terms: TermArrays, ndim: int, *,
     if terms.n_conditions and int(terms.cond_dim.max()) >= ndim:
         raise DataError("term condition references a dim outside the "
                         f"{ndim}-dimensional data space")
-    terms = _grouped_by_cluster(terms)
+    if (np.diff(terms.term_cluster) < 0).any():
+        raise DataError("terms of one cluster must be contiguous, in "
+                        "cluster order")
 
     # bit layout: terms of one cluster are contiguous (enforced above)
     # and padded so no cluster straddles a word — membership then
     # costs one masked word test per cluster
     bit_of_term, cluster_word, cluster_mask, n_words = _layout_bits(terms)
 
+    grid_of = {int(dg.dim): dg for dg in grids}
     serve_dims = np.unique(terms.cond_dim) if terms.n_conditions \
         else np.empty(0, dtype=np.int64)
-    boundaries: list[np.ndarray] = []
+    serve_grids: list[DimensionGrid] = []
+    bin_luts: list[np.ndarray] = []
     luts: list[np.ndarray] = []
     for dim in serve_dims:
+        dg = grid_of.get(int(dim))
+        if dg is None:
+            raise DataError(f"no grid for serving dim {int(dim)}")
         on_dim = terms.cond_dim == dim
-        edges = np.unique(np.concatenate([terms.cond_lo[on_dim],
-                                          terms.cond_hi[on_dim]]))
-        if len(edges) > MAX_BOUNDARIES:
-            raise DataError(
-                f"dim {int(dim)} has {len(edges)} distinct term "
-                f"boundaries; serving supports at most {MAX_BOUNDARIES}")
-        n_bins = len(edges) + 1     # searchsorted lands in [0, len(edges)]
-        lut = np.full((n_bins, n_words), _ALL_ONES, dtype=np.uint64)
-        lo_idx = np.searchsorted(edges, terms.cond_lo[on_dim])
-        hi_idx = np.searchsorted(edges, terms.cond_hi[on_dim])
-        for t, a, b in zip(terms.cond_term[on_dim], lo_idx, hi_idx):
-            # the term accepts serve bin v iff a < v <= b (side="right"
-            # digitizing maps x == edges[a] to a + 1): clear its bit
-            # everywhere outside that interval
+        index_of = {edge: i for i, edge in enumerate(dg.edges)}
+        try:
+            first = np.array([index_of[b] for b in
+                              terms.cond_lo[on_dim].tolist()], dtype=np.int64)
+            stop = np.array([index_of[b] for b in
+                             terms.cond_hi[on_dim].tolist()], dtype=np.int64)
+        except KeyError as exc:
+            raise DataError(f"dim {int(dim)}: term bound {exc.args[0]!r} "
+                            f"is not an edge of its grid") from None
+        if (stop <= first).any():
+            raise DataError(f"dim {int(dim)}: empty term interval")
+        # serve bin of grid bin b: the number of term cuts in (0, b]
+        cut = np.zeros(dg.nbins + 1, dtype=bool)
+        cut[first] = cut[stop] = True
+        serve_of_bin = np.zeros(dg.nbins, dtype=np.int64)
+        np.cumsum(cut[1:dg.nbins], out=serve_of_bin[1:])
+        lut = np.full((serve_of_bin[-1] + 1, n_words), _ALL_ONES,
+                      dtype=np.uint64)
+        for t, a, b in zip(terms.cond_term[on_dim], serve_of_bin[first],
+                           serve_of_bin[stop - 1] + 1):
+            # the term accepts serve bins [a, b): clear its bit outside
             word, bit = divmod(int(bit_of_term[t]), 64)
             clear = ~(np.uint64(1) << np.uint64(bit))
-            lut[:a + 1, word] &= clear
-            lut[b + 1:, word] &= clear
-        boundaries.append(np.ascontiguousarray(edges))
+            lut[:a, word] &= clear
+            lut[b:, word] &= clear
+        serve_grids.append(dg)
+        bin_luts.append(serve_of_bin[dg.lut])
         luts.append(lut)
+    # serve bins are digitized in place of the fine codes
+    code_type = code_dtype(max((dg.n_fine for dg in serve_grids), default=1))
 
     return CompiledModel(
         ndim=int(ndim), subspaces=subspaces,
         point_counts=tuple(int(p) for p in point_counts),
-        terms=terms, serve_dims=serve_dims,
-        boundaries=tuple(boundaries), luts=tuple(luts),
+        terms=terms, serve_dims=serve_dims, grids=tuple(serve_grids),
+        bin_luts=tuple(lut.astype(code_type) for lut in bin_luts),
+        luts=tuple(luts),
         n_words=n_words, cluster_word=cluster_word,
         cluster_mask=cluster_mask)
-
-
-def _grouped_by_cluster(terms: TermArrays) -> TermArrays:
-    """Reorder a condition table so terms of one cluster are contiguous
-    in cluster order (``term_arrays`` already emits this layout; a
-    hand-built or imported table may not)."""
-    order = np.argsort(terms.term_cluster, kind="stable")
-    if np.array_equal(order, np.arange(terms.n_terms)):
-        return terms
-    new_of_old = np.empty(terms.n_terms, dtype=np.int64)
-    new_of_old[order] = np.arange(terms.n_terms)
-    cond_order = np.argsort(new_of_old[terms.cond_term], kind="stable")
-    return TermArrays(
-        n_clusters=terms.n_clusters,
-        term_cluster=terms.term_cluster[order],
-        cond_term=new_of_old[terms.cond_term][cond_order],
-        cond_dim=terms.cond_dim[cond_order],
-        cond_lo=terms.cond_lo[cond_order],
-        cond_hi=terms.cond_hi[cond_order])
 
 
 def _layout_bits(terms: TermArrays

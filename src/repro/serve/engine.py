@@ -1,7 +1,9 @@
-"""Batch membership scoring: the naive reference scorer and the server.
+"""Batch membership scoring: the reference scorer and the server.
 
-:func:`score_batch_naive` is the obvious implementation — one NumPy
-interval comparison per term condition, looped in Python — kept as the
+:func:`score_batch_naive` is the obvious implementation of the paper's
+membership rule — locate every record's cell on the training grid
+(:meth:`repro.types.Grid.locate_records`, the histogram pass's own
+rule) and test it against each cluster's dense units — kept as the
 ground truth the compiled engine is property-tested (and benchmarked)
 against.
 
@@ -17,13 +19,14 @@ evaluates vectorized — cold random traffic is never slower than the
 cache-less path by more than the key grouping.
 
 The hot probe never walks a Python loop over the batch: alongside the
-LRU dict the server keeps a *sorted probe snapshot* — one sorted
-uint64 key array plus the matching membership rows — so a whole batch
-is probed with a single ``searchsorted`` and answered with one row
-gather.  The snapshot may briefly retain entries the LRU has already
-evicted; that is stale-but-*correct* (membership is a pure function of
-the signature), costs only memory, and the snapshot is re-filtered
-against the live dict once it grows past twice the cache capacity.
+LRU dict the server keeps a *sorted probe snapshot* — one sorted key
+array (uint64, or packed signature rows for very wide models) plus the
+matching membership rows — so a whole batch is probed with a single
+``searchsorted`` and answered with one row gather.  The snapshot may
+briefly retain entries the LRU has already evicted; that is
+stale-but-*correct* (membership is a pure function of the signature),
+costs only memory, and the snapshot is re-filtered against the live
+dict once it grows past twice the cache capacity.
 
 The server is thread-safe (one lock around cache sections) and
 daemon-friendly: :meth:`ClusterServer.ascore_batch` awaits the scoring
@@ -45,6 +48,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..core.units import row_keys
 from ..errors import DataError
 from ..types import Cluster
 from .cache import SignatureCache
@@ -54,37 +58,33 @@ from .compile import CompiledModel, compile_result
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.unique(keys, return_index=True, return_inverse=True)``, but
     through a stable argsort — radix sort on integer keys, several
-    times faster than unique's comparison sort on large batches.
-    Non-integer (void-view) keys fall back to ``np.unique``."""
-    if keys.dtype.kind not in "ui":
-        return np.unique(keys, return_index=True, return_inverse=True)
+    times faster than unique's comparison sort on large batches (void
+    keys sort by memcmp)."""
     order = np.argsort(keys, kind="stable")
     ranked = keys[order]
     starts = np.empty(len(ranked), dtype=bool)
     starts[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    starts[1:] = ranked[1:] != ranked[:-1]
     group_of_rank = np.cumsum(starts) - 1
     inverse = np.empty(len(ranked), dtype=np.int64)
     inverse[order] = group_of_rank
     return ranked[starts], order[starts], inverse
 
 
-def score_batch_naive(clusters: Sequence[Cluster], records: np.ndarray
-                      ) -> np.ndarray:
-    """Reference scorer: ``(n, n_clusters)`` bool membership via a
-    per-term NumPy loop over the raw interval comparisons — exactly
-    ``Cluster.contains`` vectorized over records, nothing cleverer."""
+def score_batch_naive(result_or_grid: Any, clusters: Sequence[Cluster],
+                      records: np.ndarray) -> np.ndarray:
+    """Reference scorer: ``(n, n_clusters)`` bool, True where the
+    record's cell on the clustering's grid (``grid.locate_records``) is
+    one of the cluster's ``units_bins`` rows."""
+    grid = getattr(result_or_grid, "grid", result_or_grid)
     records = np.atleast_2d(np.asarray(records, dtype=np.float64))
-    n = records.shape[0]
-    member = np.zeros((n, len(clusters)), dtype=bool)
+    cells = grid.locate_records(records)
+    member = np.empty((len(cells), len(clusters)), dtype=bool)
     for ci, cluster in enumerate(clusters):
-        acc = member[:, ci]
-        for term in cluster.dnf:
-            hit = np.ones(n, dtype=bool)
-            for dim, (lo, hi) in zip(term.subspace.dims, term.intervals):
-                col = records[:, dim]
-                hit &= (col >= lo) & (col < hi)
-            acc |= hit
+        dims = list(cluster.subspace.dims)
+        member[:, ci] = np.isin(
+            row_keys(cells[:, dims]),
+            row_keys(cluster.units_bins.astype(np.uint8)))
     return member
 
 
@@ -177,7 +177,7 @@ class ClusterServer:
         self._records = 0
         self._bypasses = 0
         self._evaluated = 0
-        # sorted probe snapshot: a uint64 key array (ascending) plus
+        # sorted probe snapshot: a group_keys array (ascending) plus
         # the matching membership rows, so a whole batch is probed
         # with one searchsorted instead of a per-key dict loop.  May
         # briefly retain LRU-evicted keys (stale-but-correct).
@@ -209,7 +209,8 @@ class ClusterServer:
     def score_batch(self, records: np.ndarray) -> BatchScores:
         """Score one record block: ``BatchScores`` with an ``(n,
         n_clusters)`` membership matrix.  Identical to
-        :func:`score_batch_naive` bit for bit, for any cache state."""
+        :func:`score_batch_naive` on the model's grid bit for bit, for
+        any cache state."""
         records = np.atleast_2d(np.asarray(records, dtype=np.float64))
         n = records.shape[0]
         t0 = time.perf_counter()
@@ -248,9 +249,6 @@ class ClusterServer:
             return (np.zeros((0, self.model.n_clusters), dtype=bool),
                     0, 0, 0, False)
         keys = self.model.group_keys(idx)
-        if keys.dtype.kind not in "ui":
-            return self._score_grouped(keys, idx, n)
-
         with self._lock:
             pk, pr = self._probe_keys, self._probe_rows
         if pk is not None and len(pk):
@@ -322,37 +320,6 @@ class ClusterServer:
                 dtype=bool, count=len(self._probe_keys))
             self._probe_keys = self._probe_keys[live]
             self._probe_rows = self._probe_rows[live]
-
-    def _score_grouped(self, keys: np.ndarray, idx: np.ndarray, n: int
-                       ) -> tuple[np.ndarray, int, int, int, bool]:
-        """Fallback cached path for void-view keys (serve-bin count
-        product past 2**64): per-unique dict probe, no snapshot."""
-        uniq, first, inverse = _group(keys)
-        u = len(uniq)
-        if u > self.bypass_fraction * n:
-            return self.model.eval_idx(idx), 0, n, n, True
-
-        rows = np.empty((u, self.model.n_clusters), dtype=bool)
-        missing: list[int] = []
-        with self._lock:
-            for i in range(u):
-                row = self.cache.get(uniq[i].tobytes())
-                if row is None:
-                    missing.append(i)
-                else:
-                    rows[i] = row
-        if missing:
-            miss_pos = np.asarray(missing, dtype=np.int64)
-            fresh = self.model.eval_idx(idx[first[miss_pos]])
-            rows[miss_pos] = fresh
-            with self._lock:
-                for j, i in enumerate(missing):
-                    self.cache.put(uniq[i].tobytes(), fresh[j])
-        membership = rows[inverse]
-        per_sig = np.bincount(inverse, minlength=u)
-        missed_records = int(per_sig[missing].sum()) if missing else 0
-        return (membership, n - missed_records, missed_records,
-                len(missing), False)
 
     def score_one(self, record: Sequence[float]) -> BatchScores:
         """Score a single record (a length-1 batch)."""

@@ -179,16 +179,42 @@ class Grid:
 
     def locate_records(self, records: np.ndarray) -> np.ndarray:
         """Map an ``(n, d)`` record block to an ``(n, d)`` ``uint8``
-        bin-index matrix, one :meth:`DimensionGrid.locate` per column."""
+        bin-index matrix: :func:`fine_codes_matrix` plus each dimension's
+        :attr:`DimensionGrid.lut` (:meth:`DimensionGrid.locate`'s rule)."""
         records = np.asarray(records, dtype=np.float64)
         if records.ndim != 2 or records.shape[1] != self.ndim:
             raise DataError(
                 f"records shape {records.shape} does not match grid with "
                 f"{self.ndim} dimensions")
         out = np.empty(records.shape, dtype=np.uint8)
-        for j, dg in enumerate(self.dims):
-            out[:, j] = dg.locate(records[:, j])
+        for j, codes in enumerate(fine_codes_matrix(records, self.dims)):
+            out[:, j] = self.dims[j].lut[codes]
         return out
+
+
+def fine_codes_matrix(records: np.ndarray, grids: Sequence[DimensionGrid],
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """``(len(grids), n)`` fine codes (in ``out`` if given): row ``j``
+    codes column ``grids[j].dim`` of an ``(n, ndim)`` float block, by
+    one :func:`~repro.core.histogram.block_codes` call per distinct
+    ``n_fine`` — the one path verification and serving locate by."""
+    from .core.histogram import block_codes, code_dtype
+    if out is None:
+        out = np.empty((len(grids), records.shape[0]), dtype=code_dtype(
+            max((dg.n_fine for dg in grids), default=1)))
+    by_fine: dict[int, list[int]] = {}
+    for j, dg in enumerate(grids):
+        by_fine.setdefault(dg.n_fine, []).append(j)
+    for n_fine, cols in by_fine.items():
+        dims = [grids[j].dim for j in cols]
+        domains = np.array([(grids[j].lo, grids[j].hi) for j in cols])
+        block = records if dims == list(range(records.shape[1])) \
+            else records[:, dims]
+        if cols == list(range(cols[0], cols[-1] + 1)):
+            block_codes(block, domains, n_fine, out=out[cols[0]:cols[-1] + 1])
+        else:
+            out[cols] = block_codes(block, domains, n_fine)
+    return out
 
 
 @dataclass(frozen=True)

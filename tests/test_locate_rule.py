@@ -167,6 +167,22 @@ class TestBitLevelOracle:
                                               (what, spilled))
                     del index
 
+    @given(grids_and_records())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def test_locate_records_is_locate_per_column(self, case):
+        """The block path (one ``block_codes`` call per distinct
+        ``n_fine``, then each dimension's lookup table) is byte for
+        byte one ``DimensionGrid.locate`` per column, on grids that mix
+        fine-interval counts across the uint8/uint16 code split."""
+        grid, records, _ = case
+        located = grid.locate_records(records)
+        assert located.dtype == np.uint8
+        for dg in grid:
+            assert np.array_equal(located[:, dg.dim],
+                                  dg.locate(records[:, dg.dim])), dg.dim
+
     def test_top_cut_does_not_wrap_in_uint8_codes(self):
         """At 256 fine intervals the codes are ``uint8`` and the top
         cut (256) does not fit them: the last bin must still hold every
@@ -269,12 +285,14 @@ def test_no_float_search_in_the_locate_path():
     edges is a second rule that can disagree with the histogram near
     an edge.  Staging has one rule, codes against cuts: the bitmap
     index and the stream engine use neither the lookup table nor
-    ``locate``, which stay the oracle (and serve's rule)."""
+    ``locate``, which stay the oracle.  Serving compiles its terms to
+    fine-code lookup tables, so it searches no floats either."""
     package = Path(repro.__file__).parent
     staging = [package / "io" / "bitmap_index.py",
                *sorted((package / "stream").rglob("*.py"))]
     sources = [package / "types.py", package / "core" / "histogram.py",
-               package / "core" / "adaptive_grid.py", *staging]
+               package / "core" / "adaptive_grid.py",
+               package / "serve" / "compile.py", *staging]
     for source in sources:
         assert "searchsorted" not in source.read_text(encoding="utf-8"), \
             source

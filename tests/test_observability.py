@@ -597,15 +597,18 @@ class TestServeObservability:
 
     @pytest.fixture()
     def server_parts(self):
+        from repro.core.dnf import dnf_terms
         from repro.serve import ClusterServer, compile_clusters
-        from repro.types import Cluster, DNFTerm, Subspace
+        from repro.types import Cluster, DimensionGrid, Grid, Subspace
+        grid = Grid(dims=tuple(
+            DimensionGrid(dim=j, lo=0.0, hi=1.0, n_fine=10,
+                          cuts=tuple(range(11)), thresholds=(1.0,) * 10)
+            for j in range(2)))
         sub = Subspace((0, 1))
-        cluster = Cluster(
-            subspace=sub, units_bins=np.zeros((1, 2), dtype=np.int64),
-            dnf=(DNFTerm(subspace=sub,
-                         intervals=((0.2, 0.6), (0.1, 0.9))),),
-            point_count=1)
-        model = compile_clusters([cluster], ndim=2)
+        units = np.array([(a, b) for a in range(2, 6) for b in range(1, 9)])
+        cluster = Cluster(subspace=sub, units_bins=units,
+                          dnf=dnf_terms(grid, sub, units), point_count=1)
+        model = compile_clusters(grid, [cluster])
         records = np.random.default_rng(0).uniform(0, 1, (200, 2))
         return ClusterServer, model, records
 

@@ -1,10 +1,13 @@
 """Tests for the compiled serving engine (repro.serve).
 
-The load-bearing property: the packed-interval evaluator is
-*bit-identical* to direct DNF interval evaluation — ``lo <= x < hi``
-per condition, OR across terms — for every record, including values
-exactly on bin edges and NaNs.  The hypothesis suite drives that over
-random grids and records; the rest covers the server's cache paths,
+The load-bearing property: a record is served into exactly the
+clusters whose dense units hold the cell the histogram pass locates it
+in — its fine code per dimension (NaN takes the last code), gathered
+through the grid's lookup table.  The hypothesis suite draws grids
+(``lo``, ``hi``, ``n_fine``, ``cuts``) and units over them, and checks
+every serving path against a literal scalar reference on records that
+mix integers, every grid edge and one ulp either side of it, NaN, ±inf
+and out-of-domain values; the rest covers the server's cache paths,
 the versioned model export and the CLI front door.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -21,35 +25,75 @@ from hypothesis import strategies as st
 
 from repro import mafia
 from repro.cli import main as cli_main
-from repro.core.dnf import term_arrays
+from repro.core.dnf import dnf_terms, term_arrays
 from repro.core.export import (model_from_dict, model_from_json,
                                model_to_dict, model_to_json,
                                result_to_json)
 from repro.errors import DataError
+from repro.params import MafiaParams
 from repro.serve import (BatchScores, ClusterServer, CompiledModel,
-                         SignatureCache, compile_clusters, compile_result,
-                         score_batch_naive)
-from repro.types import Cluster, DNFTerm, Subspace
+                         SignatureCache, compile_arrays, compile_clusters,
+                         compile_result, score_batch_naive)
+from repro.types import Cluster, DimensionGrid, DNFTerm, Grid, Subspace
 from tests.conftest import DOMAINS_10D
 
 DATA = Path(__file__).parent / "data"
 
 
-def make_cluster(dims, terms_intervals):
-    """A Cluster from ``[(intervals per dim), ...]`` term specs."""
+def make_grid(*dims: tuple[float, float, int, tuple[int, ...]]) -> Grid:
+    """A Grid from ``(lo, hi, n_fine, cuts)`` per dimension."""
+    return Grid(dims=tuple(
+        DimensionGrid(dim=j, lo=lo, hi=hi, n_fine=n_fine, cuts=cuts,
+                      thresholds=(1.0,) * (len(cuts) - 1))
+        for j, (lo, hi, n_fine, cuts) in enumerate(dims)))
+
+
+def unit_grid(ndim: int, nbins: int = 10) -> Grid:
+    """``nbins`` equal bins of one fine interval each over [0, 1)."""
+    return make_grid(*[(0.0, 1.0, nbins, tuple(range(nbins + 1)))] * ndim)
+
+
+def box_cluster(grid: Grid, dims, boxes) -> Cluster:
+    """A Cluster whose DNF terms are ``boxes`` — per term, a half-open
+    ``(first_bin, stop_bin)`` per dim — and whose units are every cell
+    of their union."""
     sub = Subspace(tuple(dims))
-    dnf = tuple(DNFTerm(subspace=sub, intervals=tuple(ivs))
-                for ivs in terms_intervals)
+    cells = set()
+    terms = []
+    for box in boxes:
+        cells.update(product(*(range(a, b) for a, b in box)))
+        terms.append(DNFTerm(subspace=sub, intervals=tuple(
+            (grid[d].edges[a], grid[d].edges[b])
+            for d, (a, b) in zip(dims, box))))
     return Cluster(subspace=sub,
-                   units_bins=np.zeros((1, len(dims)), dtype=np.int64),
-                   dnf=dnf, point_count=1)
+                   units_bins=np.array(sorted(cells), dtype=np.int64),
+                   dnf=tuple(terms), point_count=1)
 
 
-def reference_membership(clusters, records):
-    """Ground truth straight off ``Cluster.contains`` — scalar Python
-    comparisons, no NumPy vectorisation anywhere."""
-    return np.array([[c.contains(rec) for c in clusters]
-                     for rec in records], dtype=bool)
+def scalar_code(x: float, dg: DimensionGrid) -> int:
+    """The histogram pass's fine code of one value, in plain Python:
+    ``(x - lo) / (hi - lo) * n_fine`` clipped into ``[0, n_fine - 1]``
+    and truncated; NaN takes the last code."""
+    if x != x:
+        return dg.n_fine - 1
+    scaled = (x - dg.lo) / (dg.hi - dg.lo) * dg.n_fine
+    return int(max(min(scaled, dg.n_fine - 1), 0))
+
+
+def reference_membership(grid: Grid, clusters, records) -> np.ndarray:
+    """Ground truth one value at a time: each record's cell is its
+    scalar fine code per dimension gathered through the grid's lookup
+    table, and it belongs to the clusters whose units hold that cell."""
+    units = [{tuple(row) for row in c.units_bins.tolist()}
+             for c in clusters]
+    out = np.zeros((len(records), len(clusters)), dtype=bool)
+    for i, record in enumerate(np.asarray(records).tolist()):
+        cell = [int(dg.lut[scalar_code(x, dg)])
+                for x, dg in zip(record, grid)]
+        for ci, cluster in enumerate(clusters):
+            out[i, ci] = tuple(cell[d] for d in cluster.subspace.dims) \
+                in units[ci]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -60,60 +104,74 @@ def clustered(one_cluster_dataset, small_params):
     return result, one_cluster_dataset.records
 
 
-# -- hypothesis: bit-identity over random grids and records -------------
+# -- hypothesis: every path against the scalar reference ----------------
 
 @st.composite
 def serve_problem(draw):
-    """Random clusters over a shared edge pool plus records that mix
-    uniform values with values *exactly on* those edges (and the odd
-    NaN), so boundary semantics are exercised every example."""
-    ndim = draw(st.integers(2, 6))
-    pool = sorted(draw(st.sets(
-        st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
-        min_size=4, max_size=9)))
+    """A random grid, clusters of random units over it (DNF by the
+    greedy cover, as a clustering reports them) and records mixing
+    integers, every grid edge, one ulp either side of each edge, NaN,
+    ±inf and out-of-domain values."""
+    ndim = draw(st.integers(2, 5))
+    specs = []
+    for _ in range(ndim):
+        if draw(st.booleans()):         # integer domain, integer data
+            lo = float(draw(st.integers(-20, 20)))
+            hi = lo + draw(st.integers(1, 120))
+        else:
+            lo = draw(st.floats(-50.0, 50.0))
+            hi = lo + draw(st.floats(0.5, 500.0))
+        n_fine = draw(st.sampled_from([1, 2, 7, 100, 256, 257, 300]))
+        inner = draw(st.sets(st.integers(1, max(1, n_fine - 1)),
+                             max_size=min(8, n_fine - 1)))
+        specs.append((lo, hi, n_fine, (0, *sorted(inner), n_fine)))
+    grid = make_grid(*specs)
     clusters = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(1, min(3, ndim)))
-        dims = sorted(draw(st.sets(st.integers(0, ndim - 1),
-                                   min_size=k, max_size=k)))
-        terms = []
-        for _ in range(draw(st.integers(1, 3))):
-            ivs = []
-            for _ in dims:
-                lo, hi = sorted(draw(st.sets(st.sampled_from(pool),
-                                             min_size=2, max_size=2)))
-                ivs.append((lo, hi))
-            terms.append(ivs)
-        clusters.append(make_cluster(dims, terms))
+        dims = tuple(sorted(draw(st.sets(st.integers(0, ndim - 1),
+                                         min_size=k, max_size=k))))
+        cells = draw(st.sets(st.tuples(*(
+            st.integers(0, grid[d].nbins - 1) for d in dims)),
+            min_size=1, max_size=6))
+        units = np.array(sorted(cells), dtype=np.int64)
+        clusters.append(Cluster(subspace=Subspace(dims), units_bins=units,
+                                dnf=dnf_terms(grid, Subspace(dims), units),
+                                point_count=1))
     seed = draw(st.integers(0, 2**32 - 1))
-    n = draw(st.integers(1, 60))
+    n = draw(st.integers(1, 80))
     rng = np.random.default_rng(seed)
-    records = rng.uniform(0.0, 1.0, size=(n, ndim))
-    # overlay exact edge values on ~a third of the cells, NaN on a few
-    edge_at = rng.random(records.shape) < 0.35
-    records[edge_at] = rng.choice(pool, size=int(edge_at.sum()))
-    records[rng.random(records.shape) < 0.02] = np.nan
-    return ndim, clusters, records
+    records = np.empty((n, ndim))
+    for j, dg in enumerate(grid):
+        edges = np.array(dg.edges)
+        pool = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            np.arange(np.floor(dg.lo) - 1, np.ceil(dg.hi) + 2)[:200],
+            [np.nan, np.inf, -np.inf, dg.lo - 1e6, dg.hi + 1e6,
+             -1e308, 1e308]])
+        inside = rng.uniform(dg.lo, dg.hi, size=n)
+        records[:, j] = np.where(rng.random(n) < 0.6,
+                                 rng.choice(pool, size=n), inside)
+    return grid, clusters, records
 
 
 @settings(max_examples=60, deadline=None)
 @given(serve_problem())
-def test_compiled_bit_identical_to_direct_dnf(problem):
-    ndim, clusters, records = problem
-    model = compile_clusters(clusters, ndim)
-    compiled = model.score(records)
-    np.testing.assert_array_equal(compiled,
-                                  score_batch_naive(clusters, records))
-    np.testing.assert_array_equal(compiled,
-                                  reference_membership(clusters, records))
+def test_compiled_bit_identical_to_located_cells(problem):
+    grid, clusters, records = problem
+    truth = reference_membership(grid, clusters, records)
+    model = compile_clusters(grid, clusters)
+    np.testing.assert_array_equal(model.score(records), truth)
+    np.testing.assert_array_equal(
+        score_batch_naive(grid, clusters, records), truth)
 
 
 @settings(max_examples=25, deadline=None)
 @given(serve_problem())
 def test_server_cache_paths_bit_identical(problem):
-    ndim, clusters, records = problem
-    model = compile_clusters(clusters, ndim)
-    truth = model.score(records)
+    grid, clusters, records = problem
+    truth = reference_membership(grid, clusters, records)
+    model = compile_clusters(grid, clusters)
     # always-probe, always-bypass and cache-off must agree; a second
     # pass over the same records (now cache-warm) must too
     probing = ClusterServer(model, bypass_fraction=1.0)
@@ -131,30 +189,95 @@ def test_server_cache_paths_bit_identical(problem):
 # -- deterministic edge semantics ---------------------------------------
 
 class TestBoundarySemantics:
-    def test_record_exactly_on_edges(self):
-        cluster = make_cluster([0], [[(0.25, 0.75)]])
-        model = compile_clusters([cluster], ndim=1)
-        records = np.array([[0.25], [0.75], [np.nextafter(0.25, 0)],
-                            [np.nextafter(0.75, 0)], [0.5]])
-        member = model.score(records).ravel()
-        # half-open [lo, hi): lo is in, hi is out
-        assert member.tolist() == [True, False, False, True, True]
+    #: integer edges over [0, 100) with 100 fine intervals: 29, 57 and
+    #: 58 are the integers k whose code k / 100 * 100 truncates to k - 1
+    GRID = make_grid((0.0, 100.0, 100, (0, 29, 57, 58, 100)))
 
-    def test_nan_is_never_a_member(self):
-        cluster = make_cluster([0, 1], [[(0.0, 1.0), (0.0, 1.0)]])
-        model = compile_clusters([cluster], ndim=2)
-        records = np.array([[0.5, np.nan], [np.nan, 0.5],
-                            [np.nan, np.nan], [0.5, 0.5]])
-        assert model.score(records).ravel().tolist() == \
-            [False, False, False, True]
+    def test_record_exactly_on_edges(self):
+        cluster = box_cluster(self.GRID, [0], [[(1, 2)]])   # [29, 57)
+        model = compile_clusters(self.GRID, [cluster])
+        up, down = np.inf, -np.inf
+        values = [29.0, np.nextafter(29.0, down), np.nextafter(29.0, up),
+                  57.0, np.nextafter(57.0, down), np.nextafter(57.0, up),
+                  58.0, 43.0]
+        member = model.score(np.array(values)[:, None]).ravel()
+        # on an edge the record is where the histogram put it: 29.0 and
+        # 57.0 land one bin low, one ulp above 29 is inside
+        assert member.tolist() == [False, False, True,
+                                   True, True, False, False, True]
+        assert self.GRID[0].locate(np.array([29.0, 57.0, 58.0])).tolist() \
+            == [0, 1, 2]
+
+    def test_nan_is_served_in_the_last_bin(self):
+        grid = unit_grid(2, nbins=4)
+        low = box_cluster(grid, [0], [[(0, 1)]])
+        top = box_cluster(grid, [1], [[(3, 4)]])
+        model = compile_clusters(grid, [low, top])
+        records = np.array([[np.nan, np.nan], [-np.inf, np.inf],
+                            [np.inf, -np.inf], [-7.0, 1.0], [0.5, 0.5]])
+        assert model.score(records).tolist() == [
+            [False, True], [True, True], [False, False], [True, True],
+            [False, False]]
+        np.testing.assert_array_equal(
+            model.score(records),
+            reference_membership(grid, [low, top], records))
 
     def test_adjacent_terms_do_not_bridge(self):
-        # [0.2,0.4) | [0.4,0.6) covers 0.4 via the second term only
-        cluster = make_cluster([0], [[(0.2, 0.4)], [(0.4, 0.6)]])
-        model = compile_clusters([cluster], ndim=1)
-        records = np.array([[0.2], [0.4], [0.6], [0.3999999]])
+        # bins 2 | 3 of a 10-bin grid: the cut between them belongs to
+        # whichever bin the histogram puts it in, bin 4 is out
+        grid = unit_grid(1)
+        cluster = box_cluster(grid, [0], [[(2, 3)], [(3, 4)]])
+        model = compile_clusters(grid, [cluster])
+        records = np.array([[0.2], [0.3], [0.4], [0.3999999], [0.1999]])
         assert model.score(records).ravel().tolist() == \
-            [True, True, False, True]
+            [True, True, False, True, False]
+
+
+class TestTrainingLocateRule:
+    """Integer-valued records clustered over [0, 100] with 100 fine
+    bins: edges fall on integers, so the float comparisons against the
+    DNF bounds and the histogram's locate rule disagree on thousands of
+    records.  Serving follows the histogram."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        rng = np.random.default_rng(0)
+        records = rng.integers(0, 101, size=(40_000, 6)).astype(float)
+        boxes = [((0, 1), (29, 39), (57, 67)), ((2, 3), (19, 29), (48, 58)),
+                 ((4, 5), (58, 68), (29, 39))]
+        for k, (dims, first, second) in enumerate(boxes):
+            rows = slice(k * 10_000, (k + 1) * 10_000)
+            records[rows, dims[0]] = rng.integers(*first, size=10_000)
+            records[rows, dims[1]] = rng.integers(*second, size=10_000)
+        params = MafiaParams(fine_bins=100, window_size=1,
+                             chunk_records=10_000)
+        result = mafia(records, params,
+                       domains=np.array([[0.0, 100.0]] * 6))
+        return result, records
+
+    def test_every_record_is_served_into_its_cells_clusters(self, trained):
+        result, records = trained
+        assert {(0, 1), (2, 3), (4, 5)} <= {c.subspace.dims
+                                            for c in result.clusters}
+        cells = result.grid.locate_records(records)
+        truth = np.zeros((len(records), len(result.clusters)), dtype=bool)
+        for ci, cluster in enumerate(result.clusters):
+            units = {tuple(row) for row in cluster.units_bins.tolist()}
+            truth[:, ci] = [tuple(row) in units for row in
+                            cells[:, list(cluster.subspace.dims)].tolist()]
+        served = ClusterServer(result).score_batch(records).membership
+        assert int((served != truth).any(axis=1).sum()) == 0
+        np.testing.assert_array_equal(
+            score_batch_naive(result, result.clusters, records), truth)
+        # the case has teeth: the float rule misplaces thousands
+        floats = np.zeros_like(truth)
+        for ci, cluster in enumerate(result.clusters):
+            for term in cluster.dnf:
+                hit = np.ones(len(records), dtype=bool)
+                for d, (lo, hi) in zip(term.subspace.dims, term.intervals):
+                    hit &= (records[:, d] >= lo) & (records[:, d] < hi)
+                floats[:, ci] |= hit
+        assert int((floats != truth).any(axis=1).sum()) > 1000
 
 
 class TestCompile:
@@ -164,22 +287,52 @@ class TestCompile:
         sample = records[:3000]
         np.testing.assert_array_equal(
             model.score(sample),
-            score_batch_naive(result.clusters, sample))
+            score_batch_naive(result, result.clusters, sample))
 
     def test_empty_model(self):
-        model = compile_clusters([], ndim=4)
+        model = compile_clusters(unit_grid(4), [])
         scores = model.score(np.zeros((3, 4)))
         assert scores.shape == (3, 0)
 
     def test_term_cap_fails_loudly(self):
-        sub = Subspace((0,))
-        dnf = tuple(DNFTerm(subspace=sub, intervals=((i * 1.0, i + 0.5),))
-                    for i in range(65))
-        cluster = Cluster(subspace=sub,
-                          units_bins=np.zeros((1, 1), dtype=np.int64),
-                          dnf=dnf, point_count=1)
+        grid = make_grid((0.0, 130.0, 130, tuple(range(131))))
+        cluster = box_cluster(grid, [0], [[(2 * i, 2 * i + 1)]
+                                          for i in range(65)])
         with pytest.raises(DataError, match="at most 64"):
-            compile_clusters([cluster], ndim=1)
+            compile_clusters(grid, [cluster])
+
+    def test_bound_off_the_grid_refused(self):
+        grid = unit_grid(2)
+        cluster = box_cluster(grid, [0, 1], [[(0, 1), (3, 5)]])
+        terms = term_arrays([cluster])
+        edge = grid[1].edges[3]
+        for bound in (np.nextafter(edge, 1.0), 0.35, np.nan):
+            terms.cond_lo[1] = bound
+            with pytest.raises(DataError, match="not an edge"):
+                compile_arrays(terms, 2, grids=grid.dims,
+                               subspaces=[(0, 1)])
+        # an imported table may carry an empty interval, even [lo, lo)
+        terms = term_arrays([cluster])
+        terms.cond_lo[0] = terms.cond_hi[0] = grid[0].edges[0]
+        with pytest.raises(DataError, match="empty term interval"):
+            compile_arrays(terms, 2, grids=grid.dims, subspaces=[(0, 1)])
+
+    def test_terms_out_of_cluster_order_refused(self):
+        grid = unit_grid(1)
+        terms = term_arrays([box_cluster(grid, [0], [[(0, 1)]]),
+                             box_cluster(grid, [0], [[(2, 3)]])])
+        terms.term_cluster[:] = terms.term_cluster[::-1].copy()
+        with pytest.raises(DataError, match="cluster order"):
+            compile_arrays(terms, 1, grids=grid.dims,
+                           subspaces=[(0,), (0,)])
+
+    def test_needs_the_grid(self):
+        cluster = box_cluster(unit_grid(1), [0], [[(0, 1)]])
+        with pytest.raises(DataError, match="Grid"):
+            compile_clusters([cluster], 1)
+        terms = term_arrays([cluster])
+        with pytest.raises(DataError, match="no grid"):
+            compile_arrays(terms, 1, grids=(), subspaces=[(0,)])
 
     def test_term_arrays_shape(self, clustered):
         result, _ = clustered
@@ -190,13 +343,21 @@ class TestCompile:
             len(t.subspace.dims) for c in result.clusters for t in c.dnf)
 
     def test_signatures_group_identical_rows(self):
-        cluster = make_cluster([0, 1], [[(0.2, 0.6), (0.1, 0.9)]])
-        model = compile_clusters([cluster], ndim=2)
+        grid = unit_grid(2)
+        cluster = box_cluster(grid, [0, 1], [[(2, 6), (1, 9)]])
+        model = compile_clusters(grid, [cluster])
         records = np.array([[0.3, 0.5], [0.31, 0.52],  # same serve bins
                             [0.7, 0.5]])               # different
         sigs = model.signatures(model.digitize(records))
         assert np.array_equal(sigs[0], sigs[1])
         assert not np.array_equal(sigs[0], sigs[2])
+
+    def test_serve_bins_are_the_cells_between_term_cuts(self):
+        grid = unit_grid(2)
+        cluster = box_cluster(grid, [0, 1], [[(2, 6), (1, 9)]])
+        model = compile_clusters(grid, [cluster])
+        assert model.n_bins == (3, 3)
+        assert model.bin_luts[0].tolist() == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
 
 
 # -- the server ----------------------------------------------------------
@@ -204,11 +365,12 @@ class TestCompile:
 class TestClusterServer:
     @pytest.fixture(scope="class")
     def model(self) -> CompiledModel:
-        return compile_clusters([
-            make_cluster([0, 2], [[(0.2, 0.5), (0.3, 0.6)],
-                                  [(0.6, 0.8), (0.1, 0.4)]]),
-            make_cluster([1], [[(0.0, 0.5)]]),
-        ], ndim=3)
+        grid = unit_grid(3)
+        return compile_clusters(grid, [
+            box_cluster(grid, [0, 2], [[(2, 5), (3, 6)],
+                                       [(6, 8), (1, 4)]]),
+            box_cluster(grid, [1], [[(0, 5)]]),
+        ])
 
     def test_hot_trace_hits_cache(self, model):
         rng = np.random.default_rng(3)
@@ -227,17 +389,41 @@ class TestClusterServer:
         assert stats["evaluations"] <= 20
 
     def test_lru_eviction(self):
-        # four terms -> four serve bins, so each value below is a
-        # distinct signature
-        model = compile_clusters([make_cluster(
-            [0], [[(0.0, 0.25)], [(0.25, 0.5)],
-                  [(0.5, 0.75)], [(0.75, 1.0)]])], ndim=1)
+        # four one-bin terms -> four serve bins, so each value below is
+        # a distinct signature
+        grid = unit_grid(1, nbins=4)
+        model = compile_clusters(grid, [box_cluster(
+            grid, [0], [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]])])
         server = ClusterServer(model, cache_size=2, bypass_fraction=1.0)
         for v in (0.1, 0.3, 0.6, 0.8):
             server.score_one([v])
         stats = server.stats()["cache"]
         assert stats["entries"] == 2
         assert stats["evictions"] == 2
+
+    def test_wide_model_keys_by_signature_rows(self):
+        # 20 dims x 16 serve bins: the mixed-radix key would need 80
+        # bits, so keys are packed signature rows (void) and the probe
+        # snapshot sorts and searches those
+        grid = unit_grid(20, nbins=16)
+        clusters = [box_cluster(grid, [d], [[(b, b + 1)]
+                                            for b in range(0, 16, 2)])
+                    for d in range(20)]
+        model = compile_clusters(grid, clusters)
+        assert model.n_bins == (16,) * 20
+        rng = np.random.default_rng(6)
+        hot = rng.uniform(0, 1, size=(30, 20))
+        records = hot[rng.integers(0, 30, size=400)]
+        assert model.group_keys(model.digitize(records)).dtype.kind == "V"
+        truth = reference_membership(grid, clusters, records)
+        probing = ClusterServer(model, bypass_fraction=1.0)
+        for server in (probing, ClusterServer(model, bypass_fraction=0.0),
+                       ClusterServer(model, cache_size=0)):
+            for _ in range(2):
+                np.testing.assert_array_equal(
+                    server.score_batch(records).membership, truth)
+        assert probing.stats()["evaluations"] <= 30
+        assert probing.cache.hits >= 400
 
     def test_cache_disabled(self, model):
         server = ClusterServer(model, cache_size=0)
@@ -352,9 +538,16 @@ class TestModelExport:
 
     def test_payload_is_versioned(self, clustered):
         result, _ = clustered
-        payload = model_to_dict(compile_result(result))
+        model = compile_result(result)
+        payload = model_to_dict(model)
         assert payload["format"] == "pmafia-compiled-model"
-        assert payload["version"] == 1
+        assert payload["version"] == 2
+        assert [g["dim"] for g in payload["grids"]] == \
+            model.serve_dims.tolist()
+        for g in payload["grids"]:
+            dg = result.grid[g["dim"]]
+            assert (g["lo"], g["hi"], g["n_fine"], tuple(g["cuts"])) == \
+                (dg.lo, dg.hi, dg.n_fine, dg.cuts)
         json.dumps(payload)  # JSON-ready throughout
 
     def test_wrong_format_and_version_rejected(self, clustered):
@@ -366,6 +559,25 @@ class TestModelExport:
             model_from_dict({**payload, "version": 99})
         with pytest.raises(DataError):
             model_from_json("{broken")
+
+    def test_version_1_refused_with_a_reexport_hint(self, clustered):
+        result, _ = clustered
+        payload = model_to_dict(compile_result(result))
+        del payload["grids"]
+        with pytest.raises(DataError, match="re-export it from the result"):
+            model_from_dict({**payload, "version": 1})
+
+    def test_bound_off_the_exported_grid_refused(self, clustered):
+        result, _ = clustered
+        payload = model_to_dict(compile_result(result))
+        payload["terms"]["cond_hi"][0] = float(np.nextafter(
+            payload["terms"]["cond_hi"][0], np.inf))
+        with pytest.raises(DataError, match="not an edge"):
+            model_from_dict(payload)
+        payload = model_to_dict(compile_result(result))
+        payload["grids"][0]["cuts"] = [0]
+        with pytest.raises(DataError, match="malformed"):
+            model_from_dict(payload)
 
     def test_result_with_retired_join_strategy_still_serves(self,
                                                             clustered):
@@ -433,6 +645,20 @@ class TestScoreCli:
         second = json.loads(capsys.readouterr().out)
         assert second["clusters"] == first["clusters"]
         assert second["matched"] == first["matched"]
+
+    def test_export_model_round_trips_per_record_scores(self, paths,
+                                                         capsys):
+        root, model_path, data_path = paths
+        compiled_path = root / "roundtrip.json"
+        rc = cli_main(["score", str(model_path), str(data_path),
+                       "--export-model", str(compiled_path)])
+        assert rc == 0
+        from_result = capsys.readouterr().out
+        rc = cli_main(["score", str(compiled_path), str(data_path)])
+        assert rc == 0
+        assert capsys.readouterr().out == from_result
+        assert any(line.split("\t")[1] != "-" for line in
+                   from_result.splitlines())
 
     def test_obs_outputs_and_manifest(self, paths, capsys):
         from repro.obs.manifest import MANIFEST_NAME
