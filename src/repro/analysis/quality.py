@@ -18,7 +18,8 @@ from ..core.result import ClusteringResult
 from ..datagen.generator import SyntheticDataset
 from ..datagen.spec import ClusterSpec
 from ..errors import DataError
-from ..types import Cluster
+from ..serve.engine import score_batch_naive
+from ..types import Cluster, Grid
 
 
 def subspace_scores(result: ClusteringResult,
@@ -41,6 +42,8 @@ def assign_records(result: ClusteringResult, records: np.ndarray,
     """Label each record with the index of a cluster containing it, or
     -1 for outliers.
 
+    Membership is the serving rule: a record is in a cluster when the
+    result's grid locates it in one of the cluster's dense units.
     Clusters constrain only their own subspace dimensions, so a record
     can fall inside several; ``tie_break`` picks ``"highest"``
     (highest-dimensionality cluster — clusters are sorted that way) or
@@ -49,27 +52,21 @@ def assign_records(result: ClusteringResult, records: np.ndarray,
     """
     if tie_break not in ("highest", "first"):
         raise DataError(f"unknown tie_break {tie_break!r}")
-    records = np.asarray(records, dtype=np.float64)
-    labels = np.full(len(records), -1, dtype=np.int64)
+    member = score_batch_naive(result.grid, result.clusters, records)
+    labels = np.full(len(member), -1, dtype=np.int64)
     # result.clusters is sorted highest dimensionality first; assign in
     # reverse so earlier (higher) clusters overwrite later ones
-    for index in range(len(result.clusters) - 1, -1, -1):
-        member = points_in_cluster(result.clusters[index], records)
-        labels[member] = index
+    for index in range(member.shape[1] - 1, -1, -1):
+        labels[member[:, index]] = index
     return labels
 
 
-def points_in_cluster(cluster: Cluster, records: np.ndarray) -> np.ndarray:
+def points_in_cluster(grid: Grid, cluster: Cluster,
+                      records: np.ndarray) -> np.ndarray:
     """Boolean membership of full-dimensional records in a discovered
-    cluster's DNF region."""
-    records = np.asarray(records, dtype=np.float64)
-    mask = np.zeros(len(records), dtype=bool)
-    for term in cluster.dnf:
-        inside = np.ones(len(records), dtype=bool)
-        for d, (lo, hi) in zip(term.subspace.dims, term.intervals):
-            inside &= (records[:, d] >= lo) & (records[:, d] < hi)
-        mask |= inside
-    return mask
+    cluster: True where ``grid`` locates the record in one of the
+    cluster's dense units (the rule training and serving share)."""
+    return score_batch_naive(grid, [cluster], records)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -79,9 +76,9 @@ class ClusterMatch:
     spec_index: int
     cluster_index: int
     subspace_exact: bool
-    #: fraction of the true cluster's records inside the discovered DNF
+    #: fraction of the true cluster's records inside the discovered cluster
     recall: float
-    #: fraction of the discovered DNF's records that belong to the truth
+    #: fraction of the discovered cluster's records that belong to the truth
     precision: float
     #: worst per-dimension boundary deviation, as a fraction of the true
     #: extent (only for single-box specs on exact-subspace matches)
@@ -112,7 +109,8 @@ def match_clusters(result: ClusteringResult, dataset: SyntheticDataset
     any cluster if none overlaps.
     """
     matches: list[ClusterMatch] = []
-    records = dataset.records
+    member_of = score_batch_naive(result.grid, result.clusters,
+                                  dataset.records)
     for spec_index, spec in enumerate(dataset.clusters):
         truth_mask = dataset.labels == spec_index
         n_truth = int(truth_mask.sum())
@@ -120,7 +118,7 @@ def match_clusters(result: ClusteringResult, dataset: SyntheticDataset
             raise DataError(f"true cluster {spec_index} has no records")
         best: ClusterMatch | None = None
         for ci, cluster in enumerate(result.clusters):
-            member = points_in_cluster(cluster, records)
+            member = member_of[:, ci]
             inter = int((member & truth_mask).sum())
             recall = inter / n_truth
             precision = inter / int(member.sum()) if member.any() else 0.0

@@ -429,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="records scored per batch")
     score.add_argument("--cache-size", type=int, default=65_536,
                        dest="cache_size",
-                       help="LRU signature-cache entries")
+                       help="signature-cache entries (least recently "
+                            "used evicted first)")
     score.add_argument("--no-cache", action="store_true", dest="no_cache",
                        help="disable the signature cache (every batch "
                             "evaluates vectorized)")
@@ -573,6 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "score":
+        if args.batch <= 0:
+            parser.error("--batch must be positive")
+        if args.cache_size < 0:
+            parser.error("--cache-size must be >= 0 (--no-cache turns "
+                         "the cache off)")
     if args.command == "stream":
         if args.resume and args.spill_dir is None:
             parser.error("--resume requires --spill-dir")

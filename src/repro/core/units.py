@@ -311,11 +311,11 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     """A 1-D void view of a 2-D array's rows: one memcmp-comparable,
     hashable key per row.
 
-    Equal rows ⇔ equal keys, so ``key.tobytes()`` gives dictionary
-    keys, which is how the serving cache (:mod:`repro.serve.cache`)
-    indexes packed bin signatures.  Void keys order by memcmp, not by
-    integer value; use them for grouping and equality, not for numeric
-    order.
+    Equal rows ⇔ equal keys, which is how the serving cache
+    (:class:`repro.serve.ClusterServer`) sorts and probes packed bin
+    signatures too wide for one uint64.  Void keys order by memcmp, not
+    by integer value; use them for grouping and equality, not for
+    numeric order.
     """
     rows = np.ascontiguousarray(rows)
     if rows.ndim != 2 or rows.shape[1] == 0:

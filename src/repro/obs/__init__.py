@@ -106,6 +106,8 @@ class RankObs:
     @contextmanager
     def span(self, name: str, cat: str = "task",
              **attrs: Any) -> Iterator[dict[str, Any] | None]:
+        """A traced interval around the ``with`` body; yields its
+        mutable attribute dict (``None`` when tracing is off)."""
         if self.tracer is None:
             yield None
             return
@@ -114,6 +116,7 @@ class RankObs:
 
     def instant(self, name: str, cat: str = "event",
                 **attrs: Any) -> None:
+        """A zero-length trace event (a no-op when tracing is off)."""
         if self.tracer is not None:
             self.tracer.instant(name, cat, **attrs)
 
@@ -206,11 +209,14 @@ class RankObs:
 
     # -- checkpoint / fault hooks ---------------------------------------
     def checkpoint_saved(self, level: int, nbytes: int) -> None:
+        """One level checkpoint written: save and byte counters."""
         if self.metrics is not None:
             self.metrics.counter("checkpoint.saves").inc()
             self.metrics.counter("checkpoint.bytes").inc(nbytes)
 
     def checkpoint_restored(self, level: int) -> None:
+        """A run resumed from a level checkpoint: a trace instant and
+        the restore counter."""
         self.instant("checkpoint_restored", cat="checkpoint", level=level)
         if self.metrics is not None:
             self.metrics.counter("checkpoint.restores").inc()

@@ -6,9 +6,8 @@ descriptions once (:func:`compile_result`), then answer "which clusters
 does this record belong to, in which subspaces" for whole record
 batches via vectorized packed-interval evaluation — a record is in a
 cluster when training would locate it in one of the cluster's cells —
-with an LRU result
-cache keyed by per-record bin signature so hot traffic skips
-evaluation entirely.
+with a bounded LRU cache keyed by per-record bin signature (one sorted
+table) so hot traffic skips evaluation entirely.
 
 Entry points
 ------------
@@ -31,7 +30,6 @@ end-to-end walkthrough.
 
 from __future__ import annotations
 
-from .cache import SignatureCache
 from .compile import (CompiledModel, compile_arrays, compile_clusters,
                       compile_result)
 from .engine import BatchScores, ClusterServer, score_batch_naive
@@ -40,7 +38,6 @@ __all__ = [
     "BatchScores",
     "ClusterServer",
     "CompiledModel",
-    "SignatureCache",
     "compile_arrays",
     "compile_clusters",
     "compile_result",

@@ -29,9 +29,9 @@ records is scored with a handful of array operations:
 
 The per-record serve-bin row doubles as the record's *bin signature*:
 packed through :func:`repro.core.units.pack_tokens`, it keys the
-serving cache (:mod:`repro.serve.cache`) — records in the same grid
-cell provably score identically, so hot traffic short-circuits
-evaluation entirely.
+serving cache (:class:`repro.serve.ClusterServer`) — records in the
+same grid cell provably score identically, so hot traffic
+short-circuits evaluation entirely.
 """
 
 from __future__ import annotations

@@ -10,30 +10,28 @@ against.
 :class:`ClusterServer` is the front door: it loads a
 :class:`~repro.core.result.ClusteringResult` (or its JSON export, or a
 pre-compiled model), scores record batches through the compiled
-evaluator, and short-circuits hot traffic through an LRU cache keyed
-by bin signature.  Within one batch, duplicate signatures are
-evaluated once; across batches, previously seen signatures are
-answered from the cache without touching the evaluator at all.  A
-batch whose signatures are mostly novel bypasses the cache fill and
-evaluates vectorized — cold random traffic is never slower than the
-cache-less path by more than the key grouping.
+evaluator, and short-circuits hot traffic through a cache keyed by bin
+signature.  Within one batch, duplicate signatures are evaluated once;
+across batches, previously seen signatures are answered from the cache
+without touching the evaluator at all.  A batch whose signatures are
+mostly novel (more than :data:`BYPASS_FRACTION` of its records)
+bypasses the cache fill and evaluates vectorized — cold random traffic
+is never slower than the cache-less path by more than the key grouping.
 
-The hot probe never walks a Python loop over the batch: alongside the
-LRU dict the server keeps a *sorted probe snapshot* — one sorted key
-array (uint64, or packed signature rows for very wide models) plus the
-matching membership rows — so a whole batch is probed with a single
-``searchsorted`` and answered with one row gather.  The snapshot may
-briefly retain entries the LRU has already evicted; that is
-stale-but-*correct* (membership is a pure function of the signature),
-costs only memory, and the snapshot is re-filtered against the live
-dict once it grows past twice the cache capacity.
+The cache is one sorted table: ascending keys (uint64, or packed
+signature rows for very wide models), the matching membership rows and
+each entry's ``last_used`` batch tick.  A whole batch is probed with a
+single ``searchsorted`` and answered with one row gather; a fill merges
+the sorted novel keys in and, past ``cache_size`` entries, drops the
+least recently used ones in one vectorized step — LRU at batch
+granularity, with a hard bound of ``cache_size`` entries.
 
-The server is thread-safe (one lock around cache sections) and
-daemon-friendly: :meth:`ClusterServer.ascore_batch` awaits the scoring
-on an executor so an asyncio service can serve concurrent requests,
-and all counters are exposed via :meth:`ClusterServer.stats` and —
-when constructed with an observer — as ``serve.*`` metrics and spans
-(see ``docs/SERVING.md``).
+The server is thread-safe (one lock guards the table swap and the
+counters) and daemon-friendly: :meth:`ClusterServer.ascore_batch`
+awaits the scoring on an executor so an asyncio service can serve
+concurrent requests, and all counters are exposed via
+:meth:`ClusterServer.stats` and — when constructed with an observer —
+as ``serve.*`` metrics and spans (see ``docs/SERVING.md``).
 """
 
 from __future__ import annotations
@@ -51,8 +49,11 @@ import numpy as np
 from ..core.units import row_keys
 from ..errors import DataError
 from ..types import Cluster
-from .cache import SignatureCache
 from .compile import CompiledModel, compile_result
+
+#: a batch whose distinct missing signatures exceed this fraction of its
+#: records is evaluated vectorized and leaves the cache untouched
+BYPASS_FRACTION = 0.25
 
 
 def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,13 +148,8 @@ class ClusterServer:
         ``result_to_dict`` payload — anything :func:`compile_result`
         accepts.
     cache_size:
-        LRU entries (distinct bin signatures) to retain; ``0`` disables
-        the cache entirely.
-    bypass_fraction:
-        When a batch's distinct signatures exceed this fraction of its
-        records, the per-key cache probe is skipped and the batch is
-        evaluated vectorized (the cache is left untouched).  ``1.0``
-        never bypasses.
+        Cache entries (distinct bin signatures) to retain, least
+        recently used evicted first; ``0`` disables the cache entirely.
     obs:
         An optional :class:`repro.obs.RankObs`; when given, every batch
         records a ``score_batch`` span and ``serve.*`` metrics.  The
@@ -161,28 +157,29 @@ class ClusterServer:
     """
 
     def __init__(self, model: Any, *, cache_size: int = 65_536,
-                 bypass_fraction: float = 0.25, obs: Any = None) -> None:
+                 obs: Any = None) -> None:
         if isinstance(model, CompiledModel):
             self.model = model
         else:
             self.model = compile_result(model)
-        if not 0.0 <= bypass_fraction <= 1.0:
-            raise DataError(f"bypass_fraction must be in [0, 1], "
-                            f"got {bypass_fraction}")
-        self.cache = SignatureCache(cache_size) if cache_size > 0 else None
-        self.bypass_fraction = float(bypass_fraction)
+        if cache_size < 0:
+            raise DataError(f"cache_size must be >= 0, got {cache_size}")
+        self.cache_size = int(cache_size)
         self._obs = obs
         self._lock = threading.Lock()
         self._batches = 0
         self._records = 0
         self._bypasses = 0
         self._evaluated = 0
-        # sorted probe snapshot: a group_keys array (ascending) plus
-        # the matching membership rows, so a whole batch is probed
-        # with one searchsorted instead of a per-key dict loop.  May
-        # briefly retain LRU-evicted keys (stale-but-correct).
-        self._probe_keys: np.ndarray | None = None
-        self._probe_rows: np.ndarray | None = None
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._tick = 0
+        # the cache: (ascending keys, membership rows, last_used tick per
+        # entry), replaced whole under the lock; a hit stamps its tick in
+        # place, so a stamp into a table another thread has since
+        # replaced loses one refresh, never an answer
+        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -218,20 +215,21 @@ class ClusterServer:
                 if self._obs is not None else nullcontext())
         with span:
             idx = self.model.digitize(records)
-            hits = misses = evaluated = 0
-            bypassed = False
-            if self.cache is None:
+            if self.cache_size == 0:
                 membership = self.model.eval_idx(idx)
-                misses = evaluated = n
+                hits, misses, evaluated, bypassed = 0, n, n, False
             else:
                 membership, hits, misses, evaluated, bypassed = \
                     self._score_cached(idx, n)
         seconds = time.perf_counter() - t0
-        self._batches += 1
-        self._records += n
-        self._evaluated += evaluated
-        if bypassed:
-            self._bypasses += 1
+        with self._lock:
+            self._batches += 1
+            self._records += n
+            self._evaluated += evaluated
+            self._bypasses += bypassed
+            if not bypassed:
+                self._hits += hits
+                self._misses += misses
         if self._obs is not None:
             self._obs.serve_batch(n, seconds, hits=hits, misses=misses,
                                   evaluated=evaluated, bypassed=bypassed)
@@ -240,30 +238,29 @@ class ClusterServer:
 
     def _score_cached(self, idx: np.ndarray, n: int
                       ) -> tuple[np.ndarray, int, int, int, bool]:
-        """The cached path: probe the sorted snapshot with one
-        ``searchsorted``, answer hits with one row gather, then group
-        only the missing records and evaluate each novel signature
-        once.  Cache hit/miss counters are record-granular here (the
-        fast path never probes the dict per key)."""
+        """The cached path: probe the table with one ``searchsorted``,
+        answer hits with one row gather, then group only the missing
+        records and evaluate each novel signature once.  Hit/miss
+        counts are record-granular."""
         if n == 0:
             return (np.zeros((0, self.model.n_clusters), dtype=bool),
                     0, 0, 0, False)
         keys = self.model.group_keys(idx)
         with self._lock:
-            pk, pr = self._probe_keys, self._probe_rows
-        if pk is not None and len(pk):
+            self._tick += 1
+            tick, table = self._tick, self._table
+        if table is not None:
+            pk, pr, used = table
             pos = np.searchsorted(pk, keys)
             np.minimum(pos, len(pk) - 1, out=pos)
             hit = pk[pos] == keys
             n_hit = int(np.count_nonzero(hit))
         else:
-            pos = hit = None
+            hit = None
             n_hit = 0
         if n_hit == n:
-            membership = pr[pos]
-            with self._lock:
-                self.cache.hits += n
-            return membership, n, 0, 0, False
+            used[pos] = tick
+            return pr[pos], n, 0, 0, False
 
         if hit is None:
             miss_idx = None
@@ -273,7 +270,7 @@ class ClusterServer:
             miss_keys = keys[miss_idx]
         uniq, first, inverse = _group(miss_keys)
         u = len(uniq)
-        if u > self.bypass_fraction * n:
+        if u > BYPASS_FRACTION * n:
             # mostly-novel traffic: filling the cache would cost more
             # than it saves, so evaluate vectorized and leave the
             # cache untouched
@@ -284,42 +281,45 @@ class ClusterServer:
         if miss_idx is None:
             membership = fresh[inverse]
         else:
+            hit_pos = pos[hit]
+            used[hit_pos] = tick
             membership = np.empty((n, self.model.n_clusters),
                                   dtype=bool)
-            membership[hit] = pr[pos[hit]]
+            membership[hit] = pr[hit_pos]
             membership[miss_idx] = fresh[inverse]
-        n_miss = n - n_hit
         with self._lock:
-            self.cache.hits += n_hit
-            self.cache.misses += n_miss
-            for i in range(u):
-                self.cache.put(uniq[i].tobytes(), fresh[i])
-            self._merge_probe(uniq, fresh)
-        return membership, n_hit, n_miss, u, False
+            self._fill(uniq, fresh, tick)
+        return membership, n_hit, n - n_hit, u, False
 
-    def _merge_probe(self, new_keys: np.ndarray,
-                     new_rows: np.ndarray) -> None:
-        """Fold freshly evaluated signatures into the sorted probe
-        snapshot (caller holds the lock; ``new_keys`` is ascending —
-        :func:`_group` output).  Concurrent batches may append the
-        same novel key twice; duplicates are harmless (identical rows)
-        and are dropped at the next re-filter."""
-        if self._probe_keys is None or not len(self._probe_keys):
-            self._probe_keys = new_keys
-            self._probe_rows = np.ascontiguousarray(new_rows)
-            return
-        merged = np.concatenate([self._probe_keys, new_keys])
-        rows = np.concatenate([self._probe_rows, new_rows])
-        order = np.argsort(merged, kind="stable")
-        self._probe_keys = merged[order]
-        self._probe_rows = rows[order]
-        if len(self._probe_keys) > 2 * self.cache.maxsize:
-            # drop snapshot entries the LRU has since evicted
-            live = np.fromiter(
-                (k.tobytes() in self.cache for k in self._probe_keys),
-                dtype=bool, count=len(self._probe_keys))
-            self._probe_keys = self._probe_keys[live]
-            self._probe_rows = self._probe_rows[live]
+    def _fill(self, new_keys: np.ndarray, new_rows: np.ndarray,
+              tick: int) -> None:
+        """Merge freshly evaluated signatures (ascending — :func:`_group`
+        output) into the table, then drop the least recently used
+        entries past ``cache_size``.  The caller holds the lock.  Keys
+        a concurrent batch has inserted since this one probed are
+        refreshed, not duplicated."""
+        if self._table is None:
+            keys, rows = new_keys, np.ascontiguousarray(new_rows)
+            used = np.full(len(keys), tick, dtype=np.int64)
+        else:
+            keys, rows, used = self._table
+            at = np.searchsorted(keys, new_keys)
+            present = keys[np.minimum(at, len(keys) - 1)] == new_keys
+            if present.any():
+                used[at[present]] = tick
+                novel = ~present
+                at, new_keys, new_rows = \
+                    at[novel], new_keys[novel], new_rows[novel]
+            keys = np.insert(keys, at, new_keys)
+            rows = np.insert(rows, at, new_rows, axis=0)
+            used = np.insert(used, at, tick)
+        excess = len(keys) - self.cache_size
+        if excess > 0:
+            keep = np.ones(len(keys), dtype=bool)
+            keep[np.argpartition(used, excess - 1)[:excess]] = False
+            keys, rows, used = keys[keep], rows[keep], used[keep]
+            self._evictions += excess
+        self._table = (keys, rows, used)
 
     def score_one(self, record: Sequence[float]) -> BatchScores:
         """Score a single record (a length-1 batch)."""
@@ -338,16 +338,20 @@ class ClusterServer:
 
     # -- introspection ---------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        """Lifetime serving counters plus the cache's own (JSON-ready).
-        """
-        out: dict[str, Any] = {
-            "batches": self._batches,
-            "records": self._records,
-            "evaluations": self._evaluated,
-            "cache_bypasses": self._bypasses,
-            "n_clusters": self.model.n_clusters,
-            "n_terms": self.model.n_terms,
-            "cache": self.cache.stats() if self.cache is not None
-            else None,
-        }
-        return out
+        """Lifetime serving counters plus the cache's own (JSON-ready;
+        ``"cache"`` is ``None`` when the cache is off)."""
+        with self._lock:
+            cache = None if self.cache_size == 0 else {
+                "entries": 0 if self._table is None else len(self._table[0]),
+                "maxsize": self.cache_size,
+                "hits": self._hits, "misses": self._misses,
+                "evictions": self._evictions}
+            return {
+                "batches": self._batches,
+                "records": self._records,
+                "evaluations": self._evaluated,
+                "cache_bypasses": self._bypasses,
+                "n_clusters": self.model.n_clusters,
+                "n_terms": self.model.n_terms,
+                "cache": cache,
+            }

@@ -130,6 +130,7 @@ class DeltaQueue:
         self._closed = False
 
     def qsize(self) -> int:
+        """Deltas queued and not yet taken by ``get``."""
         with self._lock:
             return len(self._deltas)
 
@@ -139,6 +140,7 @@ class DeltaQueue:
             return self._closed
 
     def put(self, delta: Delta, timeout: float | None = None) -> None:
+        """Enqueue ``delta``, blocking while the queue is full."""
         with self._not_full:
             while len(self._deltas) >= self.maxsize and not self._closed:
                 if not self._not_full.wait(timeout):

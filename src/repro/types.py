@@ -40,10 +40,6 @@ class BinInterval:
     def width(self) -> float:
         return self.high - self.low
 
-    def contains(self, x: float) -> bool:
-        """Whether ``x`` lies in the half-open interval."""
-        return self.low <= x < self.high
-
 
 @dataclass(frozen=True)
 class DimensionGrid:
@@ -264,11 +260,6 @@ class DNFTerm:
             if not hi > lo:
                 raise DataError(f"empty DNF interval [{lo}, {hi})")
 
-    def contains(self, record: Sequence[float]) -> bool:
-        """Whether a full-dimensional record falls inside this term."""
-        return all(lo <= record[d] < hi
-                   for d, (lo, hi) in zip(self.subspace.dims, self.intervals))
-
 
 @dataclass(frozen=True)
 class Cluster:
@@ -286,6 +277,10 @@ class Cluster:
     point_count:
         Total records contained in the cluster's dense units (records in
         several units are counted once per unit; units are disjoint).
+
+    A record belongs to the cluster when the grid locates it in one of
+    the dense units (:func:`repro.analysis.points_in_cluster`), not by
+    a float test against the DNF bounds: on a bin edge the two differ.
     """
 
     subspace: Subspace
@@ -308,10 +303,6 @@ class Cluster:
     @property
     def n_units(self) -> int:
         return int(self.units_bins.shape[0])
-
-    def contains(self, record: Sequence[float]) -> bool:
-        """Whether a full-dimensional record lies in the cluster's DNF."""
-        return any(term.contains(record) for term in self.dnf)
 
     def describe(self) -> str:
         """Human-readable DNF, e.g. ``(d1:[2,5) & d3:[0,10)) | ...``."""

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from repro import MafiaParams, mafia
-from repro.analysis import (Workload, expected_cdus, format_table,
-                            match_clusters, paper_vs_measured,
-                            points_in_cluster, predicted_seconds,
-                            predicted_speedup, speedup_series,
-                            subspace_scores)
+from repro.analysis import (Workload, assign_records, expected_cdus,
+                            format_table, match_clusters,
+                            paper_vs_measured, points_in_cluster,
+                            predicted_seconds, predicted_speedup,
+                            speedup_series, subspace_scores)
+from repro.core.dnf import dnf_terms
+from repro.core.result import ClusteringResult
 from repro.errors import DataError, ParameterError
 from repro.parallel import MachineSpec
-from repro.types import Cluster, DNFTerm, Subspace
+from repro.serve import ClusterServer
+from repro.types import Cluster, DimensionGrid, DNFTerm, Grid, Subspace
 from tests.conftest import DOMAINS_10D
 
 
@@ -25,19 +28,43 @@ def simple_cluster(dims, intervals):
                    dnf=(term,))
 
 
+def make_grid(ndim, hi, n_fine, cuts):
+    """``ndim`` identical dimensions over ``[0, hi)``."""
+    return Grid(dims=tuple(
+        DimensionGrid(dim=j, lo=0.0, hi=hi, n_fine=n_fine, cuts=cuts,
+                      thresholds=(1.0,) * (len(cuts) - 1))
+        for j in range(ndim)))
+
+
+def unit_cluster(grid, dims, units):
+    """A cluster of the given dense units, described as a clustering
+    describes it."""
+    sub = Subspace(tuple(dims))
+    bins = np.array(units, dtype=np.int64)
+    return Cluster(subspace=sub, units_bins=bins,
+                   dnf=dnf_terms(grid, sub, bins), point_count=1)
+
+
+def fake_result(grid, clusters):
+    return ClusteringResult(grid=grid, clusters=tuple(clusters), trace=(),
+                            params=MafiaParams(), n_records=1)
+
+
 class TestPointsInCluster:
     def test_union_of_terms(self):
-        sub = Subspace((0,))
-        c = Cluster(subspace=sub, units_bins=np.zeros((2, 1), int),
-                    dnf=(DNFTerm(subspace=sub, intervals=((0.0, 1.0),)),
-                         DNFTerm(subspace=sub, intervals=((5.0, 6.0),))))
+        # bins [0, 1) [1, 5) [5, 6) [6, 10); the cluster is bins 0 and 2
+        grid = make_grid(1, 10.0, 10, (0, 1, 5, 6, 10))
+        c = unit_cluster(grid, [0], [[0], [2]])
+        assert len(c.dnf) == 2
         recs = np.array([[0.5], [3.0], [5.5]])
-        assert points_in_cluster(c, recs).tolist() == [True, False, True]
+        assert points_in_cluster(grid, c, recs).tolist() == \
+            [True, False, True]
 
     def test_only_subspace_dims_constrain(self):
-        c = simple_cluster([1], [(10.0, 20.0)])
-        recs = np.array([[999.0, 15.0, -999.0]])
-        assert points_in_cluster(c, recs).all()
+        grid = make_grid(3, 100.0, 10, (0, 1, 2, 10))
+        c = unit_cluster(grid, [1], [[1]])      # [10, 20) in dim 1
+        recs = np.array([[999.0, 15.0, -999.0], [15.0, 25.0, 15.0]])
+        assert points_in_cluster(grid, c, recs).tolist() == [True, False]
 
 
 class TestSubspaceScores:
@@ -47,7 +74,6 @@ class TestSubspaceScores:
         assert subspace_scores(res, one_cluster_dataset.clusters) == (1.0, 1.0)
 
     def test_spurious_clusters_hit_precision(self):
-        from repro.core.result import ClusteringResult
         # hand-built result with one right and one wrong subspace
         from repro.datagen import ClusterSpec
         specs = [ClusterSpec.box([0, 1], [(0, 1), (0, 1)])]
@@ -140,7 +166,6 @@ class TestReporting:
 
 class TestAssignRecords:
     def test_labels_match_truth(self, two_cluster_dataset):
-        from repro.analysis import assign_records
         res = mafia(two_cluster_dataset.records,
                     MafiaParams(chunk_records=5000), domains=DOMAINS_10D)
         labels = assign_records(res, two_cluster_dataset.records)
@@ -154,7 +179,6 @@ class TestAssignRecords:
             assert agreement > 0.95
 
     def test_outliers_stay_unlabelled(self, two_cluster_dataset):
-        from repro.analysis import assign_records
         res = mafia(two_cluster_dataset.records,
                     MafiaParams(chunk_records=5000), domains=DOMAINS_10D)
         corner = np.full((5, 10), 99.5)
@@ -162,22 +186,32 @@ class TestAssignRecords:
         assert (labels == -1).all()
 
     def test_higher_cluster_wins_ties(self):
-        from repro.analysis import assign_records
-        from repro.core.result import ClusteringResult
-        grid = mafia(np.random.default_rng(0).random((200, 3)) * 100,
-                     MafiaParams(fine_bins=20, window_size=2,
-                                 chunk_records=100)).grid
-        low = simple_cluster([0], [(0.0, 50.0)])
-        high = simple_cluster([0, 1], [(0.0, 50.0), (0.0, 50.0)])
-        fake = ClusteringResult(grid=grid, clusters=(high, low), trace=(),
-                                params=MafiaParams(), n_records=200)
+        grid = make_grid(3, 100.0, 20, (0, 10, 20))    # [0, 50) [50, 100)
+        low = unit_cluster(grid, [0], [[0]])
+        high = unit_cluster(grid, [0, 1], [[0, 0]])
+        fake = fake_result(grid, (high, low))
         labels = assign_records(fake, np.array([[10.0, 10.0, 0.0],
                                                 [10.0, 90.0, 0.0]]))
         assert labels.tolist() == [0, 1]
 
+    def test_edges_and_domain_top_agree_with_the_server(self):
+        # over [0, 100) with 100 fine intervals the codes of 29.0, 57.0
+        # and 58.0 truncate one interval low, and 100.0 (the domain's hi)
+        # clips into the last bin: the located cells, not the float
+        # bounds, decide membership, as in serving
+        grid = make_grid(2, 100.0, 100, (0, 29, 57, 58, 100))
+        high = unit_cluster(grid, [0, 1], [[1, 1]])      # [29, 57)^2
+        low = unit_cluster(grid, [0], [[3]])             # [58, 100)
+        fake = fake_result(grid, (high, low))
+        recs = np.array([[29.0, 40.0], [57.0, 57.0], [100.0, 0.0],
+                         [58.0, 29.0], [40.0, 29.0], [99.0, 100.0]])
+        labels = assign_records(fake, recs)
+        served = ClusterServer(fake).score_batch(recs).membership
+        assert labels.tolist() == [int(np.argmax(row)) if row.any()
+                                   else -1 for row in served]
+        assert labels.tolist() == [-1, 0, 1, -1, -1, 1]
+
     def test_tie_break_validation(self, two_cluster_dataset):
-        from repro.analysis import assign_records
-        from repro.errors import DataError
         res = mafia(two_cluster_dataset.records,
                     MafiaParams(chunk_records=5000), domains=DOMAINS_10D)
         with pytest.raises(DataError):

@@ -13,7 +13,8 @@ import repro
 
 PACKAGES = ["repro", "repro.core", "repro.clique", "repro.parallel",
             "repro.io", "repro.datagen", "repro.analysis",
-            "repro.baselines"]
+            "repro.baselines", "repro.serve", "repro.stream",
+            "repro.obs"]
 
 
 def _public_members(module):
@@ -135,3 +136,14 @@ class TestParamsCatalogue:
             assert name not in self._fields()
             with pytest.raises(TypeError):
                 repro.MafiaParams(**{name: value})
+
+    def test_retired_server_knob_raises_type_error(self):
+        """The serving cache's bypass threshold is a module constant,
+        not a ``ClusterServer`` parameter."""
+        from repro.serve import ClusterServer, compile_clusters
+        from repro.types import DimensionGrid, Grid
+        grid = Grid(dims=(DimensionGrid(dim=0, lo=0.0, hi=1.0, n_fine=2,
+                                        cuts=(0, 2), thresholds=(1.0,)),))
+        model = compile_clusters(grid, [])
+        with pytest.raises(TypeError):
+            ClusterServer(model, **{"bypass_" + "fraction": 0.5})

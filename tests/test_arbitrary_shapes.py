@@ -49,16 +49,19 @@ class TestCompactL:
         res = mafia(compact_L.records, PARAMS, domains=DOMS)
         [cluster] = res.clusters
         assert len(cluster.dnf) >= 2
-        # the union of rectangles covers the arms' far ends
-        assert cluster.contains([0, 0, 28.0, 0, 0, 12.0])  # horizontal tip
-        assert cluster.contains([0, 0, 12.0, 0, 0, 28.0])  # vertical tip
-        # but not the empty quadrant diagonal from the corner
-        assert not cluster.contains([0, 0, 28.0, 0, 0, 28.0])
+        # the union of rectangles covers the arms' far ends (horizontal
+        # and vertical tip), but not the empty quadrant diagonal from
+        # the corner
+        probes = np.array([[0, 0, 28.0, 0, 0, 12.0],
+                           [0, 0, 12.0, 0, 0, 28.0],
+                           [0, 0, 28.0, 0, 0, 28.0]])
+        assert points_in_cluster(res.grid, cluster, probes).tolist() == \
+            [True, True, False]
 
     def test_point_recall(self, compact_L):
         res = mafia(compact_L.records, PARAMS, domains=DOMS)
         [cluster] = res.clusters
-        member = points_in_cluster(cluster, compact_L.records)
+        member = points_in_cluster(res.grid, cluster, compact_L.records)
         truth = compact_L.labels == 0
         recall = (member & truth).sum() / truth.sum()
         assert recall > 0.95
@@ -87,7 +90,8 @@ class TestDilutedL:
         assert len(res.clusters) == 1
         [cluster] = res.clusters
         assert cluster.subspace.dims == (2, 5)
-        # the dense corner survives ...
-        assert cluster.contains([0, 0, 15.0, 0, 0, 15.0])
-        # ... the diluted arm tips do not
-        assert not cluster.contains([0, 0, 45.0, 0, 0, 15.0])
+        # the dense corner survives, the diluted arm tips do not
+        probes = np.array([[0, 0, 15.0, 0, 0, 15.0],
+                           [0, 0, 45.0, 0, 0, 15.0]])
+        assert points_in_cluster(res.grid, cluster, probes).tolist() == \
+            [True, False]

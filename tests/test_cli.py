@@ -152,6 +152,14 @@ class TestParser:
         assert exc.value.code == 2
         assert "--supervised" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch", "0"), ("--batch", "-5"), ("--cache-size", "-3")])
+    def test_score_refuses_bad_sizes(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "model.json", "data.npy", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestVerifyFlag:
     def test_run_with_verify_passes(self, record_file, capsys):

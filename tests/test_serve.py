@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +35,8 @@ from repro.core.export import (model_from_dict, model_from_json,
 from repro.errors import DataError
 from repro.params import MafiaParams
 from repro.serve import (BatchScores, ClusterServer, CompiledModel,
-                         SignatureCache, compile_arrays, compile_clusters,
-                         compile_result, score_batch_naive)
+                         compile_arrays, compile_clusters, compile_result,
+                         engine, score_batch_naive)
 from repro.types import Cluster, DimensionGrid, DNFTerm, Grid, Subspace
 from tests.conftest import DOMAINS_10D
 
@@ -68,6 +71,12 @@ def box_cluster(grid: Grid, dims, boxes) -> Cluster:
     return Cluster(subspace=sub,
                    units_bins=np.array(sorted(cells), dtype=np.int64),
                    dnf=tuple(terms), point_count=1)
+
+
+def bypass_threshold(value: float):
+    """Patch the server's bypass threshold: ``1.0`` makes every batch
+    probe and fill the cache, ``0.0`` makes every batch bypass it."""
+    return mock.patch.object(engine, "BYPASS_FRACTION", value)
 
 
 def scalar_code(x: float, dg: DimensionGrid) -> int:
@@ -174,15 +183,17 @@ def test_server_cache_paths_bit_identical(problem):
     model = compile_clusters(grid, clusters)
     # always-probe, always-bypass and cache-off must agree; a second
     # pass over the same records (now cache-warm) must too
-    probing = ClusterServer(model, bypass_fraction=1.0)
-    bypassing = ClusterServer(model, bypass_fraction=0.0)
+    probing = ClusterServer(model)
+    bypassing = ClusterServer(model)
     uncached = ClusterServer(model, cache_size=0)
-    for server in (probing, bypassing, uncached):
-        np.testing.assert_array_equal(
-            server.score_batch(records).membership, truth)
-        np.testing.assert_array_equal(
-            server.score_batch(records).membership, truth)
-    assert probing.cache.hits > 0
+    for server, fraction in ((probing, 1.0), (bypassing, 0.0),
+                             (uncached, 1.0)):
+        with bypass_threshold(fraction):
+            np.testing.assert_array_equal(
+                server.score_batch(records).membership, truth)
+            np.testing.assert_array_equal(
+                server.score_batch(records).membership, truth)
+    assert probing.stats()["cache"]["hits"] > 0
     assert bypassing.stats()["cache_bypasses"] == 2
 
 
@@ -389,17 +400,77 @@ class TestClusterServer:
         assert stats["evaluations"] <= 20
 
     def test_lru_eviction(self):
-        # four one-bin terms -> four serve bins, so each value below is
-        # a distinct signature
-        grid = unit_grid(1, nbins=4)
+        # eight one-bin terms -> eight serve bins, so each value below
+        # is a distinct signature
+        grid = unit_grid(1, nbins=8)
         model = compile_clusters(grid, [box_cluster(
-            grid, [0], [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]])])
-        server = ClusterServer(model, cache_size=2, bypass_fraction=1.0)
-        for v in (0.1, 0.3, 0.6, 0.8):
-            server.score_one([v])
-        stats = server.stats()["cache"]
-        assert stats["entries"] == 2
-        assert stats["evictions"] == 2
+            grid, [0], [[(b, b + 1)] for b in range(8)])])
+        server = ClusterServer(model, cache_size=2)
+        hot, novel = 0.05, (0.2, 0.3, 0.45, 0.55, 0.7, 0.85)
+        with bypass_threshold(1.0):
+            server.score_one([hot])
+            for i, v in enumerate(novel):
+                # hot hits in every batch, so each novel value evicts
+                # the previous one and hot is never evaluated again
+                server.score_batch(np.array([[hot], [v]]))
+                stats = server.stats()
+                assert stats["evaluations"] == 2 + i
+                assert stats["cache"]["entries"] == 2
+            # the least recently used entry goes: touch hot, and the
+            # next novel value evicts novel[-1], not hot
+            server.score_one([hot])
+            server.score_one([novel[0]])
+            evaluated = server.stats()["evaluations"]
+            server.score_one([hot])
+            assert server.stats()["evaluations"] == evaluated
+            server.score_one([novel[-1]])
+            assert server.stats()["evaluations"] == evaluated + 1
+            # entries is exactly the number of keys that can hit: one
+            # batch of every signature hits on that many records
+            before = server.stats()["cache"]
+            server.score_batch(np.array([[hot], *([v] for v in novel)]))
+        after = server.stats()["cache"]
+        assert after["hits"] - before["hits"] == before["entries"] == 2
+        assert after["entries"] == 2
+        assert after["evictions"] == 12
+
+    def test_threads_share_one_server(self):
+        grid = unit_grid(3)
+        clusters = [box_cluster(grid, [0, 2], [[(2, 5), (3, 6)],
+                                               [(6, 8), (1, 4)]]),
+                    box_cluster(grid, [1], [[(0, 5)]])]
+        server = ClusterServer(compile_clusters(grid, clusters),
+                               cache_size=8)
+        rng = np.random.default_rng(7)
+        pool = rng.uniform(0, 1, size=(60, 3))
+        batches = [pool[rng.integers(0, 60, size=rng.integers(1, 200))]
+                   for _ in range(240)]
+
+        def drive(part):
+            return [np.array_equal(server.score_batch(b).membership,
+                                   score_batch_naive(grid, clusters, b))
+                    for b in part]
+
+        # a small cache over a larger pool: threads fill and evict
+        # while others probe; a short switch interval makes a lost
+        # counter update likely if one can happen
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with bypass_threshold(1.0), ThreadPoolExecutor(4) as workers:
+                agreed = [ok for part in workers.map(
+                    drive, [batches[i::4] for i in range(4)], timeout=120)
+                    for ok in part]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(agreed) == len(batches) and all(agreed)
+        stats = server.stats()
+        assert stats["batches"] == len(batches)
+        assert stats["records"] == sum(len(b) for b in batches)
+        cache = stats["cache"]
+        assert cache["hits"] + cache["misses"] == stats["records"]
+        assert cache["evictions"] > 0
+        assert cache["entries"] <= 8
 
     def test_wide_model_keys_by_signature_rows(self):
         # 20 dims x 16 serve bins: the mixed-radix key would need 80
@@ -416,14 +487,15 @@ class TestClusterServer:
         records = hot[rng.integers(0, 30, size=400)]
         assert model.group_keys(model.digitize(records)).dtype.kind == "V"
         truth = reference_membership(grid, clusters, records)
-        probing = ClusterServer(model, bypass_fraction=1.0)
-        for server in (probing, ClusterServer(model, bypass_fraction=0.0),
-                       ClusterServer(model, cache_size=0)):
-            for _ in range(2):
-                np.testing.assert_array_equal(
-                    server.score_batch(records).membership, truth)
+        probing = ClusterServer(model)
+        for server, fraction in ((probing, 1.0), (ClusterServer(model), 0.0),
+                                 (ClusterServer(model, cache_size=0), 1.0)):
+            with bypass_threshold(fraction):
+                for _ in range(2):
+                    np.testing.assert_array_equal(
+                        server.score_batch(records).membership, truth)
         assert probing.stats()["evaluations"] <= 30
-        assert probing.cache.hits >= 400
+        assert probing.stats()["cache"]["hits"] >= 400
 
     def test_cache_disabled(self, model):
         server = ClusterServer(model, cache_size=0)
@@ -444,9 +516,9 @@ class TestClusterServer:
         assert len(scores) == 0
         assert scores.membership.shape == (0, 2)
 
-    def test_bad_bypass_fraction(self, model):
-        with pytest.raises(DataError, match="bypass_fraction"):
-            ClusterServer(model, bypass_fraction=1.5)
+    def test_negative_cache_size_rejected(self, model):
+        with pytest.raises(DataError, match="cache_size"):
+            ClusterServer(model, cache_size=-3)
 
     def test_ascore_batch(self, model):
         server = ClusterServer(model)
@@ -505,22 +577,6 @@ class TestBatchScores:
 
     def test_counts(self, scores):
         assert scores.counts().tolist() == [2, 1]
-
-
-class TestSignatureCache:
-    def test_lru_order(self):
-        cache = SignatureCache(maxsize=2)
-        row = np.zeros(1, dtype=bool)
-        cache.put(b"a", row)
-        cache.put(b"b", row)
-        assert cache.get(b"a") is not None  # refresh a
-        cache.put(b"c", row)                # evicts b, not a
-        assert b"a" in cache and b"c" in cache and b"b" not in cache
-        assert cache.stats()["evictions"] == 1
-
-    def test_rejects_zero_size(self):
-        with pytest.raises(ValueError):
-            SignatureCache(0)
 
 
 # -- versioned model export ---------------------------------------------

@@ -18,11 +18,8 @@ def make_dim(dim=0, cuts=(0, 1, 3, 10), thresholds=(5.0, 5.0, 5.0),
 
 
 class TestBinInterval:
-    def test_width_and_contains(self):
-        b = BinInterval(2.0, 5.0, 10.0)
-        assert b.width == 3.0
-        assert b.contains(2.0) and b.contains(4.999)
-        assert not b.contains(5.0) and not b.contains(1.999)
+    def test_width(self):
+        assert BinInterval(2.0, 5.0, 10.0).width == 3.0
 
     def test_empty_interval_rejected(self):
         with pytest.raises(GridError):
@@ -102,12 +99,6 @@ class TestSubspace:
 
 
 class TestDNFTermAndCluster:
-    def test_term_contains_uses_subspace_dims_only(self):
-        term = DNFTerm(subspace=Subspace((1, 3)),
-                       intervals=((0.0, 10.0), (5.0, 6.0)))
-        assert term.contains([999, 5.0, 999, 5.5])
-        assert not term.contains([0, 5.0, 0, 6.0])  # high edge exclusive
-
     def test_term_validation(self):
         with pytest.raises(DataError):
             DNFTerm(subspace=Subspace((1,)), intervals=((0.0, 1.0), (0.0, 1.0)))
@@ -122,12 +113,11 @@ class TestDNFTermAndCluster:
             Cluster(subspace=sub, units_bins=np.zeros((2, 3), int),
                     dnf=(term,))
 
-    def test_cluster_contains_and_describe(self):
+    def test_cluster_describe(self):
         sub = Subspace((0,))
         t1 = DNFTerm(subspace=sub, intervals=((0.0, 1.0),))
         t2 = DNFTerm(subspace=sub, intervals=((5.0, 6.0),))
         c = Cluster(subspace=sub, units_bins=np.array([[0], [5]]),
                     dnf=(t1, t2), point_count=10)
-        assert c.contains([0.5]) and c.contains([5.5]) and not c.contains([3.0])
         assert "d0:[0,1)" in c.describe() and "|" in c.describe()
         assert c.n_units == 2 and c.dimensionality == 1
