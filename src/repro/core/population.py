@@ -135,7 +135,7 @@ def count_units(index: BitmapIndex, units: UnitTable,
 
 
 class IndexedPopulator:
-    """Population served from a persistent bitmap index: every pass is
+    """Population served from the run's bitmap index: every pass is
     AND + popcount over cached bitmaps, no data reads at all.
 
     One instance lives for the whole run; a pass keeps nothing between
@@ -144,16 +144,11 @@ class IndexedPopulator:
 
     def __init__(self, index: BitmapIndex) -> None:
         self.index = index
-        self._grid_ok: bool = False
 
     def _check_grid(self, grid: Grid) -> None:
-        if self._grid_ok:
-            return
-        if grid.ndim != self.index.n_dims or \
-                not self.index.key.startswith(edges_fingerprint(grid)):
+        if self.index.key != edges_fingerprint(grid):
             raise DataError(
                 "bitmap index was built for a different grid; restage it")
-        self._grid_ok = True
 
     def populate_local(self, comm: Comm, grid: Grid, units: UnitTable,
                        chunk_records: int,

@@ -1,13 +1,12 @@
 """Out-of-core I/O substrate: binary record files, chunked passes,
 block partitioning of N over p ranks, shared→local disk staging, the
-persistent membership bitmap index every population pass reads, and
+run-scoped membership bitmap index every population pass reads, and
 (:mod:`repro.io.artifact`) the one publish / verify / quarantine path
 every staged file goes through."""
 
 from .bitmap_index import (DEFAULT_BITMAP_BUDGET, BitmapIndex,
-                           bitmap_cache_path, build_bitmap_index,
-                           grid_fingerprint, index_nbytes,
-                           load_bitmap_cache, stage_bitmap_index)
+                           build_bitmap_index, grid_fingerprint,
+                           index_nbytes, stage_bitmap_index)
 from .chunks import ArraySource, DataSource, as_source, charged_chunks
 from .partition import block_offsets, block_range
 from .records import (DEFAULT_CRC_CHUNK_RECORDS, RecordFile, RecordFileInfo,
@@ -27,14 +26,12 @@ __all__ = [
     "RecordFileWriter",
     "RetryPolicy",
     "as_source",
-    "bitmap_cache_path",
     "block_offsets",
     "block_range",
     "build_bitmap_index",
     "charged_chunks",
     "grid_fingerprint",
     "index_nbytes",
-    "load_bitmap_cache",
     "local_path",
     "read_header",
     "read_with_retry",

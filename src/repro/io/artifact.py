@@ -1,7 +1,7 @@
 """Staged artifacts: the one publish / verify / quarantine path.
 
-Every file the program stages — record files, the PMBI bitmap index,
-PMCK level checkpoints and the stream manifest — is written, checked
+Every file the program stages — record files, PMCK level checkpoints
+and the stream manifest — is written, checked
 and set aside through this module and nowhere else, so each fails
 closed the same way:
 
@@ -46,10 +46,10 @@ _FRAME = struct.Struct("<4sHIq")
 class Publication:
     """An artifact being written to a temp sibling of ``path``.
 
-    ``fh`` is the temp file, open ``w+b`` (so it can also be
-    memory-mapped).  :meth:`commit` makes it ``path`` atomically and
-    durably, :meth:`abort` discards it.  As a context manager it
-    commits on a clean exit and aborts on any exception.
+    ``fh`` is the temp file, open ``w+b``.  :meth:`commit` makes it
+    ``path`` atomically and durably, :meth:`abort` discards it.  As a
+    context manager it commits on a clean exit and aborts on any
+    exception.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:

@@ -1,4 +1,4 @@
-"""Persistent per-(dim, bin) membership bitmap index.
+"""Per-rank per-(dim, bin) membership bitmap index.
 
 Every population pass after grid construction needs only each record's
 bin membership per dimension.  A :class:`BitmapIndex` stages that once:
@@ -18,7 +18,7 @@ so the last row packs with zero padding and needs no tail mask.  The
 codes are the ones the fine-histogram pass kept when they fit the
 budget beside the index (no float is read); otherwise they are
 recomputed chunk by chunk from the records with the same
-:func:`~repro.core.histogram.fine_codes`.  Every later population pass
+:func:`~repro.types.fine_codes_matrix`.  Every later population pass
 is then pure AND + popcount over cached bitmaps with zero data reads (see
 :func:`repro.core.population.count_units` for the prefix AND walk that
 consumes this index, in fixed buffers of its own).
@@ -26,25 +26,17 @@ consumes this index, in fixed buffers of its own).
 Residency is governed by one byte budget (``MafiaParams.bitmap_budget``,
 which also decides whether the histogram pass's codes are kept): an
 index of ``sum(nbins) * ceil(n/8)`` bytes lives in RAM when it fits
-and otherwise *spills* to an mmap-tiled on-disk format — each pair's
-bitmap is one contiguous tile, mapped read-only and CRC-verified lazily
-on first touch.  A spilled index is stamped with a 64-byte **key**: the
-grid's :func:`edges_fingerprint` (bin membership depends on the edges
-alone, never on the density thresholds) followed by a digest of the
-exact records it covers (:meth:`repro.io.records.RecordFileInfo.digest`:
-the source record file's header and CRC table plus the covered range).
-A cached file is only served under an identical key, so rewriting the
-records or moving an edge forces a rebuild.
-
-On-disk format (version 3, the only one; files are published and
-checked through :mod:`repro.io.artifact`)::
-
-    header  <4sHqqq64s>  magic b"PMBI" | u16 version | i64 n_records |
-                         i64 n_pairs | i64 n_dims | 64-byte key
-    nbins   n_dims x i64  bins per dimension (their sum is n_pairs)
-    data    pair-major tiles: pair 0's ceil(n/8) packed bytes, then
-            pair 1's, ... (pair id = offsets[dim] + bin)
-    footer  one CRC32 per pair tile
+and otherwise *spills* to a private scratch file of raw pair-major
+tiles (pair 0's ``ceil(n/8)`` packed bytes, then pair 1's, ...; pair
+id = ``offsets[dim] + bin``), mapped read-only.  One CRC32 per tile is
+kept in memory and verified on the tile's first touch.  The file lives
+exactly as long as its index: it is unlinked when the index is
+collected, or at once when staging fails.  Like the paper's per-rank
+local-disk copy (§4), it is run-scoped scratch; nothing is carried
+from one run to the next.  An index's ``key`` is the grid's
+:func:`edges_fingerprint` (bin membership depends on the edges alone,
+never on the density thresholds), which the population engine checks
+against the grid it counts under.
 
 Cost-model note: building the index charges *nothing* to the virtual
 clock (like shared-to-local staging, which §5.2 excludes from
@@ -66,24 +58,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..core.histogram import fine_codes
-from ..errors import ChecksumError, DataError, RecordFileError
+from ..errors import ChecksumError, DataError
 from ..parallel.comm import Comm
-from ..types import Grid
-from .artifact import Publication, crc32, open_frame, verify_crc
+from ..types import Grid, fine_codes_matrix
+from .artifact import crc32, verify_crc
 from .chunks import DataSource, _raw_blocks
 from .records import RecordFile
 from .resilient import RetryPolicy
-
-_MAGIC = b"PMBI"
-_VERSION = 3
-_HEADER = struct.Struct("<4sHqqq64s")
-_NBINS_ITEM = struct.Struct("<q")
-_CRC_ITEM = struct.Struct("<I")
-
-#: the records half of the key of an index tied to no record file
-#: (resident, or spilled to an anonymous temp file): never reloaded
-NO_RECORDS_DIGEST = bytes(32)
 
 #: default residency budget for the index plus the kept fine codes
 DEFAULT_BITMAP_BUDGET = 1 << 28
@@ -112,9 +93,9 @@ def edges_fingerprint(grid: Grid) -> bytes:
 
     Bin membership — hence every membership bitmap — depends only on
     the fine grid and its cuts; thresholds merely classify counts as
-    dense.  It is the grid half of every index key, so a grid whose
-    thresholds moved but whose bins did not keeps a spilled index
-    file valid.  Hashed once per grid (:attr:`Grid.edges_fingerprint`).
+    dense.  It is every index's key, so a grid whose thresholds moved
+    but whose bins did not can keep counting on a staged index.  Hashed
+    once per grid (:attr:`Grid.edges_fingerprint`).
     """
     return grid.edges_fingerprint
 
@@ -176,66 +157,50 @@ def index_nbytes(grid: Grid, n_records: int) -> int:
     return sum(_grid_nbins(grid)) * (-(-n_records // 8))
 
 
-def bitmap_cache_path(record_path: str | os.PathLike) -> Path:
-    """The on-disk bitmap-index cache sitting alongside a record file."""
-    return Path(record_path).with_suffix(".bmx")
-
-
 class BitmapIndex:
     """One rank's per-(dim, bin) membership bitmaps.
 
     Bitmaps live either in a resident ``(n_pairs, row_bytes)`` uint8
-    matrix or as mmap tiles of the on-disk format.  Rows are read-only:
+    matrix (``data``) or as tiles of a scratch file (``path``, with one
+    CRC32 per tile in ``crcs``) that the index owns: the file is
+    unlinked when the index is collected.  Rows are read-only:
     consumers AND them into buffers of their own, and a depth-1 prefix
-    is the row itself.  ``key`` is the 64-byte key the index was
-    built under (see the module docstring).
+    is the row itself.  ``key`` is the grid's edges fingerprint.
     """
 
     def __init__(self, *, data: np.ndarray | None = None,
                  path: Path | None = None,
+                 crcs: Sequence[int] = (),
                  nbins: tuple[int, ...] = (),
                  n_records: int = 0,
                  key: bytes = b"") -> None:
         if (data is None) == (path is None):
             raise DataError("BitmapIndex needs exactly one of data/path")
         self.path = path
-        self._mmap: np.ndarray | None = None
-        self._verified: set[int] = set()
-        self._crcs: tuple[int, ...] = ()
-        if data is not None:
-            data = np.ascontiguousarray(data, dtype=np.uint8)
-            data.setflags(write=False)
-            self._data: np.ndarray | None = data
-            self.nbins = tuple(int(b) for b in nbins)
-            self.n_records = int(n_records)
-            self.key = bytes(key)
-            if data.shape != (sum(self.nbins), -(-self.n_records // 8)):
-                raise DataError(
-                    f"bitmap data shape {data.shape} does not match "
-                    f"{sum(self.nbins)} pairs x {-(-self.n_records // 8)} "
-                    f"bytes")
-        else:
-            self._data = None
-            (self.n_records, self.nbins, self.key, self._data_offset,
-             self._crcs) = _read_index_header(path)
+        self.nbins = tuple(int(b) for b in nbins)
+        self.n_records = int(n_records)
+        self.key = bytes(key)
         self.n_dims = len(self.nbins)
         self.n_pairs = sum(self.nbins)
         self.row_bytes = -(-self.n_records // 8)
         self.offsets = _pair_offsets(self.nbins)
-
-    # -- construction -----------------------------------------------------
-    @classmethod
-    def open(cls, path: str | os.PathLike,
-             expected_key: bytes | None = None) -> "BitmapIndex":
-        """Open an on-disk index; with ``expected_key`` given, a key
-        mismatch (stale cache) raises
-        :class:`~repro.errors.RecordFileError`."""
-        index = cls(path=Path(path))
-        if expected_key is not None and index.key != bytes(expected_key):
-            raise RecordFileError(
-                f"{path}: bitmap index was built under a different key "
-                f"(stale cache; rebuild it)")
-        return index
+        self._mmap: np.ndarray | None = None
+        self._verified: set[int] = set()
+        self._crcs = tuple(int(c) for c in crcs)
+        self._data: np.ndarray | None = None
+        if path is not None:
+            weakref.finalize(self, _unlink_quiet, str(path))
+            if len(self._crcs) != self.n_pairs:
+                raise DataError(f"{len(self._crcs)} tile CRCs for "
+                                f"{self.n_pairs} bitmaps")
+            return
+        data = np.ascontiguousarray(data, dtype=np.uint8)
+        data.setflags(write=False)
+        if data.shape != (self.n_pairs, self.row_bytes):
+            raise DataError(
+                f"bitmap data shape {data.shape} does not match "
+                f"{self.n_pairs} pairs x {self.row_bytes} bytes")
+        self._data = data
 
     # -- properties -------------------------------------------------------
     @property
@@ -252,7 +217,6 @@ class BitmapIndex:
     def _map(self) -> np.ndarray:
         if self._mmap is None:
             self._mmap = np.memmap(self.path, mode="r", dtype=np.uint8,
-                                   offset=self._data_offset,
                                    shape=(self.n_pairs, self.row_bytes))
         return self._mmap
 
@@ -280,7 +244,8 @@ class BitmapIndex:
 
     def bitmap(self, pair: int) -> np.ndarray:
         """The ``(row_bytes,)`` packed membership bitmap of one pair
-        (a read-only view; disk tiles are CRC-verified on first touch)."""
+        (a read-only view; scratch tiles are CRC-verified on first
+        touch)."""
         if not 0 <= pair < self.n_pairs:
             raise DataError(
                 f"pair {pair} out of range for {self.n_pairs} bitmaps")
@@ -292,27 +257,6 @@ class BitmapIndex:
                        f"{self.path}: bitmap tile {pair}")
             self._verified.add(pair)
         return tile
-
-
-def _read_index_header(path: Path):
-    with open_frame(path, _HEADER, magic=_MAGIC, version=_VERSION,
-                    error=RecordFileError, what="bitmap index") as frame:
-        n_records, n_pairs, n_dims, key = frame.fields
-        if n_records < 0 or n_dims <= 0 or n_pairs <= 0:
-            raise RecordFileError(
-                f"{path}: bad shape ({n_records}, {n_pairs}, {n_dims})")
-        table = frame.read_at(_HEADER.size, n_dims * _NBINS_ITEM.size)
-        nbins = tuple(int(v) for v in np.frombuffer(table, dtype="<i8"))
-        if any(b <= 0 for b in nbins) or sum(nbins) != n_pairs:
-            raise RecordFileError(
-                f"{path}: nbins table {nbins} does not sum to "
-                f"{n_pairs} pairs")
-        data_offset = _HEADER.size + len(table)
-        footer_offset = data_offset + n_pairs * (-(-n_records // 8))
-        frame.expect_size(footer_offset + n_pairs * _CRC_ITEM.size)
-        footer = frame.read_at(footer_offset, n_pairs * _CRC_ITEM.size)
-    crcs = tuple(int(v) for v in np.frombuffer(footer, dtype="<u4"))
-    return n_records, nbins, key, data_offset, crcs
 
 
 def _aligned_chunk(chunk_records: int) -> int:
@@ -356,16 +300,15 @@ def _block_chunks(blocks: Sequence[np.ndarray], chunk: int
 def build_bitmap_index(source: DataSource | None, grid: Grid,
                        chunk_records: int, start: int = 0,
                        stop: int | None = None, *,
-                       path: str | os.PathLike | None = None,
-                       records_digest: bytes = NO_RECORDS_DIGEST,
+                       spill_dir: str | os.PathLike | None = None,
                        retry: RetryPolicy | None = None,
                        fault_state=None,
                        codes: np.ndarray | Sequence[np.ndarray] | None = None
                        ) -> BitmapIndex:
     """One staging pass: pack every (dim, bin) membership bitmap for the
-    rank's ``[start, stop)`` block, resident (``path`` None) or into the
-    on-disk tile format (published through
-    :class:`~repro.io.artifact.Publication`).
+    rank's ``[start, stop)`` block, resident (``spill_dir`` None) or
+    into a scratch tile file created in ``spill_dir`` and owned by the
+    returned index (see the module docstring).
 
     Per byte-aligned chunk and per dimension, one comparison of the
     chunk's fine codes against the dimension's upper cuts is packed,
@@ -378,15 +321,9 @@ def build_bitmap_index(source: DataSource | None, grid: Grid,
     taken from the codes.  Otherwise each chunk
     is read from ``source`` through the resilient-read loop (the rank's
     ``fault_state`` is consulted before every read and transient
-    failures retry under ``retry``) and its codes are computed with
-    :func:`~repro.core.histogram.fine_codes` under every dimension's
-    ``lo``/``hi``/``n_fine``.
-
-    The index is stamped with the key ``edges_fingerprint(grid) +
-    records_digest``; ``records_digest`` must identify exactly the
-    records the codes belong to
-    (:meth:`~repro.io.records.RecordFileInfo.digest`) whenever the file
-    is meant to be reloaded by :func:`load_bitmap_cache`.
+    failures retry under ``retry``) and coded by
+    :func:`~repro.types.fine_codes_matrix`, the locate rule of the
+    histogram pass, verification and serving.
     """
     nbins = _grid_nbins(grid)
     blocks = None
@@ -421,70 +358,48 @@ def build_bitmap_index(source: DataSource | None, grid: Grid,
     # uint8 and the top cut would wrap to 0 in it
     upper = [np.asarray(dg.cuts[1:], np.min_scalar_type(dg.n_fine))[:, None]
              for dg in grid]
-    key = edges_fingerprint(grid) + bytes(records_digest)
+    key = edges_fingerprint(grid)
 
-    def code_chunks() -> Iterator[tuple[int, Sequence[np.ndarray]]]:
+    def code_chunks() -> Iterator[tuple[int, np.ndarray]]:
         if blocks is not None:
             yield from _block_chunks(blocks, chunk)
             return
         for offset, raw in _source_chunks(source, chunk, start, stop,
                                           retry, fault_state):
-            yield offset, [fine_codes(raw[:, dim], dg.lo, dg.hi - dg.lo,
-                                      dg.n_fine)
-                           for dim, dg in enumerate(grid)]
+            yield offset, fine_codes_matrix(raw, grid.dims)
 
     def fill(data: np.ndarray) -> None:
-        for offset, columns in code_chunks():
+        for offset, chunk_codes in code_chunks():
             byte_lo = offset // 8
-            for dim, col in enumerate(columns):
+            for dim, col in enumerate(chunk_codes):
                 below = np.packbits(col < upper[dim], axis=1)
                 rows = data[offsets[dim]:offsets[dim + 1],
                             byte_lo:byte_lo + below.shape[1]]
                 rows[0] = below[0]
                 np.bitwise_and(below[1:], ~below[:-1], out=rows[1:])
 
-    if path is None or n == 0:
+    if spill_dir is None or n == 0:
         data = np.empty((n_pairs, row_bytes), dtype=np.uint8)
         fill(data)
         return BitmapIndex(data=data, nbins=nbins, n_records=n, key=key)
 
-    nbins_table = b"".join(_NBINS_ITEM.pack(b) for b in nbins)
-    data_offset = _HEADER.size + len(nbins_table)
-    with Publication(path) as out:
-        out.fh.write(_HEADER.pack(_MAGIC, _VERSION, n, n_pairs, grid.ndim,
-                                  key))
-        out.fh.write(nbins_table)
-        out.fh.truncate(data_offset + n_pairs * row_bytes)
-        mm = np.memmap(out.fh, mode="r+", dtype=np.uint8,
-                       offset=data_offset, shape=(n_pairs, row_bytes))
-        try:
-            fill(mm)
-            mm.flush()
-            crcs = [crc32(mm[pair]) for pair in range(n_pairs)]
-        finally:
-            del mm  # drop the mapping before the file is published
-        out.fh.seek(0, os.SEEK_END)
-        out.fh.write(b"".join(_CRC_ITEM.pack(crc) for crc in crcs))
-    return BitmapIndex.open(path)
-
-
-def load_bitmap_cache(path: str | os.PathLike, grid: Grid,
-                      records_digest: bytes) -> BitmapIndex | None:
-    """Reopen an on-disk bitmap-index cache, or ``None`` when it is
-    missing, malformed, or stale — anything not built under exactly
-    this grid's edges over exactly the records ``records_digest``
-    names is rebuilt, never trusted."""
-    path = Path(path)
-    if not path.exists():
-        return None
+    fd, path = tempfile.mkstemp(prefix="pmafia-index-", suffix=".tiles",
+                                dir=spill_dir)
     try:
-        index = BitmapIndex.open(
-            path, expected_key=edges_fingerprint(grid) + records_digest)
-    except RecordFileError:
-        return None
-    if index.nbins != _grid_nbins(grid):
-        return None
-    return index
+        with os.fdopen(fd, "r+b") as fh:
+            fh.truncate(n_pairs * row_bytes)
+            tiles = np.memmap(fh, mode="r+", dtype=np.uint8,
+                              shape=(n_pairs, row_bytes))
+            try:
+                fill(tiles)
+                crcs = [crc32(tile) for tile in tiles]
+            finally:
+                del tiles
+    except BaseException:
+        _unlink_quiet(path)
+        raise
+    return BitmapIndex(path=Path(path), crcs=crcs, nbins=nbins,
+                       n_records=n, key=key)
 
 
 def stage_bitmap_index(source: DataSource, comm: Comm, grid: Grid,
@@ -499,44 +414,20 @@ def stage_bitmap_index(source: DataSource, comm: Comm, grid: Grid,
     records.
 
     An index that fits ``budget`` bytes stays resident in RAM.  A larger
-    one spills to the mmap tile format — next to the rank's staged
-    record file when the rank reads that file whole (reusing a
-    still-valid cache from an earlier run), otherwise into an anonymous
-    temp file removed with the index.  The sibling is keyed on the
-    record file's digest, so a rewritten file is never served a stale
-    index; it names only the file, so a rank reading a ``[start, stop)``
-    slice of a shared file never uses it: another rank's slice would
-    share the path.  Staging charges nothing to the virtual clock, like
-    shared-to-local staging.
+    one spills to a private scratch file beside the record file the
+    rank reads, or in the system temp directory for an array source,
+    removed with the index.  Staging charges nothing to the virtual
+    clock, like shared-to-local staging.
     """
     stop = source.n_records if stop is None else stop
-    n = stop - start
-    fault_state = getattr(comm, "fault_state", None)
-    if index_nbytes(grid, n) <= budget:
-        index = build_bitmap_index(source, grid, chunk_records, start, stop,
-                                   retry=retry, fault_state=fault_state,
-                                   codes=codes)
-    elif isinstance(source, RecordFile) \
-            and (start, stop) == (0, source.n_records):
-        path = bitmap_cache_path(source.path)
-        digest = source.info.digest(start, stop)
-        index = load_bitmap_cache(path, grid, digest)
-        if index is None:
-            index = build_bitmap_index(source, grid, chunk_records, start,
-                                       stop, path=path,
-                                       records_digest=digest, retry=retry,
-                                       fault_state=fault_state, codes=codes)
-    else:
-        fd, tmpname = tempfile.mkstemp(prefix="pmafia-rank-", suffix=".bmx")
-        os.close(fd)
-        try:
-            index = build_bitmap_index(source, grid, chunk_records, start,
-                                       stop, path=tmpname, retry=retry,
-                                       fault_state=fault_state, codes=codes)
-        except BaseException:
-            _unlink_quiet(tmpname)
-            raise
-        weakref.finalize(index, _unlink_quiet, tmpname)
+    spill_dir = None
+    if index_nbytes(grid, stop - start) > budget:
+        spill_dir = (source.path.parent if isinstance(source, RecordFile)
+                     else tempfile.gettempdir())
+    index = build_bitmap_index(source, grid, chunk_records, start, stop,
+                               spill_dir=spill_dir, retry=retry,
+                               fault_state=getattr(comm, "fault_state", None),
+                               codes=codes)
     obs = getattr(comm, "obs", None)
     if obs is not None:
         obs.bitmap_index_built(index.n_pairs, index.nbytes, index.resident)

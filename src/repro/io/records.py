@@ -23,7 +23,6 @@ fast.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -76,17 +75,6 @@ class RecordFileInfo:
     @property
     def n_crc_chunks(self) -> int:
         return len(self.crcs)
-
-    def digest(self, start: int, stop: int) -> bytes:
-        """32-byte SHA-256 of this file's header and CRC table plus the
-        record range ``[start, stop)`` — the identity of exactly those
-        records, which artifacts derived from them are keyed on."""
-        h = hashlib.sha256(_HEADER.pack(
-            _MAGIC, self.version, _DTYPE_CODES[self.dtype],
-            self.n_records, self.n_dims, self.crc_chunk_records))
-        h.update(np.asarray(self.crcs, dtype="<u4").tobytes())
-        h.update(struct.pack("<qq", start, stop))
-        return h.digest()
 
 
 class RecordFile:

@@ -34,8 +34,7 @@ def stage_local(comm: Comm, shared: str | os.PathLike,
 
     Returns a handle on the rank-private record file.  The copy is
     republished on every call, so it always holds the shared file's
-    current records; artifacts derived from it (the spilled bitmap
-    index) stay reusable through their record-bound keys.
+    current records; nothing derived from it outlives the run.
     """
     source = RecordFile(shared)
     start, stop = block_range(source.n_records, comm.size, comm.rank)

@@ -170,9 +170,9 @@ class RankObs:
     # -- bitmap-index hooks ----------------------------------------------
     def bitmap_index_built(self, n_pairs: int, nbytes: int,
                            resident: bool) -> None:
-        """The rank's persistent bitmap index finished staging —
-        records whether the byte budget kept it resident or spilled it
-        to the mmap tile file."""
+        """The rank's bitmap index finished staging — records whether
+        the byte budget kept it resident or spilled it to a scratch
+        tile file."""
         self.instant("bitmap_index_built", cat="io", n_pairs=n_pairs,
                      nbytes=nbytes, resident=resident)
         if self.metrics is not None:

@@ -22,7 +22,7 @@ Charging policy for engine variants
 -----------------------------------
 The virtual machine models the *paper's* implementation: per-record
 scans that re-read 8-byte records on every pass.  Faster engines in
-this codebase (the persistent bitmap index, the hash join) must
+this codebase (the per-rank bitmap index, the hash join) must
 therefore **charge what the modelled machine would have paid, not what
 they actually did**: the join charges the paper's triangular pair
 count over equation (1) fences, and level passes charge float-width

@@ -227,9 +227,8 @@ class ClusterServer:
             self._records += n
             self._evaluated += evaluated
             self._bypasses += bypassed
-            if not bypassed:
-                self._hits += hits
-                self._misses += misses
+            self._hits += hits
+            self._misses += misses
         if self._obs is not None:
             self._obs.serve_batch(n, seconds, hits=hits, misses=misses,
                                   evaluated=evaluated, bypassed=bypassed)
@@ -241,7 +240,8 @@ class ClusterServer:
         """The cached path: probe the table with one ``searchsorted``,
         answer hits with one row gather, then group only the missing
         records and evaluate each novel signature once.  Hit/miss
-        counts are record-granular."""
+        counts are record-granular; a bypassed batch counts as
+        neither, only as a bypass."""
         if n == 0:
             return (np.zeros((0, self.model.n_clusters), dtype=bool),
                     0, 0, 0, False)
@@ -274,7 +274,7 @@ class ClusterServer:
             # mostly-novel traffic: filling the cache would cost more
             # than it saves, so evaluate vectorized and leave the
             # cache untouched
-            return self.model.eval_idx(idx), 0, n, n, True
+            return self.model.eval_idx(idx), 0, 0, n, True
 
         first_global = first if miss_idx is None else miss_idx[first]
         fresh = self.model.eval_idx(idx[first_global])

@@ -10,8 +10,7 @@ exactly the live records (the differential oracle enforced by
 ``tests/test_stream_conformance.py``).  See ``docs/STREAMING.md``.
 """
 
-from .deltas import (BlockDeltaSource, Delta, DeltaQueue,
-                     RecordDeltaSource)
+from .deltas import BlockDeltaSource, Delta, RecordDeltaSource
 from .engine import DEFAULT_COMPACT_SEGMENTS, StreamingSession
 from .soak import pairs_examined, result_fingerprint, run_soak
 from .window import SlidingWindow, WindowSegment
@@ -20,7 +19,6 @@ __all__ = [
     "BlockDeltaSource",
     "DEFAULT_COMPACT_SEGMENTS",
     "Delta",
-    "DeltaQueue",
     "RecordDeltaSource",
     "SlidingWindow",
     "StreamingSession",

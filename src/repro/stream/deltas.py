@@ -1,24 +1,20 @@
-"""Delta sources and the bounded hand-off queue for streaming ingest.
+"""Delta sources for streaming ingest.
 
 A *delta* is one ordered batch of appended records: a ``(seq, block)``
 pair where ``seq`` is a monotonically increasing sequence number and
 ``block`` an ``(n, d)`` float64 record block.  Sources slice an
 existing corpus (an array or a ``datagen/stream.py``-written record
-file) into deltas; :class:`DeltaQueue` carries them from a producer
-thread to the ingesting session with bounded memory (backpressure) and
-explicit end-of-stream semantics.
+file) into deltas.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from ..errors import DataError, StreamError
+from ..errors import DataError
 from ..io.records import RecordFile
 from ..io.resilient import RetryPolicy, read_with_retry
 
@@ -105,77 +101,3 @@ class RecordDeltaSource:
             yield Delta(seq=self.first_seq + i,
                         block=np.ascontiguousarray(block,
                                                    dtype=np.float64))
-
-
-class DeltaQueue:
-    """Bounded FIFO hand-off between a delta producer and the session.
-
-    ``put`` blocks while ``maxsize`` deltas are in flight — the
-    producer is backpressured by a slow consumer instead of buffering
-    the stream unboundedly.  ``close()`` marks end-of-stream: queued
-    deltas still drain, then ``get`` returns ``None`` (and iteration
-    stops).  ``put`` after ``close`` raises
-    :class:`~repro.errors.StreamError`; so does a ``timeout`` expiry,
-    making stuck producers/consumers fail loudly instead of hanging.
-    """
-
-    def __init__(self, maxsize: int = 8) -> None:
-        if maxsize <= 0:
-            raise DataError(f"maxsize must be positive, got {maxsize}")
-        self.maxsize = int(maxsize)
-        self._deltas: deque[Delta] = deque()
-        self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
-        self._closed = False
-
-    def qsize(self) -> int:
-        """Deltas queued and not yet taken by ``get``."""
-        with self._lock:
-            return len(self._deltas)
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def put(self, delta: Delta, timeout: float | None = None) -> None:
-        """Enqueue ``delta``, blocking while the queue is full."""
-        with self._not_full:
-            while len(self._deltas) >= self.maxsize and not self._closed:
-                if not self._not_full.wait(timeout):
-                    raise StreamError(
-                        f"put timed out after {timeout}s: queue full "
-                        f"({self.maxsize} deltas) and no consumer progress")
-            if self._closed:
-                raise StreamError("put on a closed delta queue")
-            self._deltas.append(delta)
-            self._not_empty.notify()
-
-    def get(self, timeout: float | None = None) -> Delta | None:
-        """Next delta in order, or ``None`` at end-of-stream."""
-        with self._not_empty:
-            while not self._deltas and not self._closed:
-                if not self._not_empty.wait(timeout):
-                    raise StreamError(
-                        f"get timed out after {timeout}s: queue empty "
-                        "and the producer made no progress")
-            if self._deltas:
-                delta = self._deltas.popleft()
-                self._not_full.notify()
-                return delta
-            return None  # closed and drained
-
-    def close(self) -> None:
-        """Mark end-of-stream (idempotent); queued deltas still drain."""
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
-
-    def __iter__(self) -> Iterator[Delta]:
-        while True:
-            delta = self.get()
-            if delta is None:
-                return
-            yield delta

@@ -1,12 +1,12 @@
 """One fault suite for every staged artifact: kind x fault.
 
 Each kind is one on-disk format published and checked through
-:mod:`repro.io.artifact` — record file, spilled bitmap index (PMBI
-sibling), level checkpoint (PMCK) and stream manifest.
+:mod:`repro.io.artifact` — record file, level checkpoint (PMCK) and
+stream manifest.  A spilled bitmap index is scratch owned by its run,
+not a staged artifact (see ``tests/test_bitmap_index.py``).
 Each fault damages the file the way a disk or a crash would: truncate
-it, flip a payload byte, flip the magic, crash inside the publish of a
-newer version, or (where the kind has a key) make it stale by
-rewriting the records it was built from.
+it, flip a payload byte, flip the magic, or crash inside the publish
+of a newer version.
 
 One expected behaviour for every cell: **rebuild or raise, never a
 wrong count**.  The consumer either raises the format's own error or
@@ -27,19 +27,13 @@ import repro
 from repro import mafia
 from repro.analysis import verify_result
 from repro.core.checkpoint import load_latest_checkpoint, save_checkpoint
-from repro.core.population import count_units
-from repro.core.units import UnitTable
 from repro.errors import CheckpointError, RecordFileError, StreamError
 from repro.io import artifact
-from repro.io.bitmap_index import (BitmapIndex, bitmap_cache_path,
-                                   build_bitmap_index, stage_bitmap_index)
 from repro.io.records import RecordFile, read_header, write_records
-from repro.parallel import SerialComm
 from repro.stream import StreamingSession
 from repro.stream.soak import result_fingerprint
 from tests.conftest import DOMAINS_10D
-from tests.test_bitmap_index import cluster_signature, uniform_grid
-from tests.test_population import brute_force_counts
+from tests.test_bitmap_index import cluster_signature
 from tests.test_stream_conformance import (DOMAINS, PARAMS,
                                            assert_equivalent,
                                            drifting_blocks)
@@ -76,50 +70,6 @@ class RecordKind:
 
     def republish(self):
         write_records(self.path, self.records * 2.0)
-
-
-class BitmapKind:
-    """The spilled index beside a record file read whole."""
-
-    errors = (RecordFileError,)
-
-    def __init__(self, tmp):
-        self.data = tmp / "data.bin"
-        self.grid = uniform_grid(3, 5)
-        self.records = np.random.default_rng(2).random((600, 3)) * 100.0
-        write_records(self.data, self.records)
-        self.units = UnitTable.from_pairs(
-            [[(0, a), (2, b)] for a in range(5) for b in range(5)])
-        self.consume()
-
-    def target(self):
-        return bitmap_cache_path(self.data)
-
-    def payload_offset(self):
-        # first byte of tile 0: flipping bit 0 moves one record in or
-        # out of (dim 0, bin 0), so a served tile miscounts one unit
-        return BitmapIndex.open(self.target())._data_offset
-
-    def consume(self):
-        index = stage_bitmap_index(RecordFile(self.data), SerialComm(),
-                                   self.grid, 64, budget=1)
-        assert index.path == self.target()
-        return count_units(index, self.units).tolist()
-
-    def allowed(self, expected):
-        assert expected == brute_force_counts(
-            self.records, self.grid, self.units).tolist()
-        return [expected]
-
-    def republish(self):
-        build_bitmap_index(RecordFile(self.data), uniform_grid(3, 6), 64,
-                           path=self.target())
-
-    def make_stale(self):
-        self.records = _permute_column(self.records, 2, seed=3)
-        write_records(self.data, self.records)
-        return brute_force_counts(self.records, self.grid,
-                                  self.units).tolist()
 
 
 class CheckpointKind:
@@ -190,12 +140,11 @@ class StreamManifestKind:
         session.ingest(self.blocks[3])
 
 
-KINDS = {"record": RecordKind, "pmbi": BitmapKind,
-         "pmck": CheckpointKind, "stream_manifest": StreamManifestKind}
+KINDS = {"record": RecordKind, "pmck": CheckpointKind,
+         "stream_manifest": StreamManifestKind}
 DAMAGE = ("truncate", "flip_payload", "flip_magic")
-CELLS = ([(kind, fault) for kind in KINDS
-          for fault in (*DAMAGE, "crash_in_publish")]
-         + [("pmbi", "stale_key")])
+CELLS = [(kind, fault) for kind in KINDS
+         for fault in (*DAMAGE, "crash_in_publish")]
 
 _RAISED = "raised"
 
@@ -225,7 +174,7 @@ def test_rebuild_or_raise_never_a_wrong_count(tmp_path, monkeypatch,
             raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
         assert _outcome(kind) in [*kind.allowed(expected), _RAISED]
-    elif fault == "crash_in_publish":
+    else:
         real_replace = os.replace
 
         def crash_on_target(src, dst):
@@ -240,15 +189,13 @@ def test_rebuild_or_raise_never_a_wrong_count(tmp_path, monkeypatch,
         assert path.read_bytes() == before
         assert not list(path.parent.glob("*.tmp"))
         assert kind.consume() == expected
-    else:
-        fresh = kind.make_stale()
-        assert kind.consume() == fresh
 
 
 class TestStaleIndexKeys:
-    """A spilled index is served only for the exact records it was
-    built from.  Permuting one column keeps every marginal — hence the
-    adaptive grid and its fingerprints — but changes the records."""
+    """An index is served only for the exact records it was built
+    from: every run and every snapshot stages its own.  Permuting one
+    column keeps every marginal — hence the adaptive grid and its
+    fingerprints — but changes the records."""
 
     def test_rewritten_record_file_rebuilds_spilled_index(
             self, tmp_path, one_cluster_dataset, small_params):
@@ -256,7 +203,6 @@ class TestStaleIndexKeys:
         params = small_params.with_(bitmap_budget=1)
         write_records(path, one_cluster_dataset.records)
         mafia(RecordFile(path), params, domains=DOMAINS_10D)
-        assert bitmap_cache_path(path).exists()
 
         rewritten = _permute_column(one_cluster_dataset.records, 3, seed=0)
         write_records(path, rewritten)
@@ -285,7 +231,7 @@ class TestStaleIndexKeys:
         first.snapshot()
         first.close()
         assert len(list(tmp_path.glob("seg-*.rec"))) == len(blocks)
-        assert not list(tmp_path.glob("seg-*.bmx"))
+        assert {p.suffix for p in tmp_path.iterdir()} == {".rec", ".json"}
 
         rewritten = [_permute_column(b, 2, seed=i)
                      for i, b in enumerate(blocks)]

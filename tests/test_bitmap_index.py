@@ -1,4 +1,4 @@
-"""The persistent bitmap index and the prefix-AND population engine.
+"""The per-rank bitmap index and the prefix-AND population engine.
 
 The load-bearing property: a population pass served from a
 :class:`~repro.io.bitmap_index.BitmapIndex` — resident or spilled, at
@@ -11,7 +11,11 @@ fixed memory and keeps nothing between passes.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,13 +30,11 @@ from repro.core.population import (IndexedPopulator, count_units,
                                    populate_global, populate_local)
 from repro.core.units import UnitTable
 from repro.datagen import ClusterSpec, generate
-from repro.errors import (ChecksumError, DataError, GridError,
-                          RecordFileError)
-from repro.io import ArraySource, write_records
-from repro.io.bitmap_index import (BitmapIndex, bitmap_cache_path,
-                                   build_bitmap_index, edges_fingerprint,
+from repro.errors import ChecksumError, DataError, GridError
+from repro.io import ArraySource, RecordFile, write_records
+from repro.io.bitmap_index import (build_bitmap_index, edges_fingerprint,
                                    grid_fingerprint, index_nbytes,
-                                   load_bitmap_cache, stage_bitmap_index)
+                                   stage_bitmap_index)
 from repro.parallel import SerialComm
 from repro.params import MafiaParams
 from repro.types import DimensionGrid, Grid
@@ -93,20 +95,23 @@ class TestIndexFormat:
                                       expected_bitmap(records, grid, dim, b))
 
     def test_disk_round_trip(self, tmp_path):
+        """A spilled index is raw pair-major tiles in a scratch file of
+        its own, removed when the index is collected."""
         rng = np.random.default_rng(1)
         records = rng.random((777, 3)) * 100.0
         grid = uniform_grid(3, 9)
-        path = tmp_path / "data.bmx"
-        built = build_bitmap_index(ArraySource(records), grid, 100,
-                                   path=path)
-        assert not built.resident
-        reopened = BitmapIndex.open(path, expected_key=built.key)
-        for index in (built, reopened):
-            for dim in range(3):
-                for b in range(9):
-                    assert np.array_equal(
-                        index.bitmap(index.pair_id(dim, b)),
-                        expected_bitmap(records, grid, dim, b))
+        index = build_bitmap_index(ArraySource(records), grid, 100,
+                                   spill_dir=tmp_path)
+        assert not index.resident
+        assert list(tmp_path.iterdir()) == [index.path]
+        assert index.path.stat().st_size == index.nbytes
+        for dim in range(3):
+            for b in range(9):
+                assert np.array_equal(index.bitmap(index.pair_id(dim, b)),
+                                      expected_bitmap(records, grid, dim, b))
+        del index
+        gc.collect()
+        assert not list(tmp_path.iterdir())
 
     def test_grid_fingerprint_sensitivity(self):
         a = uniform_grid(3, 5)
@@ -124,47 +129,51 @@ class TestIndexFormat:
         assert grid_fingerprint(coarse) != grid_fingerprint(finer)
 
     def test_crc_detects_corruption(self, tmp_path):
+        """A byte flipped in a live spilled index's scratch file before
+        its tile is first touched fails the count, every time."""
         rng = np.random.default_rng(3)
         records = rng.random((400, 3)) * 100.0
         grid = uniform_grid(3, 5)
-        path = tmp_path / "corrupt.bmx"
-        build_bitmap_index(ArraySource(records), grid, 100, path=path)
-        index = BitmapIndex.open(path)
-        raw = bytearray(path.read_bytes())
-        raw[index._data_offset + 3] ^= 0xFF    # flip a bit in pair 0's tile
-        path.write_bytes(bytes(raw))
-        corrupted = BitmapIndex.open(path)
-        with pytest.raises(ChecksumError):
-            corrupted.bitmap(0)
+        index = build_bitmap_index(ArraySource(records), grid, 100,
+                                   spill_dir=tmp_path)
+        units = UnitTable.from_pairs(
+            [[(0, a), (2, b)] for a in range(5) for b in range(5)])
+        with open(index.path, "r+b") as fh:    # pair 0's tile, byte 3
+            fh.seek(3)
+            flipped = fh.read(1)[0] ^ 0xFF
+            fh.seek(3)
+            fh.write(bytes([flipped]))
+        for _ in range(2):
+            with pytest.raises(ChecksumError):
+                count_units(index, units)
         # other tiles still verify
-        assert corrupted.bitmap(1) is not None
+        assert np.array_equal(index.bitmap(1),
+                              expected_bitmap(records, grid, 0, 1))
 
-    def test_truncated_file_rejected(self, tmp_path):
-        rng = np.random.default_rng(4)
-        records = rng.random((100, 2)) * 100.0
-        grid = uniform_grid(2, 5)
-        path = tmp_path / "trunc.bmx"
-        build_bitmap_index(ArraySource(records), grid, 50, path=path)
-        path.write_bytes(path.read_bytes()[:-7])
-        with pytest.raises(RecordFileError):
-            BitmapIndex.open(path)
-
-    def test_grid_hash_mismatch_is_stale(self, tmp_path):
+    def test_grid_hash_mismatch_is_stale(self):
+        """An index's key is its grid's edges fingerprint, and a pass
+        under any grid whose key differs is refused, even with the same
+        bin counts; moved density thresholds alone keep it valid."""
         rng = np.random.default_rng(5)
         records = rng.random((100, 2)) * 100.0
         grid = uniform_grid(2, 5)
-        other = uniform_grid(2, 6)
-        path = tmp_path / "stale.bmx"
-        digest = b"\x05" * 32
-        build_bitmap_index(ArraySource(records), grid, 50, path=path,
-                           records_digest=digest)
-        with pytest.raises(RecordFileError, match="stale"):
-            BitmapIndex.open(path,
-                             expected_key=edges_fingerprint(other) + digest)
-        # the cache loader invalidates instead of raising
-        assert load_bitmap_cache(path, other, digest) is None
-        assert load_bitmap_cache(path, grid, b"\x06" * 32) is None
-        assert load_bitmap_cache(path, grid, digest) is not None
+        units = random_units(rng, 2, 5, 2, 10)
+        pop = IndexedPopulator(
+            build_bitmap_index(ArraySource(records), grid, 50))
+        assert pop.index.key == edges_fingerprint(grid)
+        shifted = Grid(tuple(dataclasses.replace(dg, hi=90.0)
+                             for dg in grid))
+        rethresholded = Grid(tuple(
+            dataclasses.replace(dg, thresholds=(2.0,) * dg.nbins)
+            for dg in grid))
+        with pytest.raises(DataError, match="different grid"):
+            pop.populate_local(SerialComm(), shifted, units, 50)
+        assert np.array_equal(
+            pop.populate_local(SerialComm(), rethresholded, units, 50),
+            brute_force_counts(records, grid, units))
+        # a grid accepted once does not open the index to another
+        with pytest.raises(DataError, match="different grid"):
+            pop.populate_local(SerialComm(), shifted, units, 50)
 
     def test_empty_record_range(self):
         grid = uniform_grid(3, 4)
@@ -244,57 +253,40 @@ class TestSpillPolicy:
         assert spilled.path is not None and spilled.path.exists()
         for p in range(resident.n_pairs):
             assert np.array_equal(resident.bitmap(p), spilled.bitmap(p))
-
-    def test_record_file_sibling_cache_reused(self, tmp_path):
-        rng = np.random.default_rng(10)
-        records = rng.random((300, 3)) * 100.0
-        grid = uniform_grid(3, 5)
-        shared = tmp_path / "data.bin"
-        write_records(shared, records)
-        from repro.io.records import RecordFile
-        source = RecordFile(shared)
-        comm = SerialComm()
-        first = stage_bitmap_index(source, comm, grid, 64, budget=1)
-        cache = bitmap_cache_path(shared)
-        assert first.path == cache and cache.exists()
-        mtime = cache.stat().st_mtime_ns
-        again = stage_bitmap_index(source, comm, grid, 64, budget=1)
-        assert cache.stat().st_mtime_ns == mtime   # reused, not rebuilt
-        for p in range(first.n_pairs):
-            assert np.array_equal(first.bitmap(p), again.bitmap(p))
-        # a stale cache (different grid) is rebuilt in place
-        other = uniform_grid(3, 6)
-        rebuilt = stage_bitmap_index(source, comm, other, 64, budget=1)
-        assert rebuilt.nbins == (6, 6, 6)
-        assert cache.stat().st_mtime_ns != mtime
+        path = spilled.path
+        del spilled
+        gc.collect()
+        assert not path.exists()
 
     def test_record_file_slices_spill_apart(self, tmp_path):
         """Two ranks reading equal-sized slices of one shared record
-        file must not share its sibling cache: the second slice's index
-        holds its own records, not the first slice's."""
+        file spill into scratch files of their own beside it: the
+        second slice's index holds its own records, not the first
+        slice's."""
         rng = np.random.default_rng(11)
         records = rng.random((300, 3)) * 100.0
         grid = uniform_grid(3, 5)
         shared = tmp_path / "data.bin"
         write_records(shared, records)
-        from repro.io.records import RecordFile
         source = RecordFile(shared)
         units = random_units(rng, 3, 5, 2, 12)
+        paths = set()
         for start, stop in ((0, 150), (150, 300)):
             spilled = stage_bitmap_index(source, SerialComm(), grid, 64,
                                          start, stop, budget=1)
             assert not spilled.resident
+            assert spilled.path.parent == tmp_path
+            paths.add(spilled.path)
             resident = build_bitmap_index(source, grid, 64, start, stop)
             assert np.array_equal(count_units(spilled, units),
                                   count_units(resident, units))
-        assert not bitmap_cache_path(shared).exists()
+        assert len(paths) == 2
 
     def test_threaded_ranks_over_one_record_file_spill_apart(
             self, tmp_path, one_cluster_dataset, small_params):
         """Both thread ranks slice the same record file; with a spilled
-        index each must build its own file instead of racing on one
-        shared ``.bmx``."""
-        from repro.io.records import RecordFile
+        index each must build its own scratch file instead of racing on
+        one shared file, and neither outlives the run."""
         records = one_cluster_dataset.records
         shared = tmp_path / "data.bin"
         write_records(shared, records)
@@ -306,7 +298,9 @@ class TestSpillPolicy:
         assert ([lvl.dense_counts.tolist() for lvl in run.result.trace]
                 == [lvl.dense_counts.tolist() for lvl in resident.trace])
         assert verify_result(run.result, records).ok
-        assert not bitmap_cache_path(shared).exists()
+        del run
+        gc.collect()
+        assert list(tmp_path.iterdir()) == [shared]
 
     def test_full_run_spill_budget_respected(self, one_cluster_dataset,
                                              small_params):
@@ -319,23 +313,40 @@ class TestSpillPolicy:
         assert cluster_signature(spilled) == cluster_signature(baseline)
         assert verify_result(spilled, records).ok
 
-    def test_spilled_run_reuses_sibling_cache(self, tmp_path,
+    @pytest.mark.parametrize("kind", ["record_file", "array"])
+    def test_spilled_run_leaves_no_index_file(self, tmp_path, monkeypatch,
                                               one_cluster_dataset,
-                                              small_params):
-        """A spilled index over a staged record file lands beside it
-        and is reused, not rebuilt, by the next run."""
-        shared = tmp_path / "data.bin"
-        write_records(shared, one_cluster_dataset.records)
-        params = small_params.with_(bitmap_budget=1)
-        first = mafia(str(shared), params, domains=DOMAINS_10D)
-        cache = bitmap_cache_path(tmp_path / "data.rank0.bin")
-        assert cache.exists()
-        mtime = cache.stat().st_mtime_ns
-        second = mafia(str(shared), params, domains=DOMAINS_10D)
-        assert cache.stat().st_mtime_ns == mtime   # reused, not rebuilt
-        resident = mafia(str(shared), small_params, domains=DOMAINS_10D)
-        assert (cluster_signature(first) == cluster_signature(second)
-                == cluster_signature(resident))
+                                              small_params, kind):
+        """A spilled index is scratch for one run: it lands beside the
+        record file the rank reads (or in the temp directory for an
+        array source) and is gone once the run is collected."""
+        records = one_cluster_dataset.records
+        (tmp_path / "run").mkdir()
+        data = tmp_path / "run" / "data.bin"
+        write_records(data, records)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        created = []
+        real_mkstemp = tempfile.mkstemp
+
+        def recording_mkstemp(*args, **kwargs):
+            fd, name = real_mkstemp(*args, **kwargs)
+            created.append(Path(name))
+            return fd, name
+
+        monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
+        source = RecordFile(data) if kind == "record_file" else records
+        spilled = mafia(source, small_params.with_(bitmap_budget=1),
+                        domains=DOMAINS_10D)
+        assert [p.parent for p in created] == [
+            data.parent if kind == "record_file" else scratch]
+        del source
+        gc.collect()
+        assert list(data.parent.iterdir()) == [data]
+        assert not list(scratch.iterdir())
+        resident = mafia(records, small_params, domains=DOMAINS_10D)
+        assert cluster_signature(spilled) == cluster_signature(resident)
 
 
 class TestIndexedCountsIdentical:
@@ -444,10 +455,9 @@ class TestIndexedCountsIdentical:
         rng = np.random.default_rng(n)
         records = rng.random((n, 5)) * 100.0
         grid = uniform_grid(5, 3)
-        path = tmp_path / "index.bmx" if spilled else None
         index = build_bitmap_index(ArraySource(records), grid, 64,
-                                   path=path)
-        assert index.resident == (path is None or n == 0)
+                                   spill_dir=tmp_path if spilled else None)
+        assert index.resident == (not spilled or n == 0)
         for level in (1, 2, 3, 4):
             units = random_units(rng, 5, 3, level, 40)
             assert np.array_equal(count_units(index, units),

@@ -736,13 +736,12 @@ class TestDescriptorHygiene:
                     raise ChecksumError("synthetic mid-staging corruption")
                 return super().read_block(start, stop)
 
-        target = tmp_path / "rank0.bmx"
         with pytest.raises(ChecksumError):
-            build_bitmap_index(FlakySource(records), grid, 1000, path=target)
-        assert not target.exists()
-        assert not list(tmp_path.glob("*.tmp"))
-        # a one-byte budget spills to an anonymous temp file, which the
-        # failed pass must remove along with its ``.tmp`` sibling
+            build_bitmap_index(FlakySource(records), grid, 1000,
+                               spill_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+        # a one-byte budget spills an array source's index to a scratch
+        # file in the temp directory, which the failed pass must remove
         spill_dir = tmp_path / "spill"
         spill_dir.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))

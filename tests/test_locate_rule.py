@@ -154,13 +154,13 @@ class TestBitLevelOracle:
         source = ArraySource(records)
         with tempfile.TemporaryDirectory() as tmp:
             for spilled in (False, True):
-                path = Path(tmp) / "index.bmx" if spilled else None
+                spill_dir = tmp if spilled else None
                 for what, kwargs in (
                         ("kept", dict(source=source, codes=codes)),
                         ("codes-only", dict(source=None, codes=codes)),
                         ("recomputed", dict(source=source))):
                     index = build_bitmap_index(
-                        grid=grid, chunk_records=chunk, path=path,
+                        grid=grid, chunk_records=chunk, spill_dir=spill_dir,
                         **kwargs)
                     assert index.resident == (not spilled or not records.size)
                     assert_bits_follow_locate(index, grid, records,

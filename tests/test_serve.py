@@ -399,6 +399,27 @@ class TestClusterServer:
         assert stats["cache"]["hits"] > 0
         assert stats["evaluations"] <= 20
 
+    def test_bypassed_batch_counts_as_neither_hit_nor_miss(self, model):
+        """The metrics and ``stats()`` count cache traffic one way: a
+        bypassed batch is a bypass only, on both sides."""
+        from repro.obs import RankObs
+        records = np.random.default_rng(4).uniform(0, 1, size=(100, 3))
+        obs = RankObs(0)
+        server = ClusterServer(model, obs=obs)
+        with bypass_threshold(0.0):
+            server.score_batch(records)     # empty cache: bypassed
+        with bypass_threshold(1.0):
+            server.score_batch(records)     # probed: every record misses
+            server.score_batch(records)     # probed: every record hits
+        stats = server.stats()
+        snap = obs.metrics.snapshot()
+        assert stats["cache_bypasses"] == 1
+        assert snap["serve.cache_bypasses"]["value"] == 1
+        assert stats["cache"]["hits"] == stats["cache"]["misses"] == 100
+        assert snap["serve.cache_hits"]["value"] == stats["cache"]["hits"]
+        assert snap["serve.cache_misses"]["value"] == \
+            stats["cache"]["misses"]
+
     def test_lru_eviction(self):
         # eight one-bin terms -> eight serve bins, so each value below
         # is a distinct signature

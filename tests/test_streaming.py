@@ -1,23 +1,19 @@
 """Tests for streaming generation and bounded-memory operation
 (repro.datagen.stream, repro.io.records.RecordFileWriter) and for the
-delta plumbing that feeds the incremental engine (repro.stream.deltas):
-source ordering, queue backpressure, and end-of-stream semantics."""
+delta sources that feed the incremental engine (repro.stream.deltas)."""
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
 
 from repro import MafiaParams, mafia, pmafia
 from repro.datagen import ClusterSpec, generate_to_file
-from repro.errors import (DataError, ParameterError, RecordFileError,
-                          StreamError)
+from repro.errors import DataError, ParameterError, RecordFileError
 from repro.io import RecordFile, RecordFileWriter
 from repro.io.chunks import DataSource
-from repro.stream import (BlockDeltaSource, Delta, DeltaQueue,
-                          RecordDeltaSource, StreamingSession)
+from repro.stream import (BlockDeltaSource, RecordDeltaSource,
+                          StreamingSession)
 
 
 class TestRecordFileWriter:
@@ -206,101 +202,6 @@ class TestDeltaSources:
             BlockDeltaSource(np.ones((4, 2)), 0)
         with pytest.raises(DataError):
             BlockDeltaSource(np.ones(4), 2)
-        with pytest.raises(DataError):
-            DeltaQueue(maxsize=0)
-
-
-class TestDeltaQueue:
-    def _delta(self, seq, n=3):
-        return Delta(seq=seq, block=np.full((n, 2), float(seq)))
-
-    def test_fifo_ordering_across_threads(self):
-        queue = DeltaQueue(maxsize=4)
-        n = 25
-
-        def produce():
-            for seq in range(n):
-                queue.put(self._delta(seq))
-            queue.close()
-
-        producer = threading.Thread(target=produce)
-        producer.start()
-        seen = [d.seq for d in queue]
-        producer.join()
-        assert seen == list(range(n))
-
-    def test_put_backpressures_until_a_get(self):
-        queue = DeltaQueue(maxsize=1)
-        queue.put(self._delta(0))
-        released = threading.Event()
-
-        def produce():
-            queue.put(self._delta(1), timeout=5.0)  # blocks on full
-            released.set()
-
-        producer = threading.Thread(target=produce)
-        producer.start()
-        assert not released.wait(0.05)  # still parked: queue is full
-        assert queue.get().seq == 0
-        assert released.wait(5.0)
-        producer.join()
-        assert queue.get().seq == 1
-
-    def test_put_timeout_raises_instead_of_hanging(self):
-        queue = DeltaQueue(maxsize=1)
-        queue.put(self._delta(0))
-        with pytest.raises(StreamError):
-            queue.put(self._delta(1), timeout=0.01)
-
-    def test_get_timeout_raises_instead_of_hanging(self):
-        with pytest.raises(StreamError):
-            DeltaQueue().get(timeout=0.01)
-
-    def test_close_drains_then_signals_end_of_stream(self):
-        queue = DeltaQueue(maxsize=4)
-        queue.put(self._delta(0))
-        queue.put(self._delta(1))
-        queue.close()
-        assert queue.closed
-        assert queue.get().seq == 0     # queued deltas still drain
-        assert queue.get().seq == 1
-        assert queue.get() is None      # then end-of-stream
-        assert queue.get() is None      # idempotently
-
-    def test_put_after_close_raises(self):
-        queue = DeltaQueue()
-        queue.close()
-        queue.close()  # idempotent
-        with pytest.raises(StreamError):
-            queue.put(self._delta(0))
-
-    def test_bounded_producer_to_session_pipeline(self):
-        """End to end through the queue: a backpressured producer
-        thread feeds a session; the drained stream clusters exactly
-        like a cold batch over the same records."""
-        rng = np.random.default_rng(1)
-        records = rng.uniform(0.0, 100.0, size=(300, 3))
-        records[:200, 1] = rng.uniform(30.0, 42.0, 200)
-        domains = np.array([[0.0, 100.0]] * 3)
-        params = MafiaParams(fine_bins=80, window_size=2,
-                             chunk_records=128)
-        queue = DeltaQueue(maxsize=2)
-
-        def produce():
-            for delta in BlockDeltaSource(records, 40):
-                queue.put(delta, timeout=10.0)
-            queue.close()
-
-        producer = threading.Thread(target=produce)
-        producer.start()
-        with StreamingSession(params, domains=domains) as session:
-            for delta in queue:
-                session.ingest(delta.block, seq=delta.seq)
-            snap = session.snapshot()
-        producer.join()
-        cold = mafia(records, params, domains=domains)
-        from repro.stream.soak import result_fingerprint
-        assert result_fingerprint(snap) == result_fingerprint(cold)
 
 
 class TestSegmentCountsFollowBinEdges:
