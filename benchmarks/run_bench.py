@@ -259,8 +259,9 @@ def build_suite(smoke: bool, only: str | None = None):
     # scoring traffic — so all three engines score the *same* batch:
     # the reference scorer, the compiled packed-interval
     # evaluator, and a cache-warm server answering from signatures.
-    # same model shape at both scales (the 4-word mask is what makes
-    # the evaluator worth caching); smoke just shrinks the batch
+    # same model shape at both scales (32 clusters in a 3-word mask:
+    # the shape that makes the cache pay, CompiledModel.cache_pays);
+    # smoke just shrinks the batch
     serve_load = None
     serve_grid = serve_cls = serve_model = serve_server = None
     serve_records = None
@@ -290,6 +291,8 @@ def build_suite(smoke: bool, only: str | None = None):
             "batch_records": int(serve_batch),
             "hot_pool_rows": int(serve_pool),
             "identical": serve_identical,
+            # the cached row must time the cache, not the evaluator
+            "cache_engaged": serve_server.stats()["cache"]["engaged"],
         }
 
     # streaming load: a warm sliding-window session under drifting
@@ -681,7 +684,8 @@ def main(argv=None) -> int:
               f"({doc['serve']['compiled_records_per_s']:,} rec/s), "
               f"cache-warm {doc['serve']['cached_speedup']}x over compiled "
               f"({doc['serve']['cached_records_per_s']:,} rec/s), "
-              f"identical: {serve_load['identical']}")
+              f"identical: {serve_load['identical']}, cache engaged: "
+              f"{serve_load['cache_engaged']}")
 
     if stream_load is not None and have("snapshot_vs_cold",
                                         "cold_batch_window",
@@ -736,6 +740,10 @@ def main(argv=None) -> int:
     if "serve" in doc and not doc["serve"]["identical"]:
         print("FAIL: compiled serving evaluator disagrees with the "
               "reference scorer")
+        rc = 1
+    if "serve" in doc and not doc["serve"]["cache_engaged"]:
+        print("FAIL: score_batch_cached's server did not engage its "
+              "cache, so the row times the evaluator")
         rc = 1
     if args.min_serve_speedup and \
             (doc.get("serve", {}).get("compiled_speedup")

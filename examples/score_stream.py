@@ -4,9 +4,10 @@
 Clusters a synthetic data set once, compiles the result into the
 packed-interval serving engine (`repro.serve`), ships the compact
 compiled-model JSON the way a serving process would receive it, then
-scores a simulated hot-key stream in batches — showing the signature
-cache answering repeat traffic without re-evaluating, and the batch
-API's per-record answers (cluster ids and their subspaces).
+scores a simulated hot-key stream in batches — showing whether the
+model engages the signature cache (a two-cluster model evaluates faster
+than a cache probe, so it does not) and the batch API's per-record
+answers (cluster ids and their subspaces).
 
 Run:  python examples/score_stream.py
 """
@@ -55,7 +56,8 @@ def main() -> None:
     stats = server.stats()
     print(f"served {stats['records']} requests in {stats['batches']} "
           f"batches: {matched} matched >=1 cluster")
-    print(f"cache: {stats['cache']['hits']} hits, "
+    cache = stats["cache"]
+    print(f"cache engaged: {cache['engaged']} — {cache['hits']} hits, "
           f"{stats['evaluations']} evaluations "
           f"(distinct hot signatures <= {len(hot)})")
 

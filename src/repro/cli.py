@@ -185,10 +185,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if args.json and args.summary_only:
         print(_json.dumps(summary, indent=2))
     else:
-        cache = stats.get("cache") or {}
+        cache = stats["cache"]
+        if cache is None:
+            cached = "cache off"
+        elif not cache["engaged"]:
+            cached = ("cache not engaged: this model evaluates faster "
+                      "than a cache probe")
+        else:
+            cached = f"{cache['hits']} cache hits"
         print(f"scored {n} records: {matched} in >=1 cluster; "
-              f"{stats['evaluations']} evaluations, "
-              f"{cache.get('hits', 0)} cache hits",
+              f"{stats['evaluations']} evaluations, {cached}",
               file=sys.stderr)
 
     if obs is not None:
@@ -429,8 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="records scored per batch")
     score.add_argument("--cache-size", type=int, default=65_536,
                        dest="cache_size",
-                       help="signature-cache entries (least recently "
-                            "used evicted first)")
+                       help="upper bound on signature-cache entries "
+                            "(least recently used evicted first); the "
+                            "cache engages only for a model that "
+                            "evaluates slower than a cache probe")
     score.add_argument("--no-cache", action="store_true", dest="no_cache",
                        help="disable the signature cache (every batch "
                             "evaluates vectorized)")

@@ -75,6 +75,23 @@ def code_dtype(fine_bins: int) -> np.dtype:
 BLOCK_VALUES = 32_768
 
 
+def domain_tiles(domains: np.ndarray, runs: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``lo`` and ``width`` of ``(d, 2)`` domains tiled to ``runs``
+    records, by default one full :func:`block_codes` run
+    (``BLOCK_VALUES // d``): ``(runs, d)`` each, read-only.  A caller
+    that codes many blocks under the same domains builds them once and
+    passes them to every call (``tiles=``); threads may share them."""
+    domains = np.asarray(domains)
+    if runs is None:
+        runs = max(1, BLOCK_VALUES // max(len(domains), 1))
+    tiles = (np.tile(domains[:, 0], (runs, 1)),
+             np.tile(domains[:, 1] - domains[:, 0], (runs, 1)))
+    for tile in tiles:
+        tile.flags.writeable = False
+    return tiles
+
+
 def _scale_clip(values, lo, width, fine_bins: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """The float half of the locate rule, written into ``out`` (a new
@@ -106,7 +123,9 @@ def fine_codes(values: np.ndarray, lo, width, fine_bins: int) -> np.ndarray:
 
 
 def block_codes(block: np.ndarray, domains: np.ndarray, fine_bins: int,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None, *,
+                tiles: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> np.ndarray:
     """``(d, n)`` fine codes of an ``(n, d)`` record block under
     ``(d, 2)`` domains — :func:`fine_codes`' rule, value for value.
 
@@ -117,6 +136,8 @@ def block_codes(block: np.ndarray, domains: np.ndarray, fine_bins: int,
     straight into its columns of ``out``.  ``out`` — a ``(d, n)``
     integer array or view, e.g. the caller's slice of a kept-code
     buffer — is allocated in :func:`code_dtype` when not given.
+    ``tiles`` — :func:`domain_tiles` of these same ``domains`` — are
+    sliced instead of tiling the domains again on this call.
     """
     block = np.asarray(block)
     n, d = block.shape
@@ -124,12 +145,14 @@ def block_codes(block: np.ndarray, domains: np.ndarray, fine_bins: int,
         out = np.empty((d, n), dtype=code_dtype(fine_bins))
     elif out.shape != (d, n):
         raise DataError(f"codes buffer shape {out.shape} != ({d}, {n})")
-    lo = domains[:, 0]
-    width = domains[:, 1] - domains[:, 0]
-    step = max(1, min(n, BLOCK_VALUES // max(d, 1)))
-    lo_run = np.tile(lo, (step, 1))
-    width_run = np.tile(width, (step, 1))
-    buf = np.empty((step, d), dtype=np.result_type(block, lo))
+    if tiles is None:
+        tiles = domain_tiles(domains,
+                             max(1, min(n, BLOCK_VALUES // max(d, 1))))
+    elif tiles[0].shape[1:] != (d,):
+        raise DataError(f"tiles of shape {tiles[0].shape} for {d} dims")
+    lo_run, width_run = tiles
+    step = max(1, min(n, len(lo_run)))
+    buf = np.empty((step, d), dtype=np.result_type(block, lo_run))
     for r0 in range(0, n, step):
         m = min(step, n - r0)
         scaled = _scale_clip(block[r0:r0 + m], lo_run[:m], width_run[:m],

@@ -47,9 +47,18 @@ from ..core.dnf import TermArrays, term_arrays
 from ..core.histogram import code_dtype
 from ..errors import DataError
 from ..core.units import pack_tokens
-from ..types import Cluster, DimensionGrid, Grid, fine_codes_matrix
+from ..types import (Cluster, DimensionGrid, Grid, fine_code_tiles,
+                     fine_codes_matrix)
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: the serving cache's break-even, in cluster tests per record (see
+#: :attr:`CompiledModel.cache_pays`): one mask word gathered and ANDed
+#: per serve dim costs about EVAL_WORD_COST of them, a probe of the
+#: cache about PROBE_COST — four times that when the keys are packed
+#: signature rows, not one uint64 (docs/PERFORMANCE.md has the fit)
+EVAL_WORD_COST = 3
+PROBE_COST = 120
 
 
 @dataclass(frozen=True)
@@ -112,6 +121,32 @@ class CompiledModel:
         several times faster than sorting byte rows."""
         return math.prod(self.n_bins) <= 1 << 64
 
+    @cached_property
+    def _code_tiles(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """The serve grids' domains tiled for
+        :func:`~repro.core.histogram.block_codes`, built once per
+        model (read-only, shared by every thread) so :meth:`digitize`
+        re-tiles nothing per batch."""
+        return fine_code_tiles(self.grids)
+
+    @property
+    def cache_pays(self) -> bool:
+        """Whether answering a repeat signature from the serving cache
+        costs less than evaluating it — a property of the model's shape.
+
+        Per record, :meth:`eval_idx` gathers and ANDs ``n_words`` mask
+        words per serve dim and tests each cluster's word; a cache hit
+        builds the key (one step per serve dim), probes the sorted
+        table and gathers the stored row.  In units of one cluster
+        test, the cache pays when ``n_serve_dims * (EVAL_WORD_COST *
+        n_words - 1) + n_clusters`` reaches ``PROBE_COST`` (four times
+        that for packed-signature keys).  A one-word model (at most 64
+        clusters) gets there only past 27 serve dims; hundreds of
+        clusters always do."""
+        work = (self.n_serve_dims * (EVAL_WORD_COST * self.n_words - 1)
+                + self.n_clusters)
+        return work >= PROBE_COST * (1 if self._one_word_keys else 4)
+
     # -- evaluation ------------------------------------------------------
     def digitize(self, records: np.ndarray) -> np.ndarray:
         """Map an ``(n, ndim)`` record block to its column-major ``(n,
@@ -125,7 +160,8 @@ class CompiledModel:
                 f"with {self.ndim} dimensions")
         idx = np.empty((len(records), self.n_serve_dims), order="F",
                        dtype=np.result_type(np.uint8, *self.bin_luts))
-        fine_codes_matrix(records, self.grids, out=idx.T)
+        fine_codes_matrix(records, self.grids, out=idx.T,
+                          tiles=self._code_tiles)
         for j, lut in enumerate(self.bin_luts):
             np.take(lut, idx[:, j], out=idx[:, j])
         return idx

@@ -9,22 +9,28 @@ against.
 
 :class:`ClusterServer` is the front door: it loads a
 :class:`~repro.core.result.ClusteringResult` (or its JSON export, or a
-pre-compiled model), scores record batches through the compiled
-evaluator, and short-circuits hot traffic through a cache keyed by bin
-signature.  Within one batch, duplicate signatures are evaluated once;
-across batches, previously seen signatures are answered from the cache
-without touching the evaluator at all.  A batch whose signatures are
-mostly novel (more than :data:`BYPASS_FRACTION` of its records)
-bypasses the cache fill and evaluates vectorized — cold random traffic
-is never slower than the cache-less path by more than the key grouping.
+pre-compiled model) and scores record batches through the compiled
+evaluator.  Whether a cache keyed by bin signature sits in front of
+the evaluator is the model's call, not the caller's: the cache engages
+when ``cache_size > 0`` and :attr:`CompiledModel.cache_pays` — when
+evaluating a record costs more than probing a table for it, which a
+model with a few clusters in one mask word never does and one with
+hundreds of clusters always does.  Otherwise every batch is
+``eval_idx(digitize(records))``, exactly the ``cache_size=0`` path.
 
-The cache is one sorted table: ascending keys (uint64, or packed
-signature rows for very wide models), the matching membership rows and
-each entry's ``last_used`` batch tick.  A whole batch is probed with a
-single ``searchsorted`` and answered with one row gather; a fill merges
-the sorted novel keys in and, past ``cache_size`` entries, drops the
-least recently used ones in one vectorized step — LRU at batch
-granularity, with a hard bound of ``cache_size`` entries.
+An engaged cache is one sorted table: ascending keys (uint64, or
+packed signature rows for very wide models), the matching membership
+rows and each entry's ``last_used`` batch tick.  A whole batch is
+probed with a single ``searchsorted`` and its hits answered with one
+row gather; the missing records are grouped so each novel signature is
+evaluated once, and a fill merges the sorted novel keys in and, past
+``cache_size`` entries, drops the least recently used ones in one
+vectorized step — LRU at batch granularity, with a hard bound of
+``cache_size`` entries.  A batch whose signatures are mostly novel
+(more than :data:`BYPASS_FRACTION` of its records) leaves the table
+untouched and is evaluated whole; it has still paid for its keys, the
+probe and the grouping, so cold traffic through an engaged cache costs
+more than it would uncached (docs/PERFORMANCE.md has the figures).
 
 The server is thread-safe (one lock guards the table swap and the
 counters) and daemon-friendly: :meth:`ClusterServer.ascore_batch`
@@ -148,8 +154,11 @@ class ClusterServer:
         ``result_to_dict`` payload — anything :func:`compile_result`
         accepts.
     cache_size:
-        Cache entries (distinct bin signatures) to retain, least
-        recently used evicted first; ``0`` disables the cache entirely.
+        Upper bound on the cache entries (distinct bin signatures)
+        retained, least recently used evicted first; ``0`` disables the
+        cache.  A model whose evaluation is cheaper than a probe
+        (:attr:`CompiledModel.cache_pays` false) builds no cache at
+        any size.
     obs:
         An optional :class:`repro.obs.RankObs`; when given, every batch
         records a ``score_batch`` span and ``serve.*`` metrics.  The
@@ -165,6 +174,8 @@ class ClusterServer:
         if cache_size < 0:
             raise DataError(f"cache_size must be >= 0, got {cache_size}")
         self.cache_size = int(cache_size)
+        #: whether batches go through the cache (fixed at construction)
+        self.cache_engaged = self.cache_size > 0 and self.model.cache_pays
         self._obs = obs
         self._lock = threading.Lock()
         self._batches = 0
@@ -215,9 +226,9 @@ class ClusterServer:
                 if self._obs is not None else nullcontext())
         with span:
             idx = self.model.digitize(records)
-            if self.cache_size == 0:
+            if not self.cache_engaged:
                 membership = self.model.eval_idx(idx)
-                hits, misses, evaluated, bypassed = 0, n, n, False
+                hits, misses, evaluated, bypassed = 0, 0, n, False
             else:
                 membership, hits, misses, evaluated, bypassed = \
                     self._score_cached(idx, n)
@@ -339,13 +350,15 @@ class ClusterServer:
     # -- introspection ---------------------------------------------------
     def stats(self) -> dict[str, Any]:
         """Lifetime serving counters plus the cache's own (JSON-ready;
-        ``"cache"`` is ``None`` when the cache is off)."""
+        ``"cache"`` is ``None`` when ``cache_size`` is 0, and its
+        ``"engaged"`` says whether this model's batches use it)."""
         with self._lock:
             cache = None if self.cache_size == 0 else {
                 "entries": 0 if self._table is None else len(self._table[0]),
                 "maxsize": self.cache_size,
                 "hits": self._hits, "misses": self._misses,
-                "evictions": self._evictions}
+                "evictions": self._evictions,
+                "engaged": self.cache_engaged}
             return {
                 "batches": self._batches,
                 "records": self._records,

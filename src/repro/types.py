@@ -188,28 +188,53 @@ class Grid:
         return out
 
 
+def _fine_groups(grids: Sequence[DimensionGrid]
+                 ) -> dict[int, tuple[list[int], np.ndarray]]:
+    """Per distinct ``n_fine``, the positions in ``grids`` of its grids
+    and their ``(k, 2)`` domains: the unit :func:`fine_codes_matrix`
+    codes in one call."""
+    by_fine: dict[int, list[int]] = {}
+    for j, dg in enumerate(grids):
+        by_fine.setdefault(dg.n_fine, []).append(j)
+    return {n_fine: (cols, np.array([(grids[j].lo, grids[j].hi)
+                                     for j in cols]))
+            for n_fine, cols in by_fine.items()}
+
+
+def fine_code_tiles(grids: Sequence[DimensionGrid]
+                    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per distinct ``n_fine`` of ``grids``, the read-only
+    :func:`~repro.core.histogram.domain_tiles` of its domains — what a
+    caller that codes many blocks on the same grids holds and passes to
+    :func:`fine_codes_matrix` as ``tiles``."""
+    from .core.histogram import domain_tiles
+    return {n_fine: domain_tiles(domains)
+            for n_fine, (_, domains) in _fine_groups(grids).items()}
+
+
 def fine_codes_matrix(records: np.ndarray, grids: Sequence[DimensionGrid],
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      out: np.ndarray | None = None, *,
+                      tiles: dict[int, tuple[np.ndarray, np.ndarray]]
+                      | None = None) -> np.ndarray:
     """``(len(grids), n)`` fine codes (in ``out`` if given): row ``j``
     codes column ``grids[j].dim`` of an ``(n, ndim)`` float block, by
     one :func:`~repro.core.histogram.block_codes` call per distinct
-    ``n_fine`` — the one path verification and serving locate by."""
+    ``n_fine`` — the one path verification and serving locate by.
+    ``tiles`` is :func:`fine_code_tiles` of the same ``grids``."""
     from .core.histogram import block_codes, code_dtype
     if out is None:
         out = np.empty((len(grids), records.shape[0]), dtype=code_dtype(
             max((dg.n_fine for dg in grids), default=1)))
-    by_fine: dict[int, list[int]] = {}
-    for j, dg in enumerate(grids):
-        by_fine.setdefault(dg.n_fine, []).append(j)
-    for n_fine, cols in by_fine.items():
+    for n_fine, (cols, domains) in _fine_groups(grids).items():
         dims = [grids[j].dim for j in cols]
-        domains = np.array([(grids[j].lo, grids[j].hi) for j in cols])
         block = records if dims == list(range(records.shape[1])) \
             else records[:, dims]
+        run_tiles = None if tiles is None else tiles[n_fine]
         if cols == list(range(cols[0], cols[-1] + 1)):
-            block_codes(block, domains, n_fine, out=out[cols[0]:cols[-1] + 1])
+            block_codes(block, domains, n_fine,
+                        out=out[cols[0]:cols[-1] + 1], tiles=run_tiles)
         else:
-            out[cols] = block_codes(block, domains, n_fine)
+            out[cols] = block_codes(block, domains, n_fine, tiles=run_tiles)
     return out
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,16 @@ from repro.params import MafiaParams
 #: grid-aligned domains used by most integration tests so adaptive bin
 #: edges land exactly on cluster boundaries (see DESIGN.md §5)
 DOMAINS_10D = np.array([[0.0, 100.0]] * 10)
+
+
+def cache_engaged(engaged: bool = True):
+    """Patch the serving cache's break-even so a ``ClusterServer``
+    built inside the block engages its cache (``True``) or does not
+    (``False``) whatever its model's shape — the tiny models of the
+    tests would otherwise never cache."""
+    compile_module = importlib.import_module("repro.serve.compile")
+    return mock.patch.object(compile_module, "PROBE_COST",
+                             0 if engaged else 1 << 62)
 
 
 @pytest.fixture(scope="session")

@@ -6,14 +6,15 @@ import functools
 import gc
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core.histogram import (BLOCK_VALUES, block_codes, block_histogram,
-                                  code_dtype, fine_histogram_global,
-                                  fine_histogram_local, global_domains,
-                                  local_domains)
+                                  code_dtype, domain_tiles,
+                                  fine_histogram_global, fine_histogram_local,
+                                  global_domains, local_domains)
 from repro.errors import DataError
 from repro.io import ArraySource
 from repro.parallel import SerialComm, run_spmd
@@ -221,6 +222,65 @@ class TestBlockCodesOracle:
         block, domains, _ = oracle_block(10, 3, 256)
         with pytest.raises(DataError):
             block_codes(block, domains, 256, out=np.empty((3, 9), np.uint8))
+
+
+class TestBlockCodesHeldTiles:
+    """``block_codes(..., tiles=domain_tiles(domains))`` slices tiles a
+    caller built once: calls alternating two domain sets and two
+    ``fine_bins`` on blocks of one shape — in one thread or four,
+    sharing the tiles — code every value by the per-value rule under
+    their own domains, as the per-call tiling does."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def case(d: int):
+        """One block crossing a run boundary, two domain sets of equal
+        shape over it with their tiles and, per (domains, fine_bins),
+        the oracle codes."""
+        n = BLOCK_VALUES // d + 3
+        block, first, _ = oracle_block(n, d, 256)
+        domains = {"first": first, "second": first + np.array([0.5, 3.0])}
+        tiles = {key: domain_tiles(dom) for key, dom in domains.items()}
+        expected = {}
+        for key, dom in domains.items():
+            for fine_bins in (200, 257):
+                expected[key, fine_bins] = np.array([
+                    [oracle_code(x, lo, hi, fine_bins) for x in block[:, j]]
+                    for j, (lo, hi) in enumerate(dom.tolist())])
+        return block, domains, tiles, expected
+
+    @staticmethod
+    def alternate(d: int, order: int) -> list[bool]:
+        block, domains, tiles, expected = TestBlockCodesHeldTiles.case(d)
+        calls = [(key, fine_bins, held) for key in ("first", "second")
+                 for fine_bins in (200, 257) for held in (True, False)] * 2
+        calls = calls[order:] + calls[:order]
+        return [np.array_equal(
+            block_codes(block, domains[key], fine_bins,
+                        tiles=tiles[key] if held else None),
+            expected[key, fine_bins]) for key, fine_bins, held in calls]
+
+    @pytest.mark.parametrize("d", [1, 15, 50])
+    def test_alternating_domains_never_use_a_stale_tile(self, d):
+        assert all(self.alternate(d, 0))
+
+    def test_threads_share_the_tiles(self):
+        for d in (1, 15, 50):
+            self.case(d)            # the oracle, outside the threads
+        with ThreadPoolExecutor(4) as workers:
+            results = list(workers.map(
+                lambda i: self.alternate((1, 15, 50)[i % 3], i), range(12),
+                timeout=120))
+        assert all(all(r) for r in results)
+
+    def test_tiles_are_read_only_and_checked(self):
+        lo_run, width_run = domain_tiles(np.array([[0.0, 40.0]] * 3))
+        assert not lo_run.flags.writeable and not width_run.flags.writeable
+        assert lo_run.shape == width_run.shape == (BLOCK_VALUES // 3, 3)
+        block = np.random.default_rng(2).random((100, 4))
+        with pytest.raises(DataError, match="tiles"):
+            block_codes(block, np.array([[0.0, 40.0]] * 4), 10,
+                        tiles=(lo_run, width_run))
 
 
 class TestHistogramPassMemory:

@@ -41,7 +41,7 @@ from repro.stream import StreamingSession
 from repro.stream import engine as stream_engine
 from repro.core.pmafia import pmafia_rank
 from repro.io.resilient import RetryPolicy
-from tests.conftest import DOMAINS_10D
+from tests.conftest import DOMAINS_10D, cache_engaged
 
 # the driver module itself: ``repro.core``'s ``pmafia`` function
 # shadows it as a package attribute
@@ -615,7 +615,8 @@ class TestServeObservability:
     def test_metrics_and_spans_recorded(self, server_parts):
         ClusterServer, model, records = server_parts
         obs = RankObs(0)
-        server = ClusterServer(model, obs=obs)
+        with cache_engaged():
+            server = ClusterServer(model, obs=obs)
         server.score_batch(records)
         server.score_batch(records)  # second pass is cache-warm
         snap = obs.metrics.snapshot()

@@ -38,7 +38,7 @@ from repro.serve import (BatchScores, ClusterServer, CompiledModel,
                          compile_arrays, compile_clusters, compile_result,
                          engine, score_batch_naive)
 from repro.types import Cluster, DimensionGrid, DNFTerm, Grid, Subspace
-from tests.conftest import DOMAINS_10D
+from tests.conftest import DOMAINS_10D, cache_engaged
 
 DATA = Path(__file__).parent / "data"
 
@@ -183,8 +183,9 @@ def test_server_cache_paths_bit_identical(problem):
     model = compile_clusters(grid, clusters)
     # always-probe, always-bypass and cache-off must agree; a second
     # pass over the same records (now cache-warm) must too
-    probing = ClusterServer(model)
-    bypassing = ClusterServer(model)
+    with cache_engaged():
+        probing = ClusterServer(model)
+        bypassing = ClusterServer(model)
     uncached = ClusterServer(model, cache_size=0)
     for server, fraction in ((probing, 1.0), (bypassing, 0.0),
                              (uncached, 1.0)):
@@ -195,6 +196,29 @@ def test_server_cache_paths_bit_identical(problem):
                 server.score_batch(records).membership, truth)
     assert probing.stats()["cache"]["hits"] > 0
     assert bypassing.stats()["cache_bypasses"] == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(serve_problem())
+def test_one_word_model_serves_uncached_by_default(problem):
+    """A model of a few clusters in one mask word evaluates faster than
+    a cache probe: the default server builds no table and every batch,
+    repeated or not, equals the naive scorer."""
+    grid, clusters, records = problem
+    model = compile_clusters(grid, clusters)
+    assert model.n_words == 1 and not model.cache_pays
+    server = ClusterServer(model)
+    truth = score_batch_naive(grid, clusters, records)
+    for _ in range(2):
+        np.testing.assert_array_equal(
+            server.score_batch(records).membership, truth)
+    stats = server.stats()
+    assert stats["cache"] == {"entries": 0, "maxsize": 65_536, "hits": 0,
+                              "misses": 0, "evictions": 0,
+                              "engaged": False}
+    assert stats["evaluations"] == 2 * len(records)
+    assert stats["cache_bypasses"] == 0
+    assert server._table is None
 
 
 # -- deterministic edge semantics ---------------------------------------
@@ -363,6 +387,29 @@ class TestCompile:
         assert np.array_equal(sigs[0], sigs[1])
         assert not np.array_equal(sigs[0], sigs[2])
 
+    def test_models_code_by_their_own_held_tiles(self):
+        """Two models of one shape over different domains, scored
+        alternately from four threads: each codes by its own grid's
+        domains (its held tiles are never another model's)."""
+        grids = [make_grid(*[(lo, lo + 10.0 * k, 100, (0, 30, 60, 100))] * 15)
+                 for k, lo in ((1, 0.0), (3, -5.0))]
+        pairs = [(grid, [box_cluster(grid, [0, 7, 14],
+                                     [[(0, 1), (1, 2), (1, 3)]])])
+                 for grid in grids]
+        models = [compile_clusters(grid, clusters) for grid, clusters in pairs]
+        rng = np.random.default_rng(9)
+        records = rng.uniform(-6.0, 26.0, size=(3000, 15))
+        truths = [reference_membership(grid, clusters, records)
+                  for grid, clusters in pairs]
+
+        def drive(i):
+            return all(np.array_equal(models[k].score(records), truths[k])
+                       for k in (i % 2, 1 - i % 2, i % 2))
+
+        with ThreadPoolExecutor(4) as workers:
+            assert all(workers.map(drive, range(8), timeout=120))
+        assert not np.array_equal(truths[0], truths[1])
+
     def test_serve_bins_are_the_cells_between_term_cuts(self):
         grid = unit_grid(2)
         cluster = box_cluster(grid, [0, 1], [[(2, 6), (1, 9)]])
@@ -373,20 +420,26 @@ class TestCompile:
 
 # -- the server ----------------------------------------------------------
 
+def two_cluster_model() -> CompiledModel:
+    """Two clusters, three terms, over three dims: one mask word."""
+    grid = unit_grid(3)
+    return compile_clusters(grid, [
+        box_cluster(grid, [0, 2], [[(2, 5), (3, 6)],
+                                   [(6, 8), (1, 4)]]),
+        box_cluster(grid, [1], [[(0, 5)]]),
+    ])
+
+
 class TestClusterServer:
     @pytest.fixture(scope="class")
     def model(self) -> CompiledModel:
-        grid = unit_grid(3)
-        return compile_clusters(grid, [
-            box_cluster(grid, [0, 2], [[(2, 5), (3, 6)],
-                                       [(6, 8), (1, 4)]]),
-            box_cluster(grid, [1], [[(0, 5)]]),
-        ])
+        return two_cluster_model()
 
     def test_hot_trace_hits_cache(self, model):
         rng = np.random.default_rng(3)
         hot = rng.uniform(0, 1, size=(20, 3))
-        server = ClusterServer(model)
+        with cache_engaged():
+            server = ClusterServer(model)
         # skewed trace: 5000 records over 20 hot rows -> the first
         # batch evaluates each distinct signature once, the second
         # answers every record from the cache
@@ -405,7 +458,8 @@ class TestClusterServer:
         from repro.obs import RankObs
         records = np.random.default_rng(4).uniform(0, 1, size=(100, 3))
         obs = RankObs(0)
-        server = ClusterServer(model, obs=obs)
+        with cache_engaged():
+            server = ClusterServer(model, obs=obs)
         with bypass_threshold(0.0):
             server.score_batch(records)     # empty cache: bypassed
         with bypass_threshold(1.0):
@@ -426,7 +480,8 @@ class TestClusterServer:
         grid = unit_grid(1, nbins=8)
         model = compile_clusters(grid, [box_cluster(
             grid, [0], [[(b, b + 1)] for b in range(8)])])
-        server = ClusterServer(model, cache_size=2)
+        with cache_engaged():
+            server = ClusterServer(model, cache_size=2)
         hot, novel = 0.05, (0.2, 0.3, 0.45, 0.55, 0.7, 0.85)
         with bypass_threshold(1.0):
             server.score_one([hot])
@@ -460,8 +515,9 @@ class TestClusterServer:
         clusters = [box_cluster(grid, [0, 2], [[(2, 5), (3, 6)],
                                                [(6, 8), (1, 4)]]),
                     box_cluster(grid, [1], [[(0, 5)]])]
-        server = ClusterServer(compile_clusters(grid, clusters),
-                               cache_size=8)
+        with cache_engaged():
+            server = ClusterServer(compile_clusters(grid, clusters),
+                                   cache_size=8)
         rng = np.random.default_rng(7)
         pool = rng.uniform(0, 1, size=(60, 3))
         batches = [pool[rng.integers(0, 60, size=rng.integers(1, 200))]
@@ -508,8 +564,9 @@ class TestClusterServer:
         records = hot[rng.integers(0, 30, size=400)]
         assert model.group_keys(model.digitize(records)).dtype.kind == "V"
         truth = reference_membership(grid, clusters, records)
-        probing = ClusterServer(model)
-        for server, fraction in ((probing, 1.0), (ClusterServer(model), 0.0),
+        with cache_engaged():
+            probing, bypassing = ClusterServer(model), ClusterServer(model)
+        for server, fraction in ((probing, 1.0), (bypassing, 0.0),
                                  (ClusterServer(model, cache_size=0), 1.0)):
             with bypass_threshold(fraction):
                 for _ in range(2):
@@ -569,6 +626,86 @@ class TestClusterServer:
             ClusterServer.from_json("{not json")
         with pytest.raises(DataError):
             ClusterServer.from_json("[1, 2]")
+
+
+class TestCacheRule:
+    """The compiled model's shape decides whether the cache engages;
+    ``cache_size`` only bounds it."""
+
+    @staticmethod
+    def one_term_clusters(n_clusters: int) -> CompiledModel:
+        """``n_clusters`` one-term clusters over 15 dims — the sweep's
+        replicated-model shape: one mask word up to 64 clusters."""
+        grid = unit_grid(15)
+        return compile_clusters(grid, [
+            box_cluster(grid, [c % 15], [[(c % 10, c % 10 + 1)]])
+            for c in range(n_clusters)])
+
+    def test_the_rule_reads_words_dims_and_clusters(self):
+        few, many = self.one_term_clusters(64), self.one_term_clusters(100)
+        assert (few.n_words, few.n_serve_dims, few.cache_pays) == \
+            (1, 15, False)
+        assert (many.n_words, many.n_serve_dims, many.cache_pays) == \
+            (2, 15, True)
+        # packed-signature keys cost a probe about four times as much:
+        # 20 dims × 16 serve bins, 20 clusters in three words
+        grid = unit_grid(20, nbins=16)
+        wide = compile_clusters(grid, [
+            box_cluster(grid, [d], [[(b, b + 1)] for b in range(0, 16, 2)])
+            for d in range(20)])
+        assert not wide._one_word_keys and wide.n_words == 3
+        assert not wide.cache_pays
+        with cache_engaged(False):
+            assert not ClusterServer(many).cache_engaged
+        assert ClusterServer(many).cache_engaged
+        assert not ClusterServer(many, cache_size=0).cache_engaged
+
+    def test_bench_smoke_model_caches_and_hits_on_its_second_pass(self):
+        from benchmarks.run_bench import dnf_clusters, serving_grid
+        grid = serving_grid(12, 12, seed=30)
+        clusters = dnf_clusters(grid, 32, seed=31)
+        model = compile_clusters(grid, clusters)
+        assert (model.n_clusters, model.n_terms, model.n_words) == \
+            (32, 169, 3)
+        rng = np.random.default_rng(32)
+        pool = rng.uniform(0.0, 100.0, size=(300, 12))
+        records = pool[rng.integers(0, 300, size=3000)]
+        truth = score_batch_naive(grid, clusters, records)
+        server = ClusterServer(model)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                server.score_batch(records).membership, truth)
+        cache = server.stats()["cache"]
+        assert cache["engaged"]
+        assert cache["hits"] == cache["misses"] == len(records)
+        assert 0 < cache["entries"] <= 300
+        assert server.stats()["evaluations"] == cache["entries"]
+
+    def test_metrics_equal_stats_when_not_engaged(self):
+        from repro.obs import RankObs
+        model = two_cluster_model()
+        obs = RankObs(0)
+        server = ClusterServer(model, obs=obs)
+        records = np.random.default_rng(8).uniform(0, 1, size=(100, 3))
+        server.score_batch(records)
+        server.score_batch(records)
+        stats, snap = server.stats(), obs.metrics.snapshot()
+        assert not stats["cache"]["engaged"]
+        assert stats["evaluations"] == 200
+        assert stats["cache"]["hits"] == stats["cache"]["misses"] == 0
+        for metric, value in (
+                ("serve.batches", stats["batches"]),
+                ("serve.records", stats["records"]),
+                ("serve.evaluations", stats["evaluations"]),
+                ("serve.cache_hits", stats["cache"]["hits"]),
+                ("serve.cache_misses", stats["cache"]["misses"]),
+                ("serve.cache_bypasses", stats["cache_bypasses"])):
+            # a counter never bumped is absent from the snapshot
+            assert snap.get(metric, {"value": 0})["value"] == value, metric
+        # engaged or not, the cache stats carry the same keys
+        with cache_engaged():
+            engaged = ClusterServer(model)
+        assert engaged.stats()["cache"].keys() == stats["cache"].keys()
 
 
 class TestBatchScores:
@@ -705,6 +842,30 @@ class TestScoreCli:
         assert len(lines) == 400
         idx, ids = lines[0].split("\t")
         assert idx == "0"
+
+    def test_summary_says_when_the_cache_is_not_engaged(self, paths,
+                                                         capsys):
+        root, model_path, data_path = paths
+        for flags, says in (([], "cache not engaged"),
+                            (["--no-cache"], "cache off")):
+            rc = cli_main(["score", str(model_path), str(data_path),
+                           "--summary-only", *flags])
+            assert rc == 0
+            err = capsys.readouterr().err
+            assert "400 evaluations" in err and says in err
+        with cache_engaged():
+            rc = cli_main(["score", str(model_path), str(data_path),
+                           "--summary-only"])
+        assert rc == 0
+        assert "0 cache hits" in capsys.readouterr().err
+
+    def test_cache_size_help_calls_it_an_upper_bound(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["score", "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--cache-size CACHE_SIZE upper bound on signature-cache " \
+            "entries" in text
 
     def test_export_model_then_score_from_it(self, paths, capsys):
         root, model_path, data_path = paths
