@@ -3,7 +3,7 @@ against: uniform grids, global density threshold, prefix join with
 a-priori pruning, optional MDL subspace pruning, greedy rectangle
 cover — serial and parallel."""
 
-from .clique import clique, clique_clusters, clique_rank, pclique
+from .clique import clique, clique_rank, pclique
 from .cover import box_cells, minimal_cover
 from .grid import uniform_grid
 from .join import apriori_prune, prefix_join_all, prefix_join_block
@@ -13,7 +13,6 @@ __all__ = [
     "apriori_prune",
     "box_cells",
     "clique",
-    "clique_clusters",
     "clique_rank",
     "mdl_cut",
     "minimal_cover",

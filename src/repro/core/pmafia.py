@@ -20,7 +20,7 @@ Per level the driver performs, exactly as Algorithms 2-6 prescribe:
 The loop terminates when no dense units remain; the parent then
 assembles clusters from the maximal dense units of every level and
 broadcasts the result (print-clusters()).  That loop is
-:func:`walk_lattice`, which the streaming snapshot runs too.
+:func:`walk_lattice`, which the streaming snapshot and CLIQUE run too.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from ..io.resilient import RetryPolicy
 from ..io.staging import stage_local
 from ..obs import RankObs
 from ..obs.manifest import MANIFEST_NAME, build_manifest, write_manifest
-from ..params import MafiaParams
+from ..params import CliqueParams, MafiaParams
 from ..parallel.comm import Comm
 from ..parallel.faults import fault_site
 from ..types import Cluster, Grid, Subspace
@@ -109,8 +109,8 @@ def _find_candidate_dense_units(comm: Comm, dense: UnitTable, tau: int,
     rank builds the sub-signature
     :class:`~repro.core.candidates.HashJoinPlan` once (replicated cheap
     vectorised work, the same trade repeat marking makes) and joins its
-    share of pivot rows from it; CLIQUE passes its prefix join as
-    ``block_join``.  Above τ the ranks are fenced by equation (1)
+    share of pivot rows from it; CLIQUE passes its canonical-order join
+    as ``block_join``.  Above τ the ranks are fenced by equation (1)
     (:func:`~repro.core.partition.triangular_splits`) whatever the
     join, so per-rank ``pairs_examined``, message sizes and virtual
     times are the paper's, and the rank-order concatenation below
@@ -255,10 +255,11 @@ def registrations_for_report(trace: tuple[LevelTrace, ...],
     return registered
 
 
-def assemble_clusters(grid: Grid, registered: Registered
-                      ) -> tuple[Cluster, ...]:
+def assemble_clusters(grid: Grid, registered: Registered,
+                      terms=dnf_terms) -> tuple[Cluster, ...]:
     """print-clusters(): merge connected registered dense units into
-    clusters, reported highest dimensionality first."""
+    clusters, reported highest dimensionality first, each with the DNF
+    ``terms`` builds from its units' bins."""
     clusters: list[Cluster] = []
     for table, counts in registered:
         if table.n_units == 0:
@@ -272,7 +273,7 @@ def assemble_clusters(grid: Grid, registered: Registered
                 clusters.append(Cluster(
                     subspace=subspace,
                     units_bins=member_bins,
-                    dnf=dnf_terms(grid, subspace, member_bins),
+                    dnf=terms(grid, subspace, member_bins),
                     point_count=int(counts[rows][labels == label].sum()),
                 ))
     clusters.sort(key=lambda c: (-c.dimensionality, c.subspace.dims,
@@ -280,10 +281,13 @@ def assemble_clusters(grid: Grid, registered: Registered
     return tuple(clusters)
 
 
-def walk_lattice(comm: Comm, grid: Grid, params: MafiaParams,
+def walk_lattice(comm: Comm, grid: Grid,
+                 params: MafiaParams | CliqueParams,
                  indexed: IndexedPopulator, obs: RankObs | None,
                  trace: list[LevelTrace], registered: Registered,
-                 on_level: Callable[[int], None] | None = None
+                 on_level: Callable[[int], None] | None = None, *,
+                 block_join=None, prune_cdus=None, prune_dense=None,
+                 terms=dnf_terms
                  ) -> tuple[tuple[LevelTrace, ...], tuple[Cluster, ...]]:
     """Algorithm 2's level loop over a fixed grid, then print-clusters().
 
@@ -297,6 +301,13 @@ def walk_lattice(comm: Comm, grid: Grid, params: MafiaParams,
     completed level.  Rank 0 then assembles the clusters under
     ``params.report`` and broadcasts them.  A batch run and a stream
     snapshot differ only in the records ``indexed`` covers.
+
+    CLIQUE swaps in its own steps, each defaulting to pMAFIA's:
+    ``block_join`` replaces the hash join; ``prune_cdus(cdus, dense)``
+    returns a keep-mask over the deduplicated CDUs, and a level it
+    empties ends the walk; ``prune_dense(dense, counts)`` thins a
+    level's dense units before it is traced; ``terms`` replaces
+    :func:`~repro.core.dnf.dnf_terms`.
     """
     def level_pass(cdus: UnitTable, raw_count: int, level: int,
                    order: np.ndarray | None = None) -> LevelTrace:
@@ -308,12 +319,15 @@ def walk_lattice(comm: Comm, grid: Grid, params: MafiaParams,
                                          indexed=indexed, order=order)
             mask, ndu = _identify_dense(comm, cdus, counts, grid,
                                         params.tau, params.min_bin_points)
+            dense, dense_counts = dense_units(cdus, counts, mask)
+            if prune_dense is not None:
+                dense, dense_counts = prune_dense(dense, dense_counts)
+                ndu = dense.n_units
             if sp is not None:
                 sp["n_cdus"] = cdus.n_units
                 sp["n_dense"] = ndu
             if obs is not None:
                 obs.level_stats(level, raw_count, cdus.n_units, ndu)
-            dense, dense_counts = dense_units(cdus, counts, mask)
             return LevelTrace(level=level, n_cdus_raw=raw_count,
                               n_cdus=cdus.n_units, n_dense=ndu,
                               dense=dense, dense_counts=dense_counts)
@@ -334,8 +348,8 @@ def walk_lattice(comm: Comm, grid: Grid, params: MafiaParams,
             break
         fault_site(comm, "join", current.level)
         with _ospan(obs, "join", cat="phase"):
-            raw, combined = _find_candidate_dense_units(comm, dense,
-                                                        params.tau)
+            raw, combined = _find_candidate_dense_units(
+                comm, dense, params.tau, block_join)
         # non-combinable dense units are registered as potential clusters
         if (~combined).any():
             registered.append((dense.select(~combined),
@@ -349,6 +363,15 @@ def walk_lattice(comm: Comm, grid: Grid, params: MafiaParams,
         with _ospan(obs, "dedup", cat="phase"):
             cdus, pop_order = _eliminate_repeat_cdus(comm, raw, params.tau,
                                                      want_order=True)
+        if prune_cdus is not None:
+            keep = prune_cdus(cdus, dense)
+            # the kept rows' lexicographic order is the dedup's, filtered
+            pop_order = (np.cumsum(keep) - 1)[pop_order[keep[pop_order]]]
+            cdus = cdus.select(keep)
+            if cdus.n_units == 0:
+                registered.append((dense.select(combined),
+                                   dense_counts[combined]))
+                break
         nxt = level_pass(cdus, raw.n_units, current.level + 1,
                          order=pop_order)
         trace.append(nxt)
@@ -363,7 +386,7 @@ def walk_lattice(comm: Comm, grid: Grid, params: MafiaParams,
         if comm.rank == 0:
             reg = registrations_for_report(tuple(trace), registered,
                                            params.report)
-            clusters = assemble_clusters(grid, reg)
+            clusters = assemble_clusters(grid, reg, terms)
         clusters = comm.bcast(clusters, root=0)
     return tuple(trace), clusters
 

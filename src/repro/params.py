@@ -197,6 +197,11 @@ class CliqueParams:
     tau: int = 64
     max_dimensionality: int = 64
 
+    # fixed, not fields: CLIQUE reports every maximal dense unit and
+    # has no per-bin point floor (read by the shared level walk)
+    report = "maximal"
+    min_bin_points = 0
+
     def __post_init__(self) -> None:
         if isinstance(self.bins, int):
             if self.bins <= 0:

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from repro import MafiaParams, mafia
-from repro.clique import (apriori_prune, clique, pclique, prefix_join_all,
-                          uniform_grid)
+from repro.clique import (apriori_prune, clique, clique_rank, pclique,
+                          prefix_join_all, uniform_grid)
+from repro.clique.clique import _canonical_join
 from repro.core.candidates import join_all
 from repro.core.units import UnitTable
 from repro.errors import DataError, GridError
 from repro.params import CliqueParams
+from repro.parallel import CrashPoint, FaultPlan, InjectedFailure, run_spmd
 from tests.conftest import DOMAINS_10D
 
 
@@ -67,6 +69,17 @@ class TestPrefixJoin:
                       [(0, 0), (3, 0)]).sort()
         jr = prefix_join_all(dense)
         assert jr.cdus.n_units == jr.cdus.unique().n_units == 3
+
+
+class TestCanonicalJoin:
+    @pytest.mark.parametrize("modified", [False, True])
+    def test_combined_mask_in_the_tables_own_order(self, modified):
+        """CLIQUE's walk joins the dense table in canonical order and
+        reads the combined-mask back in the table's own row order."""
+        dense = table([(0, 1), (2, 3)], [(3, 0), (4, 4)], [(0, 1), (1, 2)])
+        jr = _canonical_join(dense, 0, dense.n_units, modified=modified)
+        assert jr.combined.tolist() == [True, False, True]
+        assert list(jr.cdus) == [((0, 1), (1, 2), (2, 3))]
 
 
 class TestAprioriPrune:
@@ -218,3 +231,18 @@ class TestParallelClique:
         t4 = pclique(two_cluster_dataset.records, 4, params, backend="sim",
                      domains=DOMAINS_10D).makespan
         assert 0 < t4 < t1
+
+
+class TestCliqueFaultSites:
+    def test_join_crash_point_fires(self, two_cluster_dataset):
+        """CLIQUE runs the shared level walk, so it announces the walk's
+        fault sites (``populate``, ``join``, ``dedup``)."""
+        plan = FaultPlan(crashes=(CrashPoint(rank=1, site="join",
+                                             level=2),))
+        with pytest.raises(InjectedFailure,
+                           match="rank 1 at site 'join'"):
+            run_spmd(clique_rank, 2, faults=plan, recv_timeout=10.0,
+                     args=(two_cluster_dataset.records,
+                           CliqueParams(bins=8, threshold=0.01,
+                                        chunk_records=5000),
+                           DOMAINS_10D))

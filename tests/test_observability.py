@@ -721,10 +721,9 @@ class TestOneLatticeWalk:
                       "_identify_dense", "dense_units",
                       "registrations_for_report", "assemble_clusters"}
 
-    def test_stream_package_names_no_loop_function(self):
-        stream_dir = Path(stream_engine.__file__).parent
-        sources = sorted(stream_dir.glob("*.py"))
-        assert any(p.name == "engine.py" for p in sources)
+    def check_package(self, module) -> None:
+        sources = sorted(Path(module.__file__).parent.glob("*.py"))
+        assert Path(module.__file__) in sources
         for path in sources:
             named = set()
             for node in ast.walk(ast.parse(path.read_text())):
@@ -736,3 +735,11 @@ class TestOneLatticeWalk:
                     named.add(node.id)
             assert not named & self.LOOP_FUNCTIONS, \
                 (path.name, sorted(named & self.LOOP_FUNCTIONS))
+
+    def test_stream_package_names_no_loop_function(self):
+        self.check_package(stream_engine)
+
+    def test_clique_package_names_no_loop_function(self):
+        """CLIQUE runs ``walk_lattice`` with its own join, prunes and
+        cover; ``repro.clique`` names no building block of the loop."""
+        self.check_package(importlib.import_module("repro.clique.clique"))

@@ -3,7 +3,9 @@ and the cluster-report masks (maximal / merged)."""
 
 from __future__ import annotations
 
+import importlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,14 +15,18 @@ from hypothesis import strategies as st
 from repro.clique.join import prefix_join_all
 from repro.core.dnf import maximal_mask, merged_mask, projections
 from repro.core.mafia import mafia
-from repro.core.pmafia import registrations_for_report
-from repro.core.population import populate_local
+from repro.core.pmafia import registrations_for_report, walk_lattice
+from repro.core.population import IndexedPopulator, populate_local
 from repro.core.units import UnitTable
 from repro.datagen import ClusterSpec, generate
 from repro.io import ArraySource
+from repro.io.bitmap_index import build_bitmap_index
 from repro.params import MafiaParams
 from repro.parallel import SerialComm
 from repro.types import DimensionGrid, Grid
+
+# ``repro.core``'s ``pmafia`` function shadows the module
+pmafia_module = importlib.import_module("repro.core.pmafia")
 
 
 def uniform_grid(d: int, nbins: int) -> Grid:
@@ -49,6 +55,18 @@ def records_and_units(draw):
     return records, uniform_grid(d, nbins), UnitTable.from_pairs(units).unique()
 
 
+def brute_counts(records: np.ndarray, grid: Grid,
+                 units: UnitTable) -> list[int]:
+    idx = grid.locate_records(records)
+    counts = []
+    for i in range(units.n_units):
+        mask = np.ones(len(records), dtype=bool)
+        for d, b in units.unit(i):
+            mask &= idx[:, d] == b
+        counts.append(int(mask.sum()))
+    return counts
+
+
 class TestPopulationProperties:
     @given(records_and_units(), st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
@@ -56,12 +74,50 @@ class TestPopulationProperties:
         records, grid, units = setup
         got = populate_local(ArraySource(records), SerialComm(), grid,
                              units, chunk)
-        idx = grid.locate_records(records)
-        for i in range(units.n_units):
-            mask = np.ones(len(records), dtype=bool)
-            for d, b in units.unit(i):
-                mask &= idx[:, d] == b
-            assert got[i] == mask.sum()
+        assert got.tolist() == brute_counts(records, grid, units)
+
+    @given(records_and_units(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_walk_populates_in_the_kept_tables_order(self, setup,
+                                                            data):
+        """A CDU prune in the level walk filters the dedup's populate
+        order: every pass gets the kept table's own lexicographic order
+        (what ``_eliminate_repeat_cdus(want_order=True)`` returns for
+        it) and counts it to the brute-force counts."""
+        records, grid, _ = setup
+        comm = SerialComm()
+        masks = st.one_of(st.just("none"), st.just("all"),
+                          st.lists(st.booleans()))
+
+        def prune(cdus, dense):
+            # keep none, keep all, or a drawn pattern cycled to length
+            drawn = data.draw(masks)
+            if drawn == "none":
+                return np.zeros(cdus.n_units, dtype=bool)
+            if drawn == "all":
+                return np.ones(cdus.n_units, dtype=bool)
+            return np.resize(np.array(drawn + [True], dtype=bool),
+                             cdus.n_units)
+
+        real = pmafia_module.populate_global
+        passes = []
+
+        def checked(source, comm, grid, units, chunk, **kwargs):
+            if units.level > 1:
+                _, expected = pmafia_module._eliminate_repeat_cdus(
+                    SerialComm(), units, 64, want_order=True)
+                assert kwargs["order"].tolist() == expected.tolist()
+            counts = real(source, comm, grid, units, chunk, **kwargs)
+            assert counts.tolist() == brute_counts(records, grid, units)
+            passes.append(units.n_units)
+            return counts
+
+        indexed = IndexedPopulator(build_bitmap_index(
+            ArraySource(records), grid, 50))
+        with mock.patch.object(pmafia_module, "populate_global", checked):
+            trace, _ = walk_lattice(comm, grid, MafiaParams(), indexed,
+                                    None, [], [], prune_cdus=prune)
+        assert passes == [level.n_cdus for level in trace]
 
     @given(records_and_units())
     @settings(max_examples=40, deadline=None)
