@@ -34,7 +34,7 @@ so a reported time can never come from a silently wrong fast path.
 
 The observability section re-runs the e2e workload with tracing and
 metrics off vs on, reports the enabled-tracing overhead ratio, and —
-under ``--max-obs-overhead`` (CI passes 1.05) — fails when the
+under ``--max-obs-overhead`` (CI passes 1.10) — fails when the
 instrumented run is more than that factor slower.  ``--obs-dir DIR``
 additionally exports the instrumented run's Chrome trace, metrics
 snapshot and run manifest to ``DIR`` after validating span integrity,

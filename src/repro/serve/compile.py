@@ -8,30 +8,35 @@ bin-index space, into a *packed-interval* evaluator so a batch of
 records is scored with a handful of array operations:
 
 1.  **Digitize** — every serving dimension (the union of all cluster
-    subspace dims) carries its training grid.  Fine codes come from
-    :func:`repro.types.fine_codes_matrix`, the path
-    :meth:`~repro.types.Grid.locate_records` takes, and one
-    ``(n_fine,)`` table per dimension maps a code to its *serve bin*:
-    the run of grid bins between two consecutive term cuts.  Every term
-    bound must be a grid edge, so each record is served by the cell
-    training located it in — on-edge, infinite, out-of-domain and NaN
-    values included.
+    subspace dims) carries its training grid.  A record's fine codes
+    come from :func:`repro.types.fine_codes_matrix`, the path
+    :meth:`~repro.types.Grid.locate_records` takes, and are all that
+    serving reads of it: every table below is indexed by fine code.
+    Every term bound must be a grid edge, so each record is served by
+    the cell training located it in — on-edge, infinite, out-of-domain
+    and NaN values included.
 2.  **Interval masks** — every DNF term owns one bit of a packed uint64
-    mask; per serving dimension a small lookup table maps each serve
-    bin to the mask of terms whose interval on that dimension contains
-    the bin (terms without a condition on the dimension are don't-care:
-    their bit stays set).  ANDing the per-dimension lookups leaves
-    exactly the bits of the terms the record satisfies.
+    mask; per serving dimension a lookup table maps each fine code to
+    the mask of terms whose interval on that dimension contains the
+    code's grid bin (terms without a condition on the dimension are
+    don't-care: their bit stays set).  It is composed at compile time
+    from the code's *serve bin* — the run of grid bins between two
+    consecutive term cuts, the unit a term interval is made of — so a
+    batch pays one gather per dimension, not a bin map and a gather.
+    ANDing the per-dimension lookups leaves exactly the bits of the
+    terms the record satisfies.
 3.  **Cluster reduction** — terms of one cluster occupy a contiguous
     bit range padded to never straddle a word, so membership is one
     masked word test per cluster (``hit_words[:, w] & mask != 0``)
     rather than a per-term loop.
 
-The per-record serve-bin row doubles as the record's *bin signature*:
-packed through :func:`repro.core.units.pack_tokens`, it keys the
-serving cache (:class:`repro.serve.ClusterServer`) — records in the
-same grid cell provably score identically, so hot traffic
-short-circuits evaluation entirely.
+A record's serve-bin row doubles as its *bin signature*: collapsed to
+one mixed-radix uint64 through per-dimension key tables (again indexed
+by fine code), or packed through :func:`repro.core.units.pack_tokens`
+when too wide for a word, it keys the serving cache
+(:class:`repro.serve.ClusterServer`) — records in the same serve cell
+provably score identically, so hot traffic short-circuits evaluation
+entirely.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from ..core.dnf import TermArrays, term_arrays
 from ..core.histogram import code_dtype
 from ..errors import DataError
 from ..core.units import pack_tokens
-from ..types import (Cluster, DimensionGrid, Grid, fine_code_tiles,
-                     fine_codes_matrix)
+from ..types import (Cluster, DimensionGrid, Grid, fine_code_groups,
+                     fine_code_tiles, fine_codes_matrix)
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -85,7 +90,8 @@ class CompiledModel:
     grids: tuple[DimensionGrid, ...]
     #: per serve dim, the (n_fine,) uint8 map from fine code to serve bin
     bin_luts: tuple[np.ndarray, ...]
-    #: per serve dim, (n_bins, n_words) uint64 term-mask lookup table
+    #: per serve dim, (n_fine, n_words) uint64 term-mask lookup table,
+    #: indexed by fine code
     luts: tuple[np.ndarray, ...]
     #: packed term-mask words per record after the AND-reduction
     n_words: int
@@ -109,7 +115,7 @@ class CompiledModel:
     @cached_property
     def n_bins(self) -> tuple[int, ...]:
         """Serve-bin count per serve dim."""
-        return tuple(len(lut) for lut in self.luts)
+        return tuple(int(lut.max()) + 1 for lut in self.bin_luts)
 
     @cached_property
     def _one_word_keys(self) -> bool:
@@ -122,11 +128,31 @@ class CompiledModel:
         return math.prod(self.n_bins) <= 1 << 64
 
     @cached_property
+    def _key_luts(self) -> tuple[np.ndarray, ...]:
+        """Per serve dim, the ``(n_fine,)`` uint64 table of a fine
+        code's term in the mixed-radix key: its serve bin times the
+        product of the later dims' serve-bin counts, so summing one
+        lookup per dim gives the Horner key over serve bins."""
+        tables = []
+        for j, lut in enumerate(self.bin_luts):
+            stride = math.prod(self.n_bins[j + 1:])
+            term = np.array([b * stride for b in range(self.n_bins[j])],
+                            dtype=np.uint64)
+            tables.append(term[lut])
+        return tuple(tables)
+
+    @cached_property
+    def _code_groups(self) -> dict[int, tuple[list[int], np.ndarray]]:
+        """The serve grids grouped by ``n_fine``, with their domains,
+        built once per model (read-only, shared by every thread) so
+        :meth:`digitize` regroups nothing per batch."""
+        return fine_code_groups(self.grids)
+
+    @cached_property
     def _code_tiles(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """The serve grids' domains tiled for
         :func:`~repro.core.histogram.block_codes`, built once per
-        model (read-only, shared by every thread) so :meth:`digitize`
-        re-tiles nothing per batch."""
+        model likewise so :meth:`digitize` re-tiles nothing per batch."""
         return fine_code_tiles(self.grids)
 
     @property
@@ -150,52 +176,59 @@ class CompiledModel:
     # -- evaluation ------------------------------------------------------
     def digitize(self, records: np.ndarray) -> np.ndarray:
         """Map an ``(n, ndim)`` record block to its column-major ``(n,
-        s)`` serve-bin matrix — the only place record values are read:
-        the fine codes are written into it, then mapped in place through
-        each column's table."""
+        s)`` fine-code matrix, column ``j`` coded on ``grids[j]`` — the
+        only place record values are read.  Every other method takes
+        these codes."""
         records = np.atleast_2d(np.asarray(records, dtype=np.float64))
         if records.ndim != 2 or records.shape[1] != self.ndim:
             raise DataError(
                 f"records shape {records.shape} does not match model "
                 f"with {self.ndim} dimensions")
-        idx = np.empty((len(records), self.n_serve_dims), order="F",
-                       dtype=np.result_type(np.uint8, *self.bin_luts))
-        fine_codes_matrix(records, self.grids, out=idx.T,
-                          tiles=self._code_tiles)
+        codes = np.empty((len(records), self.n_serve_dims), order="F",
+                         dtype=code_dtype(max(
+                             (dg.n_fine for dg in self.grids), default=1)))
+        fine_codes_matrix(records, self.grids, out=codes.T,
+                          tiles=self._code_tiles, groups=self._code_groups)
+        return codes
+
+    def signatures(self, codes: np.ndarray) -> np.ndarray:
+        """Pack a digitized ``(n, s)`` matrix's serve bins into ``(n,
+        ceil(s/4))`` uint64 bin-signature words (the serving-cache key
+        space of models too wide for one-word keys)."""
+        bins = np.empty(codes.shape, dtype=np.uint64)
         for j, lut in enumerate(self.bin_luts):
-            np.take(lut, idx[:, j], out=idx[:, j])
-        return idx
+            bins[:, j] = lut[codes[:, j]]
+        return pack_tokens(bins)
 
-    def signatures(self, idx: np.ndarray) -> np.ndarray:
-        """Pack a digitized ``(n, s)`` matrix into ``(n, ceil(s/4))``
-        uint64 bin-signature words (the serving-cache key space)."""
-        return pack_tokens(np.ascontiguousarray(
-            idx.astype(np.uint64, copy=False)))
-
-    def group_keys(self, idx: np.ndarray) -> np.ndarray:
+    def group_keys(self, codes: np.ndarray) -> np.ndarray:
         """One hashable grouping key per digitized record: records with
         equal keys provably score identically.  A ``(n,)`` uint64 array
-        via the mixed-radix collapse when it fits, else the packed
-        signature rows as an opaque void view."""
+        — the mixed-radix collapse of the serve bins, one key-table
+        lookup per dim — when it fits, else the packed signature rows as
+        an opaque void view."""
         if not self._one_word_keys:
             from ..core.units import row_keys
-            return row_keys(self.signatures(idx))
-        n = idx.shape[0]
+            return row_keys(self.signatures(codes))
+        n = codes.shape[0]
         key = np.zeros(n, dtype=np.uint64)
-        for j in range(self.n_serve_dims):
-            np.multiply(key, np.uint64(self.n_bins[j]), out=key)
-            np.add(key, idx[:, j], out=key, casting="unsafe")
+        term = np.empty_like(key)
+        for j, table in enumerate(self._key_luts):
+            np.take(table, codes[:, j], out=term, mode="clip")
+            np.add(key, term, out=key)
         return key
 
-    def eval_idx(self, idx: np.ndarray) -> np.ndarray:
-        """Membership from an already-digitized ``(n, s)`` matrix:
-        ``(n, n_clusters)`` bool, True where the record satisfies at
-        least one DNF term of the cluster.
+    def eval_idx(self, codes: np.ndarray) -> np.ndarray:
+        """Membership from an already-digitized ``(n, s)`` fine-code
+        matrix: ``(n, n_clusters)`` bool, True where the record
+        satisfies at least one DNF term of the cluster.
 
         Runs in ~64k-record blocks so the gathered mask words stay
         cache-resident instead of round-tripping batch-sized
-        temporaries through memory."""
-        n = idx.shape[0]
+        temporaries through memory.  Codes from :meth:`digitize` are
+        always in range, so the gathers take ``mode="clip"``: NumPy
+        then writes straight into ``out`` instead of through a
+        temporary it keeps in case an index is out of bounds."""
+        n = codes.shape[0]
         if self.n_terms == 0 or n == 0:
             return np.zeros((n, self.n_clusters), dtype=bool)
         member = np.empty((n, self.n_clusters), dtype=bool, order="F")
@@ -207,8 +240,8 @@ class CompiledModel:
             h, g = hits[:m], gathered[:m]
             h[...] = _ALL_ONES
             for j in range(self.n_serve_dims):
-                np.take(self.luts[j], idx[start:start + m, j], axis=0,
-                        out=g)
+                np.take(self.luts[j], codes[start:start + m, j], axis=0,
+                        out=g, mode="clip")
                 np.bitwise_and(h, g, out=h)
             for c in range(self.n_clusters):
                 np.not_equal(h[:, self.cluster_word[c]]
@@ -302,27 +335,27 @@ def compile_arrays(terms: TermArrays, ndim: int, *,
         cut[first] = cut[stop] = True
         serve_of_bin = np.zeros(dg.nbins, dtype=np.int64)
         np.cumsum(cut[1:dg.nbins], out=serve_of_bin[1:])
-        lut = np.full((serve_of_bin[-1] + 1, n_words), _ALL_ONES,
-                      dtype=np.uint64)
+        masks = np.full((serve_of_bin[-1] + 1, n_words), _ALL_ONES,
+                        dtype=np.uint64)
         for t, a, b in zip(terms.cond_term[on_dim], serve_of_bin[first],
                            serve_of_bin[stop - 1] + 1):
             # the term accepts serve bins [a, b): clear its bit outside
             word, bit = divmod(int(bit_of_term[t]), 64)
             clear = ~(np.uint64(1) << np.uint64(bit))
-            lut[:a, word] &= clear
-            lut[b:, word] &= clear
+            masks[:a, word] &= clear
+            masks[b:, word] &= clear
+        # both tables are read by fine code: a code's serve bin, and
+        # the mask of that serve bin
+        bin_lut = serve_of_bin[dg.lut]
         serve_grids.append(dg)
-        bin_luts.append(serve_of_bin[dg.lut])
-        luts.append(lut)
-    # serve bins are digitized in place of the fine codes
-    code_type = code_dtype(max((dg.n_fine for dg in serve_grids), default=1))
+        bin_luts.append(bin_lut.astype(np.uint8))
+        luts.append(masks[bin_lut])
 
     return CompiledModel(
         ndim=int(ndim), subspaces=subspaces,
         point_counts=tuple(int(p) for p in point_counts),
         terms=terms, serve_dims=serve_dims, grids=tuple(serve_grids),
-        bin_luts=tuple(lut.astype(code_type) for lut in bin_luts),
-        luts=tuple(luts),
+        bin_luts=tuple(bin_luts), luts=tuple(luts),
         n_words=n_words, cluster_word=cluster_word,
         cluster_mask=cluster_mask)
 

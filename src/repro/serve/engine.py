@@ -225,13 +225,13 @@ class ClusterServer:
         span = (self._obs.span("score_batch", cat="serve", n_records=n)
                 if self._obs is not None else nullcontext())
         with span:
-            idx = self.model.digitize(records)
+            codes = self.model.digitize(records)
             if not self.cache_engaged:
-                membership = self.model.eval_idx(idx)
+                membership = self.model.eval_idx(codes)
                 hits, misses, evaluated, bypassed = 0, 0, n, False
             else:
                 membership, hits, misses, evaluated, bypassed = \
-                    self._score_cached(idx, n)
+                    self._score_cached(codes, n)
         seconds = time.perf_counter() - t0
         with self._lock:
             self._batches += 1
@@ -246,7 +246,7 @@ class ClusterServer:
         return BatchScores(membership=membership,
                            subspaces=self.model.subspaces)
 
-    def _score_cached(self, idx: np.ndarray, n: int
+    def _score_cached(self, codes: np.ndarray, n: int
                       ) -> tuple[np.ndarray, int, int, int, bool]:
         """The cached path: probe the table with one ``searchsorted``,
         answer hits with one row gather, then group only the missing
@@ -256,7 +256,7 @@ class ClusterServer:
         if n == 0:
             return (np.zeros((0, self.model.n_clusters), dtype=bool),
                     0, 0, 0, False)
-        keys = self.model.group_keys(idx)
+        keys = self.model.group_keys(codes)
         with self._lock:
             self._tick += 1
             tick, table = self._tick, self._table
@@ -285,10 +285,10 @@ class ClusterServer:
             # mostly-novel traffic: filling the cache would cost more
             # than it saves, so evaluate vectorized and leave the
             # cache untouched
-            return self.model.eval_idx(idx), 0, 0, n, True
+            return self.model.eval_idx(codes), 0, 0, n, True
 
         first_global = first if miss_idx is None else miss_idx[first]
-        fresh = self.model.eval_idx(idx[first_global])
+        fresh = self.model.eval_idx(codes[first_global])
         if miss_idx is None:
             membership = fresh[inverse]
         else:

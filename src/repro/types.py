@@ -188,11 +188,12 @@ class Grid:
         return out
 
 
-def _fine_groups(grids: Sequence[DimensionGrid]
-                 ) -> dict[int, tuple[list[int], np.ndarray]]:
+def fine_code_groups(grids: Sequence[DimensionGrid]
+                     ) -> dict[int, tuple[list[int], np.ndarray]]:
     """Per distinct ``n_fine``, the positions in ``grids`` of its grids
     and their ``(k, 2)`` domains: the unit :func:`fine_codes_matrix`
-    codes in one call."""
+    codes in one call.  A caller that codes many blocks on the same
+    grids holds them and passes them as ``groups``."""
     by_fine: dict[int, list[int]] = {}
     for j, dg in enumerate(grids):
         by_fine.setdefault(dg.n_fine, []).append(j)
@@ -209,23 +210,29 @@ def fine_code_tiles(grids: Sequence[DimensionGrid]
     :func:`fine_codes_matrix` as ``tiles``."""
     from .core.histogram import domain_tiles
     return {n_fine: domain_tiles(domains)
-            for n_fine, (_, domains) in _fine_groups(grids).items()}
+            for n_fine, (_, domains) in fine_code_groups(grids).items()}
 
 
 def fine_codes_matrix(records: np.ndarray, grids: Sequence[DimensionGrid],
                       out: np.ndarray | None = None, *,
                       tiles: dict[int, tuple[np.ndarray, np.ndarray]]
+                      | None = None,
+                      groups: dict[int, tuple[list[int], np.ndarray]]
                       | None = None) -> np.ndarray:
     """``(len(grids), n)`` fine codes (in ``out`` if given): row ``j``
     codes column ``grids[j].dim`` of an ``(n, ndim)`` float block, by
     one :func:`~repro.core.histogram.block_codes` call per distinct
     ``n_fine`` — the one path verification and serving locate by.
-    ``tiles`` is :func:`fine_code_tiles` of the same ``grids``."""
+    ``tiles`` and ``groups`` are :func:`fine_code_tiles` and
+    :func:`fine_code_groups` of the same ``grids``, built here when not
+    given."""
     from .core.histogram import block_codes, code_dtype
     if out is None:
         out = np.empty((len(grids), records.shape[0]), dtype=code_dtype(
             max((dg.n_fine for dg in grids), default=1)))
-    for n_fine, (cols, domains) in _fine_groups(grids).items():
+    if groups is None:
+        groups = fine_code_groups(grids)
+    for n_fine, (cols, domains) in groups.items():
         dims = [grids[j].dim for j in cols]
         block = records if dims == list(range(records.shape[1])) \
             else records[:, dims]

@@ -115,42 +115,13 @@ def clustered(one_cluster_dataset, small_params):
 
 # -- hypothesis: every path against the scalar reference ----------------
 
-@st.composite
-def serve_problem(draw):
-    """A random grid, clusters of random units over it (DNF by the
-    greedy cover, as a clustering reports them) and records mixing
-    integers, every grid edge, one ulp either side of each edge, NaN,
-    ±inf and out-of-domain values."""
-    ndim = draw(st.integers(2, 5))
-    specs = []
-    for _ in range(ndim):
-        if draw(st.booleans()):         # integer domain, integer data
-            lo = float(draw(st.integers(-20, 20)))
-            hi = lo + draw(st.integers(1, 120))
-        else:
-            lo = draw(st.floats(-50.0, 50.0))
-            hi = lo + draw(st.floats(0.5, 500.0))
-        n_fine = draw(st.sampled_from([1, 2, 7, 100, 256, 257, 300]))
-        inner = draw(st.sets(st.integers(1, max(1, n_fine - 1)),
-                             max_size=min(8, n_fine - 1)))
-        specs.append((lo, hi, n_fine, (0, *sorted(inner), n_fine)))
-    grid = make_grid(*specs)
-    clusters = []
-    for _ in range(draw(st.integers(1, 4))):
-        k = draw(st.integers(1, min(3, ndim)))
-        dims = tuple(sorted(draw(st.sets(st.integers(0, ndim - 1),
-                                         min_size=k, max_size=k))))
-        cells = draw(st.sets(st.tuples(*(
-            st.integers(0, grid[d].nbins - 1) for d in dims)),
-            min_size=1, max_size=6))
-        units = np.array(sorted(cells), dtype=np.int64)
-        clusters.append(Cluster(subspace=Subspace(dims), units_bins=units,
-                                dnf=dnf_terms(grid, Subspace(dims), units),
-                                point_count=1))
-    seed = draw(st.integers(0, 2**32 - 1))
-    n = draw(st.integers(1, 80))
-    rng = np.random.default_rng(seed)
-    records = np.empty((n, ndim))
+def hostile_records(grid: Grid, rng: np.random.Generator,
+                    n: int) -> np.ndarray:
+    """``n`` records over ``grid``, 60% of their values drawn from a
+    pool of integers, every grid edge, one ulp either side of each
+    edge, NaN, ±inf and out-of-domain values, the rest uniform over the
+    domain."""
+    records = np.empty((n, grid.ndim))
     for j, dg in enumerate(grid):
         edges = np.array(dg.edges)
         pool = np.concatenate([
@@ -161,41 +132,96 @@ def serve_problem(draw):
         inside = rng.uniform(dg.lo, dg.hi, size=n)
         records[:, j] = np.where(rng.random(n) < 0.6,
                                  rng.choice(pool, size=n), inside)
+    return records
+
+
+@st.composite
+def serve_problem(draw, fine: tuple[int, ...] | None = None):
+    """A random grid, clusters of random units over it (DNF by the
+    greedy cover, as a clustering reports them) and
+    :func:`hostile_records` over it.  With ``fine``, dimension ``j``
+    has ``fine[j % len(fine)]`` fine intervals and the first cluster
+    spans dims 0 and 1, so the serve grids mix the first two."""
+    ndim = draw(st.integers(2, 5))
+    specs = []
+    for j in range(ndim):
+        if draw(st.booleans()):         # integer domain, integer data
+            lo = float(draw(st.integers(-20, 20)))
+            hi = lo + draw(st.integers(1, 120))
+        else:
+            lo = draw(st.floats(-50.0, 50.0))
+            hi = lo + draw(st.floats(0.5, 500.0))
+        n_fine = fine[j % len(fine)] if fine else \
+            draw(st.sampled_from([1, 2, 7, 100, 256, 257, 300]))
+        inner = draw(st.sets(st.integers(1, max(1, n_fine - 1)),
+                             max_size=min(8, n_fine - 1)))
+        specs.append((lo, hi, n_fine, (0, *sorted(inner), n_fine)))
+    grid = make_grid(*specs)
+    clusters = []
+    for i in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, min(3, ndim)))
+        dims = draw(st.sets(st.integers(0, ndim - 1), min_size=k,
+                            max_size=k))
+        if fine and i == 0:
+            dims |= {0, 1}
+        dims = tuple(sorted(dims))
+        cells = draw(st.sets(st.tuples(*(
+            st.integers(0, grid[d].nbins - 1) for d in dims)),
+            min_size=1, max_size=6))
+        units = np.array(sorted(cells), dtype=np.int64)
+        clusters.append(Cluster(subspace=Subspace(dims), units_bins=units,
+                                dnf=dnf_terms(grid, Subspace(dims), units),
+                                point_count=1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 80))
+    records = hostile_records(grid, np.random.default_rng(seed), n)
     return grid, clusters, records
 
 
+#: serve grids of 200 and 1,000 fine intervals in one model: its fine
+#: codes are uint16, and two block_codes groups fill one code matrix
+MIXED_FINE = (200, 1000)
+
+
+def assert_mixed_fine(model: CompiledModel, records: np.ndarray) -> None:
+    assert {dg.n_fine for dg in model.grids} == set(MIXED_FINE)
+    assert model.digitize(records).dtype == np.uint16
+
+
 @settings(max_examples=60, deadline=None)
-@given(serve_problem())
-def test_compiled_bit_identical_to_located_cells(problem):
-    grid, clusters, records = problem
-    truth = reference_membership(grid, clusters, records)
-    model = compile_clusters(grid, clusters)
-    np.testing.assert_array_equal(model.score(records), truth)
-    np.testing.assert_array_equal(
-        score_batch_naive(grid, clusters, records), truth)
+@given(serve_problem(), serve_problem(fine=MIXED_FINE))
+def test_compiled_bit_identical_to_located_cells(problem, mixed):
+    for grid, clusters, records in (problem, mixed):
+        truth = reference_membership(grid, clusters, records)
+        model = compile_clusters(grid, clusters)
+        np.testing.assert_array_equal(model.score(records), truth)
+        np.testing.assert_array_equal(
+            score_batch_naive(grid, clusters, records), truth)
+    assert_mixed_fine(model, records)
 
 
 @settings(max_examples=25, deadline=None)
-@given(serve_problem())
-def test_server_cache_paths_bit_identical(problem):
-    grid, clusters, records = problem
-    truth = reference_membership(grid, clusters, records)
-    model = compile_clusters(grid, clusters)
-    # always-probe, always-bypass and cache-off must agree; a second
-    # pass over the same records (now cache-warm) must too
-    with cache_engaged():
-        probing = ClusterServer(model)
-        bypassing = ClusterServer(model)
-    uncached = ClusterServer(model, cache_size=0)
-    for server, fraction in ((probing, 1.0), (bypassing, 0.0),
-                             (uncached, 1.0)):
-        with bypass_threshold(fraction):
-            np.testing.assert_array_equal(
-                server.score_batch(records).membership, truth)
-            np.testing.assert_array_equal(
-                server.score_batch(records).membership, truth)
-    assert probing.stats()["cache"]["hits"] > 0
-    assert bypassing.stats()["cache_bypasses"] == 2
+@given(serve_problem(), serve_problem(fine=MIXED_FINE))
+def test_server_cache_paths_bit_identical(problem, mixed):
+    for grid, clusters, records in (problem, mixed):
+        truth = reference_membership(grid, clusters, records)
+        model = compile_clusters(grid, clusters)
+        # always-probe, always-bypass and cache-off must agree; a
+        # second pass over the same records (now cache-warm) must too
+        with cache_engaged():
+            probing = ClusterServer(model)
+            bypassing = ClusterServer(model)
+        uncached = ClusterServer(model, cache_size=0)
+        for server, fraction in ((probing, 1.0), (bypassing, 0.0),
+                                 (uncached, 1.0)):
+            with bypass_threshold(fraction):
+                np.testing.assert_array_equal(
+                    server.score_batch(records).membership, truth)
+                np.testing.assert_array_equal(
+                    server.score_batch(records).membership, truth)
+        assert probing.stats()["cache"]["hits"] > 0
+        assert bypassing.stats()["cache_bypasses"] == 2
+    assert_mixed_fine(model, records)
 
 
 @settings(max_examples=25, deadline=None)
@@ -381,11 +407,16 @@ class TestCompile:
         grid = unit_grid(2)
         cluster = box_cluster(grid, [0, 1], [[(2, 6), (1, 9)]])
         model = compile_clusters(grid, [cluster])
-        records = np.array([[0.3, 0.5], [0.31, 0.52],  # same serve bins
+        records = np.array([[0.3, 0.5], [0.45, 0.75],  # same serve bins
                             [0.7, 0.5]])               # different
-        sigs = model.signatures(model.digitize(records))
+        codes = model.digitize(records)
+        # the first two differ in every fine code, not in serve bin
+        assert codes.tolist() == [[3, 5], [4, 7], [7, 5]]
+        sigs = model.signatures(codes)
         assert np.array_equal(sigs[0], sigs[1])
         assert not np.array_equal(sigs[0], sigs[2])
+        keys = model.group_keys(codes)
+        assert keys[0] == keys[1] != keys[2]
 
     def test_models_code_by_their_own_held_tiles(self):
         """Two models of one shape over different domains, scored
@@ -416,6 +447,156 @@ class TestCompile:
         model = compile_clusters(grid, [cluster])
         assert model.n_bins == (3, 3)
         assert model.bin_luts[0].tolist() == [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+        # digitize returns the fine codes; the mask table is read by
+        # code, one row per code, equal across each serve bin
+        assert model.digitize(np.array([[0.25, 0.95]])).tolist() == [[2, 9]]
+        assert model.luts[0].shape == (10, 1)
+        assert (model.luts[0][:, 0] & 1).tolist() == \
+            [0, 0, 1, 1, 1, 1, 0, 0, 0, 0]
+
+
+# -- the serving tables, rebuilt from the condition table ---------------
+
+def random_grid(rng: np.random.Generator, *dims: tuple[int, int]) -> Grid:
+    """A Grid of ``(n_fine, nbins)`` per dimension: random domains and
+    random cuts, so a bin spans a different number of codes each."""
+    specs = []
+    for n_fine, nbins in dims:
+        lo = float(rng.uniform(-50.0, 50.0))
+        inner = rng.choice(np.arange(1, n_fine), nbins - 1, replace=False)
+        specs.append((lo, lo + float(rng.uniform(1.0, 300.0)), n_fine,
+                      (0, *sorted(inner.tolist()), n_fine)))
+    return make_grid(*specs)
+
+
+def random_boxes(rng: np.random.Generator, grid: Grid, dims,
+                 k: int) -> list[list[tuple[int, int]]]:
+    """``k`` random ``box_cluster`` boxes over ``dims`` of ``grid``."""
+    return [[tuple(sorted(rng.choice(grid[d].nbins + 1, 2,
+                                     replace=False).tolist()))
+             for d in dims] for _ in range(k)]
+
+
+def table_model(kind: str) -> tuple[CompiledModel, np.ndarray]:
+    """A model and hostile records for the table oracles: ``one_word``
+    (7 terms), ``four_words`` (4 clusters of 40 terms) or
+    ``packed_keys`` (20 dims of 16 serve bins each: 2**80 cells, so
+    its keys are packed signature rows)."""
+    rng = np.random.default_rng(34)
+    if kind == "one_word":
+        grid = random_grid(rng, (200, 9), (1000, 12), (200, 5))
+        clusters = [box_cluster(grid, dims, random_boxes(rng, grid, dims, k))
+                    for dims, k in (([0, 1], 3), ([1, 2], 2), ([2], 2))]
+    elif kind == "four_words":
+        grid = random_grid(rng, (1000, 12), (200, 12))
+        clusters = [box_cluster(grid, [0, 1],
+                                random_boxes(rng, grid, [0, 1], 40))
+                    for _ in range(4)]
+    else:
+        grid = random_grid(rng, *[(MIXED_FINE[d % 2], 16)
+                                  for d in range(20)])
+        clusters = [box_cluster(grid, [d], [[(b, b + 1)]
+                                            for b in range(0, 16, 2)])
+                    for d in range(20)]
+    records = hostile_records(grid, rng, 600)
+    # repeat a third of the rows so records share keys
+    return (compile_clusters(grid, clusters),
+            np.vstack([records, records[::3]]))
+
+
+def term_bits(model: CompiledModel) -> np.ndarray:
+    """Each term's bit in the packed mask: its cluster's terms hold the
+    cluster mask's bits, lowest first, in term order."""
+    terms = model.terms
+    bits = np.empty(terms.n_terms, dtype=np.int64)
+    for c in range(model.n_clusters):
+        own = np.flatnonzero(terms.term_cluster == c)
+        mask = int(model.cluster_mask[c])
+        assert mask.bit_count() == len(own)
+        first = (mask & -mask).bit_length() - 1
+        bits[own] = 64 * int(model.cluster_word[c]) + first + \
+            np.arange(len(own))
+    return bits
+
+
+class TestFineCodeTables:
+    """Serving reads every per-dimension table by fine code.  Each is
+    checked against one built here from the model's ``TermArrays`` and
+    grids alone: a term's bit is set in row ``c`` of dim ``j``'s mask
+    table iff the term has no condition on the dim or its ``[cond_lo,
+    cond_hi)`` there contains the interval of grid bin
+    ``dg.lut[c]``; a record's key is the Horner key of its serve bins
+    (``bin_luts`` of its codes)."""
+
+    #: per model, its mask words and its keys' dtype kind
+    SHAPES = {"one_word": (1, "u"), "four_words": (4, "u"),
+              "packed_keys": (3, "V")}
+
+    @pytest.fixture(scope="class", params=sorted(SHAPES))
+    def case(self, request):
+        return table_model(request.param)
+
+    @pytest.mark.parametrize("kind", sorted(SHAPES))
+    def test_model_shapes(self, kind):
+        model, records = table_model(kind)
+        assert (model.n_words, model.group_keys(
+            model.digitize(records)).dtype.kind) == self.SHAPES[kind]
+        for dg, bins, masks in zip(model.grids, model.bin_luts,
+                                   model.luts):
+            assert bins.shape == (dg.n_fine,)
+            assert masks.shape == (dg.n_fine, model.n_words)
+
+    def test_mask_rows_are_the_term_intervals_of_each_code(self, case):
+        model, _ = case
+        terms = model.terms
+        bits = term_bits(model)
+        word, bit = np.divmod(bits, 64)
+        used = np.zeros(model.n_words, dtype=np.uint64)
+        for w, b in zip(word.tolist(), bit.tolist()):
+            used[w] |= np.uint64(1 << b)
+        for j, (dim, dg) in enumerate(zip(model.serve_dims, model.grids)):
+            edges = np.array(dg.edges)
+            bin_lo, bin_hi = edges[dg.lut], edges[dg.lut.astype(int) + 1]
+            want = np.zeros((dg.n_fine, model.n_words), dtype=np.uint64)
+            constrained = set()
+            for t, lo, hi in zip(terms.cond_term[terms.cond_dim == dim],
+                                 terms.cond_lo[terms.cond_dim == dim],
+                                 terms.cond_hi[terms.cond_dim == dim]):
+                constrained.add(int(t))
+                inside = (lo <= bin_lo) & (bin_hi <= hi)
+                want[inside, word[t]] |= np.uint64(1 << int(bit[t]))
+            for t in set(range(terms.n_terms)) - constrained:
+                want[:, word[t]] |= np.uint64(1 << int(bit[t]))
+            np.testing.assert_array_equal(model.luts[j] & used, want,
+                                          err_msg=f"serve dim {int(dim)}")
+
+    def test_keys_are_the_serve_bins_horner_key(self, case):
+        model, records = case
+        codes = model.digitize(records)
+        bins = [[int(model.bin_luts[j][c]) for j, c in enumerate(row)]
+                for row in codes.tolist()]
+        assert model.n_bins == tuple(int(lut.max()) + 1
+                                     for lut in model.bin_luts)
+        keys = model.group_keys(codes)
+        if keys.dtype.kind == "u":
+            horner = []
+            for row in bins:
+                key = 0
+                for b, radix in zip(row, model.n_bins):
+                    key = key * radix + b
+                horner.append(key)
+            assert keys.tolist() == horner
+            return
+        # packed keys: four 16-bit serve bins per word, high to low
+        packed = [[sum(b << 16 * (3 - s) for s, b in
+                       enumerate(row[w:w + 4])) for w in range(0, len(row), 4)]
+                  for row in bins]
+        assert model.signatures(codes).tolist() == packed
+        row_of_key: dict[bytes, tuple[int, ...]] = {}
+        for key, row in zip(keys.tolist(), bins):
+            assert row_of_key.setdefault(key, tuple(row)) == tuple(row)
+        assert len(row_of_key) == len({tuple(row) for row in bins})
+        assert len(row_of_key) < len(bins)
 
 
 # -- the server ----------------------------------------------------------
